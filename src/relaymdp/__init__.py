@@ -20,6 +20,7 @@ from .model import (
 )
 from .dp_restricted import (
     Action,
+    Decision,
     IllegalActionError,
     NonThresholdSetError,
     RestrictedTables,
@@ -33,7 +34,6 @@ from .dp_restricted import (
 from .dp_restricted import initial_value as restricted_initial_value
 from .dp_complete import (
     BudgetExceededError,
-    CompleteAction,
     CompleteTables,
     act_complete,
     solve_complete,
@@ -46,6 +46,7 @@ from .simulate import (
     EpisodeOutcome,
     Estimates,
     GlbOptPolicy,
+    Policy,
     ProbeFirstPolicy,
     RstOptPolicy,
     monte_carlo,

@@ -3,6 +3,29 @@ from __future__ import annotations
 
 import numpy as np
 
+# Tie resolution between actions uses the pure-arithmetic 1e-12.
+TIE_TOL = 1e-12
+
+# Action codes of the int8 action tables both solvers emit.
+STOP, PROBE, CONTINUE, NO_ACTION = 0, 1, 2, -1
+
+
+def resolve_actions(stop, probe, cont) -> np.ndarray:
+    """The optimal action code for every state, from its three action costs.
+
+    The single tie rule of both policy classes, following the set definitions
+    of the stopping and probing sets: stop iff ``stop <= min(probe, cont) +
+    TIE_TOL``; otherwise probe iff ``probe <= cont + TIE_TOL``; otherwise
+    continue.  An action that is unavailable costs +inf, and a state where all
+    three are +inf gets NO_ACTION.  Arguments broadcast against each other.
+    """
+    shape = np.broadcast_shapes(np.shape(stop), np.shape(probe), np.shape(cont))
+    act = np.full(shape, CONTINUE, dtype=np.int8)
+    np.copyto(act, PROBE, where=probe <= cont + TIE_TOL)
+    np.copyto(act, STOP, where=stop <= np.minimum(probe, cont) + TIE_TOL)
+    np.copyto(act, NO_ACTION, where=np.isposinf(stop) & np.isposinf(probe) & np.isposinf(cont))
+    return act
+
 
 def expect_over_max(values: np.ndarray, pmf: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """E_R[ V(max{b, R}) ] for every best-reward state b, including "none".

@@ -304,3 +304,7 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
 
     _manifest(out_dir, command, config, args.seed, artifacts)
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

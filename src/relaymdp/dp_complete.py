@@ -19,14 +19,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._kernels import expect_over_max
-from .dp_restricted import Action, IllegalActionError
+from ._kernels import NO_ACTION, PROBE, STOP, TIE_TOL, expect_over_max, resolve_actions
+from .dp_restricted import ACTION_OF_CODE, Action, Decision, IllegalActionError
 from .model import ModelConfig, OrderedFamily, reward_grid
 
 DEFAULT_STATE_BUDGET = 50_000_000
-
-_STOP, _PROBE, _CONTINUE, _NO_ACTION = 0, 1, 2, -1
-_CODE_TO_ACTION = {_STOP: Action.STOP, _PROBE: Action.PROBE, _CONTINUE: Action.CONTINUE}
 
 
 class BudgetExceededError(RuntimeError):
@@ -37,12 +34,6 @@ class BudgetExceededError(RuntimeError):
         )
         self.projected = projected
         self.budget = budget
-
-
-@dataclass(frozen=True)
-class CompleteAction:
-    kind: Action
-    probe_target: Optional[int] = None  # location type to probe
 
 
 class MultisetSpace:
@@ -105,8 +96,8 @@ class CompleteTables:
     """Memoized cost-to-go and argmin actions over (stage, best, multiset).
 
     ``values[k-1][s]`` is the (n_multisets(s), n_bins+1) value matrix at stage
-    k for unprobed multisets of size s; ``actions`` holds 0/1/2 codes for
-    stop/probe/continue (-1 where no action is legal) and ``probe_targets``
+    k for unprobed multisets of size s; ``actions`` holds the STOP, PROBE and
+    CONTINUE codes (NO_ACTION where no action is legal) and ``probe_targets``
     the location type probed, -1 elsewhere.
     """
 
@@ -153,9 +144,9 @@ def solve_complete(
     """Solve the complete-class recursion exactly for all stages.
 
     Stages run from N down to 1 and multiset sizes from 0 up within each
-    stage.  Ties break stop > probe > continue, and among probe targets toward
-    the stochastically largest member (targets are scanned in dominance order
-    and only strict improvements displace the incumbent).
+    stage.  Among probe targets, ties break toward the stochastically largest
+    member; between stop, the best probe and continue, ``resolve_actions``
+    decides.
     """
     config.validate()
     n_bins = family.n_bins
@@ -183,9 +174,7 @@ def solve_complete(
         targets[i] = [None] * (k + 1)
         for s in range(k + 1):
             n_s = len(space.msets[s])
-            val = np.tile(stop, (n_s, 1))
-            act = np.zeros((n_s, n_bins + 1), dtype=np.int8)
-            act[:, n_bins] = _NO_ACTION  # stopping with nothing probed is illegal
+            probe = np.full((n_s, n_bins + 1), np.inf)
             tgt = np.full((n_s, n_bins + 1), -1, dtype=np.int16)
 
             if s >= 1:
@@ -197,21 +186,28 @@ def solve_complete(
                     probe_val = eta * delta + expect_over_max(
                         same_stage_smaller[dst][:, :n_bins], pmf[t], cdf[t]
                     )
-                    cur = val[src]
+                    cur = probe[src]
                     better = probe_val < cur
-                    val[src] = np.where(better, probe_val, cur)
-                    act[src] = np.where(better, _PROBE, act[src])
+                    probe[src] = np.where(better, probe_val, cur)
                     tgt[src] = np.where(better, t, tgt[src])
+                # free the last target's temporaries before resolving actions
+                del probe_val, cur, better
 
+            cont = np.inf
             if k < n_stages:
-                acc = np.zeros((n_s, n_bins + 1))
+                cont = np.zeros((n_s, n_bins + 1))
                 for t in range(n_types):
-                    acc += values[i + 1][s + 1][space.plus[s][t]]
-                cont = tau + acc / n_types
-                better = cont < val
-                val = np.where(better, cont, val)
-                act = np.where(better, _CONTINUE, act).astype(np.int8)
-                tgt = np.where(better, -1, tgt).astype(np.int16)
+                    cont += values[i + 1][s + 1][space.plus[s][t]]
+                cont /= n_types
+                cont += tau
+
+            act = resolve_actions(stop, probe, cont)
+            tgt[act != PROBE] = -1
+            # Computed in place of the probe costs.  On equal values
+            # np.minimum returns its second argument, so a -0.0 stop cost
+            # outranks a +0.0 probe or continue cost, as in the tie rule.
+            val = np.minimum(probe, stop, out=probe)
+            np.minimum(cont, val, out=val)
 
             values[i][s] = val
             actions[i][s] = act
@@ -232,7 +228,7 @@ def initial_value(tables: CompleteTables) -> float:
 
 def act_complete(
     state: tuple[int, Optional[int], Sequence[int]], tables: CompleteTables
-) -> CompleteAction:
+) -> Decision:
     """Stored argmin action at (stage, best reward, unprobed multiset)."""
     stage, best, mset = state
     g = tuple(sorted(mset))
@@ -247,14 +243,15 @@ def act_complete(
 
     b = tables.none_index if best is None else best
     row = tables.space.row(g)
-    code = int(tables.actions[stage - 1][len(g)][row, b])
-    if code == _NO_ACTION:
+    code = tables.actions[stage - 1][len(g)][row, b]
+    if code == NO_ACTION:
         raise IllegalActionError(
             f"no legal action at stage {stage} with best={best}, multiset={g}"
         )
-    if code == _PROBE:
-        return CompleteAction(Action.PROBE, int(tables.probe_targets[stage - 1][len(g)][row, b]))
-    return CompleteAction(_CODE_TO_ACTION[code])
+    kind = ACTION_OF_CODE[code]
+    if kind is Action.PROBE:
+        return Decision(kind, int(tables.probe_targets[stage - 1][len(g)][row, b]))
+    return Decision(kind)
 
 
 @dataclass(frozen=True)
@@ -340,7 +337,7 @@ def verify_complete_conjectures(tables: CompleteTables, tol: float = 1e-9) -> di
                 min_probe[src] = np.minimum(min_probe[src], probe_val)
                 owns = largest[src] == t
                 largest_probe[src[owns]] = probe_val[owns]
-            probing = tables.actions[k - 1][s] == _PROBE
+            probing = tables.actions[k - 1][s] == PROBE
             report["probing_states_checked"] += int(probing.sum())
             report["probe_largest_violations"] += int(
                 (probing & (largest_probe > min_probe + tol)).sum()
@@ -352,7 +349,7 @@ def verify_complete_conjectures(tables: CompleteTables, tol: float = 1e-9) -> di
         stages = [k for k in range(max(s, 1), n_stages)]
         if len(stages) < 2:
             continue
-        masks = [tables.actions[k - 1][s] == _STOP for k in stages]
+        masks = [tables.actions[k - 1][s] == STOP for k in stages]
         report["stopping_slices_checked"] += masks[0].size
         for m in masks[1:]:
             report["stage_independence_mismatches"] += int((masks[0] != m).sum())
@@ -380,9 +377,16 @@ def verify_complete_conjectures(tables: CompleteTables, tol: float = 1e-9) -> di
             src, _ = space.minus[s][t]
             if src.size:
                 osla_min[src] = np.minimum(osla_min[src], one_step[t])
-        dp_stop = tables.actions[n_stages - 1][s][:, :n_bins] == _STOP
-        osla_stop = stop_real[None, :] <= osla_min[:, :n_bins]
-        margin = np.abs(stop_real[None, :] - osla_min[:, :n_bins])
+        # resolve_actions' tie rule with continuing unavailable: stop iff
+        # stop <= osla + TIE_TOL.  Round-off may split it from the DP's rule
+        # only next to that boundary.  Built in place: at the largest level
+        # each temporary would be a (n_multisets, n_bins) float array.
+        boundary = osla_min[:, :n_bins]
+        boundary += TIE_TOL
+        dp_stop = tables.actions[n_stages - 1][s][:, :n_bins] == STOP
+        osla_stop = stop_real <= boundary
+        boundary -= stop_real
+        margin = np.abs(boundary, out=boundary)
         report["osla_stage_n_mismatches"] += int(
             ((dp_stop != osla_stop) & (margin > 1e-12)).sum()
         )

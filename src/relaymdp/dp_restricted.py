@@ -9,7 +9,9 @@ fills stagewise cost-to-go tables
     J_k(b, F_l)   states holding an unprobed relay of location type l,
 
 together with the continuing costs cc_k(b), cc_k(b, F_l) and the probing cost
-cp_k(b, F_l), then extracts the stopping/probing sets and their thresholds.
+cp_k(b, F_l), and resolves them into int8 action tables.  The stopping and
+probing sets, their thresholds, ``act`` and the exact forward sweep all read
+those tables, so one tie rule (``resolve_actions``) decides every state.
 
 Stage k occupies array index k - 1.  The best-reward axis has one extra row
 appended (index n_bins) for the "nothing probed yet" state, whose stop cost is
@@ -17,25 +19,36 @@ a +inf sentinel.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from ._kernels import expect_over_max
+from ._kernels import CONTINUE, NO_ACTION, PROBE, STOP, expect_over_max, resolve_actions
 from .model import ModelConfig, OrderedFamily, reward_grid
 
-# Inequalities that accumulate expectation round-off are checked at 1e-9;
-# tie resolution in set membership uses the pure-arithmetic 1e-12.
+# Inequalities that accumulate expectation round-off are checked at 1e-9.
 STRUCTURE_TOL = 1e-9
-TIE_TOL = 1e-12
 
 
 class Action(str, Enum):
     STOP = "stop"
     PROBE = "probe"
     CONTINUE = "continue"
+
+
+ACTION_OF_CODE = {STOP: Action.STOP, PROBE: Action.PROBE, CONTINUE: Action.CONTINUE}
+
+
+@dataclass(frozen=True)
+class Decision:
+    """A policy's answer in one state: the action and, for a probe, the
+    location type of the relay to probe."""
+
+    kind: Action
+    probe_target: Optional[int] = None
 
 
 class IllegalActionError(RuntimeError):
@@ -53,9 +66,11 @@ BestReward = Optional[int]  # None before the first probe, else a grid index
 class RestrictedTables:
     """Cost-to-go and one-step-cost arrays for stages 1..N.
 
-    Shapes: j_b and cc_b are (N, n_bins+1); j_bf, cc_bf and cp_bf are
-    (N, n_bins+1, n_locations).  cc rows at stage N hold +inf (continuing is
-    unavailable there), as does the stop cost at the none row.
+    Shapes: j_b, cc_b and act_b are (N, n_bins+1); j_bf, cc_bf, cp_bf and
+    act_bf are (N, n_bins+1, n_locations).  cc rows at stage N hold +inf
+    (continuing is unavailable there), as does the stop cost at the none row.
+    act_b and act_bf hold the optimal action codes (STOP, PROBE, CONTINUE, or
+    NO_ACTION where nothing is legal) of the bare and retaining states.
     """
 
     config: ModelConfig
@@ -65,6 +80,8 @@ class RestrictedTables:
     cc_b: np.ndarray
     cc_bf: np.ndarray
     cp_bf: np.ndarray
+    act_b: np.ndarray = field(repr=False)
+    act_bf: np.ndarray = field(repr=False)
 
     @property
     def n_bins(self) -> int:
@@ -116,7 +133,8 @@ def backward_induction(family: OrderedFamily, config: ModelConfig) -> Restricted
     The probing expectation is exact over the quantized pmf; the continuation
     expectation averages uniformly over the location law.  Within a stage the
     bare-state values J_k(b) are computed first, because probing keeps the
-    process at stage k.
+    process at stage k.  Bare states cannot probe, so their probe cost is +inf
+    when the action tables are resolved.
     """
     config.validate()
     n_bins = family.n_bins
@@ -131,28 +149,30 @@ def backward_induction(family: OrderedFamily, config: ModelConfig) -> Restricted
     cc_b = np.full((n_stages, n_bins + 1), np.inf)
     cc_bf = np.full((n_stages, n_bins + 1, n_loc), np.inf)
     cp_bf = np.empty((n_stages, n_bins + 1, n_loc))
+    act_b = np.empty((n_stages, n_bins + 1), dtype=np.int8)
+    act_bf = np.empty((n_stages, n_bins + 1, n_loc), dtype=np.int8)
 
     pmf = family.pmf_matrix
     cdf = family.cdf_matrix
 
     for k in range(n_stages, 0, -1):
         i = k - 1
-        if k == n_stages:
-            j_b[i] = stop
-        else:
-            cc_b[i] = tau + j_bf[i + 1].mean(axis=1)
-            j_b[i] = np.minimum(stop, cc_b[i])
-        cp_bf[i] = eta * delta + expect_over_max(j_b[i, :n_bins], pmf, cdf).T
         if k < n_stages:
             nxt = j_bf[i + 1]
+            cc_b[i] = tau + nxt.mean(axis=1)
             # retention: the arriving state keeps whichever distribution has
             # the smaller next-stage cost-to-go
             cc_bf[i] = tau + np.minimum(nxt[:, :, None], nxt[:, None, :]).mean(axis=2)
+        j_b[i] = np.minimum(stop, cc_b[i])
+        cp_bf[i] = eta * delta + expect_over_max(j_b[i, :n_bins], pmf, cdf).T
         j_bf[i] = np.minimum(stop[:, None], np.minimum(cp_bf[i], cc_bf[i]))
+        act_b[i] = resolve_actions(stop, np.inf, cc_b[i])
+        act_bf[i] = resolve_actions(stop[:, None], cp_bf[i], cc_bf[i])
 
     return RestrictedTables(
         config=config, family=family,
         j_b=j_b, j_bf=j_bf, cc_b=cc_b, cc_bf=cc_bf, cp_bf=cp_bf,
+        act_b=act_b, act_bf=act_bf,
     )
 
 
@@ -168,40 +188,30 @@ def _upset_min_index(mask: np.ndarray, label: str) -> int:
     return first
 
 
-def extract_thresholds(tables: RestrictedTables, tol: float = TIE_TOL) -> ThresholdSummary:
-    """Evaluate the stopping/probing set definitions on the computed tables.
+def extract_thresholds(tables: RestrictedTables) -> ThresholdSummary:
+    """Read the stopping/probing sets off the action tables.
 
-    Ties within ``tol`` resolve toward stopping.  Raises NonThresholdSetError
-    if any stopping set fails to be an up-set of the reward grid.
+    S_k and S_k^l are the STOP entries of the bare and retaining tables, Q_k^l
+    the entries that do not continue and P_k^l the PROBE entries.  Raises
+    NonThresholdSetError if any stopping set fails to be an up-set of the
+    reward grid.
     """
     n_bins = tables.n_bins
-    n_stages = tables.n_stages
-    n_loc = tables.j_bf.shape[2]
-    stop_real = -tables.config.eta * tables.grid
+    n_loc = tables.act_bf.shape[2]
+    n_dec = max(tables.n_stages - 1, 0)
+    act_bf = tables.act_bf[:n_dec, :n_bins, :]
+    s_flags = tables.act_b[:n_dec, :n_bins] == STOP
+    s_l_flags = act_bf == STOP
+    q_flags = act_bf != CONTINUE
+    p_flags = act_bf == PROBE
 
-    n_dec = max(n_stages - 1, 0)
     x = np.empty(n_dec, dtype=int)
     x_l = np.empty((n_dec, n_loc), dtype=int)
     y_l = np.empty((n_dec, n_loc), dtype=int)
-    s_flags = np.empty((n_dec, n_bins), dtype=bool)
-    s_l_flags = np.empty((n_dec, n_bins, n_loc), dtype=bool)
-    q_flags = np.empty((n_dec, n_bins, n_loc), dtype=bool)
-
     for i in range(n_dec):
-        cc = tables.cc_b[i, :n_bins]
-        s_flags[i] = stop_real <= cc + tol
         x[i] = _upset_min_index(s_flags[i], f"S_{i + 1}")
-
-        cp_l = tables.cp_bf[i, :n_bins, :]
-        cc_l = tables.cc_bf[i, :n_bins, :]
-        s_l_flags[i] = stop_real[:, None] <= np.minimum(cp_l, cc_l) + tol
-        q_flags[i] = np.minimum(stop_real[:, None], cp_l) <= cc_l + tol
         for l in range(n_loc):
             x_l[i, l] = _upset_min_index(s_l_flags[i, :, l], f"S_{i + 1}^{l}")
-
-    p_flags = q_flags & ~s_l_flags
-    for i in range(n_dec):
-        for l in range(n_loc):
             members = np.flatnonzero(p_flags[i, :, l])
             y_l[i, l] = int(members[-1]) if members.size else -1
 
@@ -214,16 +224,16 @@ def extract_thresholds(tables: RestrictedTables, tol: float = TIE_TOL) -> Thresh
 def act(
     state: tuple[BestReward, Optional[int], int], tables: RestrictedTables
 ) -> Action:
-    """Optimal action at (best reward, retained distribution or None, stage).
+    """Optimal action at (best reward, retained distribution or None, stage),
+    read from the action tables.
 
-    Ties break toward stopping, then probing (deterministic policies, fewer
-    awake relays at equal value).  The retained-distribution slot being None
-    marks a bare state, reached immediately after probing.  A CONTINUE is
-    resolved at the next wake-up through ``retain_incumbent``, which compares
-    next-stage costs-to-go of the incumbent and the newcomer.
+    The retained-distribution slot being None marks a bare state, reached
+    immediately after probing.  A CONTINUE is resolved at the next wake-up
+    through ``retain_incumbent``, which compares next-stage costs-to-go of the
+    incumbent and the newcomer.
     """
     best, dist, stage = state
-    n_bins, n_loc = tables.n_bins, tables.j_bf.shape[2]
+    n_bins, n_loc = tables.n_bins, tables.act_bf.shape[2]
     if not 1 <= stage <= tables.n_stages:
         raise ValueError(f"stage {stage} outside 1..{tables.n_stages}")
     if best is not None and not 0 <= best < n_bins:
@@ -233,19 +243,12 @@ def act(
 
     i = stage - 1
     b = tables.none_index if best is None else best
-    candidates: list[tuple[float, int, Action]] = []
-    if best is not None:
-        candidates.append((-tables.config.eta * tables.grid[best], 0, Action.STOP))
-    if dist is not None:
-        candidates.append((float(tables.cp_bf[i, b, dist]), 1, Action.PROBE))
-    if stage < tables.n_stages:
-        cc = tables.cc_bf[i, b, dist] if dist is not None else tables.cc_b[i, b]
-        candidates.append((float(cc), 2, Action.CONTINUE))
-    if not candidates:
+    code = tables.act_b[i, b] if dist is None else tables.act_bf[i, b, dist]
+    if code == NO_ACTION:
         raise IllegalActionError(
             f"no legal action at stage {stage} with best={best}, dist={dist}"
         )
-    return min(candidates)[2]
+    return ACTION_OF_CODE[code]
 
 
 def retain_incumbent(
@@ -295,10 +298,12 @@ class StructureReport:
 
 
 def _worst(excess: np.ndarray) -> float:
-    finite = excess[np.isfinite(excess)]
-    if finite.size == 0:
-        return 0.0
-    return float(max(finite.max(), 0.0))
+    """Largest violation, 0.0 when there is none; a NaN anywhere fails the
+    check.  The +inf sentinels enter the checked differences only as -inf,
+    which never counts as a violation."""
+    if np.isnan(excess).any():
+        return math.inf
+    return float(max(excess.max(initial=0.0), 0.0))
 
 
 def verify_structure(
@@ -378,11 +383,10 @@ def verify_structure(
     worst_g = 0.0
     for i in range(n_stages - 1):
         members = thresholds.s_flags[i]
-        if members.any():
-            gap = np.abs(
-                tables.j_bf[i, :n_bins, :][members] - tables.j_bf[-1, :n_bins, :][members]
-            )
-            worst_g = max(worst_g, float(gap.max()))
+        gap = np.abs(
+            tables.j_bf[i, :n_bins, :][members] - tables.j_bf[-1, :n_bins, :][members]
+        )
+        worst_g = max(worst_g, _worst(gap))
     checks["g_equal_costs_on_s"] = CheckResult(worst_g <= tol, worst_g)
 
     # (h) stopping sets are stage independent

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
+from ._kernels import CONTINUE, PROBE, STOP
 from .dp_complete import (
     BudgetExceededError,
     CompleteTables,
@@ -48,8 +49,6 @@ from .simulate import (
 )
 
 POLICY_NAMES = ("rst", "glb", "first")
-
-_STOP, _PROBE, _CONTINUE = 0, 1, 2
 
 
 class InfeasibleGammaError(ValueError):
@@ -115,7 +114,6 @@ def restricted_components(tables: RestrictedTables) -> PolicyComponents:
     n_stages = tables.n_stages
     grid = tables.grid
     pmf, cdf = family.pmf_matrix, family.cdf_matrix
-    stop_real = -config.eta * grid
 
     mass_bf = np.zeros((n_bins + 1, n_loc))
     mass_bf[none, :] = 1.0 / n_loc
@@ -123,17 +121,10 @@ def restricted_components(tables: RestrictedTables) -> PolicyComponents:
 
     for k in range(1, n_stages + 1):
         i = k - 1
-        cp = tables.cp_bf[i]
-        ccf = tables.cc_bf[i]
-        ccb = tables.cc_b[i]
-
-        # same tie rules as act(): stop > probe > continue
-        stop_bf = np.zeros((n_bins + 1, n_loc), dtype=bool)
-        stop_bf[:n_bins] = stop_real[:, None] <= np.minimum(cp, ccf)[:n_bins]
-        probe_bf = ~stop_bf & (cp <= ccf)
-        cont_bf = ~stop_bf & ~probe_bf
-        stop_b = np.zeros(n_bins + 1, dtype=bool)
-        stop_b[:n_bins] = stop_real <= ccb[:n_bins]
+        stop_bf = tables.act_bf[i] == STOP
+        probe_bf = tables.act_bf[i] == PROBE
+        cont_bf = tables.act_bf[i] == CONTINUE
+        stop_b = tables.act_b[i] == STOP
 
         stopping = mass_bf * stop_bf
         reward += float((stopping[:n_bins] * grid[:, None]).sum())
@@ -205,13 +196,13 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
             act = tables.actions[k - 1][s]
             tgt = tables.probe_targets[k - 1][s]
 
-            stopping = m * (act == _STOP)
+            stopping = m * (act == STOP)
             reward += float((stopping[:, :n_bins] * grid).sum())
             stopped += float(stopping.sum())
 
             if s >= 1:
                 for t in range(n_loc):
-                    sel = (act == _PROBE) & (tgt == t)
+                    sel = (act == PROBE) & (tgt == t)
                     if not sel.any():
                         continue
                     src, dst = space.minus[s][t]
@@ -225,7 +216,7 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                     out[dst, :n_bins] += w[:, :n_bins] * cdf[t] + pmf[t] * prefix
 
             if k < n_stages:
-                cw = m * (act == _CONTINUE)
+                cw = m * (act == CONTINUE)
                 total = float(cw.sum())
                 if total > 0.0:
                     waits += total

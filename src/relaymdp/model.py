@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
 from enum import Enum
 from typing import Sequence
@@ -63,6 +64,13 @@ class ModelConfig:
     tail_mass: float = 0.3
 
     def validate(self) -> "ModelConfig":
+        for f in fields(self):
+            value = getattr(self, f.name)
+            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if f.type == "float" and not (number and math.isfinite(value)):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+            if f.type == "int" and not (number and isinstance(value, numbers.Integral)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if not (self.v0 > self.comm_radius > 0.0):
             raise ConfigError(
                 f"need v0 > comm_radius > 0, got v0={self.v0}, comm_radius={self.comm_radius}"
@@ -110,7 +118,9 @@ class ModelConfig:
             if f.name not in data:
                 continue
             value = data[f.name]
-            if f.type in ("float", float) and isinstance(value, (int, float)):
+            # bools stay bools, so that validate() rejects them
+            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if f.type in ("float", float) and numeric:
                 value = float(value)
             elif f.type in ("int", int) and isinstance(value, float):
                 if not value.is_integer():
@@ -159,9 +169,6 @@ class RewardDistribution:
     @property
     def n_bins(self) -> int:
         return len(self.pmf)
-
-    def mean(self) -> float:
-        return float(np.dot(self.pmf, reward_grid(self.n_bins)))
 
 
 class OrderResult(Enum):

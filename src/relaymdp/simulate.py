@@ -18,9 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from .dp_complete import CompleteAction, CompleteTables, act_complete
+from .dp_complete import CompleteTables, act_complete
 from .dp_restricted import (
     Action,
+    Decision,
     IllegalActionError,
     RestrictedTables,
     act,
@@ -121,60 +122,56 @@ def sample_episode(
     return Episode(wake_times=np.cumsum(inter), locations=locations, reward_bins=bins)
 
 
-class RestrictedPolicy:
-    """State -> action map over (stage, best reward, retained distribution);
-    the engine never shows a restricted policy more than that."""
+class Policy:
+    """State -> decision map over (stage, best reward, awake types): the
+    location types of the woken, unprobed relays in wake order.  A restricted
+    policy sets ``keeps_one_awake``; when a second relay wakes, the engine
+    asks its ``retain_incumbent`` which of the two stays awake."""
 
-    class_tag = "restricted"
+    keeps_one_awake = False
 
-    def action(self, stage: int, best: Optional[int], dist: Optional[int]) -> Action:
+    def action(self, stage: int, best: Optional[int], awake: tuple[int, ...]) -> Decision:
         raise NotImplementedError
 
-    def retain(self, stage: int, best: Optional[int], incumbent: int, newcomer: int) -> bool:
+    def retain_incumbent(
+        self, stage: int, best: Optional[int], incumbent: int, newcomer: int
+    ) -> bool:
         """True to keep the incumbent unprobed relay when a new one wakes."""
         return True
 
 
-class RstOptPolicy(RestrictedPolicy):
+class RstOptPolicy(Policy):
     """Optimal restricted-class policy read off the solved tables."""
 
     name = "rst"
+    keeps_one_awake = True
 
     def __init__(self, tables: RestrictedTables):
         self.tables = tables
 
-    def action(self, stage, best, dist):
-        return act((best, dist, stage), self.tables)
+    def action(self, stage, best, awake):
+        dist = awake[0] if awake else None
+        kind = act((best, dist, stage), self.tables)
+        return Decision(kind, dist if kind is Action.PROBE else None)
 
-    def retain(self, stage, best, incumbent, newcomer):
+    def retain_incumbent(self, stage, best, incumbent, newcomer):
         return retain_incumbent(self.tables, stage, best, incumbent, newcomer)
 
 
-class ProbeFirstPolicy(RestrictedPolicy):
+class ProbeFirstPolicy(Policy):
     """Baseline: probe the first relay that wakes and forward to it."""
 
     name = "first"
 
-    def action(self, stage, best, dist):
+    def action(self, stage, best, awake):
         if best is None:
-            if dist is None:
+            if not awake:
                 raise IllegalActionError("nothing probed and nothing to probe")
-            return Action.PROBE
-        return Action.STOP
+            return Decision(Action.PROBE, awake[0])
+        return Decision(Action.STOP)
 
 
-class CompletePolicy:
-    """State -> action map over (stage, best reward, unprobed multiset)."""
-
-    class_tag = "complete"
-
-    def action(
-        self, stage: int, best: Optional[int], mset: tuple[int, ...]
-    ) -> CompleteAction:
-        raise NotImplementedError
-
-
-class GlbOptPolicy(CompletePolicy):
+class GlbOptPolicy(Policy):
     """Optimal complete-class policy read off the solved tables."""
 
     name = "glb"
@@ -182,31 +179,62 @@ class GlbOptPolicy(CompletePolicy):
     def __init__(self, tables: CompleteTables):
         self.tables = tables
 
-    def action(self, stage, best, mset):
-        return act_complete((stage, best, mset), self.tables)
+    def action(self, stage, best, awake):
+        return act_complete((stage, best, awake), self.tables)
 
 
 def run_policy(
     episode: Episode,
-    policy,
+    policy: Policy,
     family: OrderedFamily,
     config: ModelConfig,
 ) -> EpisodeOutcome:
     """Replay an episode against a policy.
 
-    Probes consume one unit of probe count and reveal the pre-drawn bin; a
-    stop at stage k yields delay W_k; at stage N the process must terminate.
-    Illegal actions raise IllegalActionError naming the offending state.
+    Probes consume one unit of probe count and reveal the pre-drawn bin of the
+    first awake relay of the requested type; a stop at stage k yields delay
+    W_k; at stage N the process must terminate.  Illegal actions raise
+    IllegalActionError naming the offending state.
     """
-    if policy.class_tag == "restricted":
-        best, probes, stage = _drive_restricted(episode, policy)
-    elif policy.class_tag == "complete":
-        best, probes, stage = _drive_complete(episode, policy)
-    else:
-        raise ValueError(f"unknown policy class {policy.class_tag!r}")
+    locations = episode.locations
+    best: Optional[int] = None
+    awake: list[int] = [0]  # relay indices of the woken, unprobed relays
+    probes = 0
+    stage = 1
+    while True:
+        types = tuple(int(locations[r]) for r in awake)
+        decision = policy.action(stage, best, types)
+        if decision.kind is Action.STOP:
+            if best is None:
+                raise IllegalActionError(
+                    f"stop with nothing probed at stage {stage} (awake types {types})"
+                )
+            break
+        if decision.kind is Action.PROBE:
+            if decision.probe_target not in types:
+                raise IllegalActionError(
+                    f"probe target type {decision.probe_target} not awake at stage "
+                    f"{stage} (best={best}, awake types {types})"
+                )
+            pick = awake.pop(types.index(decision.probe_target))
+            revealed = int(episode.reward_bins[pick])
+            best = revealed if best is None else max(best, revealed)
+            probes += 1
+        elif decision.kind is Action.CONTINUE:
+            if stage == episode.n_relays:
+                raise IllegalActionError(
+                    f"continue at the last stage (best={best}, awake types {types})"
+                )
+            awake.append(stage)  # 0-based index of the relay waking at stage+1
+            stage += 1
+            if policy.keeps_one_awake and len(awake) == 2:
+                incumbent, newcomer = (int(locations[r]) for r in awake)
+                keep_incumbent = policy.retain_incumbent(stage, best, incumbent, newcomer)
+                awake.pop(1 if keep_incumbent else 0)
+        else:
+            raise IllegalActionError(f"unknown action {decision!r} at stage {stage}")
 
-    grid = reward_grid(family.n_bins)
-    reward = float(grid[best])
+    reward = float(reward_grid(family.n_bins)[best])
     delay = float(episode.wake_times[stage - 1])
     waiting = delay - float(episode.wake_times[0])
     eta, delta = config.eta, config.delta
@@ -218,83 +246,6 @@ def run_policy(
         effective_reward=reward - delta * probes,
         stop_stage=stage,
     )
-
-
-def _drive_restricted(episode: Episode, policy: RestrictedPolicy):
-    n = episode.n_relays
-    best: Optional[int] = None
-    retained: Optional[int] = 0  # relay index of the kept unprobed relay
-    probes = 0
-    stage = 1
-    while True:
-        dist = None if retained is None else int(episode.locations[retained])
-        action = policy.action(stage, best, dist)
-        if action is Action.STOP:
-            if best is None:
-                raise IllegalActionError(
-                    f"stop with nothing probed at stage {stage} (dist={dist})"
-                )
-            return best, probes, stage
-        if action is Action.PROBE:
-            if retained is None:
-                raise IllegalActionError(f"probe with no retained relay at stage {stage}")
-            revealed = int(episode.reward_bins[retained])
-            best = revealed if best is None else max(best, revealed)
-            retained = None
-            probes += 1
-            continue
-        if action is Action.CONTINUE:
-            if stage == n:
-                raise IllegalActionError(
-                    f"continue at the last stage (best={best}, dist={dist})"
-                )
-            newcomer = stage  # 0-based index of the relay waking at stage+1
-            if retained is None:
-                retained = newcomer
-            elif not policy.retain(
-                stage + 1, best, int(episode.locations[retained]),
-                int(episode.locations[newcomer]),
-            ):
-                retained = newcomer
-            stage += 1
-            continue
-        raise IllegalActionError(f"unknown action {action!r} at stage {stage}")
-
-
-def _drive_complete(episode: Episode, policy: CompletePolicy):
-    n = episode.n_relays
-    best: Optional[int] = None
-    awake: list[int] = [0]  # unprobed woken relays, in wake order
-    probes = 0
-    stage = 1
-    while True:
-        mset = tuple(sorted(int(episode.locations[i]) for i in awake))
-        action = policy.action(stage, best, mset)
-        if action.kind is Action.STOP:
-            if best is None:
-                raise IllegalActionError(f"stop with nothing probed at stage {stage}")
-            return best, probes, stage
-        if action.kind is Action.PROBE:
-            target = action.probe_target
-            pick = next(
-                (i for i in awake if int(episode.locations[i]) == target), None
-            )
-            if pick is None:
-                raise IllegalActionError(
-                    f"probe target type {target} not awake at stage {stage} ({mset})"
-                )
-            revealed = int(episode.reward_bins[pick])
-            best = revealed if best is None else max(best, revealed)
-            awake.remove(pick)
-            probes += 1
-            continue
-        if action.kind is Action.CONTINUE:
-            if stage == n:
-                raise IllegalActionError(f"continue at the last stage (best={best})")
-            awake.append(stage)
-            stage += 1
-            continue
-        raise IllegalActionError(f"unknown action {action!r} at stage {stage}")
 
 
 def monte_carlo(

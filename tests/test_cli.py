@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import relaymdp
 from relaymdp.cli import main
 from relaymdp.dp_restricted import CheckResult, StructureReport
 
@@ -185,3 +189,33 @@ def test_verification_failure_exits_two(small_config, tmp_path, monkeypatch, cap
     code = main(["verify", "--config", str(small_config), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "FAILED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,override", [
+    ("verify", "eta=NaN"),
+    ("solve-restricted", "tau=NaN"),
+    ("simulate", "delta=Infinity"),
+    ("census", "n_relays=true"),
+])
+def test_non_finite_or_bool_override_exits_one(small_config, tmp_path, capsys,
+                                               command, override):
+    code = main([
+        command, "--config", str(small_config), "--out", str(tmp_path / "o"),
+        "--override", override,
+    ])
+    assert code == 1
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("module", ["relaymdp", "relaymdp.cli"])
+def test_module_entry_points_report_version(module):
+    src = str(Path(relaymdp.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", module, "--version"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == f"relaymdp {relaymdp.__version__}"

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,8 +238,13 @@ class TestAct:
         n = default_tables.n_stages
         assert act((3, None, n), default_tables) is Action.STOP
 
-    def test_probing_region_agrees_with_extracted_sets(self, probing_instance):
-        _, _, tables, thresholds = probing_instance
+    @pytest.mark.parametrize("delta", [0.1, 0.0])
+    def test_probing_region_agrees_with_extracted_sets(self, delta):
+        # at delta = 0 probing and stopping tie to within round-off at many
+        # states; the reported sets and the executed rule must still agree
+        config, family = small_instance(20, 100, 5, eta=10.0, delta=delta, tau=0.2)
+        tables = backward_induction(family, config)
+        thresholds = extract_thresholds(tables)
         k = 1
         for l in range(thresholds.p_flags.shape[2]):
             members = np.flatnonzero(thresholds.p_flags[k - 1, :, l])
@@ -277,6 +284,15 @@ class TestVerifyStructure:
         assert report.passed
         for key, check in report.checks.items():
             assert check.passed, key
+
+    def test_nan_in_tables_fails_closed(
+        self, default_tables, default_thresholds, default_family
+    ):
+        j_bf = default_tables.j_bf.copy()
+        j_bf[2, 40, 7] = np.nan
+        corrupted = replace(default_tables, j_bf=j_bf)
+        report = verify_structure(corrupted, default_thresholds, default_family)
+        assert not report.passed
 
     def test_report_serializes(self, default_tables, default_thresholds, default_family):
         report = verify_structure(default_tables, default_thresholds, default_family)

@@ -11,9 +11,10 @@ from relaymdp.dp_restricted import initial_value as restricted_initial_value
 from relaymdp.model import ModelConfig, reward_grid
 from relaymdp.simulate import (
     Action,
+    Decision,
     GlbOptPolicy,
+    Policy,
     ProbeFirstPolicy,
-    RestrictedPolicy,
     RstOptPolicy,
     episode_rng,
     monte_carlo,
@@ -132,11 +133,13 @@ class TestRunPolicy:
     def test_illegal_continue_at_last_stage(self, sim_instance):
         config, family = sim_instance
 
-        class Stubborn(RestrictedPolicy):
-            def action(self, stage, best, dist):
-                if best is None and dist is not None:
-                    return Action.PROBE
-                return Action.CONTINUE
+        class Stubborn(Policy):
+            keeps_one_awake = True
+
+            def action(self, stage, best, awake):
+                if best is None and awake:
+                    return Decision(Action.PROBE, awake[0])
+                return Decision(Action.CONTINUE)
 
         episode = sample_episode(family, config, episode_rng(0, 0))
         with pytest.raises(IllegalActionError, match="last stage"):
@@ -145,9 +148,11 @@ class TestRunPolicy:
     def test_illegal_stop_with_nothing_probed(self, sim_instance):
         config, family = sim_instance
 
-        class Eager(RestrictedPolicy):
-            def action(self, stage, best, dist):
-                return Action.STOP
+        class Eager(Policy):
+            keeps_one_awake = True
+
+            def action(self, stage, best, awake):
+                return Decision(Action.STOP)
 
         episode = sample_episode(family, config, episode_rng(0, 0))
         with pytest.raises(IllegalActionError, match="nothing probed"):
