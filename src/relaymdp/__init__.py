@@ -18,23 +18,21 @@ from .model import (
     reward_scale,
     stochastic_order_cmp,
 )
+from ._kernels import Action, Decision, IllegalActionError
 from .dp_restricted import (
-    Action,
-    Decision,
-    IllegalActionError,
     NonThresholdSetError,
     RestrictedTables,
     ThresholdSummary,
     act,
     backward_induction,
     extract_thresholds,
-    retain_incumbent,
     verify_structure,
 )
 from .dp_restricted import initial_value as restricted_initial_value
 from .dp_complete import (
     BudgetExceededError,
     CompleteTables,
+    NonFiniteValueError,
     act_complete,
     solve_complete,
     state_space_census,

@@ -1,5 +1,9 @@
-"""Shared numeric kernels for the backward-induction solvers."""
+"""Actions, the tie rule and the numeric kernels shared by both policy classes."""
 from __future__ import annotations
+
+from dataclasses import dataclass
+from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -8,6 +12,28 @@ TIE_TOL = 1e-12
 
 # Action codes of the int8 action tables both solvers emit.
 STOP, PROBE, CONTINUE, NO_ACTION = 0, 1, 2, -1
+
+
+class Action(str, Enum):
+    STOP = "stop"
+    PROBE = "probe"
+    CONTINUE = "continue"
+
+
+ACTION_OF_CODE = {STOP: Action.STOP, PROBE: Action.PROBE, CONTINUE: Action.CONTINUE}
+
+
+@dataclass(frozen=True)
+class Decision:
+    """A policy's answer in one state: the action and, for a probe, the
+    location type of the relay to probe."""
+
+    kind: Action
+    probe_target: Optional[int] = None
+
+
+class IllegalActionError(RuntimeError):
+    """An action was requested (or forced) in a state that forbids it."""
 
 
 def resolve_actions(stop, probe, cont) -> np.ndarray:

@@ -1,12 +1,14 @@
-"""Exact backward induction for the complete policy class.
+"""Exact backward induction for both policy classes.
 
-Complete-class policies may keep every woken relay awake, so the state at
-stage k is (best probed reward, multiset of unprobed location types).  Relays
-of equal type are exchangeable, which lets the unprobed set collapse to a
-canonical sorted tuple.  Values are stored per stage and multiset size as
-dense matrices over the best-reward axis (real bins plus the "none" row),
-with probe transitions resolved within a stage (smaller multiset, same stage)
-and continue transitions referencing stage k+1 with the newcomer appended.
+A policy of capacity c keeps at most c woken, unprobed relays awake, so the
+state at stage k is (best probed reward, multiset of at most min(k, c)
+unprobed location types): c = N is the complete class, c = 1 the restricted
+one (``dp_restricted``).  Relays of equal type are exchangeable, which lets
+the unprobed set collapse to a canonical sorted tuple.  Values are stored per
+stage and multiset size as dense matrices over the best-reward axis (real bins
+plus the "none" row), with probe transitions resolved within a stage (smaller
+multiset, same stage) and continue transitions referencing stage k+1 with the
+newcomer appended, or, past the capacity, the set the overflow rule keeps.
 """
 from __future__ import annotations
 
@@ -19,26 +21,34 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._kernels import NO_ACTION, PROBE, STOP, TIE_TOL, expect_over_max, resolve_actions
-from .dp_restricted import ACTION_OF_CODE, Action, Decision, IllegalActionError
+from ._kernels import (ACTION_OF_CODE, NO_ACTION, PROBE, STOP, TIE_TOL, Action, Decision,
+                       IllegalActionError, expect_over_max, resolve_actions)
 from .model import ModelConfig, OrderedFamily, reward_grid
 
 DEFAULT_STATE_BUDGET = 50_000_000
+# Float entries of one batch of probe targets: small levels take all targets
+# at once, the largest ones (which set the peak memory) one at a time.
+BATCH_ELEMENTS = 1 << 18
 
 
 class BudgetExceededError(RuntimeError):
     def __init__(self, projected: int, budget: int):
         super().__init__(
-            f"complete-class state space needs {projected} memo entries, over the "
-            f"budget of {budget}; reduce n_locations or n_relays"
+            f"state space needs {projected} memo entries, over the budget of "
+            f"{budget}; reduce n_locations, n_relays or n_reward_bins"
         )
         self.projected = projected
         self.budget = budget
 
 
+class NonFiniteValueError(ValueError):
+    """A solved value is NaN, or infinite in a state with a legal action."""
+
+
 class MultisetSpace:
     """Canonical enumeration of multisets over ``n_types`` up to ``max_size``,
-    with precomputed member-removal and member-insertion index maps."""
+    with precomputed member-insertion index maps (plus[s-1][t] also lists the
+    size-s multisets holding t, in the order of those with one t removed)."""
 
     def __init__(self, n_types: int, max_size: int):
         self.n_types = n_types
@@ -50,24 +60,6 @@ class MultisetSpace:
         self.index: list[dict[tuple[int, ...], int]] = [
             {g: i for i, g in enumerate(level)} for level in self.msets
         ]
-        # minus[s][t] = (rows of size-s multisets containing t,
-        #                rows of those multisets with one t removed, in size s-1)
-        self.minus: list[dict[int, tuple[np.ndarray, np.ndarray]]] = [{}]
-        for s in range(1, max_size + 1):
-            per_type: dict[int, tuple[list[int], list[int]]] = {
-                t: ([], []) for t in range(n_types)
-            }
-            smaller = self.index[s - 1]
-            for gi, g in enumerate(self.msets[s]):
-                for t in set(g):
-                    pos = bisect_left(g, t)
-                    src, dst = per_type[t]
-                    src.append(gi)
-                    dst.append(smaller[g[:pos] + g[pos + 1 :]])
-            self.minus.append(
-                {t: (np.array(src, dtype=np.intp), np.array(dst, dtype=np.intp))
-                 for t, (src, dst) in per_type.items()}
-            )
         # plus[s][t][row of G] = row of G + {t} in size s+1
         self.plus: list[dict[int, np.ndarray]] = []
         for s in range(max_size):
@@ -96,9 +88,9 @@ class CompleteTables:
     """Memoized cost-to-go and argmin actions over (stage, best, multiset).
 
     ``values[k-1][s]`` is the (n_multisets(s), n_bins+1) value matrix at stage
-    k for unprobed multisets of size s; ``actions`` holds the STOP, PROBE and
-    CONTINUE codes (NO_ACTION where no action is legal) and ``probe_targets``
-    the location type probed, -1 elsewhere.
+    k for unprobed multisets of size s <= min(k, capacity); ``actions`` holds
+    the STOP, PROBE and CONTINUE codes (NO_ACTION where no action is legal)
+    and ``probe_targets`` the location type probed, -1 elsewhere.
     """
 
     config: ModelConfig
@@ -107,6 +99,7 @@ class CompleteTables:
     values: list[list[np.ndarray]] = field(repr=False)
     actions: list[list[np.ndarray]] = field(repr=False)
     probe_targets: list[list[np.ndarray]] = field(repr=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_bins(self) -> int:
@@ -120,33 +113,77 @@ class CompleteTables:
     def n_stages(self) -> int:
         return len(self.values)
 
+    @property
+    def capacity(self) -> int:
+        """Most unprobed relays kept awake: N (complete class) or 1 (restricted)."""
+        return len(self.values[-1]) - 1
+
     def value(self, stage: int, best: Optional[int], mset: Sequence[int]) -> float:
         g = tuple(sorted(mset))
         b = self.none_index if best is None else best
         return float(self.values[stage - 1][len(g)][self.space.row(g), b])
 
+    def overflow_keep(self, stage: int) -> np.ndarray:
+        """The overflow rule at ``stage``: kept[t, g, b] is the row of the set
+        left awake when a relay of type t wakes beside the full awake set of
+        row g at best reward b.  The newcomer is dropped unless dropping an
+        awake member leaves a strictly smaller value; among members that tie,
+        the one of lowest ``family.rank`` is dropped.  Cached per stage."""
+        if stage not in self._kept:
+            c = self.capacity
+            level = self.values[stage - 1][c]
+            drops = _drops(self.space, c, tuple(self.family.rank))
+            # the best remainder of every set one larger, and its row; a later
+            # member replaces an earlier one only with a strictly smaller value
+            best, rows = level[drops[:, 0]], drops[:, :1]
+            for p in range(1, c + 1):
+                better = level[drops[:, p]] < best
+                best = np.where(better, level[drops[:, p]], best)
+                rows = np.where(better, drops[:, p:p + 1], rows)
+            joined = np.stack(list(self.space.plus[c].values()))  # [t, g]: row of g + t
+            own = np.arange(len(level), dtype=drops.dtype)[:, None]
+            self._kept[stage] = np.where(best[joined] < level, rows[joined], own)
+        return self._kept[stage]
+
+
+@lru_cache(maxsize=8)
+def _drops(space: MultisetSpace, c: int, rank: tuple[int, ...]) -> np.ndarray:
+    """drops[h, p]: the row of H - u for the p-th member u of the size-(c+1)
+    set H of row h, members taken from the lowest ``rank`` up; its dtype, which
+    the kept tables share, is the smallest that holds a row index."""
+    drops = [
+        [space.row(h[:p] + h[p + 1:]) for p in sorted(range(c + 1), key=lambda p: rank[h[p]])]
+        for h in space.msets[c + 1]
+    ]
+    return np.array(drops, dtype=np.min_scalar_type(len(space.msets[c])))
+
+
+def _states_per_stage(n_types: int, n_bins: int, n_stages: int, capacity: int) -> list[int]:
+    """Memo entries per stage k: all multisets of size 0..min(k, capacity)
+    (stars and bars) times the best-reward axis."""
+    return [
+        sum(math.comb(n_types + s - 1, s) for s in range(min(k, capacity) + 1)) * (n_bins + 1)
+        for k in range(1, n_stages + 1)
+    ]
+
 
 def projected_state_count(n_types: int, n_bins: int, n_stages: int) -> int:
-    """Memo entries of the full state space: per stage k, all multisets of
-    size 0..k times the best-reward axis (stars and bars)."""
-    per_stage = []
-    for k in range(1, n_stages + 1):
-        msets = sum(math.comb(n_types + s - 1, s) for s in range(k + 1))
-        per_stage.append(msets * (n_bins + 1))
-    return sum(per_stage)
+    """Memo entries of the complete-class state space."""
+    return sum(_states_per_stage(n_types, n_bins, n_stages, n_stages))
 
 
-def solve_complete(
-    family: OrderedFamily,
-    config: ModelConfig,
-    budget: int = DEFAULT_STATE_BUDGET,
-) -> CompleteTables:
-    """Solve the complete-class recursion exactly for all stages.
+def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
+               budget: int = DEFAULT_STATE_BUDGET, keep_costs: bool = False) -> tuple:
+    """Solve the recursion of the policy class of the given capacity.
 
-    Stages run from N down to 1 and multiset sizes from 0 up within each
-    stage.  Among probe targets, ties break toward the stochastically largest
-    member; between stop, the best probe and continue, ``resolve_actions``
-    decides.
+    Stages run from N down to 1 and multiset sizes from 0 up to min(k, c)
+    within each stage.  Among probe targets, ties break toward the
+    stochastically largest member; between stop, the best probe and
+    continue, ``resolve_actions`` decides.  A continue from the full size c
+    reads the best remainder of the set with the newcomer added: the value of
+    the set the overflow rule keeps.  Returns the tables and, with
+    ``keep_costs``, the probe and the continue costs of every level,
+    probes[k-1][s] and conts[k-1][s] (else None, None).
     """
     config.validate()
     n_bins = family.n_bins
@@ -154,55 +191,69 @@ def solve_complete(
     n_stages = config.n_relays
     eta, delta, tau = config.eta, config.delta, config.tau
 
-    projected = projected_state_count(n_types, n_bins, n_stages)
+    projected = sum(_states_per_stage(n_types, n_bins, n_stages, capacity))
     if projected > budget:
         raise BudgetExceededError(projected, budget)
 
-    space = multiset_space(n_types, n_stages)
+    space = multiset_space(n_types, min(capacity + 1, n_stages))
     pmf, cdf = family.pmf_matrix, family.cdf_matrix
     stop = np.append(-eta * reward_grid(n_bins), np.inf)
     dominance_order = [int(t) for t in family.order]  # largest first
+    if capacity < n_stages:
+        drops = _drops(space, capacity, tuple(family.rank))
 
     values: list[list[np.ndarray]] = [[] for _ in range(n_stages)]
     actions: list[list[np.ndarray]] = [[] for _ in range(n_stages)]
     targets: list[list[np.ndarray]] = [[] for _ in range(n_stages)]
+    probes = [[] for _ in range(n_stages)] if keep_costs else None
+    conts = [[] for _ in range(n_stages)] if keep_costs else None
 
     for k in range(n_stages, 0, -1):
         i = k - 1
-        values[i] = [None] * (k + 1)
-        actions[i] = [None] * (k + 1)
-        targets[i] = [None] * (k + 1)
-        for s in range(k + 1):
+        top = min(k, capacity)
+        values[i] = [None] * (top + 1)
+        actions[i] = [None] * (top + 1)
+        targets[i] = [None] * (top + 1)
+        if k < n_stages and top == capacity:  # a continue from the full level overflows
+            remainder = values[i + 1][capacity][drops].min(axis=1)
+        for s in range(top + 1):
             n_s = len(space.msets[s])
             probe = np.full((n_s, n_bins + 1), np.inf)
             tgt = np.full((n_s, n_bins + 1), -1, dtype=np.int16)
 
             if s >= 1:
-                same_stage_smaller = values[i][s - 1]
-                for t in dominance_order:
-                    src, dst = space.minus[s][t]
-                    if src.size == 0:
-                        continue
-                    probe_val = eta * delta + expect_over_max(
-                        same_stage_smaller[dst][:, :n_bins], pmf[t], cdf[t]
+                # probing t from the set of row plus[s-1][t][f] leaves row f,
+                # so each target's expectation runs over the whole smaller level
+                smaller = values[i][s - 1][:, :n_bins]
+                per_call = max(1, BATCH_ELEMENTS // smaller.size)
+                for first in range(0, n_types, per_call):
+                    batch = dominance_order[first:first + per_call]
+                    probe_vals = eta * delta + expect_over_max(
+                        smaller, pmf[batch][:, None], cdf[batch][:, None]
                     )
-                    cur = probe[src]
-                    better = probe_val < cur
-                    probe[src] = np.where(better, probe_val, cur)
-                    tgt[src] = np.where(better, t, tgt[src])
-                # free the last target's temporaries before resolving actions
-                del probe_val, cur, better
+                    for t, probe_val in zip(batch, probe_vals):
+                        src = space.plus[s - 1][t]
+                        cur = probe[src]
+                        better = probe_val < cur
+                        probe[src] = np.where(better, probe_val, cur)
+                        tgt[src] = np.where(better, t, tgt[src])
+                # free the last targets' temporaries before resolving actions
+                del probe_vals, probe_val, cur, better
 
             cont = np.inf
             if k < n_stages:
+                nxt = remainder if s == capacity else values[i + 1][s + 1]
                 cont = np.zeros((n_s, n_bins + 1))
                 for t in range(n_types):
-                    cont += values[i + 1][s + 1][space.plus[s][t]]
+                    cont += nxt[space.plus[s][t]]
                 cont /= n_types
                 cont += tau
 
             act = resolve_actions(stop, probe, cont)
             tgt[act != PROBE] = -1
+            if keep_costs:
+                probes[i].append(probe.copy())
+                conts[i].append(np.broadcast_to(cont, probe.shape))
             # Computed in place of the probe costs.  On equal values
             # np.minimum returns its second argument, so a -0.0 stop cost
             # outranks a +0.0 probe or continue cost, as in the tie rule.
@@ -213,10 +264,24 @@ def solve_complete(
             actions[i][s] = act
             targets[i][s] = tgt
 
-    return CompleteTables(
-        config=config, family=family, space=space,
-        values=values, actions=actions, probe_targets=targets,
-    )
+    for i, (vals, acts) in enumerate(zip(values, actions)):
+        for s, (val, act) in enumerate(zip(vals, acts)):
+            bad = np.isnan(val) | (np.isinf(val) & (act != NO_ACTION))
+            if bad.any():
+                row, b = np.argwhere(bad)[0]
+                raise NonFiniteValueError(
+                    f"value {val[row, b]} at stage {i + 1}, multiset size {s}, row {row} "
+                    f"{space.msets[s][row]}, bin {b}: the config overflows float arithmetic")
+    tables = CompleteTables(config=config, family=family, space=space,
+                           values=values, actions=actions, probe_targets=targets)
+    return tables, probes, conts
+
+
+def solve_complete(family: OrderedFamily, config: ModelConfig,
+                   budget: int = DEFAULT_STATE_BUDGET) -> CompleteTables:
+    """Solve the complete-class recursion exactly for all stages: the shared
+    induction at capacity N, where no wake-up overflows."""
+    return _induction(family, config, config.n_relays, budget)[0]
 
 
 def initial_value(tables: CompleteTables) -> float:
@@ -276,17 +341,16 @@ class CensusResult:
 
 def state_space_census(config: ModelConfig) -> CensusResult:
     """Exact combinatorial counts: the complete class grows with the number of
-    multisets (stars and bars), the restricted class is linear in the family
-    size and flat across stages."""
+    multisets (stars and bars), the restricted class (capacity 1) is linear in
+    the family size and flat across stages."""
     n_types = config.n_locations
     n_bins = config.n_reward_bins
     n_stages = config.n_relays
-    complete = [
-        sum(math.comb(n_types + s - 1, s) for s in range(k + 1)) * (n_bins + 1)
-        for k in range(1, n_stages + 1)
-    ]
-    restricted = [(n_bins + 1) * (n_types + 1)] * n_stages
-    return CensusResult(n_types, n_bins, n_stages, complete, restricted)
+    return CensusResult(
+        n_types, n_bins, n_stages,
+        complete=_states_per_stage(n_types, n_bins, n_stages, n_stages),
+        restricted=_states_per_stage(n_types, n_bins, n_stages, 1),
+    )
 
 
 def verify_complete_conjectures(tables: CompleteTables, tol: float = 1e-9) -> dict:
@@ -327,13 +391,10 @@ def verify_complete_conjectures(tables: CompleteTables, tol: float = 1e-9) -> di
             )
             min_probe = np.full((n_s, n_bins + 1), np.inf)
             largest_probe = np.full((n_s, n_bins + 1), np.nan)
+            smaller = tables.values[k - 1][s - 1][:, :n_bins]
             for t in range(len(family)):
-                src, dst = space.minus[s][t]
-                if src.size == 0:
-                    continue
-                probe_val = eta * delta + expect_over_max(
-                    tables.values[k - 1][s - 1][dst][:, :n_bins], pmf[t], cdf[t]
-                )
+                src = space.plus[s - 1][t]
+                probe_val = eta * delta + expect_over_max(smaller, pmf[t], cdf[t])
                 min_probe[src] = np.minimum(min_probe[src], probe_val)
                 owns = largest[src] == t
                 largest_probe[src[owns]] = probe_val[owns]
@@ -374,9 +435,8 @@ def verify_complete_conjectures(tables: CompleteTables, tol: float = 1e-9) -> di
     for s in range(1, n_stages + 1):
         osla_min = np.full((len(space.msets[s]), n_bins + 1), np.inf)
         for t in range(len(family)):
-            src, _ = space.minus[s][t]
-            if src.size:
-                osla_min[src] = np.minimum(osla_min[src], one_step[t])
+            src = space.plus[s - 1][t]
+            osla_min[src] = np.minimum(osla_min[src], one_step[t])
         # resolve_actions' tie rule with continuing unavailable: stop iff
         # stop <= osla + TIE_TOL.  Round-off may split it from the DP's rule
         # only next to that boundary.  Built in place: at the largest level

@@ -1,17 +1,19 @@
-"""Backward induction for the restricted policy class.
+"""The restricted policy class: the shared induction at capacity 1.
 
 Restricted policies keep at most two relays awake: the best probed one
 (summarized by the best reward b, or none before the first probe) and one
-retained unprobed relay (summarized by its reward distribution).  The solver
-fills stagewise cost-to-go tables
+retained unprobed relay (summarized by its reward distribution).  That is the
+capacity-c induction of ``dp_complete`` at c = 1, whose size-0 and size-1
+levels ``backward_induction`` lays out as stagewise tables
 
     J_k(b)        bare states, reached just after probing,
     J_k(b, F_l)   states holding an unprobed relay of location type l,
 
-together with the continuing costs cc_k(b), cc_k(b, F_l) and the probing cost
-cp_k(b, F_l), and resolves them into int8 action tables.  The stopping and
-probing sets, their thresholds, ``act`` and the exact forward sweep all read
-those tables, so one tie rule (``resolve_actions``) decides every state.
+together with the continuing costs cc_k(b), cc_k(b, F_l), the probing cost
+cp_k(b, F_l) and the int8 action tables.  The stopping and probing sets,
+their thresholds, ``act`` and the structural checks read those tables;
+``restricted_levels`` turns them back into levels for the shared forward
+sweep and episode engine.
 
 Stage k occupies array index k - 1.  The best-reward axis has one extra row
 appended (index n_bins) for the "nothing probed yet" state, whose stop cost is
@@ -21,38 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Optional
 
 import numpy as np
 
-from ._kernels import CONTINUE, NO_ACTION, PROBE, STOP, expect_over_max, resolve_actions
+from ._kernels import (ACTION_OF_CODE, CONTINUE, NO_ACTION, PROBE, STOP, Action,
+                       IllegalActionError)
+from .dp_complete import CompleteTables, _induction, multiset_space
 from .model import ModelConfig, OrderedFamily, reward_grid
 
 # Inequalities that accumulate expectation round-off are checked at 1e-9.
 STRUCTURE_TOL = 1e-9
-
-
-class Action(str, Enum):
-    STOP = "stop"
-    PROBE = "probe"
-    CONTINUE = "continue"
-
-
-ACTION_OF_CODE = {STOP: Action.STOP, PROBE: Action.PROBE, CONTINUE: Action.CONTINUE}
-
-
-@dataclass(frozen=True)
-class Decision:
-    """A policy's answer in one state: the action and, for a probe, the
-    location type of the relay to probe."""
-
-    kind: Action
-    probe_target: Optional[int] = None
-
-
-class IllegalActionError(RuntimeError):
-    """An action was requested (or forced) in a state that forbids it."""
 
 
 class NonThresholdSetError(RuntimeError):
@@ -130,49 +111,37 @@ class ThresholdSummary:
 def backward_induction(family: OrderedFamily, config: ModelConfig) -> RestrictedTables:
     """Fill all restricted-class tables from stage N down to stage 1.
 
-    The probing expectation is exact over the quantized pmf; the continuation
-    expectation averages uniformly over the location law.  Within a stage the
-    bare-state values J_k(b) are computed first, because probing keeps the
-    process at stage k.  Bare states cannot probe, so their probe cost is +inf
-    when the action tables are resolved.
+    The shared induction at capacity 1: a continue from a retaining state
+    reads the better of the two unprobed relays at the next stage.  Bare
+    states cannot probe, so their probe cost is +inf.
     """
-    config.validate()
-    n_bins = family.n_bins
-    n_loc = len(family)
-    n_stages = config.n_relays
-    eta, delta, tau = config.eta, config.delta, config.tau
+    levels, probes, conts = _induction(family, config, capacity=1, keep_costs=True)
 
-    stop = np.append(-eta * reward_grid(n_bins), np.inf)
-
-    j_b = np.empty((n_stages, n_bins + 1))
-    j_bf = np.empty((n_stages, n_bins + 1, n_loc))
-    cc_b = np.full((n_stages, n_bins + 1), np.inf)
-    cc_bf = np.full((n_stages, n_bins + 1, n_loc), np.inf)
-    cp_bf = np.empty((n_stages, n_bins + 1, n_loc))
-    act_b = np.empty((n_stages, n_bins + 1), dtype=np.int8)
-    act_bf = np.empty((n_stages, n_bins + 1, n_loc), dtype=np.int8)
-
-    pmf = family.pmf_matrix
-    cdf = family.cdf_matrix
-
-    for k in range(n_stages, 0, -1):
-        i = k - 1
-        if k < n_stages:
-            nxt = j_bf[i + 1]
-            cc_b[i] = tau + nxt.mean(axis=1)
-            # retention: the arriving state keeps whichever distribution has
-            # the smaller next-stage cost-to-go
-            cc_bf[i] = tau + np.minimum(nxt[:, :, None], nxt[:, None, :]).mean(axis=2)
-        j_b[i] = np.minimum(stop, cc_b[i])
-        cp_bf[i] = eta * delta + expect_over_max(j_b[i, :n_bins], pmf, cdf).T
-        j_bf[i] = np.minimum(stop[:, None], np.minimum(cp_bf[i], cc_bf[i]))
-        act_b[i] = resolve_actions(stop, np.inf, cc_b[i])
-        act_bf[i] = resolve_actions(stop[:, None], cp_bf[i], cc_bf[i])
+    def stacked(per_stage, s: int) -> np.ndarray:
+        # size 0 holds one row (the bare states), size 1 one row per type
+        return np.ascontiguousarray([lv[s][0] if s == 0 else lv[s].T for lv in per_stage])
 
     return RestrictedTables(
         config=config, family=family,
-        j_b=j_b, j_bf=j_bf, cc_b=cc_b, cc_bf=cc_bf, cp_bf=cp_bf,
-        act_b=act_b, act_bf=act_bf,
+        j_b=stacked(levels.values, 0), j_bf=stacked(levels.values, 1),
+        cc_b=stacked(conts, 0), cc_bf=stacked(conts, 1), cp_bf=stacked(probes, 1),
+        act_b=stacked(levels.actions, 0), act_bf=stacked(levels.actions, 1),
+    )
+
+
+def restricted_levels(tables: RestrictedTables) -> CompleteTables:
+    """The tables as the capacity-1 levels of the shared induction, for the
+    exact forward sweep and the episode engine; values and actions are views."""
+    n_loc = tables.act_bf.shape[2]
+    types, untargeted = np.arange(n_loc, dtype=np.int16)[:, None], np.int16(-1)
+    return CompleteTables(
+        config=tables.config, family=tables.family,
+        space=multiset_space(n_loc, min(2, tables.n_stages)),
+        values=[[j_b[None], j_bf.T] for j_b, j_bf in zip(tables.j_b, tables.j_bf)],
+        actions=[[a_b[None], a_bf.T] for a_b, a_bf in zip(tables.act_b, tables.act_bf)],
+        probe_targets=[[np.full_like(a_b[None], untargeted, dtype=np.int16),
+                        np.where(a_bf.T == PROBE, types, untargeted)]
+                       for a_b, a_bf in zip(tables.act_b, tables.act_bf)],
     )
 
 
@@ -228,9 +197,8 @@ def act(
     read from the action tables.
 
     The retained-distribution slot being None marks a bare state, reached
-    immediately after probing.  A CONTINUE is resolved at the next wake-up
-    through ``retain_incumbent``, which compares next-stage costs-to-go of the
-    incumbent and the newcomer.
+    immediately after probing.  Which relay a CONTINUE retains is up to the
+    overflow rule (``CompleteTables.overflow_keep``) at the next wake-up.
     """
     best, dist, stage = state
     n_bins, n_loc = tables.n_bins, tables.act_bf.shape[2]
@@ -249,16 +217,6 @@ def act(
             f"no legal action at stage {stage} with best={best}, dist={dist}"
         )
     return ACTION_OF_CODE[code]
-
-
-def retain_incumbent(
-    tables: RestrictedTables, stage: int, best: BestReward, incumbent: int, newcomer: int
-) -> bool:
-    """Retention rule applied when a new relay wakes at ``stage``: keep the
-    incumbent iff its cost-to-go is no worse (ties keep the incumbent)."""
-    b = tables.none_index if best is None else best
-    i = stage - 1
-    return bool(tables.j_bf[i, b, incumbent] <= tables.j_bf[i, b, newcomer])
 
 
 def initial_value(tables: RestrictedTables) -> float:
@@ -306,6 +264,13 @@ def _worst(excess: np.ndarray) -> float:
     return float(max(excess.max(initial=0.0), 0.0))
 
 
+def _pair_excess(g: np.ndarray) -> np.ndarray:
+    """For every j >= 1 along the last axis, max over i < j of g_i - g_j: a
+    prefix maximum, O(n) and not O(n^2), which carries a NaN on to every
+    later index."""
+    return np.maximum.accumulate(g, axis=-1)[..., :-1] - g[..., 1:]
+
+
 def verify_structure(
     tables: RestrictedTables,
     thresholds: ThresholdSummary,
@@ -341,17 +306,11 @@ def verify_structure(
     checks["b_stage_monotone"] = CheckResult(worst_b <= tol, worst_b)
 
     # (c) stochastically larger retained distribution gives smaller cost-to-go
-    ranked = tables.j_bf[:, :, family.order]  # rank 0 = stochastically largest
-    pair = ranked[..., :, None] - ranked[..., None, :]
-    upper = np.triu(np.ones((len(family), len(family)), dtype=bool), k=1)
-    worst_c = _worst(pair[..., upper])
+    worst_c = _worst(_pair_excess(tables.j_bf[:, :, family.order]))  # largest first
     checks["c_dominance_order"] = CheckResult(worst_c <= tol, worst_c)
 
-    # (d) retaining a relay can only cheapen continuing
-    if n_stages > 1:
-        worst_d = _worst(tables.cc_bf[: n_stages - 1] - tables.cc_b[: n_stages - 1, :, None])
-    else:
-        worst_d = 0.0
+    # (d) retaining a relay can only cheapen continuing (available before stage N)
+    worst_d = _worst(tables.cc_bf[: n_stages - 1] - tables.cc_b[: n_stages - 1, :, None])
     checks["d_cc_retained_le_bare"] = CheckResult(worst_d <= tol, worst_d)
 
     # (e) set inclusions S^l <= Q^l, S^l <= S, S <= Q^l
@@ -362,21 +321,13 @@ def verify_structure(
     )
     checks["e_set_inclusions"] = CheckResult(bad_e == 0, float(bad_e), "violating entries")
 
-    # (f) one-step costs are eta-Lipschitz against the stop cost
-    slack = eta * (grid[None, :] - grid[:, None])  # slack[i, j] = eta (r_j - r_i)
-    pair_mask = np.triu(np.ones((n_bins, n_bins), dtype=bool), k=1)
-
-    def lipschitz_excess(arr_real: np.ndarray) -> float:
-        d = arr_real[..., :, None] - arr_real[..., None, :] - slack
-        return _worst(d[..., pair_mask])
-
-    worst_f = lipschitz_excess(tables.cp_bf[:, :n_bins, :].transpose(0, 2, 1))
-    if n_stages > 1:
-        worst_f = max(
-            worst_f,
-            lipschitz_excess(tables.cc_b[: n_stages - 1, :n_bins]),
-            lipschitz_excess(tables.cc_bf[: n_stages - 1, :n_bins, :].transpose(0, 2, 1)),
-        )
+    # (f) one-step costs a are eta-Lipschitz against the stop cost:
+    # a_i - a_j <= eta (r_j - r_i) for i < j, i.e. g = a + eta r increases
+    worst_f = max(_worst(_pair_excess(costs + eta * grid)) for costs in (
+        tables.cp_bf[:, :n_bins, :].transpose(0, 2, 1),
+        tables.cc_b[: n_stages - 1, :n_bins],
+        tables.cc_bf[: n_stages - 1, :n_bins, :].transpose(0, 2, 1),
+    ))
     checks["f_lipschitz"] = CheckResult(worst_f <= tol, worst_f)
 
     # (g) inside the stopping set the cost-to-go already equals its stage-N value
@@ -390,25 +341,17 @@ def verify_structure(
     checks["g_equal_costs_on_s"] = CheckResult(worst_g <= tol, worst_g)
 
     # (h) stopping sets are stage independent
-    same_s = all(np.array_equal(thresholds.s_flags[0], thresholds.s_flags[i])
-                 for i in range(1, n_stages - 1))
-    same_sl = all(np.array_equal(thresholds.s_l_flags[0], thresholds.s_l_flags[i])
-                  for i in range(1, n_stages - 1))
-    mism = 0 if (same_s and same_sl) else int(
-        sum(np.sum(thresholds.s_flags[0] != thresholds.s_flags[i])
-            for i in range(1, n_stages - 1))
-        + sum(np.sum(thresholds.s_l_flags[0] != thresholds.s_l_flags[i])
-              for i in range(1, n_stages - 1))
+    mism = sum(
+        int((thresholds.s_flags[0] != thresholds.s_flags[i]).sum())
+        + int((thresholds.s_l_flags[0] != thresholds.s_l_flags[i]).sum())
+        for i in range(1, n_stages - 1)
     )
     checks["h_stage_independent_sets"] = CheckResult(mism == 0, float(mism), "mask mismatches")
 
     # reported-only conjecture observations
-    down_set_violations = 0
-    for i in range(thresholds.p_flags.shape[0]):
-        for l in range(thresholds.p_flags.shape[2]):
-            members = np.flatnonzero(thresholds.p_flags[i, :, l])
-            if members.size and not thresholds.p_flags[i, : members[-1] + 1, l].all():
-                down_set_violations += 1
+    # a down-set of the grid is a run of members from bin 0 on
+    rising = np.diff(thresholds.p_flags.astype(np.int8), axis=1) > 0
+    down_set_violations = int(rising.any(axis=1).sum())
     y_increasing = bool(np.all(np.diff(thresholds.y_l, axis=0) >= 0))
     conjecture = {
         "p_sets_checked": int(thresholds.p_flags.shape[0] * thresholds.p_flags.shape[2]),

@@ -2,9 +2,10 @@
 accounting, effective-reward calibration, and plot-data emission.
 
 Expected components (delay, reward, probe count) under a fixed solved policy
-are computed by an exact forward sweep over the same discrete probability
-space used by the solvers, which keeps the acceptance checks free of sampling
-noise; Monte-Carlo estimates are recorded alongside as confirmation.
+are computed by one exact forward sweep, for either class, over the same
+discrete probability space used by the solvers, which keeps the acceptance
+checks free of sampling noise; Monte-Carlo estimates are recorded alongside as
+confirmation.
 """
 from __future__ import annotations
 
@@ -19,8 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from ._kernels import CONTINUE, PROBE, STOP
+from ._kernels import CONTINUE, STOP
 from .dp_complete import (
+    BATCH_ELEMENTS,
     BudgetExceededError,
     CompleteTables,
     DEFAULT_STATE_BUDGET,
@@ -31,6 +33,7 @@ from .dp_restricted import (
     RestrictedTables,
     backward_induction,
     extract_thresholds,
+    restricted_levels,
 )
 from .dp_restricted import initial_value as restricted_initial_value
 from .model import (
@@ -105,67 +108,18 @@ def _components(waits: float, reward: float, probes: float, stopped: float,
 
 
 def restricted_components(tables: RestrictedTables) -> PolicyComponents:
-    """Forward probability sweep under the optimal restricted policy."""
-    config = tables.config
-    family = tables.family
-    n_bins = tables.n_bins
-    none = tables.none_index
-    n_loc = len(family)
-    n_stages = tables.n_stages
-    grid = tables.grid
-    pmf, cdf = family.pmf_matrix, family.cdf_matrix
-
-    mass_bf = np.zeros((n_bins + 1, n_loc))
-    mass_bf[none, :] = 1.0 / n_loc
-    reward = probes = waits = stopped = 0.0
-
-    for k in range(1, n_stages + 1):
-        i = k - 1
-        stop_bf = tables.act_bf[i] == STOP
-        probe_bf = tables.act_bf[i] == PROBE
-        cont_bf = tables.act_bf[i] == CONTINUE
-        stop_b = tables.act_b[i] == STOP
-
-        stopping = mass_bf * stop_bf
-        reward += float((stopping[:n_bins] * grid[:, None]).sum())
-        stopped += float(stopping.sum())
-
-        bare = np.zeros(n_bins + 1)
-        probing = mass_bf * probe_bf
-        probes += float(probing.sum())
-        for l in range(n_loc):
-            w = probing[:, l]
-            if not w.any():
-                continue
-            prefix = w[none] + np.concatenate(([0.0], np.cumsum(w[:n_bins])[:-1]))
-            bare[:n_bins] += w[:n_bins] * cdf[l] + pmf[l] * prefix
-
-        bare_stop = bare * stop_b
-        reward += float((bare_stop[:n_bins] * grid).sum())
-        stopped += float(bare_stop.sum())
-        bare_cont = bare * ~stop_b
-
-        continuing = mass_bf * cont_bf
-        waits += float(continuing.sum() + bare_cont.sum())
-
-        if k < n_stages:
-            nxt = np.zeros((n_bins + 1, n_loc))
-            nxt += bare_cont[:, None] / n_loc
-            j_next = tables.j_bf[i + 1]
-            for l in range(n_loc):
-                w = continuing[:, l]
-                if not w.any():
-                    continue
-                keep = j_next[:, l][:, None] <= j_next  # incumbent vs each newcomer
-                nxt[:, l] += w * keep.sum(axis=1) / n_loc
-                nxt += w[:, None] * ~keep / n_loc
-            mass_bf = nxt
-
-    return _components(waits, reward, probes, stopped, config)
+    """Forward probability sweep under the optimal restricted policy: the
+    shared sweep on its capacity-1 levels."""
+    return complete_components(restricted_levels(tables))
 
 
 def complete_components(tables: CompleteTables) -> PolicyComponents:
-    """Forward probability sweep under the optimal complete-class policy."""
+    """Forward probability sweep under a solved policy of any capacity.
+
+    Mass moves over (stage, multiset, best reward) as the action tables say;
+    a continue from the full capacity goes where the overflow rule keeps it.
+    Only the masses of the current and the next stage are alive at a time.
+    """
     config = tables.config
     family = tables.family
     space = tables.space
@@ -173,56 +127,70 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
     none = tables.none_index
     n_loc = len(family)
     n_stages = tables.n_stages
+    capacity = tables.capacity
     grid = reward_grid(n_bins)
     pmf, cdf = family.pmf_matrix, family.cdf_matrix
 
-    masses: dict[tuple[int, int], np.ndarray] = {}
+    def level(masses: dict, s: int) -> np.ndarray:
+        if s not in masses:
+            masses[s] = np.zeros((len(space.msets[s]), n_bins + 1))
+        return masses[s]
 
-    def level(k: int, s: int) -> np.ndarray:
-        key = (k, s)
-        if key not in masses:
-            masses[key] = np.zeros((len(space.msets[s]), n_bins + 1))
-        return masses[key]
-
-    start = level(1, 1)
-    start[:, none] = 1.0 / n_loc  # msets of size 1 are ordered by type
+    current = {}
+    level(current, 1)[:, none] = 1.0 / n_loc  # msets of size 1 are ordered by type
 
     reward = probes = waits = stopped = 0.0
     for k in range(1, n_stages + 1):
-        for s in range(k, -1, -1):
-            if (k, s) not in masses:
+        following = {}
+        for s in range(min(k, capacity), -1, -1):
+            m = current.pop(s, None)
+            if m is None:
                 continue
-            m = masses[k, s]
             act = tables.actions[k - 1][s]
             tgt = tables.probe_targets[k - 1][s]
 
             stopping = m * (act == STOP)
-            reward += float((stopping[:, :n_bins] * grid).sum())
+            reward += float(stopping[:, :n_bins].sum(axis=0) @ grid)
             stopped += float(stopping.sum())
+            del stopping
 
             if s >= 1:
-                for t in range(n_loc):
-                    sel = (act == PROBE) & (tgt == t)
-                    if not sel.any():
+                # probing t from the set of row plus[s-1][t][f] leaves row f
+                out = level(current, s - 1)
+                per_call = max(1, BATCH_ELEMENTS // out.size)
+                for first in range(0, n_loc, per_call):
+                    types = np.arange(first, min(first + per_call, n_loc))
+                    src = np.stack([space.plus[s - 1][t] for t in types])
+                    w = m[src] * (tgt[src] == types[:, None, None])
+                    if not w.any():
                         continue
-                    src, dst = space.minus[s][t]
-                    w = (m * sel)[src]
                     probes += float(w.sum())
-                    prefix = w[:, none][:, None] + np.concatenate(
-                        [np.zeros((w.shape[0], 1)), np.cumsum(w[:, :n_bins], axis=1)[:, :-1]],
-                        axis=1,
+                    # prefix[..., j]: the probing mass at the none row and below bin j
+                    below = np.cumsum(w[..., :n_bins - 1], axis=-1)
+                    prefix = w[..., none, None] + np.concatenate(
+                        [np.zeros(w.shape[:-1] + (1,)), below], axis=-1
                     )
-                    out = level(k, s - 1)
-                    out[dst, :n_bins] += w[:, :n_bins] * cdf[t] + pmf[t] * prefix
+                    out[:, :n_bins] += (
+                        w[..., :n_bins] * cdf[types, None] + pmf[types, None] * prefix
+                    ).sum(axis=0)
 
             if k < n_stages:
                 cw = m * (act == CONTINUE)
                 total = float(cw.sum())
                 if total > 0.0:
                     waits += total
-                    out = level(k + 1, s + 1)
-                    for t in range(n_loc):
-                        out[space.plus[s][t]] += cw / n_loc
+                    cw /= n_loc
+                    if s == capacity:  # one relay is dropped, as the overflow rule says
+                        out = level(following, s)
+                        kept = tables.overflow_keep(k + 1)
+                        at = kept * np.intp(n_bins + 1) + np.arange(n_bins + 1)
+                        out += np.bincount(at.ravel(), np.broadcast_to(cw, at.shape).ravel(),
+                                           out.size).reshape(out.shape)
+                    else:
+                        out = level(following, s + 1)
+                        for t in range(n_loc):
+                            out[space.plus[s][t]] += cw
+        current = following
 
     return _components(waits, reward, probes, stopped, config)
 

@@ -2,8 +2,10 @@
 
 An episode pre-draws all randomness (renewal wake-up times, i.i.d. uniform
 locations, one latent reward bin per relay under the quasi-static channel);
-``run_policy`` then replays it against a policy, revealing a relay's bin only
-when probed.  Rewards are sampled as bins of the quantized pmf, so the
+``run_policy`` then replays it against a policy of either class, revealing a
+relay's bin only when probed; a wake-up past the policy's capacity (one
+unprobed relay for the restricted class) drops a relay by the overflow rule
+of ``dp_complete``.  Rewards are sampled as bins of the quantized pmf, so the
 simulator and the solvers share one probability space and agreement with the
 dynamic-programming values is an exact check up to sampling error.
 
@@ -18,15 +20,9 @@ from typing import Optional
 
 import numpy as np
 
+from ._kernels import Action, Decision, IllegalActionError
 from .dp_complete import CompleteTables, act_complete
-from .dp_restricted import (
-    Action,
-    Decision,
-    IllegalActionError,
-    RestrictedTables,
-    act,
-    retain_incumbent,
-)
+from .dp_restricted import RestrictedTables, act, restricted_levels
 from .model import ModelConfig, OrderedFamily, reward_grid
 
 
@@ -124,38 +120,33 @@ def sample_episode(
 
 class Policy:
     """State -> decision map over (stage, best reward, awake types): the
-    location types of the woken, unprobed relays in wake order.  A restricted
-    policy sets ``keeps_one_awake``; when a second relay wakes, the engine
-    asks its ``retain_incumbent`` which of the two stays awake."""
+    location types of the woken, unprobed relays in wake order.
 
-    keeps_one_awake = False
+    A policy keeps at most ``capacity`` unprobed relays awake (None: no
+    limit); one with a capacity also holds ``levels``, its solved tables,
+    whose overflow rule the engine follows past the capacity."""
+
+    capacity: Optional[int] = None
+    levels: Optional[CompleteTables] = None
 
     def action(self, stage: int, best: Optional[int], awake: tuple[int, ...]) -> Decision:
         raise NotImplementedError
-
-    def retain_incumbent(
-        self, stage: int, best: Optional[int], incumbent: int, newcomer: int
-    ) -> bool:
-        """True to keep the incumbent unprobed relay when a new one wakes."""
-        return True
 
 
 class RstOptPolicy(Policy):
     """Optimal restricted-class policy read off the solved tables."""
 
     name = "rst"
-    keeps_one_awake = True
+    capacity = 1
 
     def __init__(self, tables: RestrictedTables):
         self.tables = tables
+        self.levels = restricted_levels(tables)
 
     def action(self, stage, best, awake):
         dist = awake[0] if awake else None
         kind = act((best, dist, stage), self.tables)
         return Decision(kind, dist if kind is Action.PROBE else None)
-
-    def retain_incumbent(self, stage, best, incumbent, newcomer):
-        return retain_incumbent(self.tables, stage, best, incumbent, newcomer)
 
 
 class ProbeFirstPolicy(Policy):
@@ -196,13 +187,13 @@ def run_policy(
     W_k; at stage N the process must terminate.  Illegal actions raise
     IllegalActionError naming the offending state.
     """
-    locations = episode.locations
+    locations = episode.locations.tolist()  # Python ints, cheap to look up per decision
     best: Optional[int] = None
     awake: list[int] = [0]  # relay indices of the woken, unprobed relays
     probes = 0
     stage = 1
     while True:
-        types = tuple(int(locations[r]) for r in awake)
+        types = tuple(locations[r] for r in awake)
         decision = policy.action(stage, best, types)
         if decision.kind is Action.STOP:
             if best is None:
@@ -227,10 +218,9 @@ def run_policy(
                 )
             awake.append(stage)  # 0-based index of the relay waking at stage+1
             stage += 1
-            if policy.keeps_one_awake and len(awake) == 2:
-                incumbent, newcomer = (int(locations[r]) for r in awake)
-                keep_incumbent = policy.retain_incumbent(stage, best, incumbent, newcomer)
-                awake.pop(1 if keep_incumbent else 0)
+            if policy.capacity is not None and len(awake) > policy.capacity:
+                types = tuple(locations[r] for r in awake)
+                awake.pop(_overflow_drop(policy.levels, stage, best, types))
         else:
             raise IllegalActionError(f"unknown action {decision!r} at stage {stage}")
 
@@ -246,6 +236,19 @@ def run_policy(
         effective_reward=reward - delta * probes,
         stop_stage=stage,
     )
+
+
+def _overflow_drop(levels: CompleteTables, stage: int, best: Optional[int], types: tuple) -> int:
+    """Position in ``types`` (wake order, newcomer last) of the relay the overflow
+    rule drops: the newcomer, or else the first-woken relay of a dropped type."""
+    space = levels.space
+    held = space.row(tuple(sorted(types[:-1])))
+    b = levels.none_index if best is None else best
+    kept = levels.overflow_keep(stage)[types[-1], held, b]
+    if kept == held:
+        return len(types) - 1
+    left = space.msets[len(types) - 1][kept]
+    return next(p for p, u in enumerate(types) if types.count(u) > left.count(u))
 
 
 def monte_carlo(

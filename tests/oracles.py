@@ -425,3 +425,23 @@ def restricted_tree_sets(toy: Toy, tol: float = 1e-12):
         sets["s_l"].append(s_l_mask)
         sets["q_l"].append(q_l_mask)
     return sets
+
+
+# ---------------------------------------------------------------------------
+# structural check (f): the eta-Lipschitz bound, pair by pair
+# ---------------------------------------------------------------------------
+
+def pairwise_lipschitz_excess(arr, grid, eta):
+    """For every bin j >= 1 along the last axis, max over i < j of
+    a_i - a_j - eta (r_j - r_i), from the full (B, B) array of pairs, one
+    leading row at a time."""
+    import numpy as np
+
+    slack = eta * (grid[None, :] - grid[:, None])  # slack[i, j] = eta (r_j - r_i)
+    pairs_i_lt_j = np.triu(np.ones((len(grid), len(grid)), dtype=bool), k=1)
+    rows = arr.reshape(-1, len(grid))
+    out = np.empty((rows.shape[0], len(grid) - 1))
+    for n, a in enumerate(rows):
+        d = np.where(pairs_i_lt_j, a[:, None] - a[None, :] - slack, -np.inf)
+        out[n] = d.max(axis=0)[1:]
+    return out.reshape(arr.shape[:-1] + (len(grid) - 1,))

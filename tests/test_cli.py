@@ -208,6 +208,22 @@ def test_non_finite_or_bool_override_exits_one(small_config, tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command,overrides", [
+    ("solve-restricted", []),
+    ("solve-complete", ["n_locations=4"]),
+])
+def test_overflowing_values_exit_one(tmp_path, capsys, command, overrides):
+    # eta=1e308 drives sums of costs past the float range
+    argv = [command, "--config", str(SHIPPED_DEFAULT), "--out", str(tmp_path / "o"),
+            "--override", "eta=1e308"]
+    for override in overrides:
+        argv += ["--override", override]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "stage" in err and "bin" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("module", ["relaymdp", "relaymdp.cli"])
 def test_module_entry_points_report_version(module):
     src = str(Path(relaymdp.__file__).resolve().parent.parent)

@@ -9,22 +9,33 @@ from conftest import small_instance
 from oracles import (
     Toy,
     enumerate_restricted_policies,
+    pairwise_lipschitz_excess,
     restricted_tree_sets,
     restricted_tree_state_value,
     restricted_tree_value,
 )
+from relaymdp import ModelConfig, build_forwarding_region, build_ordered_family
 from relaymdp.dp_restricted import (
     Action,
     IllegalActionError,
     NonThresholdSetError,
+    _pair_excess,
     _upset_min_index,
     act,
     backward_induction,
     extract_thresholds,
     initial_value,
-    retain_incumbent,
+    restricted_levels,
     verify_structure,
 )
+
+def retain_incumbent(tables, stage, best, incumbent, newcomer):
+    """Whether the shared overflow rule keeps the awake incumbent when the
+    newcomer wakes at ``stage`` (size-1 multisets are rows by type)."""
+    levels = restricted_levels(tables)
+    b = levels.none_index if best is None else best
+    return levels.overflow_keep(stage)[newcomer, incumbent, b] == incumbent
+
 
 # frozen from the policy-enumeration oracle (tests/oracles.py) on the
 # 2-location / 2-bin / N=2 instance with eta=0.8, delta=0.05, tau=0.3
@@ -293,6 +304,20 @@ class TestVerifyStructure:
         corrupted = replace(default_tables, j_bf=j_bf)
         report = verify_structure(corrupted, default_thresholds, default_family)
         assert not report.passed
+
+    @pytest.mark.parametrize("n_bins", [100, 400])
+    def test_lipschitz_prefix_max_matches_pairwise(self, default_family, n_bins):
+        config = ModelConfig(n_reward_bins=n_bins).validate()
+        family = default_family if n_bins == 100 else build_ordered_family(
+            build_forwarding_region(config), config)
+        tables = backward_induction(family, config)
+        n_dec = tables.n_stages - 1
+        for arr in (tables.cp_bf[:, :n_bins, :].transpose(0, 2, 1),
+                    tables.cc_b[:n_dec, :n_bins],
+                    tables.cc_bf[:n_dec, :n_bins, :].transpose(0, 2, 1)):
+            fast = _pair_excess(arr + config.eta * tables.grid)
+            reference = pairwise_lipschitz_excess(arr, tables.grid, config.eta)
+            np.testing.assert_allclose(fast, reference, rtol=0.0, atol=1e-12)
 
     def test_report_serializes(self, default_tables, default_thresholds, default_family):
         report = verify_structure(default_tables, default_thresholds, default_family)

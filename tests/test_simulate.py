@@ -134,8 +134,6 @@ class TestRunPolicy:
         config, family = sim_instance
 
         class Stubborn(Policy):
-            keeps_one_awake = True
-
             def action(self, stage, best, awake):
                 if best is None and awake:
                     return Decision(Action.PROBE, awake[0])
@@ -149,8 +147,6 @@ class TestRunPolicy:
         config, family = sim_instance
 
         class Eager(Policy):
-            keeps_one_awake = True
-
             def action(self, stage, best, awake):
                 return Decision(Action.STOP)
 
