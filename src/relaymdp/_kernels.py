@@ -9,6 +9,8 @@ import numpy as np
 
 # Tie resolution between actions uses the pure-arithmetic 1e-12.
 TIE_TOL = 1e-12
+# Inequalities that accumulate expectation round-off are checked at 1e-9.
+STRUCTURE_TOL = 1e-9
 
 # Action codes of the int8 action tables both solvers emit.
 STOP, PROBE, CONTINUE, NO_ACTION = 0, 1, 2, -1

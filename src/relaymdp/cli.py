@@ -22,6 +22,7 @@ from .dp_complete import (
 )
 from .dp_complete import initial_value as complete_initial_value
 from .dp_restricted import (
+    NonThresholdSetError,
     backward_induction,
     extract_thresholds,
     tables_to_json,
@@ -190,9 +191,10 @@ def main(argv=None) -> int:
         config = _model_config(doc)
         out_dir = Path(args.out)
         return _dispatch(args, doc, config, out_dir)
-    except (ConfigError, BudgetExceededError, InfeasibleGammaError, OSError, ValueError) as err:
+    except (ConfigError, BudgetExceededError, InfeasibleGammaError, OSError, ValueError,
+            NonThresholdSetError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(err, NonThresholdSetError) else 1
 
 
 def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:

@@ -27,13 +27,10 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import (ACTION_OF_CODE, CONTINUE, NO_ACTION, PROBE, STOP, Action,
-                       IllegalActionError)
+from ._kernels import (ACTION_OF_CODE, CONTINUE, NO_ACTION, PROBE, STOP, STRUCTURE_TOL,
+                       Action, IllegalActionError)
 from .dp_complete import CompleteTables, _induction, multiset_space
 from .model import ModelConfig, OrderedFamily, reward_grid
-
-# Inequalities that accumulate expectation round-off are checked at 1e-9.
-STRUCTURE_TOL = 1e-9
 
 
 class NonThresholdSetError(RuntimeError):

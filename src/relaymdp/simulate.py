@@ -108,13 +108,9 @@ def sample_episode(
         inter = rng.exponential(config.tau, size=n)
     locations = rng.integers(len(family), size=n)
     u = rng.random(n)
+    # the bin of each draw: how many cdf entries lie at or below u, capped
     top = family.n_bins - 1
-    bins = np.empty(n, dtype=np.int64)
-    for j in range(n):
-        bins[j] = min(
-            int(np.searchsorted(family.cdf_matrix[locations[j]], u[j], side="right")),
-            top,
-        )
+    bins = np.minimum((family.cdf_matrix[locations] <= u[:, None]).sum(axis=1), top)
     return Episode(wake_times=np.cumsum(inter), locations=locations, reward_bins=bins)
 
 

@@ -445,3 +445,42 @@ def pairwise_lipschitz_excess(arr, grid, eta):
         d = np.where(pairs_i_lt_j, a[:, None] - a[None, :] - slack, -np.inf)
         out[n] = d.max(axis=0)[1:]
     return out.reshape(arr.shape[:-1] + (len(grid) - 1,))
+
+
+# ---------------------------------------------------------------------------
+# complete-class conjecture: probing the stochastically largest member
+# ---------------------------------------------------------------------------
+
+def probe_largest_violations(tables, tol: float = 1e-9) -> int:
+    """Probing states of a complete-class solve where probing the member of
+    lowest ``family.rank`` costs more than the best probe, re-minimising over
+    every member type, each expectation summed bin by bin from the stored
+    value of the set left behind."""
+    family, space, config = tables.family, tables.space, tables.config
+    n_bins = tables.n_bins
+    count = 0
+    for k in range(1, tables.n_stages + 1):
+        for s in range(1, k + 1):
+            smaller = tables.values[k - 1][s - 1]
+            for g, mset in enumerate(space.msets[s]):
+                # action code 1 is PROBE
+                probing = [b for b in range(n_bins + 1) if tables.actions[k - 1][s][g, b] == 1]
+                if not probing:
+                    continue
+                costs = {}
+                for t in set(mset):
+                    rest = list(mset)
+                    rest.remove(t)
+                    row = space.row(tuple(rest))
+                    pmf = family.pmf_matrix[t]
+                    costs[t] = [
+                        config.eta * config.delta + sum(
+                            float(pmf[r]) * float(smaller[row, r if b == n_bins else max(b, r)])
+                            for r in range(n_bins)
+                        )
+                        for b in range(n_bins + 1)
+                    ]
+                largest = min(mset, key=lambda t: family.rank[t])
+                count += sum(costs[largest][b] > min(c[b] for c in costs.values()) + tol
+                             for b in probing)
+    return count

@@ -224,6 +224,18 @@ def test_overflowing_values_exit_one(tmp_path, capsys, command, overrides):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["solve-restricted", "verify"])
+def test_non_threshold_set_exits_two(tmp_path, capsys, command):
+    # at this cost scale round-off splits a stopping set (absolute tolerances)
+    code = main([command, "--config", str(SHIPPED_DEFAULT), "--out", str(tmp_path / "o"),
+                 "--override", "eta=1e20", "--override", "delta=5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: S_") and "is not an up-set" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("module", ["relaymdp", "relaymdp.cli"])
 def test_module_entry_points_report_version(module):
     src = str(Path(relaymdp.__file__).resolve().parent.parent)

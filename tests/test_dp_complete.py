@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -13,7 +14,9 @@ from oracles import (
     complete_memo_value,
     complete_tree_value,
     enumerate_complete_policies,
+    probe_largest_violations,
 )
+from relaymdp._kernels import PROBE
 from relaymdp.dp_complete import (
     BudgetExceededError,
     act_complete,
@@ -295,3 +298,40 @@ class TestConjectures:
         assert report["enlargement_violations"] == 0
         assert report["osla_stage_n_mismatches"] == 0
         assert report["all_hold"] is True
+
+    @pytest.mark.parametrize("delta", [0.1, 0.01, 0.0])
+    @pytest.mark.parametrize("shape,eta", [((3, 8, 3), 2.0), ((4, 12, 4), 0.5), ((4, 6, 4), 12.0)])
+    def test_probe_largest_count_matches_oracle(self, shape, eta, delta):
+        config, family = small_instance(*shape, eta=eta, delta=delta)
+        tables = solve_complete(family, config)
+        report = verify_complete_conjectures(tables)
+        assert report["probing_states_checked"] > 0
+        assert report["probe_largest_violations"] == probe_largest_violations(tables)
+
+    def test_lowered_probe_value_is_one_violation(self):
+        config, family = small_instance(3, 8, 3, eta=2.0, delta=0.05)
+        tables = solve_complete(family, config)
+        before = verify_complete_conjectures(tables)
+        # at stage N with every member unprobed and no reward yet, probing is
+        # the only action; no other check reads this entry
+        level = tables.values[-1][-1].copy()
+        assert tables.actions[-1][-1][0, tables.none_index] == PROBE
+        level[0, tables.none_index] -= 1e-6
+        values = [list(stage) for stage in tables.values]
+        values[-1][-1] = level
+        report = verify_complete_conjectures(replace(tables, values=values))
+        assert report["probe_largest_violations"] == before["probe_largest_violations"] + 1 == 1
+        assert report["all_hold"] is False
+
+    def test_nan_value_fails_the_report(self):
+        config, family = small_instance(6, 20, 4, eta=2.0, delta=0.05)
+        tables = solve_complete(family, config)
+        before = verify_complete_conjectures(tables)
+        assert before["all_hold"] is True
+        level = tables.values[2][2].copy()
+        level[0, 0] = np.nan
+        values = [list(stage) for stage in tables.values]
+        values[2][2] = level
+        report = verify_complete_conjectures(replace(tables, values=values))
+        assert report["value_monotone_violations"] == before["value_monotone_violations"] + 1
+        assert report["all_hold"] is False

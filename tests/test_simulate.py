@@ -85,6 +85,20 @@ class TestSampling:
                 sd = math.sqrt(max(p * (1 - p) / total, 1e-12))
                 assert abs(empirical[r] - p) <= 5 * sd + 1e-9
 
+    def test_bins_invert_each_locations_cdf(self, sim_instance):
+        # the same draws as sample_episode, binned relay by relay
+        config, family = sim_instance
+        top = family.n_bins - 1
+        for i in range(500):
+            rng = episode_rng(5, i)
+            rng.exponential(config.tau, size=config.n_relays)
+            locations = rng.integers(len(family), size=config.n_relays)
+            u = rng.random(config.n_relays)
+            expected = [min(int(np.searchsorted(family.cdf_matrix[l], x, side="right")), top)
+                        for l, x in zip(locations, u)]
+            episode = sample_episode(family, config, episode_rng(5, i))
+            assert episode.reward_bins.tolist() == expected
+
 
 class TestRunPolicy:
     def test_probe_first_baseline(self, sim_instance):
