@@ -40,10 +40,10 @@ from .dp_complete import (
 )
 from .dp_complete import initial_value as complete_initial_value
 from .simulate import (
-    Episode,
-    EpisodeOutcome,
+    EpisodeBlock,
     Estimates,
     GlbOptPolicy,
+    Outcomes,
     Policy,
     ProbeFirstPolicy,
     RstOptPolicy,

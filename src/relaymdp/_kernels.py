@@ -71,8 +71,9 @@ def expect_over_max(values: np.ndarray, pmf: np.ndarray, cdf: np.ndarray) -> np.
     n_bins = pv.shape[-1]
     # rev[..., j] = sum_{i >= j} pmf[i] * V[i]
     rev = np.flip(np.cumsum(np.flip(pv, axis=-1), axis=-1), axis=-1)
-    out = np.empty(pv.shape[:-1] + (n_bins + 1,))
-    out[..., :n_bins] = cdf * values
+    del pv  # at most two value-sized arrays are alive at a time
+    out = np.empty(rev.shape[:-1] + (n_bins + 1,))
+    np.multiply(cdf, values, out=out[..., :n_bins])
     out[..., : n_bins - 1] += rev[..., 1:]
     out[..., n_bins] = rev[..., 0]
     return out

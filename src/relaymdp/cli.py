@@ -242,7 +242,7 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
         elif args.policy == "glb":
             policy = GlbOptPolicy(solve_complete(family, config))
         else:
-            policy = ProbeFirstPolicy()
+            policy = ProbeFirstPolicy(family, config)
         estimates = monte_carlo(family, config, policy, args.episodes, args.seed)
         payload = {"policy": args.policy, "eta": config.eta, "delta": config.delta}
         payload.update(estimates.to_json())
@@ -269,7 +269,7 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
             eta_values=tuple(block.get("eta_values", default_eta_grid())),
             delta_values=tuple(block.get("delta_values", (0.1, 0.01))),
             policies=tuple(block.get("policies", ("rst", "glb"))),
-            n_episodes=int(block.get("n_episodes", 2000)),
+            n_episodes=block.get("n_episodes", 2000),
             seed=args.seed,
             threads=max(1, args.threads),
         )

@@ -47,8 +47,10 @@ class NonFiniteValueError(ValueError):
 
 class MultisetSpace:
     """Canonical enumeration of multisets over ``n_types`` up to ``max_size``,
-    with precomputed member-insertion index maps (plus[s-1][t] also lists the
-    size-s multisets holding t, in the order of those with one t removed)."""
+    with precomputed member-insertion index maps: plus[s][t, g] is the row of
+    G + {t} in size s+1 for the size-s set G of row g (so plus[s-1][t] also
+    lists the size-s multisets holding t, in the order of those with one t
+    removed)."""
 
     def __init__(self, n_types: int, max_size: int):
         self.n_types = n_types
@@ -60,19 +62,16 @@ class MultisetSpace:
         self.index: list[dict[tuple[int, ...], int]] = [
             {g: i for i, g in enumerate(level)} for level in self.msets
         ]
-        # plus[s][t][row of G] = row of G + {t} in size s+1
-        self.plus: list[dict[int, np.ndarray]] = []
+        self.plus: list[np.ndarray] = []
         for s in range(max_size):
             bigger = self.index[s + 1]
             level = self.msets[s]
-            maps = {}
-            for t in range(n_types):
-                dst = np.empty(len(level), dtype=np.intp)
+            dst = np.empty((n_types, len(level)), dtype=np.intp)
+            for t, row in enumerate(dst):
                 for gi, g in enumerate(level):
                     pos = bisect_left(g, t)
-                    dst[gi] = bigger[g[:pos] + (t,) + g[pos:]]
-                maps[t] = dst
-            self.plus.append(maps)
+                    row[gi] = bigger[g[:pos] + (t,) + g[pos:]]
+            self.plus.append(dst)
 
     def row(self, mset: tuple[int, ...]) -> int:
         return self.index[len(mset)][mset]
@@ -140,7 +139,7 @@ class CompleteTables:
                 better = level[rests[:, p]] < best
                 best = np.where(better, level[rests[:, p]], best)
                 rows = np.where(better, rests[:, p:p + 1], rows)
-            joined = np.stack(list(self.space.plus[c].values()))  # [t, g]: row of g + t
+            joined = self.space.plus[c]  # [t, g]: row of g + t
             own = np.arange(len(level), dtype=rests.dtype)[:, None]
             self._kept[stage] = np.where(best[joined] < level, rows[joined], own)
         return self._kept[stage]
@@ -158,7 +157,7 @@ def _ranked_members(space: MultisetSpace, s: int, rank: tuple[int, ...]) -> tupl
     # without[t, g]: the row of size-s set g less one t (where g holds a t)
     row_type = np.min_scalar_type(len(space.msets[s - 1]))
     without = np.zeros((space.n_types, len(members)), dtype=row_type)
-    joined = np.stack(list(space.plus[s - 1].values()))  # [t, f]: row of f + t
+    joined = space.plus[s - 1]  # [t, f]: row of f + t
     without[np.arange(space.n_types)[:, None], joined] = np.arange(joined.shape[1])
     rests = without[types, np.arange(len(members))[:, None]]
     types.flags.writeable = rests.flags.writeable = False  # shared by every caller
@@ -256,7 +255,12 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
                 cont /= n_types
                 cont += tau
 
-            act = resolve_actions(stop, probe, cont)
+            # in row batches, so that the tie rule's float temporaries stay small
+            act = np.empty(probe.shape, dtype=np.int8)
+            step = max(1, BATCH_ELEMENTS // probe.shape[1])
+            for first in range(0, n_s, step):
+                rows = slice(first, first + step)
+                act[rows] = resolve_actions(stop, probe[rows], cont[rows] if k < n_stages else cont)
             tgt[act != PROBE] = -1
             if keep_costs:
                 probes[i].append(probe.copy())

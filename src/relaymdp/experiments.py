@@ -48,6 +48,7 @@ from .simulate import (
     GlbOptPolicy,
     ProbeFirstPolicy,
     RstOptPolicy,
+    check_episode_count,
     monte_carlo,
 )
 
@@ -160,7 +161,7 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                 per_call = max(1, BATCH_ELEMENTS // out.size)
                 for first in range(0, n_loc, per_call):
                     types = np.arange(first, min(first + per_call, n_loc))
-                    src = np.stack([space.plus[s - 1][t] for t in types])
+                    src = space.plus[s - 1][first:first + per_call]
                     w = m[src] * (tgt[src] == types[:, None, None])
                     if not w.any():
                         continue
@@ -220,8 +221,7 @@ class SweepSpec:
         unknown = set(self.policies) - set(POLICY_NAMES)
         if unknown:
             raise ValueError(f"unknown policies {sorted(unknown)}; choose from {POLICY_NAMES}")
-        if self.n_episodes < 1:
-            raise ValueError("n_episodes must be >= 1")
+        check_episode_count(self.n_episodes)
         return self
 
 
@@ -255,6 +255,13 @@ class SweepCell:
             "mean_probe_cost": self.components.probing_cost if self.components else None,
             "eff_reward": self.components.effective_reward if self.components else None,
         }
+
+    @property
+    def mc_z(self) -> Optional[float]:
+        """(mc_cost - dp_cost) / mc_se; None without estimates or when mc_se is 0."""
+        if self.estimates is None or self.estimates.se_cost == 0.0:
+            return None
+        return (self.estimates.mean_cost - self.dp_value) / self.estimates.se_cost
 
 
 @dataclass(frozen=True)
@@ -313,7 +320,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             else:
                 comps = baseline_components(family, config)
                 dp_value = comps.cost
-                mc_policy = ProbeFirstPolicy()
+                mc_policy = ProbeFirstPolicy(family, config)
                 snapshot = None
             estimates = monte_carlo(family, config, mc_policy, spec.n_episodes, seed)
         except BudgetExceededError as err:
@@ -453,7 +460,8 @@ def emit_plot_data(result: SweepResult, out_dir) -> list[Path]:
         "observations": _component_observations(result),
         "cells": [
             {"policy": c.policy, "eta": c.eta, "delta": c.delta,
-             "status": c.status, "message": c.message}
+             "status": c.status, "message": c.message, "mc_z": c.mc_z,
+             "stopped_mass": c.components.stopped_mass if c.components else None}
             for c in result.cells
         ],
     }

@@ -1,59 +1,73 @@
-"""Discrete-event episode engine and Monte-Carlo estimation.
+"""Block-sampled episodes, one array-at-a-time replay engine and Monte-Carlo
+estimation.
 
 An episode pre-draws all randomness (renewal wake-up times, i.i.d. uniform
-locations, one latent reward bin per relay under the quasi-static channel);
-``run_policy`` then replays it against a policy of either class, revealing a
-relay's bin only when probed; a wake-up past the policy's capacity (one
-unprobed relay for the restricted class) drops a relay by the overflow rule
-of ``dp_complete``.  Rewards are sampled as bins of the quantized pmf, so the
-simulator and the solvers share one probability space and agreement with the
+locations, one latent reward bin per relay under the quasi-static channel).
+``sample_episode`` draws a block of episodes and ``run_policy`` replays every
+episode of a block at once against a policy's action tables, the stage-by-size
+levels of the capacity-c induction of ``dp_complete``; a relay's bin is
+revealed only when it is probed, and a wake-up past the policy's capacity (one
+unprobed relay for the restricted class) drops a relay by the overflow rule.
+Rewards are sampled as bins of the quantized pmf, so the simulator and the
+solvers share one probability space and agreement with the
 dynamic-programming values is an exact check up to sampling error.
 
-Reproducibility: episode i draws from ``Philox(key=seed).jumped(i)``, a
-counter-based stream independent of scheduling order.
+Reproducibility: block j holds episodes j * EPISODES_PER_BLOCK onwards and is
+drawn from ``Philox(key=seed).jumped(j)``, a counter-based stream (Salmon et
+al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).  A block is
+always drawn in full, so episode i is the same in every run of more than i
+episodes, whatever the number of threads or the order of the work.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+import numbers
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._kernels import Action, Decision, IllegalActionError
-from .dp_complete import CompleteTables, act_complete
+from ._kernels import CONTINUE, NO_ACTION, PROBE, STOP, Action, Decision, IllegalActionError
+from .dp_complete import CompleteTables, _ranked_members, act_complete, multiset_space
 from .dp_restricted import RestrictedTables, act, restricted_levels
 from .model import ModelConfig, OrderedFamily, reward_grid
 
+# Episodes drawn from one counter-based stream; fixed, so that episode i never
+# depends on how many episodes a run asks for.
+EPISODES_PER_BLOCK = 4096
+
 
 @dataclass(frozen=True)
-class Episode:
-    """One realization of the forwarding situation: wake-up times W_1..W_N,
-    location indices, and the latent reward bin of each relay (revealed at
-    most once, on probing)."""
+class EpisodeBlock:
+    """Realizations of the forwarding situation, one row per episode: wake-up
+    times W_1..W_N, location indices, and the latent reward bin of each relay
+    (revealed at most once, on probing)."""
 
     wake_times: np.ndarray
     locations: np.ndarray
     reward_bins: np.ndarray
 
-    @property
-    def n_relays(self) -> int:
+    def __len__(self) -> int:
         return len(self.wake_times)
+
+    def head(self, count: int) -> "EpisodeBlock":
+        """The first ``count`` episodes (views)."""
+        return EpisodeBlock(self.wake_times[:count], self.locations[:count],
+                            self.reward_bins[:count])
 
 
 @dataclass(frozen=True)
-class EpisodeOutcome:
-    """Result of one forwarding decision.
+class Outcomes:
+    """Results of a block's forwarding decisions, one entry per episode.
 
     ``delay`` includes the wait for the first relay; ``cost`` excludes it
     (no policy can influence the first wait, so it is not charged)."""
 
-    delay: float
-    reward: float
-    probes: int
-    cost: float
-    effective_reward: float
-    stop_stage: int
+    delay: np.ndarray
+    reward: np.ndarray
+    probes: np.ndarray
+    cost: np.ndarray
+    effective_reward: np.ndarray
+    stop_stage: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -92,48 +106,58 @@ class Estimates:
         }
 
 
-def episode_rng(seed: int, index: int) -> np.random.Generator:
-    """The counter-based stream of episode ``index`` under a master seed."""
-    return np.random.Generator(np.random.Philox(key=seed).jumped(index))
+def block_rng(seed: int, block: int) -> np.random.Generator:
+    """The counter-based stream of block ``block`` under a master seed."""
+    return np.random.Generator(np.random.Philox(key=seed).jumped(block))
 
 
 def sample_episode(
     family: OrderedFamily, config: ModelConfig, rng: np.random.Generator
-) -> Episode:
-    """Draw one episode: renewal wake-ups, uniform locations, latent bins."""
-    n = config.n_relays
+) -> EpisodeBlock:
+    """Draw one block of EPISODES_PER_BLOCK episodes: all renewal wake-ups,
+    then all uniform locations, then all uniforms that fix the latent bins."""
+    shape = (EPISODES_PER_BLOCK, config.n_relays)
     if config.wakeup_law == "deterministic":
-        inter = np.full(n, config.tau)
+        inter = np.full(shape, config.tau)
     else:
-        inter = rng.exponential(config.tau, size=n)
-    locations = rng.integers(len(family), size=n)
-    u = rng.random(n)
-    # the bin of each draw: how many cdf entries lie at or below u, capped
-    top = family.n_bins - 1
-    bins = np.minimum((family.cdf_matrix[locations] <= u[:, None]).sum(axis=1), top)
-    return Episode(wake_times=np.cumsum(inter), locations=locations, reward_bins=bins)
+        inter = rng.exponential(config.tau, size=shape)
+    locations = rng.integers(len(family), size=shape)
+    u = rng.random(shape)
+    # the bin of each draw: how many entries of its location's cdf lie at or
+    # below u, capped at the top bin; a cdf is nondecreasing, so searchsorted
+    # counts them exactly, one location at a time
+    bins = np.empty(shape, dtype=np.intp)
+    for loc, cdf in enumerate(family.cdf_matrix):
+        at = locations == loc
+        bins[at] = np.searchsorted(cdf, u[at], side="right")
+    np.minimum(bins, family.n_bins - 1, out=bins)
+    return EpisodeBlock(wake_times=np.cumsum(inter, axis=1), locations=locations,
+                        reward_bins=bins)
 
 
 class Policy:
-    """State -> decision map over (stage, best reward, awake types): the
-    location types of the woken, unprobed relays in wake order.
+    """A policy as its action tables: ``levels`` holds them as the levels of
+    the capacity-c induction (stage, multiset size), which ``run_policy``
+    reads; ``action`` answers the same decision for one state (stage, best
+    reward, awake types: the location types of the woken, unprobed relays in
+    wake order).  Past ``capacity`` unprobed relays, a wake-up follows the
+    overflow rule of the levels."""
 
-    A policy keeps at most ``capacity`` unprobed relays awake (None: no
-    limit); one with a capacity also holds ``levels``, its solved tables,
-    whose overflow rule the engine follows past the capacity."""
+    name: str
+    levels: CompleteTables
 
-    capacity: Optional[int] = None
-    levels: Optional[CompleteTables] = None
+    @property
+    def capacity(self) -> int:
+        return self.levels.capacity
 
-    def action(self, stage: int, best: Optional[int], awake: tuple[int, ...]) -> Decision:
-        raise NotImplementedError
+    def action(self, stage: int, best, awake: tuple[int, ...]) -> Decision:
+        return act_complete((stage, best, awake), self.levels)
 
 
 class RstOptPolicy(Policy):
     """Optimal restricted-class policy read off the solved tables."""
 
     name = "rst"
-    capacity = 1
 
     def __init__(self, tables: RestrictedTables):
         self.tables = tables
@@ -145,139 +169,229 @@ class RstOptPolicy(Policy):
         return Decision(kind, dist if kind is Action.PROBE else None)
 
 
-class ProbeFirstPolicy(Policy):
-    """Baseline: probe the first relay that wakes and forward to it."""
-
-    name = "first"
-
-    def action(self, stage, best, awake):
-        if best is None:
-            if not awake:
-                raise IllegalActionError("nothing probed and nothing to probe")
-            return Decision(Action.PROBE, awake[0])
-        return Decision(Action.STOP)
-
-
 class GlbOptPolicy(Policy):
     """Optimal complete-class policy read off the solved tables."""
 
     name = "glb"
 
     def __init__(self, tables: CompleteTables):
-        self.tables = tables
+        self.levels = tables
 
-    def action(self, stage, best, awake):
-        return act_complete((stage, best, awake), self.tables)
+
+class ProbeFirstPolicy(Policy):
+    """Baseline: probe the first relay that wakes and forward to it."""
+
+    name = "first"
+
+    def __init__(self, family: OrderedFamily, config: ModelConfig):
+        self.levels = probe_first_levels(family, config)
+
+
+def probe_first_levels(family: OrderedFamily, config: ModelConfig) -> CompleteTables:
+    """The probe-first baseline as capacity-1 levels: at stage 1 it probes the
+    awake relay while nothing is probed and stops otherwise; the values are
+    that policy's costs.  Later stages are never reached and hold NO_ACTION."""
+    n_loc, none = len(family), family.n_bins
+
+    def unreached(rows: int) -> tuple:
+        shape = (rows, family.n_bins + 1)
+        return (np.full(shape, np.inf), np.full(shape, NO_ACTION, dtype=np.int8),
+                np.full(shape, -1, dtype=np.int16))
+
+    stages = [[unreached(1), unreached(n_loc)] for _ in range(config.n_relays)]
+    (bare, bare_act, _), (held, held_act, held_tgt) = stages[0]
+    bare[:, :none] = held[:, :none] = -config.eta * reward_grid(family.n_bins)
+    bare_act[:, :none] = held_act[:, :none] = STOP
+    held[:, none] = config.eta * config.delta + family.pmf_matrix @ held[0, :none]
+    held_act[:, none] = PROBE
+    held_tgt[:, none] = np.arange(n_loc)
+    return CompleteTables(
+        config=config, family=family, space=multiset_space(n_loc, min(2, config.n_relays)),
+        values=[[lv[0] for lv in st] for st in stages],
+        actions=[[lv[1] for lv in st] for st in stages],
+        probe_targets=[[lv[2] for lv in st] for st in stages],
+    )
 
 
 def run_policy(
-    episode: Episode,
+    block: EpisodeBlock,
     policy: Policy,
     family: OrderedFamily,
     config: ModelConfig,
-) -> EpisodeOutcome:
-    """Replay an episode against a policy.
+) -> Outcomes:
+    """Replay every episode of a block against a policy's action tables.
 
-    Probes consume one unit of probe count and reveal the pre-drawn bin of the
-    first awake relay of the requested type; a stop at stage k yields delay
-    W_k; at stage N the process must terminate.  Illegal actions raise
-    IllegalActionError naming the offending state.
+    Stage by stage, each live episode reads its action at (stage, best,
+    awake multiset), largest multisets first, so an episode that probes is
+    asked again at the next smaller size in the same pass.  A probe costs one
+    probe count and reveals the pre-drawn bin of the first-woken awake relay
+    of the target type; a stop at stage k yields delay W_k; a continue wakes
+    the next relay once the pass is over, and past the capacity the overflow
+    rule drops the newcomer or the first-woken relay of the dropped type.
+    Illegal actions (stop with nothing probed, a probe target that is not
+    awake, continue at the last stage, NO_ACTION) raise IllegalActionError
+    naming the state of the first offending episode.
     """
-    locations = episode.locations.tolist()  # Python ints, cheap to look up per decision
-    best: Optional[int] = None
-    awake: list[int] = [0]  # relay indices of the woken, unprobed relays
-    probes = 0
-    stage = 1
-    while True:
-        types = tuple(locations[r] for r in awake)
-        decision = policy.action(stage, best, types)
-        if decision.kind is Action.STOP:
-            if best is None:
-                raise IllegalActionError(
-                    f"stop with nothing probed at stage {stage} (awake types {types})"
-                )
-            break
-        if decision.kind is Action.PROBE:
-            if decision.probe_target not in types:
-                raise IllegalActionError(
-                    f"probe target type {decision.probe_target} not awake at stage "
-                    f"{stage} (best={best}, awake types {types})"
-                )
-            pick = awake.pop(types.index(decision.probe_target))
-            revealed = int(episode.reward_bins[pick])
-            best = revealed if best is None else max(best, revealed)
-            probes += 1
-        elif decision.kind is Action.CONTINUE:
-            if stage == episode.n_relays:
-                raise IllegalActionError(
-                    f"continue at the last stage (best={best}, awake types {types})"
-                )
-            awake.append(stage)  # 0-based index of the relay waking at stage+1
-            stage += 1
-            if policy.capacity is not None and len(awake) > policy.capacity:
-                types = tuple(locations[r] for r in awake)
-                awake.pop(_overflow_drop(policy.levels, stage, best, types))
-        else:
-            raise IllegalActionError(f"unknown action {decision!r} at stage {stage}")
+    levels = policy.levels
+    space, capacity, none = levels.space, levels.capacity, levels.none_index
+    loc, bins = block.locations, block.reward_bins
+    n, n_stages = loc.shape
 
-    reward = float(reward_grid(family.n_bins)[best])
-    delay = float(episode.wake_times[stage - 1])
-    waiting = delay - float(episode.wake_times[0])
+    awake = np.zeros((n, n_stages), dtype=bool)  # woken, unprobed relays
+    awake[:, 0] = True
+    size = np.ones(n, dtype=np.intp)
+    row = loc[:, 0].astype(np.intp)  # multisets of size 1 are ordered by type
+    best = np.full(n, none, dtype=np.intp)
+    probes = np.zeros(n, dtype=np.intp)
+    stop_stage = np.zeros(n, dtype=np.intp)
+    live = np.ones(n, dtype=bool)
+
+    for k in range(1, n_stages + 1):
+        going = np.zeros(n, dtype=bool)
+        for s in range(min(k, capacity), -1, -1):
+            at = np.flatnonzero(live & (size == s))
+            if at.size == 0:
+                continue
+            g, b = row[at], best[at]
+            code = levels.actions[k - 1][s][g, b]
+            target = levels.probe_targets[k - 1][s][g, b]
+            match = awake[at] & (loc[at] == target[:, None])
+            illegal = (((code == STOP) & (b == none)) | ((code == CONTINUE) & (k == n_stages))
+                       | ((code == PROBE) & ~match.any(axis=1))
+                       | ((code != STOP) & (code != PROBE) & (code != CONTINUE)))
+            if illegal.any():
+                i = int(np.argmax(illegal))
+                raise _illegal(int(code[i]), int(target[i]), k, int(at[i]), int(b[i]), none,
+                               tuple(loc[at[i]][awake[at[i]]].tolist()))
+
+            stops = at[code == STOP]
+            live[stops] = False
+            stop_stage[stops] = k
+            going[at[code == CONTINUE]] = True
+
+            probing = code == PROBE
+            if probing.any():
+                e = at[probing]
+                pick = match[probing].argmax(axis=1)  # the first-woken relay of that type
+                awake[e, pick] = False
+                revealed = bins[e, pick]
+                best[e] = np.where(best[e] == none, revealed, np.maximum(best[e], revealed))
+                probes[e] += 1
+                # the row of the set left, rebuilt from its s - 1 members
+                row[e] = _rows(space, loc[e][awake[e]].reshape(len(e), s - 1))
+                size[e] = s - 1
+
+        if k == n_stages:
+            break
+        # relay k + 1 (column k) wakes in every continuing episode, once
+        e = np.flatnonzero(going)
+        t, g, sizes = loc[e, k], row[e], size[e]
+        for s in range(min(k + 1, capacity)):
+            grow = sizes == s
+            row[e[grow]] = space.plus[s][t[grow], g[grow]]
+            size[e[grow]] = s + 1
+            awake[e[grow], k] = True
+        full = sizes == capacity
+        if full.any():
+            e, t, g = e[full], t[full], g[full]
+            kept = levels.overflow_keep(k + 1)[t, g, best[e]]
+            swap = kept != g  # else the newcomer is dropped
+            e, t, g, kept = e[swap], t[swap], g[swap], kept[swap]
+            joined = space.plus[capacity][t, g]
+            types, rests = _ranked_members(space, capacity + 1, tuple(family.rank))
+            dropped = types[joined, (rests[joined] == kept[:, None]).argmax(axis=1)]
+            awake[e, (awake[e] & (loc[e] == dropped[:, None])).argmax(axis=1)] = False
+            awake[e, k] = True
+            row[e] = kept
+
+    reward = reward_grid(family.n_bins)[best]
+    delay = block.wake_times[np.arange(n), stop_stage - 1]
+    waiting = delay - block.wake_times[:, 0]
     eta, delta = config.eta, config.delta
-    return EpisodeOutcome(
+    return Outcomes(
         delay=delay,
         reward=reward,
         probes=probes,
         cost=waiting - eta * reward + eta * delta * probes,
         effective_reward=reward - delta * probes,
-        stop_stage=stage,
+        stop_stage=stop_stage,
     )
 
 
-def _overflow_drop(levels: CompleteTables, stage: int, best: Optional[int], types: tuple) -> int:
-    """Position in ``types`` (wake order, newcomer last) of the relay the overflow
-    rule drops: the newcomer, or else the first-woken relay of a dropped type."""
-    space = levels.space
-    held = space.row(tuple(sorted(types[:-1])))
-    b = levels.none_index if best is None else best
-    kept = levels.overflow_keep(stage)[types[-1], held, b]
-    if kept == held:
-        return len(types) - 1
-    left = space.msets[len(types) - 1][kept]
-    return next(p for p, u in enumerate(types) if types.count(u) > left.count(u))
+def _rows(space, types: np.ndarray) -> np.ndarray:
+    """The row of the multiset in each row of ``types`` (members in any
+    order), built up member by member through the ``plus`` maps."""
+    rows = np.zeros(len(types), dtype=np.intp)
+    for i in range(types.shape[1]):
+        rows = space.plus[i][types[:, i], rows]
+    return rows
+
+
+def _illegal(code: int, target: int, stage: int, episode: int, best: int, none: int,
+             types: tuple) -> IllegalActionError:
+    """The error naming an offending episode's state (awake types in wake order)."""
+    state = (f"(stage {stage}, episode {episode}, best={None if best == none else best}, "
+             f"awake types {types})")
+    if code == STOP:
+        return IllegalActionError(f"stop with nothing probed {state}")
+    if code == PROBE:
+        return IllegalActionError(f"probe target type {target} not awake {state}")
+    if code == CONTINUE:
+        return IllegalActionError(f"continue at the last stage {state}")
+    return IllegalActionError(f"no legal action (code {code}) {state}")
+
+
+def check_episode_count(n_episodes) -> int:
+    """The episode count as an int; a bool, a non-integral or a count below
+    one raises ValueError."""
+    if isinstance(n_episodes, bool) or not isinstance(n_episodes, numbers.Integral):
+        raise ValueError(f"n_episodes must be an integer, got {n_episodes!r}")
+    if n_episodes < 1:
+        raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
+    return int(n_episodes)
+
+
+def episode_outcomes(
+    family: OrderedFamily,
+    config: ModelConfig,
+    policy: Policy,
+    n_episodes: int,
+    seed: int,
+) -> Outcomes:
+    """Outcomes of episodes 0 .. n_episodes - 1 under a master seed, drawn and
+    replayed a block at a time."""
+    count = check_episode_count(n_episodes)
+    parts = []
+    for j, first in enumerate(range(0, count, EPISODES_PER_BLOCK)):
+        block = sample_episode(family, config, block_rng(seed, j))
+        parts.append(run_policy(block.head(count - first), policy, family, config))
+    return Outcomes(*(np.concatenate([getattr(p, f.name) for p in parts])
+                      for f in fields(Outcomes)))
 
 
 def monte_carlo(
     family: OrderedFamily,
     config: ModelConfig,
-    policy,
+    policy: Policy,
     n_episodes: int,
     seed: int,
 ) -> Estimates:
     """Estimate E[D], E[R], E[M], the Lagrangian cost and the effective reward
-    over independently seeded episodes."""
-    if n_episodes < 1:
-        raise ValueError("need at least one episode")
-    base = np.random.Philox(key=seed)
-    samples = np.empty((n_episodes, 5))
-    for i in range(n_episodes):
-        rng = np.random.Generator(base.jumped(i))
-        episode = sample_episode(family, config, rng)
-        out = run_policy(episode, policy, family, config)
-        samples[i] = (out.delay, out.reward, out.probes, out.cost, out.effective_reward)
-
-    means = samples.mean(axis=0)
+    over the episodes of a master seed."""
+    out = episode_outcomes(family, config, policy, n_episodes, seed)
+    columns = (out.delay, out.reward, out.probes, out.cost, out.effective_reward)
+    means = [float(c.mean()) for c in columns]
     if n_episodes >= 2:
-        ses = samples.std(axis=0, ddof=1) / math.sqrt(n_episodes)
+        ses = [float(c.std(ddof=1)) / math.sqrt(n_episodes) for c in columns]
     else:
-        ses = np.zeros(5)
+        ses = [0.0] * 5
     return Estimates(
-        n_episodes=n_episodes,
+        n_episodes=int(n_episodes),
         seed=seed,
-        mean_delay=float(means[0]), se_delay=float(ses[0]),
-        mean_reward=float(means[1]), se_reward=float(ses[1]),
-        mean_probes=float(means[2]), se_probes=float(ses[2]),
-        mean_cost=float(means[3]), se_cost=float(ses[3]),
-        mean_effective_reward=float(means[4]), se_effective_reward=float(ses[4]),
-        zero_variance=bool(n_episodes < 2 or float(ses.max()) == 0.0),
+        mean_delay=means[0], se_delay=ses[0],
+        mean_reward=means[1], se_reward=ses[1],
+        mean_probes=means[2], se_probes=ses[2],
+        mean_cost=means[3], se_cost=ses[3],
+        mean_effective_reward=means[4], se_effective_reward=ses[4],
+        zero_variance=bool(n_episodes < 2 or max(ses) == 0.0),
     )

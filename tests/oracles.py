@@ -484,3 +484,84 @@ def probe_largest_violations(tables, tol: float = 1e-9) -> int:
                 count += sum(costs[largest][b] > min(c[b] for c in costs.values()) + tol
                              for b in probing)
     return count
+
+
+# ---------------------------------------------------------------------------
+# episode replay: one policy query per decision, one episode at a time
+# ---------------------------------------------------------------------------
+
+def reference_run_policy(block, index, policy, family, config):
+    """Replay episode ``index`` of a block decision by decision through
+    ``policy.action``: the scalar ground truth of the batched engine.
+
+    Returns ``(outcome, events)``: outcome is (delay, reward, probes, cost,
+    effective_reward, stop_stage) in Python numbers, and events holds
+    "repeat" when the awake relays ever held two of one type and "swap" when
+    an overflow dropped an awake relay in place of the newcomer.
+    """
+    from relaymdp import Action, IllegalActionError
+    from relaymdp.model import reward_grid
+
+    locations = block.locations[index].tolist()
+    bins = block.reward_bins[index].tolist()
+    wake_times = block.wake_times[index].tolist()
+    n_relays = len(locations)
+    events = set()
+    best = None
+    awake = [0]  # relay indices of the woken, unprobed relays, in wake order
+    probes = 0
+    stage = 1
+    while True:
+        types = tuple(locations[r] for r in awake)
+        if len(set(types)) < len(types):
+            events.add("repeat")
+        decision = policy.action(stage, best, types)
+        if decision.kind is Action.STOP:
+            if best is None:
+                raise IllegalActionError(
+                    f"stop with nothing probed at stage {stage} (awake types {types})")
+            break
+        if decision.kind is Action.PROBE:
+            if decision.probe_target not in types:
+                raise IllegalActionError(
+                    f"probe target type {decision.probe_target} not awake at stage "
+                    f"{stage} (best={best}, awake types {types})")
+            pick = awake.pop(types.index(decision.probe_target))
+            best = bins[pick] if best is None else max(best, bins[pick])
+            probes += 1
+        elif decision.kind is Action.CONTINUE:
+            if stage == n_relays:
+                raise IllegalActionError(
+                    f"continue at the last stage (best={best}, awake types {types})")
+            awake.append(stage)  # 0-based index of the relay waking at stage+1
+            stage += 1
+            if len(awake) > policy.capacity:
+                types = tuple(locations[r] for r in awake)
+                drop = _overflow_drop(policy.levels, stage, best, types)
+                if drop != len(types) - 1:
+                    events.add("swap")
+                awake.pop(drop)
+        else:
+            raise IllegalActionError(f"unknown action {decision!r} at stage {stage}")
+
+    reward = float(reward_grid(family.n_bins)[best])
+    delay = wake_times[stage - 1]
+    waiting = delay - wake_times[0]
+    eta, delta = config.eta, config.delta
+    outcome = (delay, reward, probes, waiting - eta * reward + eta * delta * probes,
+               reward - delta * probes, stage)
+    return outcome, events
+
+
+def _overflow_drop(levels, stage, best, types):
+    """Position in ``types`` (wake order, newcomer last) of the relay the
+    overflow rule drops: the newcomer, or else the first-woken relay of a
+    dropped type."""
+    space = levels.space
+    held = space.row(tuple(sorted(types[:-1])))
+    b = levels.none_index if best is None else best
+    kept = levels.overflow_keep(stage)[types[-1], held, b]
+    if kept == held:
+        return len(types) - 1
+    left = space.msets[len(types) - 1][kept]
+    return next(p for p, u in enumerate(types) if types.count(u) > left.count(u))

@@ -158,6 +158,17 @@ def test_sweep_writes_figure_csvs(small_config, tmp_path):
     assert manifest["seed"] == 0
 
 
+@pytest.mark.parametrize("count", ["true", "2.7", "0"])
+def test_bad_sweep_episode_count_exits_one(small_config, tmp_path, capsys, count):
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(small_config), "--out", str(out),
+                 "--override", f"sweep.n_episodes={count}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n_episodes" in err
+    assert not (out / "manifest.json").exists()
+
+
 def test_calibrate_command(small_config, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["calibrate", "--config", str(small_config), "--out", str(out)]) == 0

@@ -243,6 +243,45 @@ class TestEmit:
         assert manifest["config_hash"] == config_hash(config)
         assert len(manifest["cells"]) == 40
 
+    def test_manifest_cells_record_mc_z_and_stopped_mass(self, small_base, tmp_path):
+        config, _ = small_base
+        spec = SweepSpec(
+            base=config, eta_values=(0.5, 2.0), delta_values=(0.05,),
+            policies=("rst", "glb", "first"), n_episodes=300, seed=5,
+        )
+        result = run_sweep(spec)
+        emit_plot_data(result, tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert len(manifest["cells"]) == len(result.cells) == 6
+        for entry, cell in zip(manifest["cells"], result.cells):
+            assert (entry["policy"], entry["eta"], entry["delta"]) == (
+                cell.policy, cell.eta, cell.delta)
+            est = cell.estimates
+            assert entry["mc_z"] == (est.mean_cost - cell.dp_value) / est.se_cost
+            assert entry["stopped_mass"] == cell.components.stopped_mass
+            assert entry["stopped_mass"] == pytest.approx(1.0, abs=1e-9)
+            assert abs(entry["mc_z"]) <= 5.0
+
+    def test_mc_z_is_null_without_spread(self, small_base, tmp_path):
+        # one episode has no standard error, so no z-score
+        config, _ = small_base
+        spec = SweepSpec(
+            base=config, eta_values=(0.5,), delta_values=(0.05,),
+            policies=("first",), n_episodes=1, seed=5,
+        )
+        emit_plot_data(run_sweep(spec), tmp_path)
+        (cell,) = json.loads((tmp_path / "manifest.json").read_text())["cells"]
+        assert cell["mc_z"] is None
+        assert cell["stopped_mass"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("count", [True, 2.7, 0])
+    def test_bad_episode_counts_rejected(self, small_base, count):
+        config, _ = small_base
+        spec = SweepSpec(base=config, eta_values=(1.0,), delta_values=(0.1,),
+                         n_episodes=count)
+        with pytest.raises(ValueError, match="n_episodes"):
+            spec.validate()
+
     def test_reruns_are_byte_identical(self, small_base, tmp_path):
         config, _ = small_base
         spec = SweepSpec(

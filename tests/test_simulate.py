@@ -1,22 +1,26 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import small_instance
+from oracles import reference_run_policy
+from relaymdp._kernels import CONTINUE, NO_ACTION, PROBE, STOP
 from relaymdp.dp_complete import solve_complete
 from relaymdp.dp_complete import initial_value as complete_initial_value
 from relaymdp.dp_restricted import IllegalActionError, backward_induction
 from relaymdp.dp_restricted import initial_value as restricted_initial_value
+from relaymdp.experiments import baseline_components, complete_components
 from relaymdp.model import ModelConfig, reward_grid
 from relaymdp.simulate import (
-    Action,
-    Decision,
+    EPISODES_PER_BLOCK,
     GlbOptPolicy,
     Policy,
     ProbeFirstPolicy,
     RstOptPolicy,
-    episode_rng,
+    block_rng,
+    episode_outcomes,
     monte_carlo,
     run_policy,
     sample_episode,
@@ -29,53 +33,78 @@ def sim_instance():
     return config, family
 
 
+def make_policy(name, family, config):
+    if name == "rst":
+        return RstOptPolicy(backward_induction(family, config))
+    if name == "glb":
+        return GlbOptPolicy(solve_complete(family, config))
+    return ProbeFirstPolicy(family, config)
+
+
+def table_policy(levels):
+    policy = Policy()
+    policy.levels = levels
+    return policy
+
+
+def corrupted(levels):
+    """A copy of solved levels whose action and target tables may be edited."""
+    return dataclasses.replace(
+        levels,
+        actions=[[a.copy() for a in stage] for stage in levels.actions],
+        probe_targets=[[t.copy() for t in stage] for stage in levels.probe_targets],
+    )
+
+
 class TestSampling:
+    def test_blocks_have_the_fixed_size(self, sim_instance):
+        config, family = sim_instance
+        block = sample_episode(family, config, block_rng(0, 0))
+        assert len(block) == EPISODES_PER_BLOCK
+        assert block.wake_times.shape == (EPISODES_PER_BLOCK, config.n_relays)
+        assert block.locations.shape == block.reward_bins.shape == block.wake_times.shape
+
     def test_deterministic_wakeup_law(self, sim_instance):
         _, family = sim_instance
         config = ModelConfig(
             n_locations=5, n_reward_bins=20, wakeup_law="deterministic", tau=0.2
         )
-        episode = sample_episode(family, config, episode_rng(0, 0))
-        assert np.allclose(episode.wake_times, [0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-15)
+        block = sample_episode(family, config, block_rng(0, 0))
+        assert np.allclose(block.wake_times, [0.2, 0.4, 0.6, 0.8, 1.0], atol=1e-15)
 
     def test_exponential_interwake_mean(self, sim_instance):
         config, family = sim_instance
         n = 100_000
-        rng = episode_rng(123, 0)
-        total = 0.0
-        count = 0
-        for _ in range(n // config.n_relays):
-            episode = sample_episode(family, config, rng)
-            inter = np.diff(np.concatenate(([0.0], episode.wake_times)))
-            total += inter.sum()
-            count += len(inter)
-        mean = total / count
-        se = config.tau / math.sqrt(count)  # exponential: sd == mean
-        assert abs(mean - config.tau) <= 3 * se
+        inter = []
+        for j in range(math.ceil(n / config.n_relays / EPISODES_PER_BLOCK)):
+            block = sample_episode(family, config, block_rng(123, j))
+            inter.append(np.diff(block.wake_times, axis=1, prepend=0.0).ravel())
+        inter = np.concatenate(inter)[:n]
+        se = config.tau / math.sqrt(len(inter))  # exponential: sd == mean
+        assert abs(inter.mean() - config.tau) <= 3 * se
 
     def test_replay_is_bit_identical(self, sim_instance):
         config, family = sim_instance
-        for index in (0, 1, 17):
-            e1 = sample_episode(family, config, episode_rng(42, index))
-            e2 = sample_episode(family, config, episode_rng(42, index))
-            assert np.array_equal(e1.wake_times, e2.wake_times)
-            assert np.array_equal(e1.locations, e2.locations)
-            assert np.array_equal(e1.reward_bins, e2.reward_bins)
+        for j in (0, 1, 17):
+            b1 = sample_episode(family, config, block_rng(42, j))
+            b2 = sample_episode(family, config, block_rng(42, j))
+            assert np.array_equal(b1.wake_times, b2.wake_times)
+            assert np.array_equal(b1.locations, b2.locations)
+            assert np.array_equal(b1.reward_bins, b2.reward_bins)
 
     def test_distinct_indices_give_distinct_episodes(self, sim_instance):
         config, family = sim_instance
-        e1 = sample_episode(family, config, episode_rng(42, 0))
-        e2 = sample_episode(family, config, episode_rng(42, 1))
-        assert not np.array_equal(e1.wake_times, e2.wake_times)
+        b1 = sample_episode(family, config, block_rng(42, 0))
+        b2 = sample_episode(family, config, block_rng(42, 1))
+        assert not np.array_equal(b1.wake_times, b2.wake_times)
+        assert len(np.unique(b1.wake_times[:, 0])) == EPISODES_PER_BLOCK
 
     def test_latent_bins_follow_the_location_pmfs(self, sim_instance):
         config, family = sim_instance
-        counts = np.zeros((len(family), family.n_bins))
         n = 4000
-        for i in range(n):
-            ep = sample_episode(family, config, episode_rng(9, i))
-            for loc, r in zip(ep.locations, ep.reward_bins):
-                counts[loc, r] += 1
+        block = sample_episode(family, config, block_rng(9, 0)).head(n)
+        counts = np.zeros((len(family), family.n_bins))
+        np.add.at(counts, (block.locations.ravel(), block.reward_bins.ravel()), 1)
         for l in range(len(family)):
             total = counts[l].sum()
             empirical = counts[l] / total
@@ -86,125 +115,210 @@ class TestSampling:
                 assert abs(empirical[r] - p) <= 5 * sd + 1e-9
 
     def test_bins_invert_each_locations_cdf(self, sim_instance):
-        # the same draws as sample_episode, binned relay by relay
+        # the same draws as sample_episode: all wake times, all locations, all
+        # uniforms; each binned by counting its location's cdf entries at or
+        # below it, and relay by relay with searchsorted
         config, family = sim_instance
+        shape = (EPISODES_PER_BLOCK, config.n_relays)
         top = family.n_bins - 1
+        rng = block_rng(5, 0)
+        rng.exponential(config.tau, size=shape)
+        locations = rng.integers(len(family), size=shape)
+        u = rng.random(shape)
+        counted = np.minimum((family.cdf_matrix[locations] <= u[..., None]).sum(-1), top)
+        block = sample_episode(family, config, block_rng(5, 0))
+        assert np.array_equal(block.locations, locations)
+        assert np.array_equal(block.reward_bins, counted)
         for i in range(500):
-            rng = episode_rng(5, i)
-            rng.exponential(config.tau, size=config.n_relays)
-            locations = rng.integers(len(family), size=config.n_relays)
-            u = rng.random(config.n_relays)
             expected = [min(int(np.searchsorted(family.cdf_matrix[l], x, side="right")), top)
-                        for l, x in zip(locations, u)]
-            episode = sample_episode(family, config, episode_rng(5, i))
-            assert episode.reward_bins.tolist() == expected
+                        for l, x in zip(locations[i], u[i])]
+            assert block.reward_bins[i].tolist() == expected
 
 
 class TestRunPolicy:
     def test_probe_first_baseline(self, sim_instance):
         config, family = sim_instance
         grid = reward_grid(family.n_bins)
-        for i in range(20):
-            episode = sample_episode(family, config, episode_rng(5, i))
-            out = run_policy(episode, ProbeFirstPolicy(), family, config)
-            assert out.probes == 1
-            assert out.stop_stage == 1
-            assert out.delay == episode.wake_times[0]
-            assert out.reward == grid[episode.reward_bins[0]]
-            assert out.cost == pytest.approx(
-                -config.eta * out.reward + config.eta * config.delta, abs=1e-12
-            )
-            assert out.effective_reward == pytest.approx(
-                out.reward - config.delta, abs=1e-12
-            )
+        block = sample_episode(family, config, block_rng(5, 0))
+        out = run_policy(block, ProbeFirstPolicy(family, config), family, config)
+        assert np.all(out.probes == 1)
+        assert np.all(out.stop_stage == 1)
+        assert np.array_equal(out.delay, block.wake_times[:, 0])
+        assert np.array_equal(out.reward, grid[block.reward_bins[:, 0]])
+        assert np.allclose(out.cost, -config.eta * out.reward + config.eta * config.delta,
+                           rtol=0, atol=1e-12)
+        assert np.allclose(out.effective_reward, out.reward - config.delta, rtol=0, atol=1e-12)
+
+    def test_probe_first_levels_reproduce_the_baseline(self, sim_instance):
+        config, family = sim_instance
+        levels = ProbeFirstPolicy(family, config).levels
+        comps, baseline = complete_components(levels), baseline_components(family, config)
+        assert levels.capacity == 1
+        assert complete_initial_value(levels) == pytest.approx(baseline.cost, abs=1e-12)
+        for name in ("waiting", "reward", "probes", "cost", "stopped_mass"):
+            assert getattr(comps, name) == pytest.approx(getattr(baseline, name), abs=1e-12)
 
     def test_tiny_eta_optimal_behaves_like_baseline(self, sim_instance):
         _, family = sim_instance
         config = ModelConfig(n_locations=5, n_reward_bins=20, eta=1e-4, delta=0.05)
-        tables = backward_induction(family, config)
-        policy = RstOptPolicy(tables)
-        for i in range(50):
-            episode = sample_episode(family, config, episode_rng(11, i))
-            out = run_policy(episode, policy, family, config)
-            assert out.stop_stage == 1 and out.probes == 1
+        policy = RstOptPolicy(backward_induction(family, config))
+        block = sample_episode(family, config, block_rng(11, 0))
+        out = run_policy(block, policy, family, config)
+        assert np.all(out.stop_stage == 1) and np.all(out.probes == 1)
 
     def test_outcome_identities(self, sim_instance):
         config, family = sim_instance
-        tables = backward_induction(family, config)
-        policy = RstOptPolicy(tables)
-        for i in range(100):
-            episode = sample_episode(family, config, episode_rng(3, i))
-            out = run_policy(episode, policy, family, config)
-            waiting = out.delay - episode.wake_times[0]
-            assert out.cost == pytest.approx(
-                waiting - config.eta * out.reward
-                + config.eta * config.delta * out.probes,
-                abs=1e-12,
-            )
-            assert 0 <= out.probes <= out.stop_stage
-            assert out.delay in episode.wake_times
-
-    def test_illegal_continue_at_last_stage(self, sim_instance):
-        config, family = sim_instance
-
-        class Stubborn(Policy):
-            def action(self, stage, best, awake):
-                if best is None and awake:
-                    return Decision(Action.PROBE, awake[0])
-                return Decision(Action.CONTINUE)
-
-        episode = sample_episode(family, config, episode_rng(0, 0))
-        with pytest.raises(IllegalActionError, match="last stage"):
-            run_policy(episode, Stubborn(), family, config)
-
-    def test_illegal_stop_with_nothing_probed(self, sim_instance):
-        config, family = sim_instance
-
-        class Eager(Policy):
-            def action(self, stage, best, awake):
-                return Decision(Action.STOP)
-
-        episode = sample_episode(family, config, episode_rng(0, 0))
-        with pytest.raises(IllegalActionError, match="nothing probed"):
-            run_policy(episode, Eager(), family, config)
-
-    def test_single_relay_horizon(self):
-        # N = 1: probe the only relay, then stop; both engines agree
-        config, family = small_instance(3, 8, 1, eta=2.0, delta=0.05)
-        rt = backward_induction(family, config)
-        ct = solve_complete(family, config)
-        for i in range(20):
-            episode = sample_episode(family, config, episode_rng(8, i))
-            for policy in (RstOptPolicy(rt), GlbOptPolicy(ct)):
-                out = run_policy(episode, policy, family, config)
-                assert out.stop_stage == 1 and out.probes == 1
+        block = sample_episode(family, config, block_rng(3, 0))
+        out = run_policy(block, make_policy("rst", family, config), family, config)
+        waiting = out.delay - block.wake_times[:, 0]
+        assert np.allclose(
+            out.cost,
+            waiting - config.eta * out.reward + config.eta * config.delta * out.probes,
+            rtol=0, atol=1e-12,
+        )
+        assert np.all((out.probes >= 0) & (out.probes <= out.stop_stage))
+        assert np.array_equal(out.delay, block.wake_times[np.arange(len(block)),
+                                                          out.stop_stage - 1])
 
     def test_complete_engine_probes_requested_type(self, sim_instance):
         config, family = sim_instance
-        tables = solve_complete(family, config)
-        policy = GlbOptPolicy(tables)
-        for i in range(50):
-            episode = sample_episode(family, config, episode_rng(21, i))
-            out = run_policy(episode, policy, family, config)
-            assert 1 <= out.probes <= config.n_relays
-            assert out.delay in episode.wake_times
+        block = sample_episode(family, config, block_rng(21, 0))
+        out = run_policy(block, make_policy("glb", family, config), family, config)
+        assert np.all((out.probes >= 1) & (out.probes <= config.n_relays))
+        assert np.array_equal(out.delay, block.wake_times[np.arange(len(block)),
+                                                          out.stop_stage - 1])
+
+    def test_single_relay_horizon(self):
+        # N = 1: probe the only relay, then stop, under both classes
+        config, family = small_instance(3, 8, 1, eta=2.0, delta=0.05)
+        block = sample_episode(family, config, block_rng(8, 0))
+        for name in ("rst", "glb", "first"):
+            out = run_policy(block, make_policy(name, family, config), family, config)
+            assert np.all(out.stop_stage == 1) and np.all(out.probes == 1)
+
+    # illegal actions, on corrupted copies of solved tables: the engine names
+    # the state of the first offending episode
+
+    def test_illegal_continue_at_last_stage(self, sim_instance):
+        # probe while nothing is probed, else continue, also at the last stage
+        config, family = sim_instance
+        levels = corrupted(RstOptPolicy(backward_induction(family, config)).levels)
+        none = levels.none_index
+        for acts, tgts in zip(levels.actions, levels.probe_targets):
+            for act in acts:
+                act[:, :none] = CONTINUE
+            acts[1][:, none] = PROBE
+            tgts[1][:, none] = np.arange(len(family))
+        block = sample_episode(family, config, block_rng(0, 0))
+        with pytest.raises(IllegalActionError,
+                           match=r"last stage \(stage 5, episode 0, best=\d+, awake types"):
+            run_policy(block, table_policy(levels), family, config)
+
+    def test_illegal_stop_with_nothing_probed(self, sim_instance):
+        config, family = sim_instance
+        levels = corrupted(solve_complete(family, config))
+        for acts in levels.actions:
+            for act in acts:
+                act[:] = STOP
+        block = sample_episode(family, config, block_rng(0, 0))
+        first = int(block.locations[0, 0])
+        with pytest.raises(IllegalActionError, match=(
+                rf"nothing probed \(stage 1, episode 0, best=None, awake types \({first},\)\)")):
+            run_policy(block, table_policy(levels), family, config)
+
+    def test_probe_target_not_awake(self, sim_instance):
+        config, family = sim_instance
+        levels = corrupted(ProbeFirstPolicy(family, config).levels)
+        n_loc = len(family)
+        levels.probe_targets[0][1][:, levels.none_index] = (np.arange(n_loc) + 1) % n_loc
+        block = sample_episode(family, config, block_rng(0, 0))
+        first = int(block.locations[0, 0])
+        with pytest.raises(IllegalActionError, match=(
+                rf"target type {(first + 1) % n_loc} not awake \(stage 1, episode 0, "
+                rf"best=None, awake types \({first},\)\)")):
+            run_policy(block, table_policy(levels), family, config)
+
+    def test_no_action(self, sim_instance):
+        config, family = sim_instance
+        levels = corrupted(solve_complete(family, config))
+        levels.actions[0][1][:] = NO_ACTION
+        block = sample_episode(family, config, block_rng(0, 0))
+        with pytest.raises(IllegalActionError,
+                           match=r"no legal action \(code -1\) \(stage 1, episode 0, best=None"):
+            run_policy(block, table_policy(levels), family, config)
+
+    def test_first_offending_episode_is_named(self, sim_instance):
+        # only episodes whose first relay has type 2 meet the NO_ACTION row
+        config, family = sim_instance
+        levels = corrupted(solve_complete(family, config))
+        levels.actions[0][1][2] = NO_ACTION
+        block = sample_episode(family, config, block_rng(0, 0))
+        first = int(np.flatnonzero(block.locations[:, 0] == 2)[0])
+        with pytest.raises(IllegalActionError, match=rf"\(stage 1, episode {first}, best=None"):
+            run_policy(block, table_policy(levels), family, config)
+
+
+class TestEngineAgreement:
+    """The batched engine against the scalar reference, episode by episode."""
+
+    @pytest.fixture(scope="class")
+    def reference_instance(self, default_config, default_family):
+        return default_config.with_overrides(eta=10.0), default_family
+
+    @pytest.mark.parametrize("delta", [0.1, 0.01, 0.0])
+    @pytest.mark.parametrize("name", ["rst", "glb", "first"])
+    @pytest.mark.parametrize("instance", ["small", "reference"])
+    def test_every_episode_matches_the_reference(self, instance, name, delta, sim_instance,
+                                                 reference_instance):
+        config, family = sim_instance if instance == "small" else reference_instance
+        config = config.with_overrides(delta=delta)
+        policy = make_policy(name, family, config)
+        seen = set()
+        for j in (0, 5):
+            block = sample_episode(family, config, block_rng(31, j))
+            out = run_policy(block, policy, family, config)
+            got = zip(out.delay.tolist(), out.reward.tolist(), out.probes.tolist(),
+                      out.cost.tolist(), out.effective_reward.tolist(), out.stop_stage.tolist())
+            for i, outcome in enumerate(got):
+                expected, events = reference_run_policy(block, i, policy, family, config)
+                assert outcome == expected, (j, i)
+                seen |= events
+        # the blocks cover repeated awake types and overflow drops of an
+        # awake relay wherever probing costs something
+        if delta > 0 and name == "glb":
+            assert "repeat" in seen
+        if delta > 0 and name == "rst":
+            assert "swap" in seen
 
 
 class TestMonteCarlo:
     def test_single_episode_estimates_equal_outcome(self, sim_instance):
         config, family = sim_instance
-        policy = ProbeFirstPolicy()
+        policy = ProbeFirstPolicy(family, config)
         est = monte_carlo(family, config, policy, 1, seed=77)
-        episode = sample_episode(family, config, episode_rng(77, 0))
-        out = run_policy(episode, policy, family, config)
+        block = sample_episode(family, config, block_rng(77, 0))
+        out = run_policy(block.head(1), policy, family, config)
         assert est.zero_variance
-        assert est.mean_cost == out.cost
-        assert est.mean_delay == out.delay
+        assert est.mean_cost == out.cost[0]
+        assert est.mean_delay == out.delay[0]
         assert est.se_cost == 0.0
+
+    @pytest.mark.parametrize("name", ["rst", "glb"])
+    def test_episodes_do_not_depend_on_the_run_length(self, sim_instance, name):
+        # counts that are not multiples of the block size: episode i is the
+        # same in every run of more than i episodes
+        config, family = sim_instance
+        policy = make_policy(name, family, config)
+        longest = episode_outcomes(family, config, policy, 2 * EPISODES_PER_BLOCK + 123, seed=4)
+        for n in (1, 1000, EPISODES_PER_BLOCK + 7):
+            out = episode_outcomes(family, config, policy, n, seed=4)
+            for field in dataclasses.fields(out):
+                assert np.array_equal(getattr(out, field.name),
+                                      getattr(longest, field.name)[:n]), (n, field.name)
 
     def test_seeded_estimates_are_reproducible(self, sim_instance):
         config, family = sim_instance
-        policy = ProbeFirstPolicy()
+        policy = ProbeFirstPolicy(family, config)
         e1 = monte_carlo(family, config, policy, 500, seed=11)
         e2 = monte_carlo(family, config, policy, 500, seed=11)
         assert e1 == e2
@@ -251,7 +365,7 @@ class TestMonteCarlo:
 
     def test_estimates_serialize_with_interface_names(self, sim_instance):
         config, family = sim_instance
-        est = monte_carlo(family, config, ProbeFirstPolicy(), 10, seed=1)
+        est = monte_carlo(family, config, ProbeFirstPolicy(family, config), 10, seed=1)
         payload = est.to_json()
         assert {"mean_D", "se_D", "mean_R", "se_R", "mean_M", "se_M",
                 "mean_cost", "se_cost", "mean_eff_reward", "se_eff_reward",
@@ -260,4 +374,10 @@ class TestMonteCarlo:
     def test_zero_episodes_rejected(self, sim_instance):
         config, family = sim_instance
         with pytest.raises(ValueError):
-            monte_carlo(family, config, ProbeFirstPolicy(), 0, seed=0)
+            monte_carlo(family, config, ProbeFirstPolicy(family, config), 0, seed=0)
+
+    @pytest.mark.parametrize("count", [True, 2.7, 2.0, "10"])
+    def test_non_integral_episode_counts_rejected(self, sim_instance, count):
+        config, family = sim_instance
+        with pytest.raises(ValueError, match="n_episodes must be an integer"):
+            monte_carlo(family, config, ProbeFirstPolicy(family, config), count, seed=0)
