@@ -42,11 +42,7 @@ from .dp_complete import initial_value as complete_initial_value
 from .simulate import (
     EpisodeBlock,
     Estimates,
-    GlbOptPolicy,
     Outcomes,
-    Policy,
-    ProbeFirstPolicy,
-    RstOptPolicy,
     monte_carlo,
     run_policy,
     sample_episode,
@@ -61,6 +57,7 @@ from .experiments import (
     complete_components,
     default_eta_grid,
     emit_plot_data,
+    policy_levels,
     restricted_components,
     run_sweep,
 )

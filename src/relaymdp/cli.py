@@ -30,6 +30,7 @@ from .dp_restricted import (
 )
 from .dp_restricted import initial_value as restricted_initial_value
 from .experiments import (
+    POLICY_NAMES,
     InfeasibleGammaError,
     SweepSpec,
     calibrate_eta,
@@ -37,6 +38,7 @@ from .experiments import (
     config_hash,
     default_eta_grid,
     emit_plot_data,
+    policy_levels,
     restricted_components,
     run_sweep,
 )
@@ -47,7 +49,7 @@ from .model import (
     build_ordered_family,
     family_to_json,
 )
-from .simulate import GlbOptPolicy, ProbeFirstPolicy, RstOptPolicy, monte_carlo
+from .simulate import monte_carlo
 
 COMMANDS = (
     "solve-restricted", "solve-complete", "simulate", "verify", "sweep",
@@ -86,7 +88,7 @@ def _build_parser() -> _Parser:
             help="config override, e.g. eta=5.0 or sweep.n_episodes=500",
         )
         if name == "simulate":
-            p.add_argument("--policy", choices=("rst", "glb", "first"), default="rst")
+            p.add_argument("--policy", choices=POLICY_NAMES, default="rst")
             p.add_argument("--episodes", type=int, default=10000)
         if name == "calibrate":
             p.add_argument("--gamma", type=float, default=None,
@@ -237,13 +239,8 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
             )
 
     elif command == "simulate":
-        if args.policy == "rst":
-            policy = RstOptPolicy(backward_induction(family, config))
-        elif args.policy == "glb":
-            policy = GlbOptPolicy(solve_complete(family, config))
-        else:
-            policy = ProbeFirstPolicy(family, config)
-        estimates = monte_carlo(family, config, policy, args.episodes, args.seed)
+        levels = policy_levels(args.policy, family, config)
+        estimates = monte_carlo(levels, args.episodes, args.seed)
         payload = {"policy": args.policy, "eta": config.eta, "delta": config.delta}
         payload.update(estimates.to_json())
         artifacts.append(_write_json(out_dir, "estimates.json", payload).name)

@@ -179,7 +179,7 @@ def projected_state_count(n_types: int, n_bins: int, n_stages: int) -> int:
 
 
 def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
-               budget: int = DEFAULT_STATE_BUDGET, keep_costs: bool = False) -> tuple:
+               keep_costs: bool = False) -> tuple:
     """Solve the recursion of the policy class of the given capacity.
 
     Stages run from N down to 1 and multiset sizes from 0 up to min(k, c)
@@ -198,8 +198,8 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
     eta, delta, tau = config.eta, config.delta, config.tau
 
     projected = sum(_states_per_stage(n_types, n_bins, n_stages, capacity))
-    if projected > budget:
-        raise BudgetExceededError(projected, budget)
+    if projected > DEFAULT_STATE_BUDGET:
+        raise BudgetExceededError(projected, DEFAULT_STATE_BUDGET)
 
     space = multiset_space(n_types, min(capacity + 1, n_stages))
     pmf, cdf = family.pmf_matrix, family.cdf_matrix
@@ -288,11 +288,10 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
     return tables, probes, conts
 
 
-def solve_complete(family: OrderedFamily, config: ModelConfig,
-                   budget: int = DEFAULT_STATE_BUDGET) -> CompleteTables:
+def solve_complete(family: OrderedFamily, config: ModelConfig) -> CompleteTables:
     """Solve the complete-class recursion exactly for all stages: the shared
     induction at capacity N, where no wake-up overflows."""
-    return _induction(family, config, config.n_relays, budget)[0]
+    return _induction(family, config, config.n_relays)[0]
 
 
 def initial_value(tables: CompleteTables) -> float:
@@ -456,7 +455,7 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
 
 
 def policy_to_json(tables: CompleteTables) -> dict:
-    """Policy-only export (actions and probe targets, not values) to bound size."""
+    """Export of the actions and probe targets only, not the values, to bound size."""
     return {
         "n_stages": tables.n_stages,
         "n_bins": tables.n_bins,

@@ -10,10 +10,10 @@ levels ``backward_induction`` lays out as stagewise tables
     J_k(b, F_l)   states holding an unprobed relay of location type l,
 
 together with the continuing costs cc_k(b), cc_k(b, F_l), the probing cost
-cp_k(b, F_l) and the int8 action tables.  The stopping and probing sets,
-their thresholds, ``act`` and the structural checks read those tables;
-``restricted_levels`` turns them back into levels for the shared forward
-sweep and episode engine.
+cp_k(b, F_l) and the int8 action tables.  The structural checks read those
+tables; ``restricted_levels`` turns them back into levels, which the stopping
+and probing sets with their thresholds, ``act``, the shared forward sweep and
+the episode engine read.
 
 Stage k occupies array index k - 1.  The best-reward axis has one extra row
 appended (index n_bins) for the "nothing probed yet" state, whose stop cost is
@@ -27,9 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import (ACTION_OF_CODE, CONTINUE, NO_ACTION, PROBE, STOP, STRUCTURE_TOL,
-                       Action, IllegalActionError)
-from .dp_complete import CompleteTables, _induction, multiset_space
+from ._kernels import CONTINUE, PROBE, STOP, STRUCTURE_TOL, Action
+from .dp_complete import CompleteTables, _induction, act_complete, multiset_space
 from .model import ModelConfig, OrderedFamily, reward_grid
 
 
@@ -162,11 +161,16 @@ def extract_thresholds(tables: RestrictedTables) -> ThresholdSummary:
     NonThresholdSetError if any stopping set fails to be an up-set of the
     reward grid.
     """
-    n_bins = tables.n_bins
-    n_loc = tables.act_bf.shape[2]
-    n_dec = max(tables.n_stages - 1, 0)
-    act_bf = tables.act_bf[:n_dec, :n_bins, :]
-    s_flags = tables.act_b[:n_dec, :n_bins] == STOP
+    return level_thresholds(restricted_levels(tables))
+
+
+def level_thresholds(levels: CompleteTables) -> ThresholdSummary:
+    """``extract_thresholds`` read off capacity-1 levels: the size-0 level
+    holds the bare states, the size-1 level the retaining ones."""
+    n_bins, n_loc = levels.n_bins, len(levels.family)
+    n_dec = max(levels.n_stages - 1, 0)
+    s_flags = np.stack([lv[0][0] for lv in levels.actions])[:n_dec, :n_bins] == STOP
+    act_bf = np.stack([lv[1].T for lv in levels.actions])[:n_dec, :n_bins]
     s_l_flags = act_bf == STOP
     q_flags = act_bf != CONTINUE
     p_flags = act_bf == PROBE
@@ -190,30 +194,16 @@ def extract_thresholds(tables: RestrictedTables) -> ThresholdSummary:
 def act(
     state: tuple[BestReward, Optional[int], int], tables: RestrictedTables
 ) -> Action:
-    """Optimal action at (best reward, retained distribution or None, stage),
-    read from the action tables.
+    """Optimal action at (best reward, retained distribution or None, stage):
+    ``act_complete`` on the capacity-1 levels of the tables.
 
     The retained-distribution slot being None marks a bare state, reached
     immediately after probing.  Which relay a CONTINUE retains is up to the
     overflow rule (``CompleteTables.overflow_keep``) at the next wake-up.
     """
     best, dist, stage = state
-    n_bins, n_loc = tables.n_bins, tables.act_bf.shape[2]
-    if not 1 <= stage <= tables.n_stages:
-        raise ValueError(f"stage {stage} outside 1..{tables.n_stages}")
-    if best is not None and not 0 <= best < n_bins:
-        raise ValueError(f"best-reward index {best} outside the grid")
-    if dist is not None and not 0 <= dist < n_loc:
-        raise ValueError(f"distribution index {dist} outside the family")
-
-    i = stage - 1
-    b = tables.none_index if best is None else best
-    code = tables.act_b[i, b] if dist is None else tables.act_bf[i, b, dist]
-    if code == NO_ACTION:
-        raise IllegalActionError(
-            f"no legal action at stage {stage} with best={best}, dist={dist}"
-        )
-    return ACTION_OF_CODE[code]
+    awake = () if dist is None else (dist,)
+    return act_complete((stage, best, awake), restricted_levels(tables)).kind
 
 
 def initial_value(tables: RestrictedTables) -> float:

@@ -13,29 +13,22 @@ import csv
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from . import __version__
 from ._kernels import CONTINUE, STOP
-from .dp_complete import (
-    BATCH_ELEMENTS,
-    BudgetExceededError,
-    CompleteTables,
-    DEFAULT_STATE_BUDGET,
-    solve_complete,
-)
+from .dp_complete import BATCH_ELEMENTS, BudgetExceededError, CompleteTables, solve_complete
 from .dp_complete import initial_value as complete_initial_value
 from .dp_restricted import (
     RestrictedTables,
     backward_induction,
-    extract_thresholds,
+    level_thresholds,
     restricted_levels,
 )
-from .dp_restricted import initial_value as restricted_initial_value
 from .model import (
     ModelConfig,
     OrderedFamily,
@@ -43,16 +36,22 @@ from .model import (
     build_ordered_family,
     reward_grid,
 )
-from .simulate import (
-    Estimates,
-    GlbOptPolicy,
-    ProbeFirstPolicy,
-    RstOptPolicy,
-    check_episode_count,
-    monte_carlo,
-)
+from .simulate import Estimates, check_episode_count, monte_carlo, probe_first_levels
 
 POLICY_NAMES = ("rst", "glb", "first")
+
+
+def policy_levels(name: str, family: OrderedFamily, config: ModelConfig) -> CompleteTables:
+    """The action tables of a named policy as levels of the capacity-c
+    induction: RST-OPT (capacity 1), GLB-OPT (capacity N) or the probe-first
+    baseline (capacity 1)."""
+    if name == "rst":
+        return restricted_levels(backward_induction(family, config))
+    if name == "glb":
+        return solve_complete(family, config)
+    if name == "first":
+        return probe_first_levels(family, config)
+    raise ValueError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
 
 
 class InfeasibleGammaError(ValueError):
@@ -210,7 +209,6 @@ class SweepSpec:
     policies: tuple[str, ...] = ("rst", "glb")
     n_episodes: int = 2000
     seed: int = 0
-    glb_budget: int = DEFAULT_STATE_BUDGET
     threads: int = 1
 
     def validate(self) -> "SweepSpec":
@@ -304,30 +302,19 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         config = spec.base.with_overrides(eta=eta, delta=delta)
         seed = _cell_seed(spec.seed, index)
         try:
-            if policy == "rst":
-                tables = backward_induction(family, config)
-                thresholds = extract_thresholds(tables)
-                comps = restricted_components(tables)
-                dp_value = restricted_initial_value(tables)
-                mc_policy = RstOptPolicy(tables)
-                snapshot = {"x": thresholds.x.tolist(), "x_l": thresholds.x_l.tolist()}
-            elif policy == "glb":
-                tables = solve_complete(family, config, budget=spec.glb_budget)
-                comps = complete_components(tables)
-                dp_value = complete_initial_value(tables)
-                mc_policy = GlbOptPolicy(tables)
-                snapshot = None
-            else:
-                comps = baseline_components(family, config)
-                dp_value = comps.cost
-                mc_policy = ProbeFirstPolicy(family, config)
-                snapshot = None
-            estimates = monte_carlo(family, config, mc_policy, spec.n_episodes, seed)
+            levels = policy_levels(policy, family, config)
+            comps = complete_components(levels)
+            dp_value = complete_initial_value(levels)
+            estimates = monte_carlo(levels, spec.n_episodes, seed)
         except BudgetExceededError as err:
             return SweepCell(
                 policy=policy, eta=eta, delta=delta,
                 status="budget_exceeded", message=str(err),
             )
+        snapshot = None
+        if policy == "rst":
+            thresholds = level_thresholds(levels)
+            snapshot = {"x": thresholds.x.tolist(), "x_l": thresholds.x_l.tolist()}
         return SweepCell(
             policy=policy, eta=eta, delta=delta, status="ok",
             dp_value=dp_value, components=comps, estimates=estimates,

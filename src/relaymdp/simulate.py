@@ -26,10 +26,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._kernels import CONTINUE, NO_ACTION, PROBE, STOP, Action, Decision, IllegalActionError
-from .dp_complete import CompleteTables, _ranked_members, act_complete, multiset_space
-from .dp_restricted import RestrictedTables, act, restricted_levels
+from ._kernels import CONTINUE, NO_ACTION, PROBE, STOP, IllegalActionError
+from .dp_complete import CompleteTables, _ranked_members, multiset_space
 from .model import ModelConfig, OrderedFamily, reward_grid
+
+# Nothing here calls these two; perfbench/tracing.py wraps them by their names
+# in this module, so the bindings stay.
+from .dp_complete import act_complete
+from .dp_restricted import act
 
 # Episodes drawn from one counter-based stream; fixed, so that episode i never
 # depends on how many episodes a run asks for.
@@ -135,58 +139,6 @@ def sample_episode(
                         reward_bins=bins)
 
 
-class Policy:
-    """A policy as its action tables: ``levels`` holds them as the levels of
-    the capacity-c induction (stage, multiset size), which ``run_policy``
-    reads; ``action`` answers the same decision for one state (stage, best
-    reward, awake types: the location types of the woken, unprobed relays in
-    wake order).  Past ``capacity`` unprobed relays, a wake-up follows the
-    overflow rule of the levels."""
-
-    name: str
-    levels: CompleteTables
-
-    @property
-    def capacity(self) -> int:
-        return self.levels.capacity
-
-    def action(self, stage: int, best, awake: tuple[int, ...]) -> Decision:
-        return act_complete((stage, best, awake), self.levels)
-
-
-class RstOptPolicy(Policy):
-    """Optimal restricted-class policy read off the solved tables."""
-
-    name = "rst"
-
-    def __init__(self, tables: RestrictedTables):
-        self.tables = tables
-        self.levels = restricted_levels(tables)
-
-    def action(self, stage, best, awake):
-        dist = awake[0] if awake else None
-        kind = act((best, dist, stage), self.tables)
-        return Decision(kind, dist if kind is Action.PROBE else None)
-
-
-class GlbOptPolicy(Policy):
-    """Optimal complete-class policy read off the solved tables."""
-
-    name = "glb"
-
-    def __init__(self, tables: CompleteTables):
-        self.levels = tables
-
-
-class ProbeFirstPolicy(Policy):
-    """Baseline: probe the first relay that wakes and forward to it."""
-
-    name = "first"
-
-    def __init__(self, family: OrderedFamily, config: ModelConfig):
-        self.levels = probe_first_levels(family, config)
-
-
 def probe_first_levels(family: OrderedFamily, config: ModelConfig) -> CompleteTables:
     """The probe-first baseline as capacity-1 levels: at stage 1 it probes the
     awake relay while nothing is probed and stops otherwise; the values are
@@ -213,13 +165,9 @@ def probe_first_levels(family: OrderedFamily, config: ModelConfig) -> CompleteTa
     )
 
 
-def run_policy(
-    block: EpisodeBlock,
-    policy: Policy,
-    family: OrderedFamily,
-    config: ModelConfig,
-) -> Outcomes:
-    """Replay every episode of a block against a policy's action tables.
+def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
+    """Replay every episode of a block against a policy's action tables, the
+    levels of the capacity-c induction, under their family and config.
 
     Stage by stage, each live episode reads its action at (stage, best,
     awake multiset), largest multisets first, so an episode that probes is
@@ -232,7 +180,6 @@ def run_policy(
     awake, continue at the last stage, NO_ACTION) raise IllegalActionError
     naming the state of the first offending episode.
     """
-    levels = policy.levels
     space, capacity, none = levels.space, levels.capacity, levels.none_index
     loc, bins = block.locations, block.reward_bins
     n, n_stages = loc.shape
@@ -298,16 +245,16 @@ def run_policy(
             swap = kept != g  # else the newcomer is dropped
             e, t, g, kept = e[swap], t[swap], g[swap], kept[swap]
             joined = space.plus[capacity][t, g]
-            types, rests = _ranked_members(space, capacity + 1, tuple(family.rank))
+            types, rests = _ranked_members(space, capacity + 1, tuple(levels.family.rank))
             dropped = types[joined, (rests[joined] == kept[:, None]).argmax(axis=1)]
             awake[e, (awake[e] & (loc[e] == dropped[:, None])).argmax(axis=1)] = False
             awake[e, k] = True
             row[e] = kept
 
-    reward = reward_grid(family.n_bins)[best]
+    reward = reward_grid(levels.n_bins)[best]
     delay = block.wake_times[np.arange(n), stop_stage - 1]
     waiting = delay - block.wake_times[:, 0]
-    eta, delta = config.eta, config.delta
+    eta, delta = levels.config.eta, levels.config.delta
     return Outcomes(
         delay=delay,
         reward=reward,
@@ -351,34 +298,22 @@ def check_episode_count(n_episodes) -> int:
     return int(n_episodes)
 
 
-def episode_outcomes(
-    family: OrderedFamily,
-    config: ModelConfig,
-    policy: Policy,
-    n_episodes: int,
-    seed: int,
-) -> Outcomes:
-    """Outcomes of episodes 0 .. n_episodes - 1 under a master seed, drawn and
-    replayed a block at a time."""
+def episode_outcomes(levels: CompleteTables, n_episodes: int, seed: int) -> Outcomes:
+    """Outcomes of episodes 0 .. n_episodes - 1 of a policy's levels under a
+    master seed, drawn and replayed a block at a time."""
     count = check_episode_count(n_episodes)
     parts = []
     for j, first in enumerate(range(0, count, EPISODES_PER_BLOCK)):
-        block = sample_episode(family, config, block_rng(seed, j))
-        parts.append(run_policy(block.head(count - first), policy, family, config))
+        block = sample_episode(levels.family, levels.config, block_rng(seed, j))
+        parts.append(run_policy(block.head(count - first), levels))
     return Outcomes(*(np.concatenate([getattr(p, f.name) for p in parts])
                       for f in fields(Outcomes)))
 
 
-def monte_carlo(
-    family: OrderedFamily,
-    config: ModelConfig,
-    policy: Policy,
-    n_episodes: int,
-    seed: int,
-) -> Estimates:
+def monte_carlo(levels: CompleteTables, n_episodes: int, seed: int) -> Estimates:
     """Estimate E[D], E[R], E[M], the Lagrangian cost and the effective reward
-    over the episodes of a master seed."""
-    out = episode_outcomes(family, config, policy, n_episodes, seed)
+    of a policy's levels over the episodes of a master seed."""
+    out = episode_outcomes(levels, n_episodes, seed)
     columns = (out.delay, out.reward, out.probes, out.cost, out.effective_reward)
     means = [float(c.mean()) for c in columns]
     if n_episodes >= 2:

@@ -490,16 +490,17 @@ def probe_largest_violations(tables, tol: float = 1e-9) -> int:
 # episode replay: one policy query per decision, one episode at a time
 # ---------------------------------------------------------------------------
 
-def reference_run_policy(block, index, policy, family, config):
-    """Replay episode ``index`` of a block decision by decision through
-    ``policy.action``: the scalar ground truth of the batched engine.
+def reference_run_policy(block, index, levels):
+    """Replay episode ``index`` of a block against a policy's levels decision
+    by decision through ``act_complete``: the scalar ground truth of the
+    batched engine.
 
     Returns ``(outcome, events)``: outcome is (delay, reward, probes, cost,
     effective_reward, stop_stage) in Python numbers, and events holds
     "repeat" when the awake relays ever held two of one type and "swap" when
     an overflow dropped an awake relay in place of the newcomer.
     """
-    from relaymdp import Action, IllegalActionError
+    from relaymdp import Action, IllegalActionError, act_complete
     from relaymdp.model import reward_grid
 
     locations = block.locations[index].tolist()
@@ -515,7 +516,7 @@ def reference_run_policy(block, index, policy, family, config):
         types = tuple(locations[r] for r in awake)
         if len(set(types)) < len(types):
             events.add("repeat")
-        decision = policy.action(stage, best, types)
+        decision = act_complete((stage, best, types), levels)
         if decision.kind is Action.STOP:
             if best is None:
                 raise IllegalActionError(
@@ -535,19 +536,19 @@ def reference_run_policy(block, index, policy, family, config):
                     f"continue at the last stage (best={best}, awake types {types})")
             awake.append(stage)  # 0-based index of the relay waking at stage+1
             stage += 1
-            if len(awake) > policy.capacity:
+            if len(awake) > levels.capacity:
                 types = tuple(locations[r] for r in awake)
-                drop = _overflow_drop(policy.levels, stage, best, types)
+                drop = _overflow_drop(levels, stage, best, types)
                 if drop != len(types) - 1:
                     events.add("swap")
                 awake.pop(drop)
         else:
             raise IllegalActionError(f"unknown action {decision!r} at stage {stage}")
 
-    reward = float(reward_grid(family.n_bins)[best])
+    reward = float(reward_grid(levels.n_bins)[best])
     delay = wake_times[stage - 1]
     waiting = delay - wake_times[0]
-    eta, delta = config.eta, config.delta
+    eta, delta = levels.config.eta, levels.config.delta
     outcome = (delay, reward, probes, waiting - eta * reward + eta * delta * probes,
                reward - delta * probes, stage)
     return outcome, events

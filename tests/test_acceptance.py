@@ -35,10 +35,11 @@ from relaymdp.dp_restricted import initial_value as restricted_initial_value
 from relaymdp.experiments import (
     complete_components,
     default_eta_grid,
+    policy_levels,
     restricted_components,
 )
 from relaymdp.model import ModelConfig, build_forwarding_region, build_ordered_family
-from relaymdp.simulate import GlbOptPolicy, RstOptPolicy, monte_carlo
+from relaymdp.simulate import monte_carlo
 
 DELTAS = (0.1, 0.01)
 
@@ -257,15 +258,9 @@ def test_criterion_8_dp_mc_consistency(default_config, default_family):
         config = default_config.with_overrides(eta=eta, delta=delta)
         for name in ("rst", "glb"):
             started = time.monotonic()
-            if name == "rst":
-                tables = backward_induction(default_family, config)
-                dp = restricted_initial_value(tables)
-                policy = RstOptPolicy(tables)
-            else:
-                tables = solve_complete(default_family, config)
-                dp = complete_initial_value(tables)
-                policy = GlbOptPolicy(tables)
-            est = monte_carlo(default_family, config, policy, 100_000, seed=2468)
+            levels = policy_levels(name, default_family, config)
+            dp = complete_initial_value(levels)
+            est = monte_carlo(levels, 100_000, seed=2468)
             elapsed = time.monotonic() - started
             z = abs(est.mean_cost - dp) / est.se_cost
             ok &= z <= 3.0 and elapsed < 120.0

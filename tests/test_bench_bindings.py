@@ -1,6 +1,7 @@
 """The traced benchmark run (perfbench/tracing.py) wraps package functions
-where their callers look them up, by (module, name).  A refactor that drops
-one of those bindings breaks the traced run, so it must fail here too."""
+where their callers look them up, by (module, name), and the benchmark reads
+more names directly.  A refactor that drops one of them breaks the benchmark,
+so it must fail here too."""
 import importlib
 import importlib.util
 from pathlib import Path
@@ -22,4 +23,25 @@ def test_every_traced_binding_resolves():
                 for name in names
                 if not callable(getattr(module, name, None))
             ]
+    assert not missing, missing
+
+
+# names perfbench/ reads outside the tracing tables: the workloads' oracle,
+# the set-up probe and the runner
+READ_DIRECTLY = (
+    "ModelConfig", "build_forwarding_region", "build_ordered_family", "backward_induction",
+    "solve_complete", "restricted_initial_value", "complete_initial_value", "calibrate_eta",
+    "experiments.baseline_components", "dp_complete.projected_state_count",
+    "dp_complete.multiset_space", "model.ModelConfig", "model.build_forwarding_region",
+    "model.build_ordered_family", "cli.main",
+)
+
+
+def test_every_name_read_directly_resolves():
+    missing = []
+    for dotted in READ_DIRECTLY:
+        *modules, name = dotted.split(".")
+        owner = importlib.import_module(".".join(["relaymdp", *modules]))
+        if not callable(getattr(owner, name, None)):
+            missing.append(f"relaymdp.{dotted}")
     assert not missing, missing

@@ -16,7 +16,7 @@ from oracles import (
     enumerate_complete_policies,
     probe_largest_violations,
 )
-from relaymdp._kernels import PROBE
+from relaymdp._kernels import PROBE, IllegalActionError
 from relaymdp.dp_complete import (
     BudgetExceededError,
     act_complete,
@@ -26,11 +26,7 @@ from relaymdp.dp_complete import (
     state_space_census,
     verify_complete_conjectures,
 )
-from relaymdp.dp_restricted import (
-    Action,
-    IllegalActionError,
-    backward_induction,
-)
+from relaymdp.dp_restricted import Action, backward_induction
 from relaymdp.dp_restricted import initial_value as restricted_initial_value
 from relaymdp.model import ModelConfig, reward_grid
 
@@ -268,9 +264,10 @@ class TestCensus:
 
 class TestGuards:
     def test_budget_error_reports_projection(self, default_config, default_family):
-        projected = projected_state_count(20, 100, 5)
+        projected = projected_state_count(20, 100, 7)
+        assert projected == 119_587_939
         with pytest.raises(BudgetExceededError) as err:
-            solve_complete(default_family, default_config, budget=1000)
+            solve_complete(default_family, default_config.with_overrides(n_relays=7))
         assert err.value.projected == projected
         assert str(projected) in str(err.value)
 

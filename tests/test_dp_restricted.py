@@ -14,10 +14,15 @@ from oracles import (
     restricted_tree_state_value,
     restricted_tree_value,
 )
-from relaymdp import ModelConfig, build_forwarding_region, build_ordered_family
+from relaymdp import (
+    IllegalActionError,
+    ModelConfig,
+    build_forwarding_region,
+    build_ordered_family,
+)
+from relaymdp._kernels import ACTION_OF_CODE, NO_ACTION
 from relaymdp.dp_restricted import (
     Action,
-    IllegalActionError,
     NonThresholdSetError,
     _pair_excess,
     _upset_min_index,
@@ -265,6 +270,33 @@ class TestAct:
             members = np.flatnonzero(thresholds.s_l_flags[k - 1, :, l])
             for b in members[-3:]:
                 assert act((int(b), l, k), tables) is Action.STOP
+
+    @pytest.mark.parametrize("delta", [0.1, 0.0])
+    @pytest.mark.parametrize("instance", ["small", "reference"])
+    def test_every_state_reads_the_action_tables(self, instance, delta, default_config,
+                                                 default_family):
+        # every (stage, best, retained type) against act_b and act_bf, the
+        # restricted solver's own layout of its actions
+        if instance == "small":
+            config, family = small_instance(5, 20, 5, eta=3.0, delta=delta, tau=0.2)
+        else:
+            config, family = default_config.with_overrides(eta=10.0, delta=delta), default_family
+        tables = backward_induction(family, config)
+        none = tables.none_index
+        seen = set()
+        for k in range(1, tables.n_stages + 1):
+            for b in range(none + 1):
+                for dist in (None, *range(len(family))):
+                    code = int(tables.act_b[k - 1, b] if dist is None
+                               else tables.act_bf[k - 1, b, dist])
+                    state = (None if b == none else b, dist, k)
+                    seen.add(code)
+                    if code == NO_ACTION:
+                        with pytest.raises(IllegalActionError):
+                            act(state, tables)
+                    else:
+                        assert act(state, tables) is ACTION_OF_CODE[code], state
+        assert seen == {NO_ACTION, *ACTION_OF_CODE}
 
     def test_unreachable_bare_none_state_raises(self, default_tables):
         with pytest.raises(IllegalActionError):

@@ -62,12 +62,13 @@ class TestExactComponents:
         assert comps.stopped_mass == pytest.approx(1.0, abs=1e-9)
 
     def test_components_match_monte_carlo(self, small_base):
-        from relaymdp.simulate import RstOptPolicy, monte_carlo
+        from relaymdp.dp_restricted import restricted_levels
+        from relaymdp.simulate import monte_carlo
 
         config, family = small_base
         tables = backward_induction(family, config)
         comps = restricted_components(tables)
-        est = monte_carlo(family, config, RstOptPolicy(tables), 30_000, seed=17)
+        est = monte_carlo(restricted_levels(tables), 30_000, seed=17)
         assert abs(est.mean_delay - comps.mean_delay) <= 3 * est.se_delay + 1e-12
         assert abs(est.mean_reward - comps.reward) <= 3 * est.se_reward
         assert abs(est.mean_probes - comps.probes) <= 3 * est.se_probes
@@ -135,11 +136,29 @@ class TestSweep:
                 3 * combined, 1e-12
             )
 
-    def test_budget_failures_do_not_kill_the_sweep(self, small_base):
-        config, _ = small_base
+    def test_probe_first_cells_match_the_closed_form(self, default_config, default_family):
+        # first cells come from the probe-first levels through the shared
+        # forward sweep; the closed form agrees to round-off
         spec = SweepSpec(
-            base=config, eta_values=(1.0,), delta_values=(0.1,),
-            policies=("rst", "glb"), n_episodes=50, seed=1, glb_budget=10,
+            base=default_config, eta_values=default_eta_grid(), delta_values=(0.1, 0.01, 0.0),
+            policies=("first",), n_episodes=100, seed=2,
+        )
+        result = run_sweep(spec)
+        assert len(result.cells) == 60
+        for cell in result.cells:
+            config = default_config.with_overrides(eta=cell.eta, delta=cell.delta)
+            closed = baseline_components(default_family, config)
+            assert cell.status == "ok"
+            assert cell.dp_value == pytest.approx(closed.cost, rel=0, abs=1e-12)
+            for name, value in vars(closed).items():
+                assert getattr(cell.components, name) == pytest.approx(value, rel=0, abs=1e-12)
+
+    def test_budget_failures_do_not_kill_the_sweep(self, default_config):
+        # seven relays project 119,587,939 complete-class memo entries, over
+        # the budget; the restricted class stays small
+        spec = SweepSpec(
+            base=default_config.with_overrides(n_relays=7), eta_values=(1.0,),
+            delta_values=(0.1,), policies=("rst", "glb"), n_episodes=50, seed=1,
         )
         result = run_sweep(spec)
         assert result.cell("rst", 1.0, 0.1).status == "ok"

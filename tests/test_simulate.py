@@ -6,22 +6,19 @@ import pytest
 
 from conftest import small_instance
 from oracles import reference_run_policy
-from relaymdp._kernels import CONTINUE, NO_ACTION, PROBE, STOP
+from relaymdp._kernels import CONTINUE, NO_ACTION, PROBE, STOP, IllegalActionError
 from relaymdp.dp_complete import solve_complete
 from relaymdp.dp_complete import initial_value as complete_initial_value
-from relaymdp.dp_restricted import IllegalActionError, backward_induction
+from relaymdp.dp_restricted import backward_induction, restricted_levels
 from relaymdp.dp_restricted import initial_value as restricted_initial_value
-from relaymdp.experiments import baseline_components, complete_components
+from relaymdp.experiments import baseline_components, complete_components, policy_levels
 from relaymdp.model import ModelConfig, reward_grid
 from relaymdp.simulate import (
     EPISODES_PER_BLOCK,
-    GlbOptPolicy,
-    Policy,
-    ProbeFirstPolicy,
-    RstOptPolicy,
     block_rng,
     episode_outcomes,
     monte_carlo,
+    probe_first_levels,
     run_policy,
     sample_episode,
 )
@@ -31,20 +28,6 @@ from relaymdp.simulate import (
 def sim_instance():
     config, family = small_instance(5, 20, 5, eta=3.0, delta=0.05, tau=0.2)
     return config, family
-
-
-def make_policy(name, family, config):
-    if name == "rst":
-        return RstOptPolicy(backward_induction(family, config))
-    if name == "glb":
-        return GlbOptPolicy(solve_complete(family, config))
-    return ProbeFirstPolicy(family, config)
-
-
-def table_policy(levels):
-    policy = Policy()
-    policy.levels = levels
-    return policy
 
 
 def corrupted(levels):
@@ -140,7 +123,7 @@ class TestRunPolicy:
         config, family = sim_instance
         grid = reward_grid(family.n_bins)
         block = sample_episode(family, config, block_rng(5, 0))
-        out = run_policy(block, ProbeFirstPolicy(family, config), family, config)
+        out = run_policy(block, probe_first_levels(family, config))
         assert np.all(out.probes == 1)
         assert np.all(out.stop_stage == 1)
         assert np.array_equal(out.delay, block.wake_times[:, 0])
@@ -151,7 +134,7 @@ class TestRunPolicy:
 
     def test_probe_first_levels_reproduce_the_baseline(self, sim_instance):
         config, family = sim_instance
-        levels = ProbeFirstPolicy(family, config).levels
+        levels = probe_first_levels(family, config)
         comps, baseline = complete_components(levels), baseline_components(family, config)
         assert levels.capacity == 1
         assert complete_initial_value(levels) == pytest.approx(baseline.cost, abs=1e-12)
@@ -161,15 +144,15 @@ class TestRunPolicy:
     def test_tiny_eta_optimal_behaves_like_baseline(self, sim_instance):
         _, family = sim_instance
         config = ModelConfig(n_locations=5, n_reward_bins=20, eta=1e-4, delta=0.05)
-        policy = RstOptPolicy(backward_induction(family, config))
+        levels = policy_levels("rst", family, config)
         block = sample_episode(family, config, block_rng(11, 0))
-        out = run_policy(block, policy, family, config)
+        out = run_policy(block, levels)
         assert np.all(out.stop_stage == 1) and np.all(out.probes == 1)
 
     def test_outcome_identities(self, sim_instance):
         config, family = sim_instance
         block = sample_episode(family, config, block_rng(3, 0))
-        out = run_policy(block, make_policy("rst", family, config), family, config)
+        out = run_policy(block, policy_levels("rst", family, config))
         waiting = out.delay - block.wake_times[:, 0]
         assert np.allclose(
             out.cost,
@@ -183,7 +166,7 @@ class TestRunPolicy:
     def test_complete_engine_probes_requested_type(self, sim_instance):
         config, family = sim_instance
         block = sample_episode(family, config, block_rng(21, 0))
-        out = run_policy(block, make_policy("glb", family, config), family, config)
+        out = run_policy(block, policy_levels("glb", family, config))
         assert np.all((out.probes >= 1) & (out.probes <= config.n_relays))
         assert np.array_equal(out.delay, block.wake_times[np.arange(len(block)),
                                                           out.stop_stage - 1])
@@ -193,7 +176,7 @@ class TestRunPolicy:
         config, family = small_instance(3, 8, 1, eta=2.0, delta=0.05)
         block = sample_episode(family, config, block_rng(8, 0))
         for name in ("rst", "glb", "first"):
-            out = run_policy(block, make_policy(name, family, config), family, config)
+            out = run_policy(block, policy_levels(name, family, config))
             assert np.all(out.stop_stage == 1) and np.all(out.probes == 1)
 
     # illegal actions, on corrupted copies of solved tables: the engine names
@@ -202,7 +185,7 @@ class TestRunPolicy:
     def test_illegal_continue_at_last_stage(self, sim_instance):
         # probe while nothing is probed, else continue, also at the last stage
         config, family = sim_instance
-        levels = corrupted(RstOptPolicy(backward_induction(family, config)).levels)
+        levels = corrupted(restricted_levels(backward_induction(family, config)))
         none = levels.none_index
         for acts, tgts in zip(levels.actions, levels.probe_targets):
             for act in acts:
@@ -212,7 +195,7 @@ class TestRunPolicy:
         block = sample_episode(family, config, block_rng(0, 0))
         with pytest.raises(IllegalActionError,
                            match=r"last stage \(stage 5, episode 0, best=\d+, awake types"):
-            run_policy(block, table_policy(levels), family, config)
+            run_policy(block, levels)
 
     def test_illegal_stop_with_nothing_probed(self, sim_instance):
         config, family = sim_instance
@@ -224,11 +207,11 @@ class TestRunPolicy:
         first = int(block.locations[0, 0])
         with pytest.raises(IllegalActionError, match=(
                 rf"nothing probed \(stage 1, episode 0, best=None, awake types \({first},\)\)")):
-            run_policy(block, table_policy(levels), family, config)
+            run_policy(block, levels)
 
     def test_probe_target_not_awake(self, sim_instance):
         config, family = sim_instance
-        levels = corrupted(ProbeFirstPolicy(family, config).levels)
+        levels = corrupted(probe_first_levels(family, config))
         n_loc = len(family)
         levels.probe_targets[0][1][:, levels.none_index] = (np.arange(n_loc) + 1) % n_loc
         block = sample_episode(family, config, block_rng(0, 0))
@@ -236,7 +219,7 @@ class TestRunPolicy:
         with pytest.raises(IllegalActionError, match=(
                 rf"target type {(first + 1) % n_loc} not awake \(stage 1, episode 0, "
                 rf"best=None, awake types \({first},\)\)")):
-            run_policy(block, table_policy(levels), family, config)
+            run_policy(block, levels)
 
     def test_no_action(self, sim_instance):
         config, family = sim_instance
@@ -245,7 +228,7 @@ class TestRunPolicy:
         block = sample_episode(family, config, block_rng(0, 0))
         with pytest.raises(IllegalActionError,
                            match=r"no legal action \(code -1\) \(stage 1, episode 0, best=None"):
-            run_policy(block, table_policy(levels), family, config)
+            run_policy(block, levels)
 
     def test_first_offending_episode_is_named(self, sim_instance):
         # only episodes whose first relay has type 2 meet the NO_ACTION row
@@ -255,7 +238,7 @@ class TestRunPolicy:
         block = sample_episode(family, config, block_rng(0, 0))
         first = int(np.flatnonzero(block.locations[:, 0] == 2)[0])
         with pytest.raises(IllegalActionError, match=rf"\(stage 1, episode {first}, best=None"):
-            run_policy(block, table_policy(levels), family, config)
+            run_policy(block, levels)
 
 
 class TestEngineAgreement:
@@ -272,15 +255,15 @@ class TestEngineAgreement:
                                                  reference_instance):
         config, family = sim_instance if instance == "small" else reference_instance
         config = config.with_overrides(delta=delta)
-        policy = make_policy(name, family, config)
+        levels = policy_levels(name, family, config)
         seen = set()
         for j in (0, 5):
             block = sample_episode(family, config, block_rng(31, j))
-            out = run_policy(block, policy, family, config)
+            out = run_policy(block, levels)
             got = zip(out.delay.tolist(), out.reward.tolist(), out.probes.tolist(),
                       out.cost.tolist(), out.effective_reward.tolist(), out.stop_stage.tolist())
             for i, outcome in enumerate(got):
-                expected, events = reference_run_policy(block, i, policy, family, config)
+                expected, events = reference_run_policy(block, i, levels)
                 assert outcome == expected, (j, i)
                 seen |= events
         # the blocks cover repeated awake types and overflow drops of an
@@ -294,10 +277,10 @@ class TestEngineAgreement:
 class TestMonteCarlo:
     def test_single_episode_estimates_equal_outcome(self, sim_instance):
         config, family = sim_instance
-        policy = ProbeFirstPolicy(family, config)
-        est = monte_carlo(family, config, policy, 1, seed=77)
+        levels = probe_first_levels(family, config)
+        est = monte_carlo(levels, 1, seed=77)
         block = sample_episode(family, config, block_rng(77, 0))
-        out = run_policy(block.head(1), policy, family, config)
+        out = run_policy(block.head(1), levels)
         assert est.zero_variance
         assert est.mean_cost == out.cost[0]
         assert est.mean_delay == out.delay[0]
@@ -308,32 +291,32 @@ class TestMonteCarlo:
         # counts that are not multiples of the block size: episode i is the
         # same in every run of more than i episodes
         config, family = sim_instance
-        policy = make_policy(name, family, config)
-        longest = episode_outcomes(family, config, policy, 2 * EPISODES_PER_BLOCK + 123, seed=4)
+        levels = policy_levels(name, family, config)
+        longest = episode_outcomes(levels, 2 * EPISODES_PER_BLOCK + 123, seed=4)
         for n in (1, 1000, EPISODES_PER_BLOCK + 7):
-            out = episode_outcomes(family, config, policy, n, seed=4)
+            out = episode_outcomes(levels, n, seed=4)
             for field in dataclasses.fields(out):
                 assert np.array_equal(getattr(out, field.name),
                                       getattr(longest, field.name)[:n]), (n, field.name)
 
     def test_seeded_estimates_are_reproducible(self, sim_instance):
         config, family = sim_instance
-        policy = ProbeFirstPolicy(family, config)
-        e1 = monte_carlo(family, config, policy, 500, seed=11)
-        e2 = monte_carlo(family, config, policy, 500, seed=11)
+        levels = probe_first_levels(family, config)
+        e1 = monte_carlo(levels, 500, seed=11)
+        e2 = monte_carlo(levels, 500, seed=11)
         assert e1 == e2
 
     def test_restricted_mc_agrees_with_dp(self, sim_instance):
         config, family = sim_instance
         tables = backward_induction(family, config)
-        est = monte_carlo(family, config, RstOptPolicy(tables), 30_000, seed=5)
+        est = monte_carlo(restricted_levels(tables), 30_000, seed=5)
         dp = restricted_initial_value(tables)
         assert abs(est.mean_cost - dp) <= 3 * est.se_cost
 
     def test_complete_mc_agrees_with_dp(self, sim_instance):
         config, family = sim_instance
         tables = solve_complete(family, config)
-        est = monte_carlo(family, config, GlbOptPolicy(tables), 30_000, seed=6)
+        est = monte_carlo(tables, 30_000, seed=6)
         dp = complete_initial_value(tables)
         assert abs(est.mean_cost - dp) <= 3 * est.se_cost
 
@@ -346,26 +329,20 @@ class TestMonteCarlo:
             wakeup_law="deterministic", tau=0.2,
         )
         tables = backward_induction(family, config)
-        est = monte_carlo(family, config, RstOptPolicy(tables), 20_000, seed=31)
+        est = monte_carlo(restricted_levels(tables), 20_000, seed=31)
         dp = restricted_initial_value(tables)
         assert abs(est.mean_cost - dp) <= max(3 * est.se_cost, 1e-12)
 
     def test_complete_beats_restricted_within_error(self, sim_instance):
         config, family = sim_instance
-        rst = monte_carlo(
-            family, config, RstOptPolicy(backward_induction(family, config)),
-            20_000, seed=9,
-        )
-        glb = monte_carlo(
-            family, config, GlbOptPolicy(solve_complete(family, config)),
-            20_000, seed=9,
-        )
+        rst = monte_carlo(policy_levels("rst", family, config), 20_000, seed=9)
+        glb = monte_carlo(policy_levels("glb", family, config), 20_000, seed=9)
         combined = math.hypot(rst.se_cost, glb.se_cost)
         assert glb.mean_cost <= rst.mean_cost + 3 * combined
 
     def test_estimates_serialize_with_interface_names(self, sim_instance):
         config, family = sim_instance
-        est = monte_carlo(family, config, ProbeFirstPolicy(family, config), 10, seed=1)
+        est = monte_carlo(probe_first_levels(family, config), 10, seed=1)
         payload = est.to_json()
         assert {"mean_D", "se_D", "mean_R", "se_R", "mean_M", "se_M",
                 "mean_cost", "se_cost", "mean_eff_reward", "se_eff_reward",
@@ -374,10 +351,10 @@ class TestMonteCarlo:
     def test_zero_episodes_rejected(self, sim_instance):
         config, family = sim_instance
         with pytest.raises(ValueError):
-            monte_carlo(family, config, ProbeFirstPolicy(family, config), 0, seed=0)
+            monte_carlo(probe_first_levels(family, config), 0, seed=0)
 
     @pytest.mark.parametrize("count", [True, 2.7, 2.0, "10"])
     def test_non_integral_episode_counts_rejected(self, sim_instance, count):
         config, family = sim_instance
         with pytest.raises(ValueError, match="n_episodes must be an integer"):
-            monte_carlo(family, config, ProbeFirstPolicy(family, config), count, seed=0)
+            monte_carlo(probe_first_levels(family, config), count, seed=0)
