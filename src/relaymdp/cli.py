@@ -69,6 +69,17 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
+def _thread_count(text: str) -> int:
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a whole number of at least 1 (from --threads or RELAYMDP_THREADS)")
+    return count
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="relaymdp", description=__doc__)
     parser.add_argument("--version", action="version", version=f"relaymdp {__version__}")
@@ -78,9 +89,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
+        # a string default goes through the type check too, when the flag is absent
         p.add_argument(
-            "--threads", type=int,
-            default=int(os.environ.get("RELAYMDP_THREADS", "1")),
+            "--threads", type=_thread_count,
+            default=os.environ.get("RELAYMDP_THREADS", "1"),
             help="worker cap (env RELAYMDP_THREADS as fallback)",
         )
         p.add_argument(
@@ -268,7 +280,7 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
             policies=tuple(block.get("policies", ("rst", "glb"))),
             n_episodes=block.get("n_episodes", 2000),
             seed=args.seed,
-            threads=max(1, args.threads),
+            threads=args.threads,
         )
         result = run_sweep(spec)
         for path in emit_plot_data(result, out_dir):

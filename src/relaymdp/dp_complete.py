@@ -13,10 +13,8 @@ newcomer appended, or, past the capacity, the set the overflow rule keeps.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations_with_replacement
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,8 +24,10 @@ from ._kernels import (ACTION_OF_CODE, NO_ACTION, PROBE, STOP, STRUCTURE_TOL, TI
 from .model import ModelConfig, OrderedFamily, reward_grid
 
 DEFAULT_STATE_BUDGET = 50_000_000
-# Float entries of one batch of probe targets: small levels take all targets
-# at once, the largest ones (which set the peak memory) one at a time.
+# Float entries of one batch: a chunk of bins of the probe kernel's (type,
+# smaller row) expectations, where small levels take all bins at once and the
+# largest (which set the peak memory) one bin at a time, and a batch of probe
+# targets in the forward sweep.
 BATCH_ELEMENTS = 1 << 18
 
 
@@ -46,35 +46,70 @@ class NonFiniteValueError(ValueError):
 
 
 class MultisetSpace:
-    """Canonical enumeration of multisets over ``n_types`` up to ``max_size``,
-    with precomputed member-insertion index maps: plus[s][t, g] is the row of
-    G + {t} in size s+1 for the size-s set G of row g (so plus[s-1][t] also
-    lists the size-s multisets holding t, in the order of those with one t
-    removed)."""
+    """Canonical enumeration of multisets over ``n_types`` up to ``max_size``:
+    members[s] holds the sorted size-s multisets as rows, in the order of
+    ``combinations_with_replacement``, and plus[s][t, g] is the row of G + {t}
+    in size s+1 for the size-s set G of row g (so plus[s-1][t] also lists the
+    size-s multisets holding t, in the order of those with one t removed).
+
+    Rows are lexicographic ranks, computed arithmetically: a base-n_types key
+    would overflow int64 for few types and many relays."""
 
     def __init__(self, n_types: int, max_size: int):
         self.n_types = n_types
         self.max_size = max_size
-        self.msets: list[list[tuple[int, ...]]] = [
-            list(combinations_with_replacement(range(n_types), s))
-            for s in range(max_size + 1)
-        ]
-        self.index: list[dict[tuple[int, ...], int]] = [
-            {g: i for i, g in enumerate(level)} for level in self.msets
-        ]
+        # above[v, r]: the number of size-(r+1) multisets over the types
+        # v..n-1.  A sorted set's rank adds, at each member x_j, the sets that
+        # agree before j and hold a smaller type at j: with r members left
+        # after j, above[x_{j-1}, r] - above[x_j, r] (x_{-1} = 0)
+        self._above = np.array(
+            [[math.comb(n_types - v + r, r + 1) for r in range(max(max_size, 1))]
+             for v in range(n_types + 1)], dtype=np.int64)
+        self.members: list[np.ndarray] = [np.zeros((1, 0), dtype=np.intp)]
+        for s in range(1, max_size + 1):
+            # each set of size s-1 grows by a type no smaller than its last member
+            prefixes = self.members[-1]
+            last = prefixes[:, -1] if s > 1 else np.zeros(1, dtype=np.intp)
+            counts = n_types - last
+            parent = np.repeat(np.arange(len(prefixes)), counts)
+            offset = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+            self.members.append(np.column_stack([prefixes[parent], last[parent] + offset]))
         self.plus: list[np.ndarray] = []
+        types = np.arange(n_types)[:, None]
         for s in range(max_size):
-            bigger = self.index[s + 1]
-            level = self.msets[s]
-            dst = np.empty((n_types, len(level)), dtype=np.intp)
-            for t, row in enumerate(dst):
-                for gi, g in enumerate(level):
-                    pos = bisect_left(g, t)
-                    row[gi] = bigger[g[:pos] + (t,) + g[pos:]]
-            self.plus.append(dst)
+            # column j of G + {t}, sorted: G's j-th member while that is below
+            # t, then t, then G's members shifted one place up
+            members = self.members[s]
+            columns = [np.where(members[:, j] < types, members[:, j],
+                                np.maximum(types, members[:, j - 1]) if j else types)
+                       for j in range(s)]
+            columns.append(np.maximum(types, members[:, s - 1]) if s else
+                           np.broadcast_to(types, (n_types, 1)))
+            self.plus.append(self._ranks(columns))
+
+    def _ranks(self, columns: list) -> np.ndarray:
+        """Rows of sorted multisets, given as their member columns."""
+        rank, before = 0, 0
+        for j, col in enumerate(columns):
+            above = self._above[:, len(columns) - 1 - j]  # members still to place
+            rank = rank + above[before] - above[col]
+            before = col
+        return np.asarray(rank, dtype=np.intp)
+
+    @cached_property
+    def msets(self) -> list[list[tuple[int, ...]]]:
+        """The members as sorted tuples, built on first use (off the solve path)."""
+        return [[tuple(g) for g in level.tolist()] for level in self.members]
 
     def row(self, mset: tuple[int, ...]) -> int:
-        return self.index[len(mset)][mset]
+        """The row of a sorted multiset; ValueError if the space lacks it."""
+        g = tuple(mset)
+        if (len(g) > self.max_size or list(g) != sorted(g)
+                or not all(isinstance(t, (int, np.integer)) and 0 <= t < self.n_types for t in g)):
+            raise ValueError(
+                f"multiset {mset!r} is not a sorted multiset of at most {self.max_size} "
+                f"of the types 0..{self.n_types - 1}")
+        return int(self._ranks(list(g)))
 
 
 @lru_cache(maxsize=8)
@@ -151,11 +186,11 @@ def _ranked_members(space: MultisetSpace, s: int, rank: tuple[int, ...]) -> tupl
     set of row g, members taken from the lowest ``rank`` up, and rests[g, p]
     the row of that set without it; the dtype of rests, which the kept tables
     share, is the smallest that holds a row index."""
-    members = np.array(space.msets[s], dtype=np.intp)
+    members = space.members[s]
     order = np.argsort(np.asarray(rank)[members], axis=1, kind="stable")
     types = np.take_along_axis(members, order, axis=1)
     # without[t, g]: the row of size-s set g less one t (where g holds a t)
-    row_type = np.min_scalar_type(len(space.msets[s - 1]))
+    row_type = np.min_scalar_type(len(space.members[s - 1]))
     without = np.zeros((space.n_types, len(members)), dtype=row_type)
     joined = space.plus[s - 1]  # [t, f]: row of f + t
     without[np.arange(space.n_types)[:, None], joined] = np.arange(joined.shape[1])
@@ -178,6 +213,78 @@ def projected_state_count(n_types: int, n_bins: int, n_stages: int) -> int:
     return sum(_states_per_stage(n_types, n_bins, n_stages, n_stages))
 
 
+def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharge: float,
+                 types: np.ndarray, rests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best probe cost and target of every size-s state.
+
+    Probing slot p of the set of row g costs surcharge + E_t[V_f(max{b, R})]
+    with t = types[g, p] and f = rests[g, p], a row of the ``smaller`` level
+    (values over the real bins).  A running minimum over the slots with
+    strict ``<`` keeps the first of equal costs, the stochastically largest
+    member, and never takes a NaN.  The expectations of every (type, smaller
+    row) pair run from the top bin down in chunks of bins holding at most
+    BATCH_ELEMENTS of them, carrying the reverse cumulative sum of
+    ``expect_over_max`` across chunks in its sequential order, so the costs
+    are bitwise those of that kernel.
+    """
+    n_types, n_bins = pmf.shape
+    n_rows, n_slots = types.shape
+    probe = np.empty((n_rows, n_bins + 1))
+    target = np.empty((n_rows, n_bins + 1), dtype=np.int16)
+    # pairs[p, g]: the (type, smaller row) pair of slot p of row g
+    pairs = np.ascontiguousarray((types * len(smaller) + rests).T)
+    slot_types = np.ascontiguousarray(types.T, dtype=np.int16)
+
+    def settle(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The best cost and its type at every (bin of the chunk, row), from
+        costs[j, pair]."""
+        costs = costs.reshape(len(costs), -1)
+        best = np.full((len(costs), n_rows), np.inf)
+        pick = np.full(best.shape, -1, dtype=np.int16)
+        for p in range(n_slots):
+            cost = np.take(costs, pairs[p], axis=1)
+            better = np.less(cost, best)
+            np.copyto(best, cost, where=better)
+            np.copyto(pick, slot_types[p], where=better)
+        return best, pick
+
+    # bins lead, so that the running sums add whole (type, row) planes
+    vals_by_bin = np.ascontiguousarray(smaller.T)[:, None, :]
+    pmf_by_bin, cdf_by_bin = pmf.T[:, :, None], cdf.T[:, :, None]
+    width = max(1, BATCH_ELEMENTS // (n_types * len(smaller)))
+    # settled chunks wait until they span a block of bins, which is written
+    # into the row-major tables at once (a bin at a time touches a cache line
+    # per row)
+    block = max(1, BATCH_ELEMENTS // n_rows)
+    pending, written = [], n_bins  # the bins from `written` up are in the tables
+    # the sum of pmf * V over the bins above the chunk; -0.0 adds exactly
+    carry = np.full((n_types, len(smaller)), -0.0)
+    for hi in range(n_bins, 0, -width):
+        lo = max(0, hi - width)
+        vals = vals_by_bin[lo:hi]
+        terms = pmf_by_bin[lo:hi] * vals
+        terms[-1] += carry
+        # rev[m]: the sum over bins >= hi - 1 - m, added from the top bin down;
+        # np.cumsum costs about 10 ns per (type, row) pair, which one-bin
+        # chunks skip: there the cumulative sum is the term itself
+        rev = np.cumsum(terms[::-1], axis=0) if hi - lo > 1 else terms
+        costs = cdf_by_bin[lo:hi] * vals
+        costs[:-1] += rev[:hi - lo - 1][::-1]
+        costs[-1] += carry
+        costs += surcharge
+        carry = rev[-1]
+        pending.insert(0, settle(costs))
+        if written - lo >= block or lo == 0:
+            probe[:, lo:written] = np.concatenate([best for best, _ in pending]).T
+            target[:, lo:written] = np.concatenate([pick for _, pick in pending]).T
+            pending, written = [], lo
+    best, pick = settle((carry + surcharge)[None])  # the none row: max{none, R} = R
+    probe[:, n_bins], target[:, n_bins] = best[0], pick[0]
+    return probe, target
+
+
+# overflow and invalid values surface in the check of each solved level
+@np.errstate(over="ignore", invalid="ignore")
 def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
                keep_costs: bool = False) -> tuple:
     """Solve the recursion of the policy class of the given capacity.
@@ -204,9 +311,9 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
     space = multiset_space(n_types, min(capacity + 1, n_stages))
     pmf, cdf = family.pmf_matrix, family.cdf_matrix
     stop = np.append(-eta * reward_grid(n_bins), np.inf)
-    dominance_order = [int(t) for t in family.order]  # largest first
+    rank = tuple(family.rank)
     if capacity < n_stages:
-        rests = _ranked_members(space, capacity + 1, tuple(family.rank))[1]
+        rests = _ranked_members(space, capacity + 1, rank)[1]
 
     values: list[list[np.ndarray]] = [[] for _ in range(n_stages)]
     actions: list[list[np.ndarray]] = [[] for _ in range(n_stages)]
@@ -220,38 +327,31 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
         values[i] = [None] * (top + 1)
         actions[i] = [None] * (top + 1)
         targets[i] = [None] * (top + 1)
-        if k < n_stages and top == capacity:  # a continue from the full level overflows
-            remainder = values[i + 1][capacity][rests].min(axis=1)
         for s in range(top + 1):
-            n_s = len(space.msets[s])
-            probe = np.full((n_s, n_bins + 1), np.inf)
-            tgt = np.full((n_s, n_bins + 1), -1, dtype=np.int16)
-
+            n_s = len(space.members[s])
             if s >= 1:
-                # probing t from the set of row plus[s-1][t][f] leaves row f,
-                # so each target's expectation runs over the whole smaller level
-                smaller = values[i][s - 1][:, :n_bins]
-                per_call = max(1, BATCH_ELEMENTS // smaller.size)
-                for first in range(0, n_types, per_call):
-                    batch = dominance_order[first:first + per_call]
-                    probe_vals = eta * delta + expect_over_max(
-                        smaller, pmf[batch][:, None], cdf[batch][:, None]
-                    )
-                    for t, probe_val in zip(batch, probe_vals):
-                        src = space.plus[s - 1][t]
-                        cur = probe[src]
-                        better = probe_val < cur
-                        probe[src] = np.where(better, probe_val, cur)
-                        tgt[src] = np.where(better, t, tgt[src])
-                # free the last targets' temporaries before resolving actions
-                del probe_vals, probe_val, cur, better
+                probe, tgt = _probe_costs(values[i][s - 1][:, :n_bins], pmf, cdf, eta * delta,
+                                          *_ranked_members(space, s, rank))
+            else:
+                probe = np.full((n_s, n_bins + 1), np.inf)
+                tgt = np.full((n_s, n_bins + 1), -1, dtype=np.int16)
 
             cont = np.inf
             if k < n_stages:
-                nxt = remainder if s == capacity else values[i + 1][s + 1]
+                nxt = values[i + 1][min(s + 1, capacity)]
                 cont = np.zeros((n_s, n_bins + 1))
                 for t in range(n_types):
-                    cont += nxt[space.plus[s][t]]
+                    if s < capacity:
+                        cont += nxt[space.plus[s][t]]
+                    else:
+                        # past the capacity: the best remainder of each set
+                        # with t added, taken per t rather than for every set
+                        # one larger, to keep the solve's temporaries small
+                        drops = rests[space.plus[s][t]]
+                        best = nxt[drops[:, 0]]
+                        for p in range(1, capacity + 1):
+                            np.minimum(best, nxt[drops[:, p]], out=best)
+                        cont += best
                 cont /= n_types
                 cont += tau
 
@@ -271,18 +371,17 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
             val = np.minimum(probe, stop, out=probe)
             np.minimum(cont, val, out=val)
 
-            values[i][s] = val
-            actions[i][s] = act
-            targets[i][s] = tgt
-
-    for i, (vals, acts) in enumerate(zip(values, actions)):
-        for s, (val, act) in enumerate(zip(vals, acts)):
+            # checked as soon as solved, before any later level reads it
             bad = np.isnan(val) | (np.isinf(val) & (act != NO_ACTION))
             if bad.any():
                 row, b = np.argwhere(bad)[0]
                 raise NonFiniteValueError(
-                    f"value {val[row, b]} at stage {i + 1}, multiset size {s}, row {row} "
+                    f"value {val[row, b]} at stage {k}, multiset size {s}, row {row} "
                     f"{space.msets[s][row]}, bin {b}: the config overflows float arithmetic")
+            values[i][s] = val
+            actions[i][s] = act
+            targets[i][s] = tgt
+
     tables = CompleteTables(config=config, family=family, space=space,
                            values=values, actions=actions, probe_targets=targets)
     return tables, probes, conts

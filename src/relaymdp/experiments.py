@@ -133,7 +133,7 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
 
     def level(masses: dict, s: int) -> np.ndarray:
         if s not in masses:
-            masses[s] = np.zeros((len(space.msets[s]), n_bins + 1))
+            masses[s] = np.zeros((len(space.members[s]), n_bins + 1))
         return masses[s]
 
     current = {}

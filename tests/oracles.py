@@ -566,3 +566,52 @@ def _overflow_drop(levels, stage, best, types):
         return len(types) - 1
     left = space.msets[len(types) - 1][kept]
     return next(p for p, u in enumerate(types) if types.count(u) > left.count(u))
+
+
+# ---------------------------------------------------------------------------
+# the complete-class kernels, one target and one dense level at a time
+# ---------------------------------------------------------------------------
+
+def reference_multiset_space(n_types, max_size):
+    """(msets, plus) of the multiset space, by enumeration and insertion:
+    msets[s] lists the sorted size-s multisets as tuples and plus[s][t, g] is
+    the row of msets[s][g] + (t,) among those of size s + 1."""
+    from bisect import bisect_left
+    from itertools import combinations_with_replacement
+
+    import numpy as np
+
+    msets = [list(combinations_with_replacement(range(n_types), s))
+             for s in range(max_size + 1)]
+    index = [{g: i for i, g in enumerate(level)} for level in msets]
+    plus = []
+    for s in range(max_size):
+        dst = np.empty((n_types, len(msets[s])), dtype=np.intp)
+        for t in range(n_types):
+            for gi, g in enumerate(msets[s]):
+                pos = bisect_left(g, t)
+                dst[t, gi] = index[s + 1][g[:pos] + (t,) + g[pos:]]
+        plus.append(dst)
+    return msets, plus
+
+
+def reference_probe_costs(smaller, family, surcharge, space, s):
+    """Probe cost and target of every size-s state, one target at a time:
+    each target's expectation runs over the whole ``smaller`` level (values
+    over the real bins) and is scattered to the size-s sets holding it, the
+    targets taken from the stochastically largest down and a later one
+    winning only with a strictly smaller cost."""
+    import numpy as np
+
+    from relaymdp._kernels import expect_over_max
+
+    probe = np.full((len(space.msets[s]), family.n_bins + 1), np.inf)
+    target = np.full(probe.shape, -1, dtype=np.int16)
+    for t in family.order:
+        cost = surcharge + expect_over_max(smaller, family.pmf_matrix[t], family.cdf_matrix[t])
+        src = space.plus[s - 1][t]
+        current = probe[src]
+        better = cost < current
+        probe[src] = np.where(better, cost, current)
+        target[src] = np.where(better, t, target[src])
+    return probe, target

@@ -258,3 +258,19 @@ def test_module_entry_points_report_version(module):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == f"relaymdp {relaymdp.__version__}"
+
+
+@pytest.mark.parametrize("flag,env", [
+    ("0", None), ("-2", None), ("abc", None), ("1.5", None),
+    (None, "abc"), (None, "0"), (None, ""),
+])
+def test_bad_thread_count_exits_one(small_config, tmp_path, capsys, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("RELAYMDP_THREADS", env)
+    argv = ["census", "--config", str(small_config), "--out", str(tmp_path / "o")]
+    if flag is not None:
+        argv += ["--threads", flag]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "threads" in err
+    assert not (tmp_path / "o").exists()

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 from itertools import combinations_with_replacement
 
@@ -15,11 +16,19 @@ from oracles import (
     complete_tree_value,
     enumerate_complete_policies,
     probe_largest_violations,
+    reference_multiset_space,
+    reference_probe_costs,
 )
+from relaymdp import dp_complete
 from relaymdp._kernels import PROBE, IllegalActionError
 from relaymdp.dp_complete import (
     BudgetExceededError,
+    MultisetSpace,
+    _induction,
+    _probe_costs,
+    _ranked_members,
     act_complete,
+    multiset_space,
     initial_value,
     projected_state_count,
     solve_complete,
@@ -332,3 +341,84 @@ class TestConjectures:
         report = verify_complete_conjectures(replace(tables, values=values))
         assert report["value_monotone_violations"] == before["value_monotone_violations"] + 1
         assert report["all_hold"] is False
+
+
+class TestMultisetSpace:
+    @pytest.mark.parametrize("n_types,max_size", [(1, 0), (1, 3), (3, 4), (20, 5), (2, 70)])
+    def test_array_build_equals_enumeration(self, n_types, max_size):
+        # (2, 70): base-2 keys of size-70 sets would not fit in int64
+        space = MultisetSpace(n_types, max_size)
+        msets, plus = reference_multiset_space(n_types, max_size)
+        assert space.msets == msets
+        for s, level in enumerate(msets):
+            assert np.array_equal(space.members[s], np.array(level, dtype=np.intp).reshape(len(level), s))
+            assert [space.row(g) for g in level] == list(range(len(level)))
+        assert len(space.plus) == len(plus)
+        for got, want in zip(space.plus, plus):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("mset", [(1, 0), (0, 3), (-1,), (0, 0, 0, 0, 0), (0.5,)])
+    def test_unknown_multiset_is_a_value_error_naming_it(self, mset):
+        with pytest.raises(ValueError, match=re.escape(repr(mset))):
+            MultisetSpace(3, 4).row(mset)
+
+    def test_solve_builds_no_tuples(self):
+        multiset_space.cache_clear()
+        config, family = small_instance(3, 8, 3, eta=2.0, delta=0.05)
+        tables = solve_complete(family, config)
+        assert "msets" not in vars(tables.space)
+        assert tables.space.msets[2][tables.space.row((0, 2))] == (0, 2)
+
+
+class TestProbeKernel:
+    """The slot-gather kernel against the per-target scatter, bit for bit."""
+
+    @staticmethod
+    def assert_levels_match(family, config, capacity):
+        tables, probes, _ = _induction(family, config, capacity, keep_costs=True)
+        space, rank = tables.space, tuple(family.rank)
+        surcharge = config.eta * config.delta
+        for k in range(1, config.n_relays + 1):
+            for s in range(1, min(k, capacity) + 1):
+                smaller = tables.values[k - 1][s - 1][:, :tables.n_bins]
+                got = _probe_costs(smaller, family.pmf_matrix, family.cdf_matrix, surcharge,
+                                   *_ranked_members(space, s, rank))
+                want = reference_probe_costs(smaller, family, surcharge, space, s)
+                assert got[0].tobytes() == want[0].tobytes(), (k, s)
+                assert got[1].tobytes() == want[1].tobytes(), (k, s)
+                assert probes[k - 1][s].tobytes() == want[0].tobytes(), (k, s)
+        return tables
+
+    @pytest.mark.parametrize("capacity", [1, 2, 4])
+    @pytest.mark.parametrize("delta", [0.05, 0.0])
+    @pytest.mark.parametrize("batch", [dp_complete.BATCH_ELEMENTS, 40])
+    def test_costs_and_targets_equal_the_reference(self, monkeypatch, capacity, delta, batch):
+        # a batch of 40 floats splits every level with more than one smaller
+        # row into chunks, down to one bin per chunk from size 3 up
+        monkeypatch.setattr(dp_complete, "BATCH_ELEMENTS", batch)
+        config, family = small_instance(4, 12, 4, eta=2.0, delta=delta)
+        tables = self.assert_levels_match(family, config, capacity)
+        # stopping at the lowest bin, of reward 0, costs -0.0
+        stage_n_bare = tables.values[-1][0][0, 0]
+        assert stage_n_bare == 0.0 and np.signbit(stage_n_bare)
+
+    def test_level_spanning_two_chunks_at_the_real_batch(self):
+        # size 3 over 20 types reads 20 x 210 (type, row) pairs per bin, so
+        # its 100 bins take two chunks
+        config, family = small_instance(20, 100, 3, eta=10.0, delta=0.01)
+        assert dp_complete.BATCH_ELEMENTS // (20 * 210) < 100
+        self.assert_levels_match(family, config, 3)
+
+    def test_non_finite_inputs_behave_as_the_reference(self):
+        config, family = small_instance(4, 12, 3, eta=2.0, delta=0.05)
+        tables = solve_complete(family, config)
+        space, rank = tables.space, tuple(family.rank)
+        smaller = tables.values[0][1][:, :tables.n_bins].copy()
+        smaller[0, 5] = np.nan
+        smaller[2, :] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = _probe_costs(smaller, family.pmf_matrix, family.cdf_matrix, 0.1,
+                               *_ranked_members(space, 2, rank))
+            want = reference_probe_costs(smaller, family, 0.1, space, 2)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
