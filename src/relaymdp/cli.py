@@ -15,12 +15,12 @@ from pathlib import Path
 from . import __version__
 from .dp_complete import (
     BudgetExceededError,
+    initial_value,
     policy_to_json,
     solve_complete,
     state_space_census,
     verify_complete_conjectures,
 )
-from .dp_complete import initial_value as complete_initial_value
 from .dp_restricted import (
     NonThresholdSetError,
     backward_induction,
@@ -28,7 +28,6 @@ from .dp_restricted import (
     tables_to_json,
     verify_structure,
 )
-from .dp_restricted import initial_value as restricted_initial_value
 from .experiments import (
     POLICY_NAMES,
     InfeasibleGammaError,
@@ -166,6 +165,18 @@ def _apply_override(doc: dict, keys: list[str], value) -> None:
     target[keys[-1]] = value
 
 
+def _calibrate_number(block: dict, key: str, default) -> float:
+    """A number of the calibrate block as a float; a bool, a string or an
+    integer past the float range raises ConfigError instead of converting."""
+    value = block.get(key, default)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ConfigError(f"calibrate.{key} must be a number, got {value!r}")
+
+
 def _model_config(doc: dict) -> ModelConfig:
     fields = {k: v for k, v in doc.items() if k in ModelConfig.field_names()}
     return ModelConfig.from_dict(fields)
@@ -231,7 +242,7 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
             _write_json(out_dir, "family.json", family_to_json(grid, family)).name
         )
         summary = {
-            "initial_value": restricted_initial_value(tables),
+            "initial_value": initial_value(tables),
             "components": restricted_components(tables).to_json(),
         }
         artifacts.append(_write_json(out_dir, "summary.json", summary).name)
@@ -239,7 +250,7 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
     elif command == "solve-complete":
         tables = solve_complete(family, config)
         summary = {
-            "initial_value": complete_initial_value(tables),
+            "initial_value": initial_value(tables),
             "components": complete_components(tables).to_json(),
             "census": state_space_census(config).to_json(),
             "conjectures": verify_complete_conjectures(tables),
@@ -260,7 +271,7 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
     elif command == "verify":
         tables = backward_induction(family, config)
         thresholds = extract_thresholds(tables)
-        report = verify_structure(tables, thresholds, family)
+        report = verify_structure(tables, thresholds)
         artifacts.append(_write_json(out_dir, "report.json", report.to_json()).name)
         _manifest(out_dir, command, config, args.seed, artifacts,
                   status="ok" if report.passed else "verification_failed")
@@ -275,9 +286,9 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
         block = doc.get("sweep", {})
         spec = SweepSpec(
             base=config,
-            eta_values=tuple(block.get("eta_values", default_eta_grid())),
-            delta_values=tuple(block.get("delta_values", (0.1, 0.01))),
-            policies=tuple(block.get("policies", ("rst", "glb"))),
+            eta_values=block.get("eta_values", default_eta_grid()),
+            delta_values=block.get("delta_values", (0.1, 0.01)),
+            policies=block.get("policies", ("rst", "glb")),
             n_episodes=block.get("n_episodes", 2000),
             seed=args.seed,
             threads=args.threads,
@@ -293,17 +304,19 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
         return 0
 
     elif command == "calibrate":
-        block = doc.get("calibrate", {})
-        gamma = args.gamma if args.gamma is not None else block.get("target_gamma")
-        if gamma is None:
+        block = dict(doc.get("calibrate", {}))
+        if args.gamma is not None:
+            block["target_gamma"] = args.gamma
+        if block.get("target_gamma") is None:
             raise ConfigError("calibrate needs --gamma or a calibrate.target_gamma entry")
+        gamma = _calibrate_number(block, "target_gamma", None)
         result = calibrate_eta(
-            target_gamma=float(gamma),
-            delta=float(block.get("delta", config.delta)),
+            target_gamma=gamma,
+            delta=_calibrate_number(block, "delta", config.delta),
             config=config,
-            eta_lo=float(block.get("eta_lo", 0.0)),
-            eta_hi=float(block.get("eta_hi", 60.0)),
-            resolution=float(block.get("resolution", 1e-3)),
+            eta_lo=_calibrate_number(block, "eta_lo", 0.0),
+            eta_hi=_calibrate_number(block, "eta_hi", 60.0),
+            resolution=_calibrate_number(block, "resolution", 1e-3),
         )
         artifacts.append(_write_json(out_dir, "calibration.json", result.to_json()).name)
         print(f"eta = {result.eta:.6g} meets gamma = {gamma}")

@@ -29,6 +29,10 @@ DEFAULT_STATE_BUDGET = 50_000_000
 # largest (which set the peak memory) one bin at a time, and a batch of probe
 # targets in the forward sweep.
 BATCH_ELEMENTS = 1 << 18
+# Float entries of one batch of newcomer types in the overflow rule (64 KB):
+# below glibc's smallest mmap threshold, so that the many small builds of a
+# calibration reuse heap pages instead of faulting in fresh mapped ones.
+OVERFLOW_ELEMENTS = 1 << 13
 
 
 class BudgetExceededError(RuntimeError):
@@ -166,17 +170,26 @@ class CompleteTables:
         if stage not in self._kept:
             c = self.capacity
             level = self.values[stage - 1][c]
-            rests = _ranked_members(self.space, c + 1, tuple(self.family.rank))[1]
-            # the best remainder of every set one larger, and its row; a later
-            # member replaces an earlier one only with a strictly smaller value
-            best, rows = level[rests[:, 0]], rests[:, :1]
-            for p in range(1, c + 1):
-                better = level[rests[:, p]] < best
-                best = np.where(better, level[rests[:, p]], best)
-                rows = np.where(better, rests[:, p:p + 1], rows)
-            joined = self.space.plus[c]  # [t, g]: row of g + t
-            own = np.arange(len(level), dtype=rests.dtype)[:, None]
-            self._kept[stage] = np.where(best[joined] < level, rows[joined], own)
+            dtype = np.min_scalar_type(len(level))
+            # swaps[t, g, p]: the row of g with its p-th member, taken from
+            # the lowest rank up, replaced by t
+            rests = _ranked_members(self.space, c, tuple(self.family.rank))[1]
+            swaps = self.space.plus[c - 1][:, rests].astype(dtype)
+            own = np.arange(len(level), dtype=dtype)[:, None]
+            kept = np.empty(swaps.shape[:2] + level.shape[1:], dtype=dtype)
+            # a batch of newcomer types at a time, to keep temporaries small
+            step = max(1, OVERFLOW_ELEMENTS // level.size)
+            for first in range(0, len(kept), step):
+                # the best swap and its row; a later member replaces an
+                # earlier one only with a strictly smaller value
+                batch = swaps[first:first + step]
+                best, rows = level[batch[..., 0]], batch[..., :1]
+                for p in range(1, c):
+                    better = level[batch[..., p]] < best
+                    best = np.where(better, level[batch[..., p]], best)
+                    rows = np.where(better, batch[..., p:p + 1], rows)
+                kept[first:first + step] = np.where(best < level, rows, own)
+            self._kept[stage] = kept
         return self._kept[stage]
 
 

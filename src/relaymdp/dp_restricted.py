@@ -3,17 +3,17 @@
 Restricted policies keep at most two relays awake: the best probed one
 (summarized by the best reward b, or none before the first probe) and one
 retained unprobed relay (summarized by its reward distribution).  That is the
-capacity-c induction of ``dp_complete`` at c = 1, whose size-0 and size-1
-levels ``backward_induction`` lays out as stagewise tables
+capacity-c induction of ``dp_complete`` at c = 1, whose levels
+``backward_induction`` returns as they are, with the probe and continue costs
+kept.  Its size-0 and size-1 levels read as stagewise tables
 
     J_k(b)        bare states, reached just after probing,
     J_k(b, F_l)   states holding an unprobed relay of location type l,
 
 together with the continuing costs cc_k(b), cc_k(b, F_l), the probing cost
-cp_k(b, F_l) and the int8 action tables.  The structural checks read those
-tables; ``restricted_levels`` turns them back into levels, which the stopping
-and probing sets with their thresholds, ``act``, the shared forward sweep and
-the episode engine read.
+cp_k(b, F_l) and the int8 action tables, which the structural checks and the
+tables export read.  The stopping and probing sets with their thresholds,
+``act``, the shared forward sweep and the episode engine read the levels.
 
 Stage k occupies array index k - 1.  The best-reward axis has one extra row
 appended (index n_bins) for the "nothing probed yet" state, whose stop cost is
@@ -23,12 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from ._kernels import CONTINUE, PROBE, STOP, STRUCTURE_TOL, Action
-from .dp_complete import CompleteTables, _induction, act_complete, multiset_space
+from .dp_complete import CompleteTables, _induction, act_complete
+from .dp_complete import initial_value  # noqa: F401  (one initial value for every capacity)
 from .model import ModelConfig, OrderedFamily, reward_grid
 
 
@@ -39,38 +41,39 @@ class NonThresholdSetError(RuntimeError):
 BestReward = Optional[int]  # None before the first probe, else a grid index
 
 
-@dataclass(frozen=True)
-class RestrictedTables:
-    """Cost-to-go and one-step-cost arrays for stages 1..N.
+def _stage_major(levels: str, s: int) -> cached_property:
+    """The size-s level of every stage of ``levels``, stacked stage-major:
+    (N, n_bins+1) for the bare states (s = 0), (N, n_bins+1, L) for the
+    retaining ones (s = 1), whose rows are the location types."""
+    def stacked(tables):
+        return np.ascontiguousarray(
+            [lv[s][0] if s == 0 else lv[s].T for lv in getattr(tables, levels)])
+    return cached_property(stacked)
 
-    Shapes: j_b, cc_b and act_b are (N, n_bins+1); j_bf, cc_bf, cp_bf and
-    act_bf are (N, n_bins+1, n_locations).  cc rows at stage N hold +inf
-    (continuing is unavailable there), as does the stop cost at the none row.
-    act_b and act_bf hold the optimal action codes (STOP, PROBE, CONTINUE, or
-    NO_ACTION where nothing is legal) of the bare and retaining states.
+
+@dataclass(frozen=True)
+class RestrictedTables(CompleteTables):
+    """The capacity-1 levels with the probe and continue costs of every
+    level, probe_costs[k-1][s] and continue_costs[k-1][s].
+
+    The stagewise tables are stacked on first use and cached: j_b, cc_b
+    and act_b are (N, n_bins+1); j_bf, cc_bf, cp_bf and act_bf are (N,
+    n_bins+1, n_locations).  cc rows at stage N hold +inf (continuing is
+    unavailable there), as does the stop cost at the none row.  act_b and
+    act_bf hold the optimal action codes (STOP, PROBE, CONTINUE, or NO_ACTION
+    where nothing is legal) of the bare and retaining states.
     """
 
-    config: ModelConfig
-    family: OrderedFamily
-    j_b: np.ndarray
-    j_bf: np.ndarray
-    cc_b: np.ndarray
-    cc_bf: np.ndarray
-    cp_bf: np.ndarray
-    act_b: np.ndarray = field(repr=False)
-    act_bf: np.ndarray = field(repr=False)
+    probe_costs: list[list[np.ndarray]] = field(repr=False)
+    continue_costs: list[list[np.ndarray]] = field(repr=False)
 
-    @property
-    def n_bins(self) -> int:
-        return self.j_b.shape[1] - 1
-
-    @property
-    def none_index(self) -> int:
-        return self.n_bins
-
-    @property
-    def n_stages(self) -> int:
-        return self.j_b.shape[0]
+    j_b = _stage_major("values", 0)
+    j_bf = _stage_major("values", 1)
+    cc_b = _stage_major("continue_costs", 0)
+    cc_bf = _stage_major("continue_costs", 1)
+    cp_bf = _stage_major("probe_costs", 1)
+    act_b = _stage_major("actions", 0)
+    act_bf = _stage_major("actions", 1)
 
     @property
     def grid(self) -> np.ndarray:
@@ -112,32 +115,10 @@ def backward_induction(family: OrderedFamily, config: ModelConfig) -> Restricted
     states cannot probe, so their probe cost is +inf.
     """
     levels, probes, conts = _induction(family, config, capacity=1, keep_costs=True)
-
-    def stacked(per_stage, s: int) -> np.ndarray:
-        # size 0 holds one row (the bare states), size 1 one row per type
-        return np.ascontiguousarray([lv[s][0] if s == 0 else lv[s].T for lv in per_stage])
-
     return RestrictedTables(
-        config=config, family=family,
-        j_b=stacked(levels.values, 0), j_bf=stacked(levels.values, 1),
-        cc_b=stacked(conts, 0), cc_bf=stacked(conts, 1), cp_bf=stacked(probes, 1),
-        act_b=stacked(levels.actions, 0), act_bf=stacked(levels.actions, 1),
-    )
-
-
-def restricted_levels(tables: RestrictedTables) -> CompleteTables:
-    """The tables as the capacity-1 levels of the shared induction, for the
-    exact forward sweep and the episode engine; values and actions are views."""
-    n_loc = tables.act_bf.shape[2]
-    types, untargeted = np.arange(n_loc, dtype=np.int16)[:, None], np.int16(-1)
-    return CompleteTables(
-        config=tables.config, family=tables.family,
-        space=multiset_space(n_loc, min(2, tables.n_stages)),
-        values=[[j_b[None], j_bf.T] for j_b, j_bf in zip(tables.j_b, tables.j_bf)],
-        actions=[[a_b[None], a_bf.T] for a_b, a_bf in zip(tables.act_b, tables.act_bf)],
-        probe_targets=[[np.full_like(a_b[None], untargeted, dtype=np.int16),
-                        np.where(a_bf.T == PROBE, types, untargeted)]
-                       for a_b, a_bf in zip(tables.act_b, tables.act_bf)],
+        config=config, family=family, space=levels.space, values=levels.values,
+        actions=levels.actions, probe_targets=levels.probe_targets,
+        probe_costs=probes, continue_costs=conts,
     )
 
 
@@ -153,20 +134,16 @@ def _upset_min_index(mask: np.ndarray, label: str) -> int:
     return first
 
 
-def extract_thresholds(tables: RestrictedTables) -> ThresholdSummary:
-    """Read the stopping/probing sets off the action tables.
+def extract_thresholds(levels: CompleteTables) -> ThresholdSummary:
+    """Read the stopping/probing sets off the action tables of capacity-1
+    levels, where the size-0 level holds the bare states and the size-1 level
+    the retaining ones.
 
     S_k and S_k^l are the STOP entries of the bare and retaining tables, Q_k^l
     the entries that do not continue and P_k^l the PROBE entries.  Raises
     NonThresholdSetError if any stopping set fails to be an up-set of the
     reward grid.
     """
-    return level_thresholds(restricted_levels(tables))
-
-
-def level_thresholds(levels: CompleteTables) -> ThresholdSummary:
-    """``extract_thresholds`` read off capacity-1 levels: the size-0 level
-    holds the bare states, the size-1 level the retaining ones."""
     n_bins, n_loc = levels.n_bins, len(levels.family)
     n_dec = max(levels.n_stages - 1, 0)
     s_flags = np.stack([lv[0][0] for lv in levels.actions])[:n_dec, :n_bins] == STOP
@@ -195,7 +172,7 @@ def act(
     state: tuple[BestReward, Optional[int], int], tables: RestrictedTables
 ) -> Action:
     """Optimal action at (best reward, retained distribution or None, stage):
-    ``act_complete`` on the capacity-1 levels of the tables.
+    ``act_complete`` on the capacity-1 levels.
 
     The retained-distribution slot being None marks a bare state, reached
     immediately after probing.  Which relay a CONTINUE retains is up to the
@@ -203,13 +180,7 @@ def act(
     """
     best, dist, stage = state
     awake = () if dist is None else (dist,)
-    return act_complete((stage, best, awake), restricted_levels(tables)).kind
-
-
-def initial_value(tables: RestrictedTables) -> float:
-    """Optimal expected cost from the first wake-up (whose waiting time is not
-    charged): the uniform average of J_1(none, F_l)."""
-    return float(tables.j_bf[0, tables.none_index, :].mean())
+    return act_complete((stage, best, awake), tables).kind
 
 
 @dataclass(frozen=True)
@@ -258,14 +229,10 @@ def _pair_excess(g: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(g, axis=-1)[..., :-1] - g[..., 1:]
 
 
-def verify_structure(
-    tables: RestrictedTables,
-    thresholds: ThresholdSummary,
-    family: OrderedFamily,
-    tol: float = STRUCTURE_TOL,
-) -> StructureReport:
+def verify_structure(tables: RestrictedTables, thresholds: ThresholdSummary) -> StructureReport:
     """Machine-check the solver output against the ordering, threshold and
-    stage-independence properties the solution must satisfy.
+    stage-independence properties the solution must satisfy, each at
+    STRUCTURE_TOL.
 
     Produces a pass/fail report; any failure of checks (a)-(h) is a defect.
     The probing-set observations (down-set structure, y thresholds increasing
@@ -283,22 +250,22 @@ def verify_structure(
         _worst(np.diff(tables.j_b[:, :n_bins], axis=1)),
         _worst(np.diff(tables.j_bf[:, :n_bins, :], axis=1)),
     )
-    checks["a_monotone_in_b"] = CheckResult(worst_a <= tol, worst_a)
+    checks["a_monotone_in_b"] = CheckResult(worst_a <= STRUCTURE_TOL, worst_a)
 
     # (b) more stages to go never hurts: J_k <= J_{k+1}
     worst_b = max(
         _worst(tables.j_b[:-1] - tables.j_b[1:]),
         _worst(tables.j_bf[:-1] - tables.j_bf[1:]),
     )
-    checks["b_stage_monotone"] = CheckResult(worst_b <= tol, worst_b)
+    checks["b_stage_monotone"] = CheckResult(worst_b <= STRUCTURE_TOL, worst_b)
 
     # (c) stochastically larger retained distribution gives smaller cost-to-go
-    worst_c = _worst(_pair_excess(tables.j_bf[:, :, family.order]))  # largest first
-    checks["c_dominance_order"] = CheckResult(worst_c <= tol, worst_c)
+    worst_c = _worst(_pair_excess(tables.j_bf[:, :, tables.family.order]))  # largest first
+    checks["c_dominance_order"] = CheckResult(worst_c <= STRUCTURE_TOL, worst_c)
 
     # (d) retaining a relay can only cheapen continuing (available before stage N)
     worst_d = _worst(tables.cc_bf[: n_stages - 1] - tables.cc_b[: n_stages - 1, :, None])
-    checks["d_cc_retained_le_bare"] = CheckResult(worst_d <= tol, worst_d)
+    checks["d_cc_retained_le_bare"] = CheckResult(worst_d <= STRUCTURE_TOL, worst_d)
 
     # (e) set inclusions S^l <= Q^l, S^l <= S, S <= Q^l
     bad_e = (
@@ -315,7 +282,7 @@ def verify_structure(
         tables.cc_b[: n_stages - 1, :n_bins],
         tables.cc_bf[: n_stages - 1, :n_bins, :].transpose(0, 2, 1),
     ))
-    checks["f_lipschitz"] = CheckResult(worst_f <= tol, worst_f)
+    checks["f_lipschitz"] = CheckResult(worst_f <= STRUCTURE_TOL, worst_f)
 
     # (g) inside the stopping set the cost-to-go already equals its stage-N value
     worst_g = 0.0
@@ -325,7 +292,7 @@ def verify_structure(
             tables.j_bf[i, :n_bins, :][members] - tables.j_bf[-1, :n_bins, :][members]
         )
         worst_g = max(worst_g, _worst(gap))
-    checks["g_equal_costs_on_s"] = CheckResult(worst_g <= tol, worst_g)
+    checks["g_equal_costs_on_s"] = CheckResult(worst_g <= STRUCTURE_TOL, worst_g)
 
     # (h) stopping sets are stage independent
     mism = sum(

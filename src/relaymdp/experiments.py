@@ -12,23 +12,20 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from ._kernels import CONTINUE, STOP
-from .dp_complete import BATCH_ELEMENTS, BudgetExceededError, CompleteTables, solve_complete
-from .dp_complete import initial_value as complete_initial_value
-from .dp_restricted import (
-    RestrictedTables,
-    backward_induction,
-    level_thresholds,
-    restricted_levels,
-)
+from .dp_complete import (BATCH_ELEMENTS, BudgetExceededError, CompleteTables, initial_value,
+                          solve_complete)
+from .dp_restricted import RestrictedTables, backward_induction, extract_thresholds
 from .model import (
     ModelConfig,
     OrderedFamily,
@@ -46,7 +43,7 @@ def policy_levels(name: str, family: OrderedFamily, config: ModelConfig) -> Comp
     induction: RST-OPT (capacity 1), GLB-OPT (capacity N) or the probe-first
     baseline (capacity 1)."""
     if name == "rst":
-        return restricted_levels(backward_induction(family, config))
+        return backward_induction(family, config)
     if name == "glb":
         return solve_complete(family, config)
     if name == "first":
@@ -110,7 +107,7 @@ def _components(waits: float, reward: float, probes: float, stopped: float,
 def restricted_components(tables: RestrictedTables) -> PolicyComponents:
     """Forward probability sweep under the optimal restricted policy: the
     shared sweep on its capacity-1 levels."""
-    return complete_components(restricted_levels(tables))
+    return complete_components(tables)
 
 
 def complete_components(tables: CompleteTables) -> PolicyComponents:
@@ -182,10 +179,13 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                     cw /= n_loc
                     if s == capacity:  # one relay is dropped, as the overflow rule says
                         out = level(following, s)
-                        kept = tables.overflow_keep(k + 1)
-                        at = kept * np.intp(n_bins + 1) + np.arange(n_bins + 1)
-                        out += np.bincount(at.ravel(), np.broadcast_to(cw, at.shape).ravel(),
-                                           out.size).reshape(out.shape)
+                        # one newcomer type at a time, which keeps the
+                        # temporaries small; np.add.at adds in the order of a
+                        # single pass over every (type, row, bin)
+                        bins = np.arange(n_bins + 1)
+                        for kept in tables.overflow_keep(k + 1):
+                            np.add.at(out.reshape(-1), (kept * np.intp(n_bins + 1) + bins).ravel(),
+                                      cw.ravel())
                     else:
                         out = level(following, s + 1)
                         for t in range(n_loc):
@@ -204,19 +204,25 @@ def baseline_components(family: OrderedFamily, config: ModelConfig) -> PolicyCom
 @dataclass(frozen=True)
 class SweepSpec:
     base: ModelConfig
-    eta_values: tuple[float, ...]
-    delta_values: tuple[float, ...]
-    policies: tuple[str, ...] = ("rst", "glb")
+    eta_values: Sequence[float]
+    delta_values: Sequence[float]
+    policies: Sequence[str] = ("rst", "glb")
     n_episodes: int = 2000
     seed: int = 0
     threads: int = 1
 
     def validate(self) -> "SweepSpec":
-        if not self.eta_values or not self.delta_values:
-            raise ValueError("eta_values and delta_values must be non-empty")
-        if any(e < 0 for e in self.eta_values) or any(d < 0 for d in self.delta_values):
-            raise ValueError("eta and delta values must be nonnegative")
-        unknown = set(self.policies) - set(POLICY_NAMES)
+        for key in ("eta_values", "delta_values", "policies"):
+            values = getattr(self, key)
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValueError(f"sweep.{key} must be a non-empty list, got {values!r}")
+        for key in ("eta_values", "delta_values"):
+            for value in getattr(self, key):
+                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                        or not 0.0 <= value < math.inf):
+                    raise ValueError(
+                        f"sweep.{key} must hold finite nonnegative numbers, got {value!r}")
+        unknown = set(map(str, self.policies)) - set(POLICY_NAMES)
         if unknown:
             raise ValueError(f"unknown policies {sorted(unknown)}; choose from {POLICY_NAMES}")
         check_episode_count(self.n_episodes)
@@ -304,7 +310,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         try:
             levels = policy_levels(policy, family, config)
             comps = complete_components(levels)
-            dp_value = complete_initial_value(levels)
+            dp_value = initial_value(levels)
             estimates = monte_carlo(levels, spec.n_episodes, seed)
         except BudgetExceededError as err:
             return SweepCell(
@@ -313,7 +319,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             )
         snapshot = None
         if policy == "rst":
-            thresholds = level_thresholds(levels)
+            thresholds = extract_thresholds(levels)
             snapshot = {"x": thresholds.x.tolist(), "x_l": thresholds.x_l.tolist()}
         return SweepCell(
             policy=policy, eta=eta, delta=delta, status="ok",
@@ -362,8 +368,23 @@ def calibrate_eta(
     policy meets the effective-reward constraint E[R] - delta E[M] >= gamma.
 
     Uses bisection on the exact (expectation-pass) effective reward, which is
-    monotone in eta for this family.  Raises InfeasibleGammaError with the
-    achievable supremum when the target is out of reach."""
+    nondecreasing in eta for every family: it is a supergradient of the
+    concave Lagrangian dual min over policies of E[W] - eta E[R_eff] (Beutler
+    & Ross, J. Math. Anal. Appl. 112, 1985).  The bisection also stops when
+    the bracket holds no float between its ends.  Raises ValueError, naming
+    the argument, for a non-finite target, a bracket outside
+    0 <= eta_lo < eta_hi or a resolution that is not positive and finite, and
+    InfeasibleGammaError with the achievable supremum when the target is out
+    of reach."""
+    for name, value in (("target_gamma", target_gamma), ("eta_lo", eta_lo),
+                        ("eta_hi", eta_hi), ("resolution", resolution)):
+        if not math.isfinite(value):
+            raise ValueError(f"calibrate {name} must be a finite number, got {value!r}")
+    if not 0.0 <= eta_lo < eta_hi:
+        raise ValueError(f"calibrate needs 0 <= eta_lo < eta_hi, got eta_lo={eta_lo!r}, "
+                         f"eta_hi={eta_hi!r}")
+    if not resolution > 0.0:
+        raise ValueError(f"calibrate resolution must be positive, got {resolution!r}")
     grid = build_forwarding_region(config)
     family = build_ordered_family(grid, config)
     evaluations = 0
@@ -389,6 +410,8 @@ def calibrate_eta(
     hi_result = hi_comp
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # lo and hi are adjacent floats
+            break
         mid_comp = eff(mid)
         if mid_comp.effective_reward >= target_gamma:
             hi, hi_result = mid, mid_comp

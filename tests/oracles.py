@@ -568,6 +568,32 @@ def _overflow_drop(levels, stage, best, types):
     return next(p for p, u in enumerate(types) if types.count(u) > left.count(u))
 
 
+def reference_overflow_keep(levels, stage):
+    """The overflow rule state by state, as its docstring words it: the
+    newcomer t is dropped unless dropping an awake member of g leaves a
+    strictly smaller value; among members that tie, the one of lowest
+    ``family.rank`` is dropped.  Returns kept[t, g, b] as int64 rows."""
+    import numpy as np
+
+    space, c = levels.space, levels.capacity
+    level = levels.values[stage - 1][c]
+    rank = levels.family.rank
+    n_types = len(levels.family)
+    kept = np.empty((n_types,) + level.shape, dtype=np.int64)
+    for g, awake in enumerate(space.msets[c]):
+        for t in range(n_types):
+            for b in range(level.shape[1]):
+                keep, value = g, level[g, b]  # drop the newcomer
+                for x in sorted(set(awake), key=lambda u: rank[u]):
+                    rest = list(awake)
+                    rest.remove(x)
+                    row = space.row(tuple(sorted(rest + [t])))
+                    if level[row, b] < value:
+                        keep, value = row, level[row, b]
+                kept[t, g, b] = keep
+    return kept
+
+
 # ---------------------------------------------------------------------------
 # the complete-class kernels, one target and one dense level at a time
 # ---------------------------------------------------------------------------

@@ -20,18 +20,17 @@ from oracles import (
     restricted_tree_value,
 )
 from relaymdp.dp_complete import (
+    initial_value,
     projected_state_count,
     solve_complete,
     state_space_census,
     verify_complete_conjectures,
 )
-from relaymdp.dp_complete import initial_value as complete_initial_value
 from relaymdp.dp_restricted import (
     backward_induction,
     extract_thresholds,
     verify_structure,
 )
-from relaymdp.dp_restricted import initial_value as restricted_initial_value
 from relaymdp.experiments import (
     complete_components,
     default_eta_grid,
@@ -63,10 +62,10 @@ def dp_curves(default_config, default_family, eta_grid):
     for delta in DELTAS + (0.0,):
         for eta in eta_grid:
             config = default_config.with_overrides(eta=eta, delta=delta)
-            curves[("rst", delta, eta)] = restricted_initial_value(
+            curves[("rst", delta, eta)] = initial_value(
                 backward_induction(default_family, config)
             )
-            curves[("glb", delta, eta)] = complete_initial_value(
+            curves[("glb", delta, eta)] = initial_value(
                 solve_complete(default_family, config)
             )
     return curves
@@ -140,7 +139,7 @@ def test_criterion_3_ordering_property_suite(default_config):
         family = build_ordered_family(grid, config)
         tables = backward_induction(family, config)
         thresholds = extract_thresholds(tables)
-        report = verify_structure(tables, thresholds, family, tol=1e-9)
+        report = verify_structure(tables, thresholds)
         if not report.passed:
             bad = [k for k, c in report.checks.items() if not c.passed]
             failures.append((i, bad))
@@ -163,8 +162,8 @@ def test_criterion_4_brute_force_oracle_equivalence():
                         n_loc, n_bins, n_relays, eta=eta, delta=delta
                     )
                     toy = Toy.from_family(family, config)
-                    rst = restricted_initial_value(backward_induction(family, config))
-                    glb = complete_initial_value(solve_complete(family, config))
+                    rst = initial_value(backward_induction(family, config))
+                    glb = initial_value(solve_complete(family, config))
                     worst = max(
                         worst,
                         abs(rst - restricted_tree_value(toy)),
@@ -177,9 +176,9 @@ def test_criterion_4_brute_force_oracle_equivalence():
     worst = max(
         worst,
         abs(enumerate_restricted_policies(toy)
-            - restricted_initial_value(backward_induction(family, config))),
+            - initial_value(backward_induction(family, config))),
         abs(enumerate_complete_policies(toy)
-            - complete_initial_value(solve_complete(family, config))),
+            - initial_value(solve_complete(family, config))),
     )
     elapsed = time.monotonic() - started
     record(
@@ -259,7 +258,7 @@ def test_criterion_8_dp_mc_consistency(default_config, default_family):
         for name in ("rst", "glb"):
             started = time.monotonic()
             levels = policy_levels(name, default_family, config)
-            dp = complete_initial_value(levels)
+            dp = initial_value(levels)
             est = monte_carlo(levels, 100_000, seed=2468)
             elapsed = time.monotonic() - started
             z = abs(est.mean_cost - dp) / est.se_cost
@@ -317,9 +316,9 @@ def test_criterion_10_state_space_census(default_config):
 
 
 def test_criterion_11_conjecture_reports(
-    default_tables, default_thresholds, default_family, default_complete_tables
+    default_tables, default_thresholds, default_complete_tables
 ):
-    structure = verify_structure(default_tables, default_thresholds, default_family)
+    structure = verify_structure(default_tables, default_thresholds)
     complete = verify_complete_conjectures(default_complete_tables)
     restricted_clean = (
         structure.conjecture["p_down_set_violations"] == 0

@@ -6,6 +6,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
@@ -45,3 +47,26 @@ def test_every_name_read_directly_resolves():
         if not callable(getattr(owner, name, None)):
             missing.append(f"relaymdp.{dotted}")
     assert not missing, missing
+
+
+CHECKS = TRACING.parent / "checks.py"
+
+
+def test_restricted_tables_expose_every_checked_table():
+    # perfbench's oracle reads these off backward_induction's result by name
+    # to count the +inf sentinels that tables.json must hold as nulls
+    spec = importlib.util.spec_from_file_location("perfbench_checks", CHECKS)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+
+    from relaymdp import ModelConfig, backward_induction, build_forwarding_region
+    from relaymdp import build_ordered_family
+
+    config = ModelConfig(n_locations=4, n_reward_bins=6, n_relays=3).validate()
+    family = build_ordered_family(build_forwarding_region(config), config)
+    tables = backward_induction(family, config)
+    shapes = {(3, 7), (3, 7, 4)}  # (N, B+1) or (N, B+1, L)
+    for key in checks.TABLE_KEYS:
+        table = getattr(tables, key)
+        assert isinstance(table, np.ndarray) and table.dtype.kind == "f", key
+        assert table.shape in shapes, (key, table.shape)

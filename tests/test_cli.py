@@ -169,6 +169,42 @@ def test_bad_sweep_episode_count_exits_one(small_config, tmp_path, capsys, count
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("override", [
+    'sweep.eta_values=["a"]',
+    "sweep.eta_values=5",
+    "sweep.eta_values=[2.0, NaN]",
+    "sweep.delta_values=[true]",
+    "sweep.delta_values=[-0.1]",
+    "sweep.policies=5",
+])
+def test_bad_sweep_values_exit_one(small_config, tmp_path, capsys, override):
+    out = tmp_path / "out"
+    code = main(["sweep", "--config", str(small_config), "--out", str(out),
+                 "--override", override])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and override.split("=")[0].split(".")[1] in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field,args", [
+    ("resolution", ["--override", "calibrate.resolution=0"]),
+    ("resolution", ["--override", 'calibrate.resolution="0.1"']),
+    ("target_gamma", ["--gamma", "nan"]),
+    ("delta", ["--override", "calibrate.delta=true"]),
+    ("eta_lo", ["--override", "calibrate.eta_lo=10.0"]),
+    ("eta_lo", ["--override", "calibrate.eta_lo=-1"]),
+    ("eta_hi", ["--override", "calibrate.eta_hi=1e999"]),
+])
+def test_bad_calibrate_values_exit_one(small_config, tmp_path, capsys, field, args):
+    out = tmp_path / "out"
+    code = main(["calibrate", "--config", str(small_config), "--out", str(out), *args])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not out.exists()
+
+
 def test_calibrate_command(small_config, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["calibrate", "--config", str(small_config), "--out", str(out)]) == 0

@@ -75,5 +75,5 @@ def test_verify_structure_at_2000_bins():
     config = ModelConfig(n_reward_bins=2000).validate()
     family = build_ordered_family(build_forwarding_region(config), config)
     tables = backward_induction(family, config)
-    report = verify_structure(tables, extract_thresholds(tables), family)
+    report = verify_structure(tables, extract_thresholds(tables))
     assert report.passed, report.to_json()

@@ -17,6 +17,7 @@ from oracles import (
     enumerate_complete_policies,
     probe_largest_violations,
     reference_multiset_space,
+    reference_overflow_keep,
     reference_probe_costs,
 )
 from relaymdp import dp_complete
@@ -36,7 +37,6 @@ from relaymdp.dp_complete import (
     verify_complete_conjectures,
 )
 from relaymdp.dp_restricted import Action, backward_induction
-from relaymdp.dp_restricted import initial_value as restricted_initial_value
 from relaymdp.model import ModelConfig, reward_grid
 
 # frozen from the policy-enumeration oracle on the 2-location / 2-bin / N=2
@@ -289,7 +289,7 @@ class TestClassDominance:
     def test_complete_never_worse_than_restricted(self, eta, delta):
         config, family = small_instance(4, 12, 4, eta=eta, delta=delta)
         glb = initial_value(solve_complete(family, config))
-        rst = restricted_initial_value(backward_induction(family, config))
+        rst = initial_value(backward_induction(family, config))
         assert glb <= rst + 1e-9
 
 
@@ -368,6 +368,23 @@ class TestMultisetSpace:
         tables = solve_complete(family, config)
         assert "msets" not in vars(tables.space)
         assert tables.space.msets[2][tables.space.row((0, 2))] == (0, 2)
+
+
+class TestOverflowRule:
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    @pytest.mark.parametrize("batch", [dp_complete.OVERFLOW_ELEMENTS, 60])
+    def test_kept_table_follows_the_rule_state_by_state(self, monkeypatch, capacity, batch):
+        # a batch of 60 entries splits the 4 newcomer types into batches of
+        # at most two
+        monkeypatch.setattr(dp_complete, "OVERFLOW_ELEMENTS", batch)
+        config, family = small_instance(4, 6, 4, eta=6.0, delta=0.05)
+        tables = _induction(family, config, capacity)[0]
+        swapped = 0
+        for stage in range(capacity + 1, config.n_relays + 1):
+            kept = tables.overflow_keep(stage)
+            assert np.array_equal(kept, reference_overflow_keep(tables, stage)), stage
+            swapped += int((kept != np.arange(kept.shape[1])[:, None]).sum())
+        assert swapped > 0  # some wake-ups drop an awake relay
 
 
 class TestProbeKernel:

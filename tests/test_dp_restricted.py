@@ -30,16 +30,14 @@ from relaymdp.dp_restricted import (
     backward_induction,
     extract_thresholds,
     initial_value,
-    restricted_levels,
     verify_structure,
 )
 
 def retain_incumbent(tables, stage, best, incumbent, newcomer):
     """Whether the shared overflow rule keeps the awake incumbent when the
     newcomer wakes at ``stage`` (size-1 multisets are rows by type)."""
-    levels = restricted_levels(tables)
-    b = levels.none_index if best is None else best
-    return levels.overflow_keep(stage)[newcomer, incumbent, b] == incumbent
+    b = tables.none_index if best is None else best
+    return tables.overflow_keep(stage)[newcomer, incumbent, b] == incumbent
 
 
 # frozen from the policy-enumeration oracle (tests/oracles.py) on the
@@ -320,22 +318,33 @@ class TestAct:
 
 
 class TestVerifyStructure:
-    def test_default_config_passes_all_checks(
-        self, default_tables, default_thresholds, default_family
-    ):
-        report = verify_structure(default_tables, default_thresholds, default_family)
+    def test_default_config_passes_all_checks(self, default_tables, default_thresholds):
+        report = verify_structure(default_tables, default_thresholds)
         assert report.passed
         for key, check in report.checks.items():
             assert check.passed, key
 
-    def test_nan_in_tables_fails_closed(
-        self, default_tables, default_thresholds, default_family
-    ):
-        j_bf = default_tables.j_bf.copy()
-        j_bf[2, 40, 7] = np.nan
-        corrupted = replace(default_tables, j_bf=j_bf)
-        report = verify_structure(corrupted, default_thresholds, default_family)
+    def test_nan_in_tables_fails_closed(self, default_tables, default_thresholds):
+        # J_3(b=40, F_7), in the levels: the stagewise tables are read off them
+        values = [[v.copy() for v in stage] for stage in default_tables.values]
+        values[2][1][7, 40] = np.nan
+        corrupted = replace(default_tables, values=values)
+        assert np.isnan(corrupted.j_bf[2, 40, 7])
+        report = verify_structure(corrupted, default_thresholds)
         assert not report.passed
+
+    def test_nan_in_a_continue_cost_fails_checks_d_and_f(
+        self, default_tables, default_thresholds
+    ):
+        # cc_2(b=40, F_7): retaining cheapens continuing (d), and the
+        # continue costs are eta-Lipschitz (f)
+        conts = [[c.copy() for c in stage] for stage in default_tables.continue_costs]
+        conts[1][1][7, 40] = np.nan
+        corrupted = replace(default_tables, continue_costs=conts)
+        assert np.isnan(corrupted.cc_bf[1, 40, 7])
+        report = verify_structure(corrupted, default_thresholds)
+        failed = {key for key, check in report.checks.items() if not check.passed}
+        assert {"d_cc_retained_le_bare", "f_lipschitz"} <= failed
 
     @pytest.mark.parametrize("n_bins", [100, 400])
     def test_lipschitz_prefix_max_matches_pairwise(self, default_family, n_bins):
@@ -351,8 +360,8 @@ class TestVerifyStructure:
             reference = pairwise_lipschitz_excess(arr, tables.grid, config.eta)
             np.testing.assert_allclose(fast, reference, rtol=0.0, atol=1e-12)
 
-    def test_report_serializes(self, default_tables, default_thresholds, default_family):
-        report = verify_structure(default_tables, default_thresholds, default_family)
+    def test_report_serializes(self, default_tables, default_thresholds):
+        report = verify_structure(default_tables, default_thresholds)
         payload = report.to_json()
         assert payload["passed"] is True
         assert set(payload["checks"]) == {

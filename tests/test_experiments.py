@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import small_instance
-from relaymdp.dp_complete import solve_complete
-from relaymdp.dp_complete import initial_value as complete_initial_value
+from relaymdp.dp_complete import initial_value, solve_complete
 from relaymdp.dp_restricted import backward_induction
-from relaymdp.dp_restricted import initial_value as restricted_initial_value
 from relaymdp.experiments import (
     InfeasibleGammaError,
     SweepSpec,
@@ -49,7 +47,7 @@ class TestExactComponents:
         config, family = small_instance(4, 15, 4, eta=eta, delta=delta)
         tables = backward_induction(family, config)
         comps = restricted_components(tables)
-        assert comps.cost == pytest.approx(restricted_initial_value(tables), abs=1e-9)
+        assert comps.cost == pytest.approx(initial_value(tables), abs=1e-9)
         assert comps.stopped_mass == pytest.approx(1.0, abs=1e-9)
         assert comps.mean_delay == pytest.approx(config.tau + comps.waiting, abs=1e-12)
 
@@ -58,17 +56,16 @@ class TestExactComponents:
         config, family = small_instance(4, 15, 4, eta=eta, delta=delta)
         tables = solve_complete(family, config)
         comps = complete_components(tables)
-        assert comps.cost == pytest.approx(complete_initial_value(tables), abs=1e-9)
+        assert comps.cost == pytest.approx(initial_value(tables), abs=1e-9)
         assert comps.stopped_mass == pytest.approx(1.0, abs=1e-9)
 
     def test_components_match_monte_carlo(self, small_base):
-        from relaymdp.dp_restricted import restricted_levels
         from relaymdp.simulate import monte_carlo
 
         config, family = small_base
         tables = backward_induction(family, config)
         comps = restricted_components(tables)
-        est = monte_carlo(restricted_levels(tables), 30_000, seed=17)
+        est = monte_carlo(tables, 30_000, seed=17)
         assert abs(est.mean_delay - comps.mean_delay) <= 3 * est.se_delay + 1e-12
         assert abs(est.mean_reward - comps.reward) <= 3 * est.se_reward
         assert abs(est.mean_probes - comps.probes) <= 3 * est.se_probes
@@ -219,6 +216,18 @@ class TestCalibration:
         assert 0.0 < result.eta <= 20.0
         # the previous grid point must miss the target
         assert eff(max(result.eta - resolution, 0.0)) < gamma
+
+    def test_resolution_below_float_spacing_ends_at_adjacent_floats(self, small_base):
+        config, family = small_base
+        lo_eff = restricted_components(backward_induction(
+            family, config.with_overrides(eta=0.0, delta=0.05))).effective_reward
+        hi_eff = restricted_components(backward_induction(
+            family, config.with_overrides(eta=20.0, delta=0.05))).effective_reward
+        result = calibrate_eta(0.5 * (lo_eff + hi_eff), delta=0.05, config=config,
+                               eta_hi=20.0, resolution=1e-300)
+        lo, hi = result.bracket
+        assert np.nextafter(lo, np.inf) == hi == result.eta
+        assert result.evaluations < 100
 
     def test_effective_reward_nondecreasing_in_eta(self, small_base):
         config, family = small_base

@@ -7,10 +7,8 @@ import pytest
 from conftest import small_instance
 from oracles import reference_run_policy
 from relaymdp._kernels import CONTINUE, NO_ACTION, PROBE, STOP, IllegalActionError
-from relaymdp.dp_complete import solve_complete
-from relaymdp.dp_complete import initial_value as complete_initial_value
-from relaymdp.dp_restricted import backward_induction, restricted_levels
-from relaymdp.dp_restricted import initial_value as restricted_initial_value
+from relaymdp.dp_complete import initial_value, solve_complete
+from relaymdp.dp_restricted import backward_induction
 from relaymdp.experiments import baseline_components, complete_components, policy_levels
 from relaymdp.model import ModelConfig, reward_grid
 from relaymdp.simulate import (
@@ -137,7 +135,7 @@ class TestRunPolicy:
         levels = probe_first_levels(family, config)
         comps, baseline = complete_components(levels), baseline_components(family, config)
         assert levels.capacity == 1
-        assert complete_initial_value(levels) == pytest.approx(baseline.cost, abs=1e-12)
+        assert initial_value(levels) == pytest.approx(baseline.cost, abs=1e-12)
         for name in ("waiting", "reward", "probes", "cost", "stopped_mass"):
             assert getattr(comps, name) == pytest.approx(getattr(baseline, name), abs=1e-12)
 
@@ -185,7 +183,7 @@ class TestRunPolicy:
     def test_illegal_continue_at_last_stage(self, sim_instance):
         # probe while nothing is probed, else continue, also at the last stage
         config, family = sim_instance
-        levels = corrupted(restricted_levels(backward_induction(family, config)))
+        levels = corrupted(backward_induction(family, config))
         none = levels.none_index
         for acts, tgts in zip(levels.actions, levels.probe_targets):
             for act in acts:
@@ -309,15 +307,15 @@ class TestMonteCarlo:
     def test_restricted_mc_agrees_with_dp(self, sim_instance):
         config, family = sim_instance
         tables = backward_induction(family, config)
-        est = monte_carlo(restricted_levels(tables), 30_000, seed=5)
-        dp = restricted_initial_value(tables)
+        est = monte_carlo(tables, 30_000, seed=5)
+        dp = initial_value(tables)
         assert abs(est.mean_cost - dp) <= 3 * est.se_cost
 
     def test_complete_mc_agrees_with_dp(self, sim_instance):
         config, family = sim_instance
         tables = solve_complete(family, config)
         est = monte_carlo(tables, 30_000, seed=6)
-        dp = complete_initial_value(tables)
+        dp = initial_value(tables)
         assert abs(est.mean_cost - dp) <= 3 * est.se_cost
 
     def test_deterministic_wakeups_also_agree_with_dp(self, sim_instance):
@@ -329,8 +327,8 @@ class TestMonteCarlo:
             wakeup_law="deterministic", tau=0.2,
         )
         tables = backward_induction(family, config)
-        est = monte_carlo(restricted_levels(tables), 20_000, seed=31)
-        dp = restricted_initial_value(tables)
+        est = monte_carlo(tables, 20_000, seed=31)
+        dp = initial_value(tables)
         assert abs(est.mean_cost - dp) <= max(3 * est.se_cost, 1e-12)
 
     def test_complete_beats_restricted_within_error(self, sim_instance):
