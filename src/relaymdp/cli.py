@@ -141,7 +141,7 @@ def _load_config_doc(path: str, overrides: list[str]) -> dict:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for block, allowed in (("sweep", _SWEEP_KEYS), ("calibrate", _CALIBRATE_KEYS)):
-        extra = set(doc.get(block, {})) - allowed
+        extra = set(_config_block(doc, block)) - allowed
         if extra:
             raise ConfigError(f"unknown {block} keys: {sorted(extra)}")
     return doc
@@ -161,8 +161,17 @@ def _apply_override(doc: dict, keys: list[str], value) -> None:
 
     target = doc
     for key in keys[:-1]:
-        target = target.setdefault(key, {})
+        target.setdefault(key, {})
+        target = _config_block(target, key)
     target[keys[-1]] = value
+
+
+def _config_block(doc: dict, name: str) -> dict:
+    """A block of a config ({} when absent); ConfigError unless an object."""
+    block = doc.get(name, {})
+    if not isinstance(block, dict):
+        raise ConfigError(f"config block {name!r} must be a JSON object, got {block!r}")
+    return block
 
 
 def _calibrate_number(block: dict, key: str, default) -> float:

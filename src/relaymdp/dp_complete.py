@@ -89,9 +89,9 @@ class MultisetSpace:
                        for j in range(s)]
             columns.append(np.maximum(types, members[:, s - 1]) if s else
                            np.broadcast_to(types, (n_types, 1)))
-            self.plus.append(self._ranks(columns))
+            self.plus.append(self.ranks(columns))
 
-    def _ranks(self, columns: list) -> np.ndarray:
+    def ranks(self, columns: list) -> np.ndarray:
         """Rows of sorted multisets, given as their member columns."""
         rank, before = 0, 0
         for j, col in enumerate(columns):
@@ -113,7 +113,7 @@ class MultisetSpace:
             raise ValueError(
                 f"multiset {mset!r} is not a sorted multiset of at most {self.max_size} "
                 f"of the types 0..{self.n_types - 1}")
-        return int(self._ranks(list(g)))
+        return int(self.ranks(list(g)))
 
 
 @lru_cache(maxsize=8)
@@ -129,6 +129,8 @@ class CompleteTables:
     k for unprobed multisets of size s <= min(k, capacity); ``actions`` holds
     the STOP, PROBE and CONTINUE codes (NO_ACTION where no action is legal)
     and ``probe_targets`` the location type probed, -1 elsewhere.
+    ``kept[k-1]`` is the overflow rule at stage k (``_overflow_rule``), None at
+    stages 1..capacity, where no wake-up overflows.
     """
 
     config: ModelConfig
@@ -137,7 +139,7 @@ class CompleteTables:
     values: list[list[np.ndarray]] = field(repr=False)
     actions: list[list[np.ndarray]] = field(repr=False)
     probe_targets: list[list[np.ndarray]] = field(repr=False)
-    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    kept: list[Optional[np.ndarray]] = field(repr=False)
 
     @property
     def n_bins(self) -> int:
@@ -161,44 +163,13 @@ class CompleteTables:
         b = self.none_index if best is None else best
         return float(self.values[stage - 1][len(g)][self.space.row(g), b])
 
-    def overflow_keep(self, stage: int) -> np.ndarray:
-        """The overflow rule at ``stage``: kept[t, g, b] is the row of the set
-        left awake when a relay of type t wakes beside the full awake set of
-        row g at best reward b.  The newcomer is dropped unless dropping an
-        awake member leaves a strictly smaller value; among members that tie,
-        the one of lowest ``family.rank`` is dropped.  Cached per stage."""
-        if stage not in self._kept:
-            c = self.capacity
-            level = self.values[stage - 1][c]
-            dtype = np.min_scalar_type(len(level))
-            # swaps[t, g, p]: the row of g with its p-th member, taken from
-            # the lowest rank up, replaced by t
-            rests = _ranked_members(self.space, c, tuple(self.family.rank))[1]
-            swaps = self.space.plus[c - 1][:, rests].astype(dtype)
-            own = np.arange(len(level), dtype=dtype)[:, None]
-            kept = np.empty(swaps.shape[:2] + level.shape[1:], dtype=dtype)
-            # a batch of newcomer types at a time, to keep temporaries small
-            step = max(1, OVERFLOW_ELEMENTS // level.size)
-            for first in range(0, len(kept), step):
-                # the best swap and its row; a later member replaces an
-                # earlier one only with a strictly smaller value
-                batch = swaps[first:first + step]
-                best, rows = level[batch[..., 0]], batch[..., :1]
-                for p in range(1, c):
-                    better = level[batch[..., p]] < best
-                    best = np.where(better, level[batch[..., p]], best)
-                    rows = np.where(better, batch[..., p:p + 1], rows)
-                kept[first:first + step] = np.where(best < level, rows, own)
-            self._kept[stage] = kept
-        return self._kept[stage]
-
 
 @lru_cache(maxsize=8)
 def _ranked_members(space: MultisetSpace, s: int, rank: tuple[int, ...]) -> tuple:
     """(types, rests) of the size-s sets: types[g, p] is the p-th member of the
     set of row g, members taken from the lowest ``rank`` up, and rests[g, p]
-    the row of that set without it; the dtype of rests, which the kept tables
-    share, is the smallest that holds a row index."""
+    the row of that set without it, in the smallest dtype that holds a row
+    index."""
     members = space.members[s]
     order = np.argsort(np.asarray(rank)[members], axis=1, kind="stable")
     types = np.take_along_axis(members, order, axis=1)
@@ -296,6 +267,41 @@ def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharg
     return probe, target
 
 
+def _overflow_rule(space: MultisetSpace, level: np.ndarray, capacity: int,
+                   rank: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The overflow rule on a solved full level (size c = ``capacity``): when a
+    relay of type t wakes beside the awake set of row g at best reward b, the
+    newcomer is dropped unless dropping a member leaves a strictly smaller
+    value, and of members that tie, the one of lowest ``rank`` is.  Returns
+    kept[t, g, b], the row of the set kept, and the sum over t of its value
+    in type order."""
+    dtype = np.min_scalar_type(len(level))
+    # swaps[t, g, p]: the row of g with its p-th member, taken from the lowest
+    # rank up, replaced by t
+    rests = _ranked_members(space, capacity, rank)[1]
+    swaps = space.plus[capacity - 1][:, rests].astype(dtype)
+    own = np.arange(len(level), dtype=dtype)[:, None]
+    kept = np.empty(swaps.shape[:2] + level.shape[1:], dtype=dtype)
+    total = np.zeros(level.shape)
+    # a batch of newcomer types at a time, to keep temporaries small
+    step = max(1, OVERFLOW_ELEMENTS // level.size)
+    for first in range(0, len(kept), step):
+        # the best swap and its row, a later member winning only if strictly smaller
+        batch = swaps[first:first + step]
+        best, rows = np.take(level, batch[..., 0], axis=0), batch[..., :1]
+        for p in range(1, capacity):
+            swapped = np.take(level, batch[..., p], axis=0)
+            better = np.less(swapped, best)
+            np.copyto(best, swapped, where=better)
+            rows = np.where(better, batch[..., p:p + 1], rows)
+        kept[first:first + step] = np.where(best < level, rows, own)
+        # the kept set's value, but for the sign of a zero, which a sum
+        # started from +0.0 never shows
+        for value in np.minimum(best, level, out=best):
+            total += value
+    return kept, total
+
+
 # overflow and invalid values surface in the check of each solved level
 @np.errstate(over="ignore", invalid="ignore")
 def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
@@ -305,10 +311,10 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
     Stages run from N down to 1 and multiset sizes from 0 up to min(k, c)
     within each stage.  Among probe targets, ties break toward the
     stochastically largest member; between stop, the best probe and
-    continue, ``resolve_actions`` decides.  A continue from the full size c
-    reads the best remainder of the set with the newcomer added: the value of
-    the set the overflow rule keeps.  Returns the tables and, with
-    ``keep_costs``, the probe and the continue costs of every level,
+    continue, ``resolve_actions`` decides.  Each full level (size c) past
+    stage c goes to ``_overflow_rule`` once solved, for its kept rows and the
+    continue term of the full level a stage earlier.  Returns the tables and,
+    with ``keep_costs``, the probe and the continue costs of every level,
     probes[k-1][s] and conts[k-1][s] (else None, None).
     """
     config.validate()
@@ -321,26 +327,22 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
     if projected > DEFAULT_STATE_BUDGET:
         raise BudgetExceededError(projected, DEFAULT_STATE_BUDGET)
 
-    space = multiset_space(n_types, min(capacity + 1, n_stages))
+    space = multiset_space(n_types, min(capacity, n_stages))
     pmf, cdf = family.pmf_matrix, family.cdf_matrix
     stop = np.append(-eta * reward_grid(n_bins), np.inf)
     rank = tuple(family.rank)
-    if capacity < n_stages:
-        rests = _ranked_members(space, capacity + 1, rank)[1]
 
     values: list[list[np.ndarray]] = [[] for _ in range(n_stages)]
     actions: list[list[np.ndarray]] = [[] for _ in range(n_stages)]
     targets: list[list[np.ndarray]] = [[] for _ in range(n_stages)]
+    kept: list[Optional[np.ndarray]] = [None] * n_stages
+    overflow = None  # the summed kept values of the full level solved last
     probes = [[] for _ in range(n_stages)] if keep_costs else None
     conts = [[] for _ in range(n_stages)] if keep_costs else None
 
     for k in range(n_stages, 0, -1):
         i = k - 1
-        top = min(k, capacity)
-        values[i] = [None] * (top + 1)
-        actions[i] = [None] * (top + 1)
-        targets[i] = [None] * (top + 1)
-        for s in range(top + 1):
+        for s in range(min(k, capacity) + 1):
             n_s = len(space.members[s])
             if s >= 1:
                 probe, tgt = _probe_costs(values[i][s - 1][:, :n_bins], pmf, cdf, eta * delta,
@@ -351,20 +353,12 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
 
             cont = np.inf
             if k < n_stages:
-                nxt = values[i + 1][min(s + 1, capacity)]
-                cont = np.zeros((n_s, n_bins + 1))
-                for t in range(n_types):
-                    if s < capacity:
-                        cont += nxt[space.plus[s][t]]
-                    else:
-                        # past the capacity: the best remainder of each set
-                        # with t added, taken per t rather than for every set
-                        # one larger, to keep the solve's temporaries small
-                        drops = rests[space.plus[s][t]]
-                        best = nxt[drops[:, 0]]
-                        for p in range(1, capacity + 1):
-                            np.minimum(best, nxt[drops[:, p]], out=best)
-                        cont += best
+                if s < capacity:
+                    cont = np.zeros((n_s, n_bins + 1))
+                    for t in range(n_types):
+                        cont += values[i + 1][s + 1][space.plus[s][t]]
+                else:
+                    cont = overflow
                 cont /= n_types
                 cont += tau
 
@@ -391,12 +385,14 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
                 raise NonFiniteValueError(
                     f"value {val[row, b]} at stage {k}, multiset size {s}, row {row} "
                     f"{space.msets[s][row]}, bin {b}: the config overflows float arithmetic")
-            values[i][s] = val
-            actions[i][s] = act
-            targets[i][s] = tgt
+            values[i].append(val)
+            actions[i].append(act)
+            targets[i].append(tgt)
+            if s == capacity < k:
+                kept[i], overflow = _overflow_rule(space, val, capacity, rank)
 
-    tables = CompleteTables(config=config, family=family, space=space,
-                           values=values, actions=actions, probe_targets=targets)
+    tables = CompleteTables(config=config, family=family, space=space, values=values,
+                           actions=actions, probe_targets=targets, kept=kept)
     return tables, probes, conts
 
 

@@ -115,11 +115,7 @@ def backward_induction(family: OrderedFamily, config: ModelConfig) -> Restricted
     states cannot probe, so their probe cost is +inf.
     """
     levels, probes, conts = _induction(family, config, capacity=1, keep_costs=True)
-    return RestrictedTables(
-        config=config, family=family, space=levels.space, values=levels.values,
-        actions=levels.actions, probe_targets=levels.probe_targets,
-        probe_costs=probes, continue_costs=conts,
-    )
+    return RestrictedTables(**vars(levels), probe_costs=probes, continue_costs=conts)
 
 
 def _upset_min_index(mask: np.ndarray, label: str) -> int:
@@ -176,7 +172,7 @@ def act(
 
     The retained-distribution slot being None marks a bare state, reached
     immediately after probing.  Which relay a CONTINUE retains is up to the
-    overflow rule (``CompleteTables.overflow_keep``) at the next wake-up.
+    overflow rule, read from the tables' ``kept`` rows of the next stage.
     """
     best, dist, stage = state
     awake = () if dist is None else (dist,)

@@ -183,7 +183,7 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                         # temporaries small; np.add.at adds in the order of a
                         # single pass over every (type, row, bin)
                         bins = np.arange(n_bins + 1)
-                        for kept in tables.overflow_keep(k + 1):
+                        for kept in tables.kept[k]:
                             np.add.at(out.reshape(-1), (kept * np.intp(n_bins + 1) + bins).ravel(),
                                       cw.ravel())
                     else:

@@ -121,7 +121,10 @@ class ModelConfig:
             # bools stay bools, so that validate() rejects them
             numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
             if f.type in ("float", float) and numeric:
-                value = float(value)
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise ConfigError(f"{f.name} is an integer past the float range") from None
             elif f.type in ("int", int) and isinstance(value, float):
                 if not value.is_integer():
                     raise ConfigError(f"{f.name} must be an integer, got {value}")

@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ._kernels import CONTINUE, NO_ACTION, PROBE, STOP, IllegalActionError
-from .dp_complete import CompleteTables, _ranked_members, multiset_space
+from .dp_complete import CompleteTables, multiset_space
 from .model import ModelConfig, OrderedFamily, reward_grid
 
 # Nothing here calls these two; perfbench/tracing.py wraps them by their names
@@ -158,10 +158,11 @@ def probe_first_levels(family: OrderedFamily, config: ModelConfig) -> CompleteTa
     held_act[:, none] = PROBE
     held_tgt[:, none] = np.arange(n_loc)
     return CompleteTables(
-        config=config, family=family, space=multiset_space(n_loc, min(2, config.n_relays)),
+        config=config, family=family, space=multiset_space(n_loc, 1),
         values=[[lv[0] for lv in st] for st in stages],
         actions=[[lv[1] for lv in st] for st in stages],
         probe_targets=[[lv[2] for lv in st] for st in stages],
+        kept=[None] * config.n_relays,
     )
 
 
@@ -224,8 +225,9 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
                 revealed = bins[e, pick]
                 best[e] = np.where(best[e] == none, revealed, np.maximum(best[e], revealed))
                 probes[e] += 1
-                # the row of the set left, rebuilt from its s - 1 members
-                row[e] = _rows(space, loc[e][awake[e]].reshape(len(e), s - 1))
+                # the row of the set left, ranked from its s - 1 members
+                left = np.sort(loc[e][awake[e]].reshape(len(e), s - 1), axis=1)
+                row[e] = space.ranks(list(left.T))
                 size[e] = s - 1
 
         if k == n_stages:
@@ -241,12 +243,12 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
         full = sizes == capacity
         if full.any():
             e, t, g = e[full], t[full], g[full]
-            kept = levels.overflow_keep(k + 1)[t, g, best[e]]
+            kept = levels.kept[k][t, g, best[e]]
             swap = kept != g  # else the newcomer is dropped
             e, t, g, kept = e[swap], t[swap], g[swap], kept[swap]
-            joined = space.plus[capacity][t, g]
-            types, rests = _ranked_members(space, capacity + 1, tuple(levels.family.rank))
-            dropped = types[joined, (rests[joined] == kept[:, None]).argmax(axis=1)]
+            # the type dropped: the members of g and t, less those kept
+            sums = space.members[capacity].sum(axis=1)
+            dropped = sums[g] + t - sums[kept]
             awake[e, (awake[e] & (loc[e] == dropped[:, None])).argmax(axis=1)] = False
             awake[e, k] = True
             row[e] = kept
@@ -263,15 +265,6 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
         effective_reward=reward - delta * probes,
         stop_stage=stop_stage,
     )
-
-
-def _rows(space, types: np.ndarray) -> np.ndarray:
-    """The row of the multiset in each row of ``types`` (members in any
-    order), built up member by member through the ``plus`` maps."""
-    rows = np.zeros(len(types), dtype=np.intp)
-    for i in range(types.shape[1]):
-        rows = space.plus[i][types[:, i], rows]
-    return rows
 
 
 def _illegal(code: int, target: int, stage: int, episode: int, best: int, none: int,

@@ -561,7 +561,7 @@ def _overflow_drop(levels, stage, best, types):
     space = levels.space
     held = space.row(tuple(sorted(types[:-1])))
     b = levels.none_index if best is None else best
-    kept = levels.overflow_keep(stage)[types[-1], held, b]
+    kept = levels.kept[stage - 1][types[-1], held, b]
     if kept == held:
         return len(types) - 1
     left = space.msets[len(types) - 1][kept]

@@ -205,6 +205,38 @@ def test_bad_calibrate_values_exit_one(small_config, tmp_path, capsys, field, ar
     assert not out.exists()
 
 
+@pytest.mark.parametrize("block,value,override", [
+    ("calibrate", 5, None),
+    ("calibrate", 5, "calibrate.delta=0.1"),
+    ("sweep", "eta", None),
+    ("sweep", "eta", "sweep.n_episodes=10"),
+])
+def test_block_that_is_not_an_object_exits_one(small_config, tmp_path, capsys, block, value,
+                                                override):
+    # the block's command reads it
+    doc = json.loads(small_config.read_text())
+    doc[block] = value
+    small_config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = [block, "--config", str(small_config), "--out", str(out)]
+    if override:
+        argv += ["--override", override]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(block) in err and "JSON object" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["tau", "eta"])
+def test_integer_past_the_float_range_exits_one(small_config, tmp_path, capsys, field):
+    code = main(["census", "--config", str(small_config), "--out", str(tmp_path / "o"),
+                 "--override", f"{field}=1{'0' * 400}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_calibrate_command(small_config, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["calibrate", "--config", str(small_config), "--out", str(out)]) == 0

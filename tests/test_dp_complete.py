@@ -381,10 +381,25 @@ class TestOverflowRule:
         tables = _induction(family, config, capacity)[0]
         swapped = 0
         for stage in range(capacity + 1, config.n_relays + 1):
-            kept = tables.overflow_keep(stage)
+            kept = tables.kept[stage - 1]
             assert np.array_equal(kept, reference_overflow_keep(tables, stage)), stage
             swapped += int((kept != np.arange(kept.shape[1])[:, None]).sum())
         assert swapped > 0  # some wake-ups drop an awake relay
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 4])
+    def test_full_continue_cost_reads_the_kept_values(self, capacity):
+        config, family = small_instance(4, 6, 4, eta=6.0, delta=0.05)
+        tables, _, conts = _induction(family, config, capacity, keep_costs=True)
+        # no wake-up overflows into the stages up to the capacity (all at N)
+        assert all(kept is None for kept in tables.kept[:capacity])
+        n_types, bins = len(family), np.arange(tables.n_bins + 1)
+        for k in range(capacity, config.n_relays):
+            # stage k continues from its full level into stage k + 1
+            total = np.zeros(tables.values[k][capacity].shape)
+            for t in range(n_types):
+                total += tables.values[k][capacity][tables.kept[k][t], bins]
+            want = total / n_types + config.tau
+            assert conts[k - 1][capacity].tobytes() == want.tobytes(), k
 
 
 class TestProbeKernel:

@@ -37,7 +37,7 @@ def retain_incumbent(tables, stage, best, incumbent, newcomer):
     """Whether the shared overflow rule keeps the awake incumbent when the
     newcomer wakes at ``stage`` (size-1 multisets are rows by type)."""
     b = tables.none_index if best is None else best
-    return tables.overflow_keep(stage)[newcomer, incumbent, b] == incumbent
+    return tables.kept[stage - 1][newcomer, incumbent, b] == incumbent
 
 
 # frozen from the policy-enumeration oracle (tests/oracles.py) on the
