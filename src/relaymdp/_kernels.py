@@ -38,6 +38,18 @@ class IllegalActionError(RuntimeError):
     """An action was requested (or forced) in a state that forbids it."""
 
 
+def illegal_action(code: int, target: int, state: str) -> IllegalActionError:
+    """The error for action ``code`` (probe ``target``) taken in a state that
+    forbids it, ``state`` naming that state in words."""
+    if code == STOP:
+        return IllegalActionError(f"stop with nothing probed {state}")
+    if code == PROBE:
+        return IllegalActionError(f"probe target type {target} not awake {state}")
+    if code == CONTINUE:
+        return IllegalActionError(f"continue at the last stage {state}")
+    return IllegalActionError(f"no legal action (code {code}) {state}")
+
+
 def resolve_actions(stop, probe, cont) -> np.ndarray:
     """The optimal action code for every state, from its three action costs.
 

@@ -29,9 +29,10 @@ DEFAULT_STATE_BUDGET = 50_000_000
 # largest (which set the peak memory) one bin at a time, and a batch of probe
 # targets in the forward sweep.
 BATCH_ELEMENTS = 1 << 18
-# Float entries of one batch of newcomer types in the overflow rule (64 KB):
-# below glibc's smallest mmap threshold, so that the many small builds of a
-# calibration reuse heap pages instead of faulting in fresh mapped ones.
+# Entries of one batch of newcomer types in the overflow rule and in the
+# forward sweep's continue move (64 KB): below glibc's smallest mmap
+# threshold, so that the many small builds and sweeps of a calibration reuse
+# heap pages instead of faulting in fresh mapped ones.
 OVERFLOW_ELEMENTS = 1 << 13
 
 
@@ -419,6 +420,9 @@ def act_complete(
         raise ValueError(f"stage {stage} outside 1..{tables.n_stages}")
     if len(g) > stage:
         raise ValueError(f"multiset of size {len(g)} cannot occur at stage {stage}")
+    if len(g) > tables.capacity:
+        raise ValueError(f"multiset {g} holds {len(g)} unprobed relays, but these tables keep "
+                         f"at most {tables.capacity} unprobed relays awake")
     if any(not 0 <= t < len(tables.family) for t in g):
         raise ValueError(f"unknown location types in {g}")
     if best is not None and not 0 <= best < tables.n_bins:

@@ -22,9 +22,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from ._kernels import CONTINUE, STOP
-from .dp_complete import (BATCH_ELEMENTS, BudgetExceededError, CompleteTables, initial_value,
-                          solve_complete)
+from ._kernels import CONTINUE, PROBE, STOP, IllegalActionError, illegal_action
+from .dp_complete import (BATCH_ELEMENTS, OVERFLOW_ELEMENTS, BudgetExceededError, CompleteTables,
+                          initial_value, solve_complete)
 from .dp_restricted import RestrictedTables, backward_induction, extract_thresholds
 from .model import (
     ModelConfig,
@@ -110,12 +110,39 @@ def restricted_components(tables: RestrictedTables) -> PolicyComponents:
     return complete_components(tables)
 
 
+class _LevelMass:
+    """The mass of one level of the forward sweep: ``none`` over its sets at
+    the none row, and ``real`` over (set, real bin), None until a move first
+    brings mass there."""
+
+    __slots__ = ("none", "real")
+
+    def __init__(self, n_sets: int):
+        self.none = np.zeros(n_sets)
+        self.real: Optional[np.ndarray] = None
+
+    def real_bins(self, n_bins: int) -> np.ndarray:
+        if self.real is None:
+            self.real = np.zeros((len(self.none), n_bins))
+        return self.real
+
+
 def complete_components(tables: CompleteTables) -> PolicyComponents:
     """Forward probability sweep under a solved policy of any capacity.
 
     Mass moves over (stage, multiset, best reward) as the action tables say;
     a continue from the full capacity goes where the overflow rule keeps it.
-    Only the masses of the current and the next stage are alive at a time.
+    Each level holds its mass at the none row as a vector over its sets and
+    its mass over the real bins as a matrix, allocated when a move first
+    brings mass there.  At stage k a set of size k has probed nothing, so
+    that level is its vector alone: its probe move is pmf[t] times the
+    probing mass of each type t, and its continue a vector scatter.  Only the
+    masses of the current and the next stage are alive at a time.
+
+    Every entry of positive mass must be moved by a legal action: one on
+    NO_ACTION, a stop with nothing probed, a probe of a type not in its set
+    or a continue at the last stage raises IllegalActionError naming the
+    stage, the multiset and the bin.
     """
     config = tables.config
     family = tables.family
@@ -127,72 +154,134 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
     capacity = tables.capacity
     grid = reward_grid(n_bins)
     pmf, cdf = family.pmf_matrix, family.cdf_matrix
+    types = np.arange(n_loc)
 
-    def level(masses: dict, s: int) -> np.ndarray:
+    def level(masses: dict, s: int) -> _LevelMass:
         if s not in masses:
-            masses[s] = np.zeros((len(space.members[s]), n_bins + 1))
+            masses[s] = _LevelMass(len(space.members[s]))
         return masses[s]
 
     current = {}
-    level(current, 1)[:, none] = 1.0 / n_loc  # msets of size 1 are ordered by type
+    level(current, 1).none[:] = 1.0 / n_loc  # msets of size 1 are ordered by type
 
     reward = probes = waits = stopped = 0.0
     for k in range(1, n_stages + 1):
+        last = k == n_stages
         following = {}
         for s in range(min(k, capacity), -1, -1):
-            m = current.pop(s, None)
-            if m is None:
+            mass = current.pop(s, None)
+            if mass is None:
                 continue
             act = tables.actions[k - 1][s]
             tgt = tables.probe_targets[k - 1][s]
+            # entries of positive mass, and those a legal action moved
+            live, moved = np.count_nonzero(mass.none), 0
 
-            stopping = m * (act == STOP)
-            reward += float(stopping[:, :n_bins].sum(axis=0) @ grid)
-            stopped += float(stopping.sum())
-            del stopping
-
-            if s >= 1:
-                # probing t from the set of row plus[s-1][t][f] leaves row f
-                out = level(current, s - 1)
-                per_call = max(1, BATCH_ELEMENTS // out.size)
-                for first in range(0, n_loc, per_call):
-                    types = np.arange(first, min(first + per_call, n_loc))
-                    src = space.plus[s - 1][first:first + per_call]
-                    w = m[src] * (tgt[src] == types[:, None, None])
-                    if not w.any():
-                        continue
+            if s >= 1 and live:
+                # w[t, f]: the mass at the none row probing t from the set of
+                # row plus[s-1][t][f], which leaves row f; bin j gains pmf[t, j] w
+                src = space.plus[s - 1]
+                w = np.where(act[:, none] == PROBE, mass.none, 0.0)[src]
+                w *= tgt[:, none][src] == types[:, None]
+                count = np.count_nonzero(w)
+                if count:
+                    moved += count
                     probes += float(w.sum())
-                    # prefix[..., j]: the probing mass at the none row and below bin j
-                    below = np.cumsum(w[..., :n_bins - 1], axis=-1)
-                    prefix = w[..., none, None] + np.concatenate(
-                        [np.zeros(w.shape[:-1] + (1,)), below], axis=-1
-                    )
-                    out[:, :n_bins] += (
-                        w[..., :n_bins] * cdf[types, None] + pmf[types, None] * prefix
-                    ).sum(axis=0)
+                    out = level(current, s - 1).real_bins(n_bins)
+                    out += np.einsum("tf,tj->fj", w, pmf)
 
-            if k < n_stages:
-                cw = m * (act == CONTINUE)
-                total = float(cw.sum())
-                if total > 0.0:
-                    waits += total
+            real = mass.real
+            if real is not None:
+                code = act[:, :none]
+                live += np.count_nonzero(real)
+
+                stopping = np.where(code == STOP, real, 0.0)
+                moved += np.count_nonzero(stopping)
+                reward += float(stopping.sum(axis=0) @ grid)
+                stopped += float(stopping.sum())
+                del stopping
+
+                if s >= 1:
+                    probing = np.where(code == PROBE, real, 0.0)
+                    per_call = max(1, BATCH_ELEMENTS // (len(space.members[s - 1]) * n_bins))
+                    for first in range(0, n_loc, per_call):
+                        batch = types[first:first + per_call]
+                        src = space.plus[s - 1][batch]
+                        w = probing[src]
+                        w *= tgt[src][..., :none] == batch[:, None, None]
+                        count = np.count_nonzero(w)
+                        if not count:
+                            continue
+                        moved += count
+                        probes += float(w.sum())
+                        # bin j gains w[j] cdf[j] plus pmf[j] times the mass below j
+                        gain = w * cdf[batch, None]
+                        gain[..., 1:] += pmf[batch, None, 1:] * np.cumsum(w[..., :-1], axis=-1)
+                        out = level(current, s - 1).real_bins(n_bins)
+                        out += gain.sum(axis=0)
+                    del probing
+
+            if not last:
+                # to the set with the newcomer or, from the full size, to the
+                # set the overflow rule keeps
+                grown = s if s == capacity else s + 1
+                for part, cols in ((mass.none[:, None], slice(none, None)),
+                                   (real, slice(0, none))):
+                    if part is None:
+                        continue
+                    cw = np.where(act[:, cols] == CONTINUE, part, 0.0)
+                    count = np.count_nonzero(cw)
+                    if not count:
+                        continue
+                    moved += count
+                    waits += float(cw.sum())
                     cw /= n_loc
-                    if s == capacity:  # one relay is dropped, as the overflow rule says
-                        out = level(following, s)
-                        # one newcomer type at a time, which keeps the
-                        # temporaries small; np.add.at adds in the order of a
-                        # single pass over every (type, row, bin)
-                        bins = np.arange(n_bins + 1)
-                        for kept in tables.kept[k]:
-                            np.add.at(out.reshape(-1), (kept * np.intp(n_bins + 1) + bins).ravel(),
-                                      cw.ravel())
-                    else:
-                        out = level(following, s + 1)
-                        for t in range(n_loc):
-                            out[space.plus[s][t]] += cw
+                    nxt = level(following, grown)
+                    out = nxt.real_bins(n_bins) if part is real else nxt.none[:, None]
+                    rows = tables.kept[k][..., cols] if s == capacity else space.plus[s][:, :, None]
+                    _add_moved(out, rows, cw)
+
+            if moved != live:
+                raise _illegal_entry(tables, k, s, mass)
         current = following
 
     return _components(waits, reward, probes, stopped, config)
+
+
+def _add_moved(out: np.ndarray, rows: np.ndarray, mass: np.ndarray) -> None:
+    """out[rows[t, g, j], j] += mass[g, j] for every newcomer type t, row g
+    and column j, ``rows`` broadcasting along the columns.  np.add.at adds in
+    the order of one pass over (t, g, j), a batch of types of at most
+    OVERFLOW_ELEMENTS entries at a time."""
+    width = mass.shape[1]
+    flat, cols = out.reshape(-1), np.arange(width)
+    step = max(1, OVERFLOW_ELEMENTS // mass.size)
+    for first in range(0, len(rows), step):
+        index = rows[first:first + step] * np.intp(width) + cols
+        # values of the index's own shape: numpy 2.4's np.add.at adds wrong
+        # sums, or crashes, when the values broadcast against the indices
+        np.add.at(flat, index.ravel(), np.broadcast_to(mass, index.shape).ravel())
+
+
+def _illegal_entry(tables: CompleteTables, stage: int, s: int,
+                   mass: _LevelMass) -> IllegalActionError:
+    """The error naming the first entry of positive mass, by row and then
+    bin, that no legal action moves."""
+    space, none = tables.space, tables.none_index
+    full = np.zeros(tables.actions[stage - 1][s].shape)
+    full[:, none] = mass.none
+    if mass.real is not None:
+        full[:, :none] = mass.real
+    rows, bins = np.nonzero(full > 0)
+    code = tables.actions[stage - 1][s][rows, bins]
+    target = tables.probe_targets[stage - 1][s][rows, bins]
+    held = (space.members[s][rows] == target[:, None]).any(axis=1)
+    legal = (((code == STOP) & (bins != none)) | ((code == PROBE) & held)
+             | ((code == CONTINUE) & (stage < tables.n_stages)))
+    i = int(np.argmin(legal))
+    best = None if bins[i] == none else int(bins[i])
+    return illegal_action(int(code[i]), int(target[i]),
+                          f"(stage {stage}, multiset {space.msets[s][rows[i]]}, best={best})")
 
 
 def baseline_components(family: OrderedFamily, config: ModelConfig) -> PolicyComponents:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._kernels import CONTINUE, NO_ACTION, PROBE, STOP, IllegalActionError
+from ._kernels import CONTINUE, NO_ACTION, PROBE, STOP, illegal_action
 from .dp_complete import CompleteTables, multiset_space
 from .model import ModelConfig, OrderedFamily, reward_grid
 
@@ -209,8 +209,10 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
                        | ((code != STOP) & (code != PROBE) & (code != CONTINUE)))
             if illegal.any():
                 i = int(np.argmax(illegal))
-                raise _illegal(int(code[i]), int(target[i]), k, int(at[i]), int(b[i]), none,
-                               tuple(loc[at[i]][awake[at[i]]].tolist()))
+                raise illegal_action(
+                    int(code[i]), int(target[i]),
+                    f"(stage {k}, episode {at[i]}, best={None if b[i] == none else b[i]}, "
+                    f"awake types {tuple(loc[at[i]][awake[at[i]]].tolist())})")
 
             stops = at[code == STOP]
             live[stops] = False
@@ -265,20 +267,6 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
         effective_reward=reward - delta * probes,
         stop_stage=stop_stage,
     )
-
-
-def _illegal(code: int, target: int, stage: int, episode: int, best: int, none: int,
-             types: tuple) -> IllegalActionError:
-    """The error naming an offending episode's state (awake types in wake order)."""
-    state = (f"(stage {stage}, episode {episode}, best={None if best == none else best}, "
-             f"awake types {types})")
-    if code == STOP:
-        return IllegalActionError(f"stop with nothing probed {state}")
-    if code == PROBE:
-        return IllegalActionError(f"probe target type {target} not awake {state}")
-    if code == CONTINUE:
-        return IllegalActionError(f"continue at the last stage {state}")
-    return IllegalActionError(f"no legal action (code {code}) {state}")
 
 
 def check_episode_count(n_episodes) -> int:

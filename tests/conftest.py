@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from relaymdp import (
@@ -46,3 +48,12 @@ def small_instance(n_locations, n_bins, n_relays, eta, delta, tau=0.3):
     grid = build_forwarding_region(config)
     family = build_ordered_family(grid, config)
     return config, family
+
+
+def corrupted(levels):
+    """A copy of solved levels whose action and target tables may be edited."""
+    return dataclasses.replace(
+        levels,
+        actions=[[a.copy() for a in stage] for stage in levels.actions],
+        probe_targets=[[t.copy() for t in stage] for stage in levels.probe_targets],
+    )

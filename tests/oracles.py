@@ -641,3 +641,103 @@ def reference_probe_costs(smaller, family, surcharge, space, s):
         probe[src] = np.where(better, cost, current)
         target[src] = np.where(better, t, target[src])
     return probe, target
+
+
+# ---------------------------------------------------------------------------
+# the exact forward sweep, every level one dense array
+# ---------------------------------------------------------------------------
+
+def reference_components(tables):
+    """Forward probability sweep under a solved policy of any capacity, with
+    every level held as one dense (sets, n_bins + 1) array and every probe
+    move gathered per target type over the whole level: the ground truth of
+    ``experiments.complete_components``.
+
+    Mass moves over (stage, multiset, best reward) as the action tables say;
+    a continue from the full capacity goes where the overflow rule keeps it.
+    Only the masses of the current and the next stage are alive at a time.
+    """
+    import numpy as np
+
+    from relaymdp._kernels import CONTINUE, STOP
+    from relaymdp.dp_complete import BATCH_ELEMENTS
+    from relaymdp.experiments import _components
+    from relaymdp.model import reward_grid
+
+    config = tables.config
+    family = tables.family
+    space = tables.space
+    n_bins = tables.n_bins
+    none = tables.none_index
+    n_loc = len(family)
+    n_stages = tables.n_stages
+    capacity = tables.capacity
+    grid = reward_grid(n_bins)
+    pmf, cdf = family.pmf_matrix, family.cdf_matrix
+
+    def level(masses: dict, s: int) -> np.ndarray:
+        if s not in masses:
+            masses[s] = np.zeros((len(space.members[s]), n_bins + 1))
+        return masses[s]
+
+    current = {}
+    level(current, 1)[:, none] = 1.0 / n_loc  # msets of size 1 are ordered by type
+
+    reward = probes = waits = stopped = 0.0
+    for k in range(1, n_stages + 1):
+        following = {}
+        for s in range(min(k, capacity), -1, -1):
+            m = current.pop(s, None)
+            if m is None:
+                continue
+            act = tables.actions[k - 1][s]
+            tgt = tables.probe_targets[k - 1][s]
+
+            stopping = m * (act == STOP)
+            reward += float(stopping[:, :n_bins].sum(axis=0) @ grid)
+            stopped += float(stopping.sum())
+            del stopping
+
+            if s >= 1:
+                # probing t from the set of row plus[s-1][t][f] leaves row f
+                out = level(current, s - 1)
+                per_call = max(1, BATCH_ELEMENTS // out.size)
+                for first in range(0, n_loc, per_call):
+                    types = np.arange(first, min(first + per_call, n_loc))
+                    src = space.plus[s - 1][first:first + per_call]
+                    w = m[src] * (tgt[src] == types[:, None, None])
+                    if not w.any():
+                        continue
+                    probes += float(w.sum())
+                    # prefix[..., j]: the probing mass at the none row and below bin j
+                    below = np.cumsum(w[..., :n_bins - 1], axis=-1)
+                    prefix = w[..., none, None] + np.concatenate(
+                        [np.zeros(w.shape[:-1] + (1,)), below], axis=-1
+                    )
+                    out[:, :n_bins] += (
+                        w[..., :n_bins] * cdf[types, None] + pmf[types, None] * prefix
+                    ).sum(axis=0)
+
+            if k < n_stages:
+                cw = m * (act == CONTINUE)
+                total = float(cw.sum())
+                if total > 0.0:
+                    waits += total
+                    cw /= n_loc
+                    if s == capacity:  # one relay is dropped, as the overflow rule says
+                        out = level(following, s)
+                        # one newcomer type at a time, which keeps the
+                        # temporaries small; np.add.at adds in the order of a
+                        # single pass over every (type, row, bin)
+                        bins = np.arange(n_bins + 1)
+                        for kept in tables.kept[k]:
+                            np.add.at(out.reshape(-1), (kept * np.intp(n_bins + 1) + bins).ravel(),
+                                      cw.ravel())
+                    else:
+                        out = level(following, s + 1)
+                        for t in range(n_loc):
+                            out[space.plus[s][t]] += cw
+        current = following
+
+    return _components(waits, reward, probes, stopped, config)
+

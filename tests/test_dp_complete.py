@@ -226,6 +226,11 @@ class TestActComplete:
         with pytest.raises(ValueError):
             act_complete((1, None, (0, 1)), tables)
 
+    def test_multiset_past_the_capacity_rejected(self):
+        config, family = small_instance(4, 15, 3, eta=2.0, delta=0.05)
+        with pytest.raises(ValueError, match=r"keep at most 1 unprobed relays awake"):
+            act_complete((3, None, (0, 1)), backward_induction(family, config))
+
     def test_state_with_no_legal_action_raises(self, small_solved):
         config, _, tables = small_solved
         with pytest.raises(IllegalActionError):

@@ -1,11 +1,15 @@
 import csv
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import small_instance
-from relaymdp.dp_complete import initial_value, solve_complete
+from conftest import corrupted, small_instance
+from oracles import reference_components
+from relaymdp._kernels import CONTINUE, NO_ACTION, STOP, IllegalActionError
+from relaymdp.dp_complete import _induction, initial_value, solve_complete
 from relaymdp.dp_restricted import backward_induction
 from relaymdp.experiments import (
     InfeasibleGammaError,
@@ -19,6 +23,7 @@ from relaymdp.experiments import (
     restricted_components,
     run_sweep,
 )
+from relaymdp.simulate import probe_first_levels
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +84,106 @@ class TestExactComponents:
         assert comps.cost == pytest.approx(
             -config.eta * comps.reward + config.eta * config.delta, abs=1e-12
         )
+
+
+def capacity_levels(policy, family, config):
+    """The levels of capacity ``policy`` ("N": the complete class) or, for
+    "first", of the probe-first baseline."""
+    if policy == "first":
+        return probe_first_levels(family, config)
+    return _induction(family, config, config.n_relays if policy == "N" else policy)[0]
+
+
+def assert_matches_reference(comps, levels):
+    expected = reference_components(levels)
+    for field in dataclasses.fields(comps):
+        assert getattr(comps, field.name) == pytest.approx(
+            getattr(expected, field.name), rel=0, abs=1e-12), field.name
+
+
+@pytest.fixture(scope="module")
+def reference_glb(default_config, default_family):
+    """The complete-class solve of the reference config at eta 10."""
+    return solve_complete(default_family, default_config.with_overrides(eta=10.0))
+
+
+class TestSweepAgainstDenseReference:
+    """The split sweep (none-row vectors, real-bin matrices made on demand)
+    against ``oracles.reference_components``, which holds every level as one
+    dense array; only the order of the sums differs."""
+
+    @pytest.mark.parametrize("delta", [0.1, 0.01, 0.0])
+    @pytest.mark.parametrize("eta", [0.3, 2.0, 8.0])
+    @pytest.mark.parametrize("policy", [1, 2, 3, "N", "first"])
+    def test_every_field_matches(self, policy, eta, delta):
+        config, family = small_instance(4, 15, 4, eta=eta, delta=delta)
+        levels = capacity_levels(policy, family, config)
+        comps = complete_components(levels)
+        assert_matches_reference(comps, levels)
+        assert comps.cost == pytest.approx(initial_value(levels), abs=1e-9)
+        assert comps.stopped_mass == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("policy", [2, 4])
+    def test_reference_config(self, policy, default_config, default_family):
+        levels = capacity_levels(policy, default_family, default_config.with_overrides(eta=10.0))
+        assert_matches_reference(complete_components(levels), levels)
+
+    def test_reference_config_complete_class(self, reference_glb):
+        comps = complete_components(reference_glb)
+        assert comps.waiting > 0.0  # the largest levels are reached
+        assert_matches_reference(comps, reference_glb)
+
+    def test_allocation_peak(self, reference_glb):
+        # deterministic memory, not timing: at eta 10 mass reaches every
+        # level, and the largest (42,504 sets of size 5) held as one dense
+        # (sets, bins + 1) array would take 34 MB by itself
+        tracemalloc.start()
+        try:
+            complete_components(reference_glb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
+
+
+class TestSweepFailsClosed:
+    """Positive mass on an action its state forbids raises IllegalActionError
+    naming the stage, the multiset and the bin."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        config, family = small_instance(4, 15, 3, eta=8.0, delta=0.05)
+        return solve_complete(family, config)
+
+    def test_no_action_at_one_reached_entry(self, solved):
+        # the first relay is of type 2 with probability 1/4
+        levels = corrupted(solved)
+        levels.actions[0][1][2, levels.none_index] = NO_ACTION
+        with pytest.raises(IllegalActionError, match=(
+                r"no legal action \(code -1\) \(stage 1, multiset \(2,\), best=None\)")):
+            complete_components(levels)
+
+    def test_continue_at_the_last_stage(self, solved):
+        levels = corrupted(solved)
+        act = levels.actions[-1][0]
+        act[act == STOP] = CONTINUE
+        with pytest.raises(IllegalActionError,
+                           match=r"continue at the last stage \(stage 3, multiset \(\), best=\d+\)"):
+            complete_components(levels)
+
+    def test_stop_with_nothing_probed(self, solved):
+        levels = corrupted(solved)
+        levels.actions[0][1][:, levels.none_index] = STOP
+        with pytest.raises(IllegalActionError, match=(
+                r"stop with nothing probed \(stage 1, multiset \(0,\), best=None\)")):
+            complete_components(levels)
+
+    def test_probe_target_not_in_the_set(self, solved):
+        levels = corrupted(probe_first_levels(solved.family, solved.config))
+        levels.probe_targets[0][1][:, levels.none_index] = [1, 2, 3, 0]
+        with pytest.raises(IllegalActionError, match=(
+                r"probe target type 1 not awake \(stage 1, multiset \(0,\), best=None\)")):
+            complete_components(levels)
 
 
 class TestSweep:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import small_instance
+from conftest import corrupted, small_instance
 from oracles import reference_run_policy
 from relaymdp._kernels import CONTINUE, NO_ACTION, PROBE, STOP, IllegalActionError
 from relaymdp.dp_complete import _induction, initial_value, solve_complete
@@ -26,15 +26,6 @@ from relaymdp.simulate import (
 def sim_instance():
     config, family = small_instance(5, 20, 5, eta=3.0, delta=0.05, tau=0.2)
     return config, family
-
-
-def corrupted(levels):
-    """A copy of solved levels whose action and target tables may be edited."""
-    return dataclasses.replace(
-        levels,
-        actions=[[a.copy() for a in stage] for stage in levels.actions],
-        probe_targets=[[t.copy() for t in stage] for stage in levels.probe_targets],
-    )
 
 
 class TestSampling:
