@@ -381,9 +381,12 @@ def order_family(
 ) -> OrderedFamily:
     """Sort an arbitrary family by stochastic dominance (see build_ordered_family)."""
     cdf_matrix = np.vstack([d.cdf for d in dists])
-    # Smaller total CDF mass == stochastically larger, with index as the
-    # deterministic tie-break; by transitivity, adjacent pairs verify the order.
-    order = np.argsort(cdf_matrix.sum(axis=1), kind="stable")
+    # Smaller total CDF mass == stochastically larger. Scales too close to
+    # tell apart at this bin width quantize to the same pmf; those ties go
+    # to the larger scale, then to the lower index, so the order stays the
+    # order of the scales. By transitivity, adjacent pairs verify the order.
+    scales = np.array([d.scale for d in dists], dtype=float)
+    order = np.lexsort((-scales, cdf_matrix.sum(axis=1)))
     for i, j in zip(order[:-1], order[1:]):
         if stochastic_order_cmp(dists[i], dists[j]) is OrderResult.INCOMPARABLE:
             raise TotalOrderError(
