@@ -33,6 +33,7 @@ from .dp_complete import (
     BudgetExceededError,
     CompleteTables,
     NonFiniteValueError,
+    UnreachableStateError,
     act_complete,
     solve_complete,
     state_space_census,

@@ -9,6 +9,8 @@ stage and multiset size as dense matrices over the best-reward axis (real bins
 plus the "none" row), with probe transitions resolved within a stage (smaller
 multiset, same stage) and continue transitions referencing stage k+1 with the
 newcomer appended, or, past the capacity, the set the overflow rule keeps.
+Only reachable states are solved: a set of k unprobed relays at stage k has
+probed nothing, so above capacity 1 those levels hold their none row alone.
 """
 from __future__ import annotations
 
@@ -48,6 +50,20 @@ class BudgetExceededError(RuntimeError):
 
 class NonFiniteValueError(ValueError):
     """A solved value is NaN, or infinite in a state with a legal action."""
+
+
+class UnreachableStateError(ValueError):
+    """A state no policy reaches, whose entry the tables do not hold."""
+
+
+def _none_column_only(stage: int, size: int, capacity: int) -> bool:
+    """Whether the level of ``size`` unprobed relays at ``stage`` is solved
+    and stored as its none row alone, one column: k unprobed relays at stage
+    k mean that nothing has been probed, so its real bins are never reached.
+    At capacity 1 the real bins of that level, (1, 1), stay: they are the
+    J_1(b, F_l) that the threshold extraction and the structural checks
+    read."""
+    return size == stage and capacity >= 2
 
 
 class MultisetSpace:
@@ -129,7 +145,10 @@ class CompleteTables:
     ``values[k-1][s]`` is the (n_multisets(s), n_bins+1) value matrix at stage
     k for unprobed multisets of size s <= min(k, capacity); ``actions`` holds
     the STOP, PROBE and CONTINUE codes (NO_ACTION where no action is legal)
-    and ``probe_targets`` the location type probed, -1 elsewhere.
+    and ``probe_targets`` the location type probed, -1 elsewhere.  The none
+    row is the last column of every level: above capacity 1 the levels of
+    size k at stage k, which have probed nothing, hold that column alone,
+    (n_multisets(k), 1), and their real bins are not stored.
     ``kept[k-1]`` is the overflow rule at stage k (``_overflow_rule``), None at
     stages 1..capacity, where no wake-up overflows.
     """
@@ -161,8 +180,20 @@ class CompleteTables:
 
     def value(self, stage: int, best: Optional[int], mset: Sequence[int]) -> float:
         g = tuple(sorted(mset))
-        b = self.none_index if best is None else best
-        return float(self.values[stage - 1][len(g)][self.space.row(g), b])
+        level = self.values[stage - 1][len(g)]
+        return float(level[self.space.row(g), self._column(stage, best, g)])
+
+    def _column(self, stage: int, best: Optional[int], g: tuple[int, ...]) -> int:
+        """The column of best reward ``best`` (None: nothing probed) in the
+        level of the sorted multiset ``g`` at ``stage``; UnreachableStateError
+        where that level holds its none row alone."""
+        if best is None:
+            return -1
+        if self.values[stage - 1][len(g)].shape[1] == 1:
+            raise UnreachableStateError(
+                f"state (stage {stage}, multiset {g}, bin {best}) is never reached: "
+                f"{len(g)} unprobed relays at stage {stage} mean that nothing has been probed")
+        return best
 
 
 @lru_cache(maxsize=8)
@@ -186,20 +217,24 @@ def _ranked_members(space: MultisetSpace, s: int, rank: tuple[int, ...]) -> tupl
 
 def _states_per_stage(n_types: int, n_bins: int, n_stages: int, capacity: int) -> list[int]:
     """Memo entries per stage k: all multisets of size 0..min(k, capacity)
-    (stars and bars) times the best-reward axis."""
+    (stars and bars) times the best-reward axis, or times the none row alone
+    where ``_none_column_only`` says so."""
+    capacity = min(capacity, n_stages)
     return [
-        sum(math.comb(n_types + s - 1, s) for s in range(min(k, capacity) + 1)) * (n_bins + 1)
+        sum(math.comb(n_types + s - 1, s) * (1 if _none_column_only(k, s, capacity) else n_bins + 1)
+            for s in range(min(k, capacity) + 1))
         for k in range(1, n_stages + 1)
     ]
 
 
 def projected_state_count(n_types: int, n_bins: int, n_stages: int) -> int:
-    """Memo entries of the complete-class state space."""
+    """Memo entries of the complete-class state space, reachable states only."""
     return sum(_states_per_stage(n_types, n_bins, n_stages, n_stages))
 
 
 def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharge: float,
-                 types: np.ndarray, rests: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 types: np.ndarray, rests: np.ndarray,
+                 none_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Best probe cost and target of every size-s state.
 
     Probing slot p of the set of row g costs surcharge + E_t[V_f(max{b, R})]
@@ -210,12 +245,13 @@ def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharg
     row) pair run from the top bin down in chunks of bins holding at most
     BATCH_ELEMENTS of them, carrying the reverse cumulative sum of
     ``expect_over_max`` across chunks in its sequential order, so the costs
-    are bitwise those of that kernel.
+    are bitwise those of that kernel.  With ``none_only`` just the none row
+    is settled, from that same carried sum, and returned as one column.
     """
     n_types, n_bins = pmf.shape
     n_rows, n_slots = types.shape
-    probe = np.empty((n_rows, n_bins + 1))
-    target = np.empty((n_rows, n_bins + 1), dtype=np.int16)
+    probe = np.empty((n_rows, 1 if none_only else n_bins + 1))
+    target = np.empty(probe.shape, dtype=np.int16)
     # pairs[p, g]: the (type, smaller row) pair of slot p of row g
     pairs = np.ascontiguousarray((types * len(smaller) + rests).T)
     slot_types = np.ascontiguousarray(types.T, dtype=np.int16)
@@ -253,18 +289,19 @@ def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharg
         # np.cumsum costs about 10 ns per (type, row) pair, which one-bin
         # chunks skip: there the cumulative sum is the term itself
         rev = np.cumsum(terms[::-1], axis=0) if hi - lo > 1 else terms
-        costs = cdf_by_bin[lo:hi] * vals
-        costs[:-1] += rev[:hi - lo - 1][::-1]
-        costs[-1] += carry
-        costs += surcharge
+        if not none_only:
+            costs = cdf_by_bin[lo:hi] * vals
+            costs[:-1] += rev[:hi - lo - 1][::-1]
+            costs[-1] += carry
+            costs += surcharge
+            pending.insert(0, settle(costs))
+            if written - lo >= block or lo == 0:
+                probe[:, lo:written] = np.concatenate([best for best, _ in pending]).T
+                target[:, lo:written] = np.concatenate([pick for _, pick in pending]).T
+                pending, written = [], lo
         carry = rev[-1]
-        pending.insert(0, settle(costs))
-        if written - lo >= block or lo == 0:
-            probe[:, lo:written] = np.concatenate([best for best, _ in pending]).T
-            target[:, lo:written] = np.concatenate([pick for _, pick in pending]).T
-            pending, written = [], lo
     best, pick = settle((carry + surcharge)[None])  # the none row: max{none, R} = R
-    probe[:, n_bins], target[:, n_bins] = best[0], pick[0]
+    probe[:, -1], target[:, -1] = best[0], pick[0]
     return probe, target
 
 
@@ -314,7 +351,11 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
     stochastically largest member; between stop, the best probe and
     continue, ``resolve_actions`` decides.  Each full level (size c) past
     stage c goes to ``_overflow_rule`` once solved, for its kept rows and the
-    continue term of the full level a stage earlier.  Returns the tables and,
+    continue term of the full level a stage earlier.  A level that
+    ``_none_column_only`` names is solved at its none row alone: its probe
+    cost is the kernel's carried none-row sum, and its continue term gathers
+    the next stage's level of that kind, or the none column of the overflow
+    sum.  Returns the tables and,
     with ``keep_costs``, the probe and the continue costs of every level,
     probes[k-1][s] and conts[k-1][s] (else None, None).
     """
@@ -322,13 +363,14 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
     n_bins = family.n_bins
     n_types = len(family)
     n_stages = config.n_relays
+    capacity = min(capacity, n_stages)  # as ``CompleteTables.capacity`` reads it
     eta, delta, tau = config.eta, config.delta, config.tau
 
     projected = sum(_states_per_stage(n_types, n_bins, n_stages, capacity))
     if projected > DEFAULT_STATE_BUDGET:
         raise BudgetExceededError(projected, DEFAULT_STATE_BUDGET)
 
-    space = multiset_space(n_types, min(capacity, n_stages))
+    space = multiset_space(n_types, capacity)
     pmf, cdf = family.pmf_matrix, family.cdf_matrix
     stop = np.append(-eta * reward_grid(n_bins), np.inf)
     rank = tuple(family.rank)
@@ -345,9 +387,11 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
         i = k - 1
         for s in range(min(k, capacity) + 1):
             n_s = len(space.members[s])
+            none_only = _none_column_only(k, s, capacity)
+            cols = slice(n_bins, None) if none_only else slice(None)  # the columns solved
             if s >= 1:
                 probe, tgt = _probe_costs(values[i][s - 1][:, :n_bins], pmf, cdf, eta * delta,
-                                          *_ranked_members(space, s, rank))
+                                          *_ranked_members(space, s, rank), none_only)
             else:
                 probe = np.full((n_s, n_bins + 1), np.inf)
                 tgt = np.full((n_s, n_bins + 1), -1, dtype=np.int16)
@@ -355,11 +399,13 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
             cont = np.inf
             if k < n_stages:
                 if s < capacity:
-                    cont = np.zeros((n_s, n_bins + 1))
+                    # the next level holds the same columns: the none row
+                    # alone exactly when this one does
+                    cont = np.zeros(probe.shape)
                     for t in range(n_types):
                         cont += values[i + 1][s + 1][space.plus[s][t]]
                 else:
-                    cont = overflow
+                    cont = overflow[:, cols]
                 cont /= n_types
                 cont += tau
 
@@ -368,7 +414,8 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
             step = max(1, BATCH_ELEMENTS // probe.shape[1])
             for first in range(0, n_s, step):
                 rows = slice(first, first + step)
-                act[rows] = resolve_actions(stop, probe[rows], cont[rows] if k < n_stages else cont)
+                act[rows] = resolve_actions(stop[cols], probe[rows],
+                                            cont[rows] if k < n_stages else cont)
             tgt[act != PROBE] = -1
             if keep_costs:
                 probes[i].append(probe.copy())
@@ -376,7 +423,7 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
             # Computed in place of the probe costs.  On equal values
             # np.minimum returns its second argument, so a -0.0 stop cost
             # outranks a +0.0 probe or continue cost, as in the tie rule.
-            val = np.minimum(probe, stop, out=probe)
+            val = np.minimum(probe, stop[cols], out=probe)
             np.minimum(cont, val, out=val)
 
             # checked as soon as solved, before any later level reads it
@@ -385,7 +432,8 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
                 row, b = np.argwhere(bad)[0]
                 raise NonFiniteValueError(
                     f"value {val[row, b]} at stage {k}, multiset size {s}, row {row} "
-                    f"{space.msets[s][row]}, bin {b}: the config overflows float arithmetic")
+                    f"{space.msets[s][row]}, bin {range(n_bins + 1)[cols][b]}: the config "
+                    f"overflows float arithmetic")
             values[i].append(val)
             actions[i].append(act)
             targets[i].append(tgt)
@@ -406,14 +454,16 @@ def solve_complete(family: OrderedFamily, config: ModelConfig) -> CompleteTables
 def initial_value(tables: CompleteTables) -> float:
     """Expected optimal cost from the first wake-up: the uniform average of
     J_1(none, {F_l})."""
-    singles = tables.values[0][1][:, tables.none_index]
+    singles = tables.values[0][1][:, -1]  # the none row
     return float(singles.mean())
 
 
 def act_complete(
     state: tuple[int, Optional[int], Sequence[int]], tables: CompleteTables
 ) -> Decision:
-    """Stored argmin action at (stage, best reward, unprobed multiset)."""
+    """Stored argmin action at (stage, best reward, unprobed multiset);
+    UnreachableStateError at a state that no policy reaches and the tables
+    do not hold."""
     stage, best, mset = state
     g = tuple(sorted(mset))
     if not 1 <= stage <= tables.n_stages:
@@ -428,7 +478,7 @@ def act_complete(
     if best is not None and not 0 <= best < tables.n_bins:
         raise ValueError(f"best-reward index {best} outside the grid")
 
-    b = tables.none_index if best is None else best
+    b = tables._column(stage, best, g)
     row = tables.space.row(g)
     code = tables.actions[stage - 1][len(g)][row, b]
     if code == NO_ACTION:
@@ -462,9 +512,10 @@ class CensusResult:
 
 
 def state_space_census(config: ModelConfig) -> CensusResult:
-    """Exact combinatorial counts: the complete class grows with the number of
-    multisets (stars and bars), the restricted class (capacity 1) is linear in
-    the family size and flat across stages."""
+    """Exact combinatorial counts of the reachable states both solvers store:
+    the complete class grows with the number of multisets (stars and bars),
+    the restricted class (capacity 1) is linear in the family size and flat
+    across stages."""
     n_types = config.n_locations
     n_bins = config.n_reward_bins
     n_stages = config.n_relays
@@ -483,7 +534,8 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
     probing is optimal, monotonicity of the value in the best reward (a NaN
     value counts as a violation), value improvement under multiset
     enlargement, and agreement of the stage-N stopping rule with the
-    one-step-look-ahead rule.  Inequalities are checked at STRUCTURE_TOL.
+    one-step-look-ahead rule.  Inequalities are checked at STRUCTURE_TOL,
+    over the reachable states the tables hold.
     """
     family = tables.family
     config = tables.config
@@ -508,37 +560,47 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
             types, rests = ranked[s]
             smaller = tables.values[k - 1][s - 1][:, :n_bins]
             probing = tables.actions[k - 1][s] == PROBE
+            none_only = probing.shape[1] == 1
             report["probing_states_checked"] += int(probing.sum())
             for first in range(0, len(types), step):
                 rows = slice(first, first + step)
                 largest, rest = types[rows, 0], rests[rows, 0]
-                cost = eta * delta + expect_over_max(smaller[rest], pmf[largest], cdf[largest])
+                if none_only:  # the none row: max{none, R} = R
+                    expected = (pmf[largest] * smaller[rest]).sum(axis=1, keepdims=True)
+                else:
+                    expected = expect_over_max(smaller[rest], pmf[largest], cdf[largest])
+                cost = eta * delta + expected
                 report["probe_largest_violations"] += int(
                     (probing[rows] & (cost > tables.values[k - 1][s][rows] + STRUCTURE_TOL)).sum()
                 )
 
     # stage independence of stopping decisions over (best, multiset) slices,
-    # on stages where continuing is available
+    # on stages where continuing is available: each stage against the last,
+    # whose level holds every column, on the columns it holds
     for s in range(n_stages - 1):
         stages = [k for k in range(max(s, 1), n_stages)]
         if len(stages) < 2:
             continue
         masks = [tables.actions[k - 1][s] == STOP for k in stages]
-        report["stopping_slices_checked"] += masks[0].size
-        for m in masks[1:]:
-            report["stage_independence_mismatches"] += int((masks[0] != m).sum())
+        reference = masks.pop()
+        report["stopping_slices_checked"] += reference.size
+        for m in masks:
+            report["stage_independence_mismatches"] += int(
+                (reference[:, -m.shape[1]:] != m).sum())
 
-    # value monotone in best reward; enlargement cannot increase the value
+    # value monotone in best reward; enlargement cannot increase the value,
+    # checked on the columns the larger set's level holds
     for k in range(1, n_stages + 1):
         for s in range(k + 1):
             val = tables.values[k - 1][s]
             report["value_monotone_violations"] += int(
-                (np.diff(val[:, :n_bins], axis=1) > STRUCTURE_TOL).sum() + np.isnan(val).sum()
+                (np.diff(val[:, :-1], axis=1) > STRUCTURE_TOL).sum() + np.isnan(val).sum()
             )
             if s + 1 <= k:
-                bound = val + STRUCTURE_TOL
+                larger = tables.values[k - 1][s + 1]
+                bound = val[:, -larger.shape[1]:] + STRUCTURE_TOL
                 for t in range(len(family)):
-                    bigger = tables.values[k - 1][s + 1][space.plus[s][t]]
+                    bigger = larger[space.plus[s][t]]
                     report["enlargement_violations"] += int((bigger > bound).sum())
 
     # stage-N stopping matches the one-step-look-ahead rule
@@ -546,7 +608,9 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
     one_step = eta * delta - eta * expect_over_max(grid, pmf, cdf)  # (L, n_bins+1)
     for s in range(1, n_stages + 1):
         types = ranked[s][0]
-        dp_stop = tables.actions[n_stages - 1][s][:, :n_bins] == STOP
+        dp_stop = tables.actions[n_stages - 1][s][:, :-1] == STOP
+        if dp_stop.shape[1] == 0:  # a level of the none row alone: no reward to stop on
+            continue
         for first in range(0, len(types), step):
             rows = slice(first, first + step)
             osla_min = one_step[types[rows, 0], :n_bins]
@@ -567,7 +631,8 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
 
 
 def policy_to_json(tables: CompleteTables) -> dict:
-    """Export of the actions and probe targets only, not the values, to bound size."""
+    """Export of the actions and probe targets only, not the values, to bound
+    size.  Rows of a level of the none row alone hold one column."""
     return {
         "n_stages": tables.n_stages,
         "n_bins": tables.n_bins,

@@ -136,8 +136,10 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
     its mass over the real bins as a matrix, allocated when a move first
     brings mass there.  At stage k a set of size k has probed nothing, so
     that level is its vector alone: its probe move is pmf[t] times the
-    probing mass of each type t, and its continue a vector scatter.  Only the
-    masses of the current and the next stage are alive at a time.
+    probing mass of each type t, and its continue a vector scatter.  The
+    none row is read as the last column of the tables, which is all that
+    such a level holds above capacity 1.  Only the masses of the current and
+    the next stage are alive at a time.
 
     Every entry of positive mass must be moved by a legal action: one on
     NO_ACTION, a stop with nothing probed, a probe of a type not in its set
@@ -181,8 +183,8 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                 # w[t, f]: the mass at the none row probing t from the set of
                 # row plus[s-1][t][f], which leaves row f; bin j gains pmf[t, j] w
                 src = space.plus[s - 1]
-                w = np.where(act[:, none] == PROBE, mass.none, 0.0)[src]
-                w *= tgt[:, none][src] == types[:, None]
+                w = np.where(act[:, -1] == PROBE, mass.none, 0.0)[src]
+                w *= tgt[:, -1][src] == types[:, None]
                 count = np.count_nonzero(w)
                 if count:
                     moved += count
@@ -225,7 +227,7 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                 # to the set with the newcomer or, from the full size, to the
                 # set the overflow rule keeps
                 grown = s if s == capacity else s + 1
-                for part, cols in ((mass.none[:, None], slice(none, None)),
+                for part, cols in ((mass.none[:, None], slice(-1, None)),
                                    (real, slice(0, none))):
                     if part is None:
                         continue
@@ -269,17 +271,18 @@ def _illegal_entry(tables: CompleteTables, stage: int, s: int,
     bin, that no legal action moves."""
     space, none = tables.space, tables.none_index
     full = np.zeros(tables.actions[stage - 1][s].shape)
-    full[:, none] = mass.none
+    full[:, -1] = mass.none
     if mass.real is not None:
         full[:, :none] = mass.real
-    rows, bins = np.nonzero(full > 0)
-    code = tables.actions[stage - 1][s][rows, bins]
-    target = tables.probe_targets[stage - 1][s][rows, bins]
+    rows, cols = np.nonzero(full > 0)
+    code = tables.actions[stage - 1][s][rows, cols]
+    target = tables.probe_targets[stage - 1][s][rows, cols]
+    probed = cols != full.shape[1] - 1  # the last column is the none row
     held = (space.members[s][rows] == target[:, None]).any(axis=1)
-    legal = (((code == STOP) & (bins != none)) | ((code == PROBE) & held)
+    legal = (((code == STOP) & probed) | ((code == PROBE) & held)
              | ((code == CONTINUE) & (stage < tables.n_stages)))
     i = int(np.argmin(legal))
-    best = None if bins[i] == none else int(bins[i])
+    best = int(cols[i]) if probed[i] else None
     return illegal_action(int(code[i]), int(target[i]),
                           f"(stage {stage}, multiset {space.msets[s][rows[i]]}, best={best})")
 

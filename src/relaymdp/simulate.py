@@ -201,8 +201,9 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
             if at.size == 0:
                 continue
             g, b = row[at], best[at]
-            code = levels.actions[k - 1][s][g, b]
-            target = levels.probe_targets[k - 1][s][g, b]
+            col = np.where(b == none, -1, b)  # the none row is the last column of a level
+            code = levels.actions[k - 1][s][g, col]
+            target = levels.probe_targets[k - 1][s][g, col]
             match = awake[at] & (loc[at] == target[:, None])
             illegal = (((code == STOP) & (b == none)) | ((code == CONTINUE) & (k == n_stages))
                        | ((code == PROBE) & ~match.any(axis=1))

@@ -455,16 +455,19 @@ def probe_largest_violations(tables, tol: float = 1e-9) -> int:
     """Probing states of a complete-class solve where probing the member of
     lowest ``family.rank`` costs more than the best probe, re-minimising over
     every member type, each expectation summed bin by bin from the stored
-    value of the set left behind."""
+    value of the set left behind.  Only the states the tables hold count: a
+    level of one column holds the none row alone."""
     family, space, config = tables.family, tables.space, tables.config
     n_bins = tables.n_bins
     count = 0
     for k in range(1, tables.n_stages + 1):
         for s in range(1, k + 1):
             smaller = tables.values[k - 1][s - 1]
+            level = tables.actions[k - 1][s]
+            bins = range(n_bins + 1)[-level.shape[1]:]  # the best rewards of its columns
             for g, mset in enumerate(space.msets[s]):
                 # action code 1 is PROBE
-                probing = [b for b in range(n_bins + 1) if tables.actions[k - 1][s][g, b] == 1]
+                probing = [b for col, b in enumerate(bins) if level[g, col] == 1]
                 if not probing:
                     continue
                 costs = {}
@@ -690,6 +693,8 @@ def reference_components(tables):
             m = current.pop(s, None)
             if m is None:
                 continue
+            # a level of one column, the none row alone, broadcasts its
+            # actions over bins where no mass ever arrives
             act = tables.actions[k - 1][s]
             tgt = tables.probe_targets[k - 1][s]
 

@@ -294,10 +294,13 @@ def test_criterion_10_state_space_census(default_config):
         cfg = ModelConfig(n_locations=n_types)
         c = state_space_census(cfg)
         for k in range(1, cfg.n_relays + 1):
+            # reachable entries: k unprobed relays at stage k have probed
+            # nothing, so those sets count their none row alone
             enumerated = sum(
                 sum(1 for _ in combinations_with_replacement(range(n_types), s))
+                * (1 if s == k else cfg.n_reward_bins + 1)
                 for s in range(k + 1)
-            ) * (cfg.n_reward_bins + 1)
+            )
             formula_ok &= c.complete[k - 1] == enumerated
         formula_ok &= c.restricted[0] == (cfg.n_reward_bins + 1) * (n_types + 1)
     # linearity ratio test for the restricted class

@@ -143,6 +143,15 @@ def test_solve_complete_policy_export_flag(small_config, tmp_path):
     ]) == 0
     policy = json.loads((out / "policy.json").read_text())
     assert policy["n_stages"] == 3
+    assert set(policy) == {"n_stages", "n_bins", "stages"}
+    assert policy["n_bins"] == 12
+    for k, stage in enumerate(policy["stages"], start=1):
+        assert set(stage) == {"stage", "actions", "probe_targets"} and stage["stage"] == k
+        for s, (acts, targets) in enumerate(zip(stage["actions"], stage["probe_targets"])):
+            # k unprobed relays at stage k: the none row alone, one column
+            width = 1 if s == k else 13
+            assert len(acts) == len(targets) > 0
+            assert all(len(row) == width for row in acts + targets), (k, s)
 
 
 def test_sweep_writes_figure_csvs(small_config, tmp_path):

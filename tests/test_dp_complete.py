@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations_with_replacement
 
@@ -25,6 +26,7 @@ from relaymdp._kernels import PROBE, IllegalActionError
 from relaymdp.dp_complete import (
     BudgetExceededError,
     MultisetSpace,
+    UnreachableStateError,
     _induction,
     _probe_costs,
     _ranked_members,
@@ -37,6 +39,7 @@ from relaymdp.dp_complete import (
     verify_complete_conjectures,
 )
 from relaymdp.dp_restricted import Action, backward_induction
+from relaymdp.experiments import complete_components
 from relaymdp.model import ModelConfig, reward_grid
 
 # frozen from the policy-enumeration oracle on the 2-location / 2-bin / N=2
@@ -119,13 +122,23 @@ class TestOracleEquivalence:
             complete_memo_value(toy), abs=1e-11
         )
 
+    @pytest.mark.parametrize("stage,mset", [(1, (0,)), (2, (2, 2)), (3, (0, 1, 2))])
+    def test_value_at_an_unreachable_state_is_a_named_error(self, small_solved, stage, mset):
+        _, _, tables = small_solved
+        named = re.escape(f"stage {stage}, multiset {mset}, bin 0")
+        with pytest.raises(UnreachableStateError, match=named):
+            tables.value(stage, 0, mset)
+        row = tables.space.row(mset)
+        assert tables.value(stage, None, mset) == tables.values[stage - 1][stage][row, -1]
+
     def test_mid_scale_state_values_match_reference(self):
         config, family = small_instance(5, 12, 4, eta=2.5, delta=0.15)
         tables = solve_complete(family, config)
         toy = Toy.from_family(family, config)
+        # reachable states only: k unprobed relays at stage k have probed nothing
         states = [
-            (1, None, (0,)), (2, 3, (1, 4)), (3, None, (2, 2, 0)),
-            (2, 11, ()), (4, 0, (3, 3, 1)), (4, 7, (0, 1, 2, 4)),
+            (1, None, (0,)), (2, None, (1, 4)), (3, 3, (1, 4)), (3, None, (2, 2, 0)),
+            (2, 11, ()), (4, 0, (3, 3, 1)), (4, None, (0, 1, 2, 4)), (4, 7, (0, 1, 2)),
         ]
         expected = complete_memo_state_values(toy, states)
         for (k, b, g), ref in zip(states, expected):
@@ -155,6 +168,8 @@ class TestOracleEquivalence:
 
 class TestBellman:
     def test_sampled_states_reproduce_their_definition(self, small_solved):
+        # every reachable entry: a level of k unprobed relays at stage k
+        # holds the none row alone, as its one column
         config, family, tables = small_solved
         eta, delta, tau = config.eta, config.delta, config.tau
         grid = reward_grid(tables.n_bins)
@@ -163,10 +178,15 @@ class TestBellman:
         pmf = family.pmf_matrix
         space = tables.space
 
+        def column(b):
+            return -1 if b == none else b
+
         for k in range(1, config.n_relays + 1):
             for s in range(k + 1):
+                none_only = s == k
+                assert tables.values[k - 1][s].shape[1] == (1 if none_only else n_bins + 1)
                 for row, g in enumerate(space.msets[s]):
-                    for b in (0, n_bins // 2, n_bins - 1, none):
+                    for b in (none,) if none_only else (0, n_bins // 2, n_bins - 1, none):
                         cands = []
                         if b != none:
                             cands.append(-eta * grid[b])
@@ -184,11 +204,11 @@ class TestBellman:
                             cands.append(val)
                         if k < config.n_relays:
                             cont = tau + sum(
-                                tables.values[k][s + 1][space.plus[s][t][row], b]
+                                tables.values[k][s + 1][space.plus[s][t][row], column(b)]
                                 for t in range(n_loc)
                             ) / n_loc
                             cands.append(cont)
-                        stored = tables.values[k - 1][s][row, b]
+                        stored = tables.values[k - 1][s][row, column(b)]
                         if cands:
                             assert stored == pytest.approx(min(cands), abs=1e-12)
                         else:
@@ -236,6 +256,16 @@ class TestActComplete:
         with pytest.raises(IllegalActionError):
             act_complete((config.n_relays, None, ()), tables)
 
+    @pytest.mark.parametrize("stage,mset", [(1, (2,)), (2, (0, 2)), (3, (0, 1, 1))])
+    def test_unreachable_state_is_a_named_error(self, small_solved, stage, mset):
+        # k unprobed relays at stage k have probed nothing, so no best reward
+        _, _, tables = small_solved
+        assert issubclass(UnreachableStateError, ValueError)
+        named = re.escape(f"stage {stage}, multiset {mset}, bin 4")
+        with pytest.raises(UnreachableStateError, match=named):
+            act_complete((stage, 4, mset), tables)
+        assert act_complete((stage, None, mset), tables).kind is Action.PROBE
+
     def test_unknown_types_rejected(self, small_solved):
         _, _, tables = small_solved
         with pytest.raises(ValueError):
@@ -255,10 +285,19 @@ class TestCensus:
         assert math.comb(24, 5) == 42504
 
     def test_default_census(self, default_config):
+        # the reachable entries: the 42,504 five-sets at stage 5 have probed
+        # nothing, so they count their none row alone
         census = state_space_census(default_config)
-        expected_last = sum(math.comb(19 + s, s) for s in range(6)) * 101
-        assert census.complete[-1] == expected_last
+        expected_last = sum(math.comb(19 + s, s) for s in range(5)) * 101 + math.comb(24, 5)
+        assert census.complete[-1] == expected_last == 1_115_730
+        assert sum(census.complete) == projected_state_count(20, 100, 5) == 1_330_779
         assert census.restricted == [101 * 21] * 5
+
+    def test_seven_relays_fit_the_default_budget(self):
+        census = state_space_census(ModelConfig(n_relays=7))
+        assert census.complete == [121, 2331, 24871, 187726, 1115730, 5543230, 23911030]
+        assert sum(census.complete) == projected_state_count(20, 100, 7) == 30_785_039
+        assert sum(census.complete) < dp_complete.DEFAULT_STATE_BUDGET
 
     def test_restricted_linear_in_family_size(self):
         counts = {}
@@ -278,15 +317,44 @@ class TestCensus:
 
 class TestGuards:
     def test_budget_error_reports_projection(self, default_config, default_family):
-        projected = projected_state_count(20, 100, 7)
-        assert projected == 119_587_939
+        projected = projected_state_count(20, 100, 8)
+        assert projected == 122_696_144
         with pytest.raises(BudgetExceededError) as err:
-            solve_complete(default_family, default_config.with_overrides(n_relays=7))
+            solve_complete(default_family, default_config.with_overrides(n_relays=8))
         assert err.value.projected == projected
         assert str(projected) in str(err.value)
 
     def test_default_instance_fits_default_budget(self):
         assert projected_state_count(20, 100, 5) < 50_000_000
+
+
+class TestReachableScale:
+    """Only reachable entries are stored, which brings six relays over 20
+    types within reach of the default budget."""
+
+    def test_six_relays_are_solved(self, default_config, default_family):
+        config = default_config.with_overrides(n_relays=6, eta=10.0)
+        tables = solve_complete(default_family, config)
+        stored = sum(level.size for stage in tables.values for level in stage)
+        assert stored == projected_state_count(20, 100, 6) == 6_874_009
+        value = initial_value(tables)
+        assert complete_components(tables).cost == pytest.approx(value, abs=1e-9)
+        assert verify_complete_conjectures(tables)["all_hold"] is True
+        assert value <= initial_value(backward_induction(default_family, config)) + 1e-12
+
+    def test_allocation_peak(self, default_config, default_family):
+        # deterministic memory, not timing: the reference solve at eta 10
+        # peaks at 26.6 MB with the multiset space built (85 MB when every
+        # level stored its unreachable real bins); the cap leaves 20% headroom
+        config = default_config.with_overrides(eta=10.0)
+        solve_complete(default_family, config)  # builds the cached space and slot tables
+        tracemalloc.start()
+        try:
+            solve_complete(default_family, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
 
 
 class TestClassDominance:
@@ -326,8 +394,9 @@ class TestConjectures:
         # at stage N with every member unprobed and no reward yet, probing is
         # the only action; no other check reads this entry
         level = tables.values[-1][-1].copy()
-        assert tables.actions[-1][-1][0, tables.none_index] == PROBE
-        level[0, tables.none_index] -= 1e-6
+        assert level.shape[1] == 1  # the none row alone, its last column
+        assert tables.actions[-1][-1][0, -1] == PROBE
+        level[0, -1] -= 1e-6
         values = [list(stage) for stage in tables.values]
         values[-1][-1] = level
         report = verify_complete_conjectures(replace(tables, values=values))
@@ -404,7 +473,11 @@ class TestOverflowRule:
             for t in range(n_types):
                 total += tables.values[k][capacity][tables.kept[k][t], bins]
             want = total / n_types + config.tau
-            assert conts[k - 1][capacity].tobytes() == want.tobytes(), k
+            # above capacity 1 the full level at stage k = capacity holds
+            # its none row alone
+            got = conts[k - 1][capacity]
+            assert got.shape[1] == (1 if k == capacity > 1 else tables.n_bins + 1)
+            assert got.tobytes() == want[:, -got.shape[1]:].tobytes(), k
 
 
 class TestProbeKernel:
@@ -412,15 +485,21 @@ class TestProbeKernel:
 
     @staticmethod
     def assert_levels_match(family, config, capacity):
+        # above capacity 1 a level of k unprobed relays at stage k is solved
+        # at its none row alone, which must equal the reference's none column
         tables, probes, _ = _induction(family, config, capacity, keep_costs=True)
         space, rank = tables.space, tuple(family.rank)
         surcharge = config.eta * config.delta
         for k in range(1, config.n_relays + 1):
             for s in range(1, min(k, capacity) + 1):
+                none_only = s == k and capacity >= 2
                 smaller = tables.values[k - 1][s - 1][:, :tables.n_bins]
                 got = _probe_costs(smaller, family.pmf_matrix, family.cdf_matrix, surcharge,
-                                   *_ranked_members(space, s, rank))
+                                   *_ranked_members(space, s, rank), none_only)
                 want = reference_probe_costs(smaller, family, surcharge, space, s)
+                if none_only:
+                    want = tuple(w[:, tables.none_index:] for w in want)
+                assert tables.values[k - 1][s].shape == want[0].shape, (k, s)
                 assert got[0].tobytes() == want[0].tobytes(), (k, s)
                 assert got[1].tobytes() == want[1].tobytes(), (k, s)
                 assert probes[k - 1][s].tobytes() == want[0].tobytes(), (k, s)
@@ -441,8 +520,8 @@ class TestProbeKernel:
 
     def test_level_spanning_two_chunks_at_the_real_batch(self):
         # size 3 over 20 types reads 20 x 210 (type, row) pairs per bin, so
-        # its 100 bins take two chunks
-        config, family = small_instance(20, 100, 3, eta=10.0, delta=0.01)
+        # its 100 bins take two chunks, at stage 3 (none row alone) and 4
+        config, family = small_instance(20, 100, 4, eta=10.0, delta=0.01)
         assert dp_complete.BATCH_ELEMENTS // (20 * 210) < 100
         self.assert_levels_match(family, config, 3)
 
@@ -450,12 +529,14 @@ class TestProbeKernel:
         config, family = small_instance(4, 12, 3, eta=2.0, delta=0.05)
         tables = solve_complete(family, config)
         space, rank = tables.space, tuple(family.rank)
-        smaller = tables.values[0][1][:, :tables.n_bins].copy()
+        smaller = tables.values[1][1][:, :tables.n_bins].copy()
         smaller[0, 5] = np.nan
         smaller[2, :] = np.inf
         with np.errstate(invalid="ignore"):
-            got = _probe_costs(smaller, family.pmf_matrix, family.cdf_matrix, 0.1,
-                               *_ranked_members(space, 2, rank))
             want = reference_probe_costs(smaller, family, 0.1, space, 2)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1].tobytes() == want[1].tobytes()
+            for none_only in (False, True):
+                got = _probe_costs(smaller, family.pmf_matrix, family.cdf_matrix, 0.1,
+                                   *_ranked_members(space, 2, rank), none_only)
+                cols = slice(tables.none_index if none_only else 0, None)
+                assert got[0].tobytes() == want[0][:, cols].tobytes()
+                assert got[1].tobytes() == want[1][:, cols].tobytes()
