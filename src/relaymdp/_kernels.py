@@ -12,17 +12,16 @@ TIE_TOL = 1e-12
 # Inequalities that accumulate expectation round-off are checked at 1e-9.
 STRUCTURE_TOL = 1e-9
 
-# Action codes of the int8 action tables both solvers emit.
-STOP, PROBE, CONTINUE, NO_ACTION = 0, 1, 2, -1
+# Action codes, one per state in one table per level: STOP, CONTINUE, or
+# PROBE + t to probe an unprobed relay of location type t; NO_ACTION where
+# nothing is legal.
+NO_ACTION, STOP, CONTINUE, PROBE = -1, 0, 1, 2
 
 
 class Action(str, Enum):
     STOP = "stop"
     PROBE = "probe"
     CONTINUE = "continue"
-
-
-ACTION_OF_CODE = {STOP: Action.STOP, PROBE: Action.PROBE, CONTINUE: Action.CONTINUE}
 
 
 @dataclass(frozen=True)
@@ -34,34 +33,61 @@ class Decision:
     probe_target: Optional[int] = None
 
 
+def action_dtype(n_types: int) -> np.dtype:
+    """The smallest signed dtype that holds PROBE + n_types - 1, the largest
+    code over ``n_types`` types: int8 up to 126 types, int16 up to 32,766."""
+    return next(np.dtype(t) for t in (np.int8, np.int16, np.int32, np.int64)
+                if PROBE + n_types - 1 <= np.iinfo(t).max)
+
+
+def decision_of(code: int) -> Optional[Decision]:
+    """The decision of an action code; None for NO_ACTION and every other
+    negative code."""
+    code = int(code)
+    if code >= PROBE:
+        return Decision(Action.PROBE, code - PROBE)
+    return {STOP: Decision(Action.STOP), CONTINUE: Decision(Action.CONTINUE)}.get(code)
+
+
 class IllegalActionError(RuntimeError):
     """An action was requested (or forced) in a state that forbids it."""
 
 
-def illegal_action(code: int, target: int, state: str) -> IllegalActionError:
-    """The error for action ``code`` (probe ``target``) taken in a state that
-    forbids it, ``state`` naming that state in words."""
+def legal_actions(code: np.ndarray, held: np.ndarray, probed: np.ndarray,
+                  last: bool) -> np.ndarray:
+    """The one legality rule: a stop only at a real bin (``probed``), a probe
+    only if the state holds an awake relay of the type code - PROBE
+    (``held``), a continue only before the last stage; no negative code."""
+    return (((code == STOP) & probed) | ((code >= PROBE) & held)
+            | ((code == CONTINUE) & (not last)))
+
+
+def illegal_action(code: int, state: str) -> IllegalActionError:
+    """The error for action ``code`` taken in a state that forbids it,
+    ``state`` naming that state in words."""
     if code == STOP:
         return IllegalActionError(f"stop with nothing probed {state}")
-    if code == PROBE:
-        return IllegalActionError(f"probe target type {target} not awake {state}")
+    if code >= PROBE:
+        return IllegalActionError(f"probe target type {code - PROBE} not awake {state}")
     if code == CONTINUE:
         return IllegalActionError(f"continue at the last stage {state}")
     return IllegalActionError(f"no legal action (code {code}) {state}")
 
 
-def resolve_actions(stop, probe, cont) -> np.ndarray:
-    """The optimal action code for every state, from its three action costs.
+def resolve_actions(stop, probe, probe_code, cont) -> np.ndarray:
+    """The optimal action code for every state, from its three action costs
+    and the code of its best probe (NO_ACTION where none is available).
 
     The single tie rule of both policy classes, following the set definitions
     of the stopping and probing sets: stop iff ``stop <= min(probe, cont) +
     TIE_TOL``; otherwise probe iff ``probe <= cont + TIE_TOL``; otherwise
     continue.  An action that is unavailable costs +inf, and a state where all
-    three are +inf gets NO_ACTION.  Arguments broadcast against each other.
+    three are +inf gets NO_ACTION.  Arguments broadcast against each other;
+    the table takes the dtype of ``probe_code``.
     """
-    shape = np.broadcast_shapes(np.shape(stop), np.shape(probe), np.shape(cont))
-    act = np.full(shape, CONTINUE, dtype=np.int8)
-    np.copyto(act, PROBE, where=probe <= cont + TIE_TOL)
+    shape = np.broadcast_shapes(*map(np.shape, (stop, probe, probe_code, cont)))
+    act = np.full(shape, CONTINUE, dtype=probe_code.dtype)
+    np.copyto(act, probe_code, where=probe <= cont + TIE_TOL)
     np.copyto(act, STOP, where=stop <= np.minimum(probe, cont) + TIE_TOL)
     np.copyto(act, NO_ACTION, where=np.isposinf(stop) & np.isposinf(probe) & np.isposinf(cont))
     return act

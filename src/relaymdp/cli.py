@@ -68,15 +68,24 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _thread_count(text: str) -> int:
-    try:
-        count = int(text)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a whole number of at least 1 (from --threads or RELAYMDP_THREADS)")
-    return count
+def _whole_number(low: int, high: float, wanted: str, source: str):
+    """An argparse type: a whole number with low <= n < high, whose error
+    says what is ``wanted`` and names the ``source`` of the text."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = low - 1
+        if not low <= value < high:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a whole number {wanted} (from {source})")
+        return value
+    return parse
+
+
+# a master seed keys the counter-based streams, which take 128-bit keys
+_seed = _whole_number(0, 2 ** 128, "in 0 .. 2**128 - 1", "--seed")
+_thread_count = _whole_number(1, float("inf"), "of at least 1", "--threads or RELAYMDP_THREADS")
 
 
 def _build_parser() -> _Parser:
@@ -87,7 +96,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         # a string default goes through the type check too, when the flag is absent
         p.add_argument(
             "--threads", type=_thread_count,
@@ -240,21 +249,20 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
 
     artifacts: list[str] = []
 
+    def write(name: str, payload: dict) -> None:
+        artifacts.append(_write_json(out_dir, name, payload).name)
+
     if command == "solve-restricted":
         tables = backward_induction(family, config)
         thresholds = extract_thresholds(tables)
-        artifacts.append(_write_json(out_dir, "tables.json", tables_to_json(tables)).name)
-        artifacts.append(
-            _write_json(out_dir, "thresholds.json", thresholds.to_json()).name
-        )
-        artifacts.append(
-            _write_json(out_dir, "family.json", family_to_json(grid, family)).name
-        )
+        write("tables.json", tables_to_json(tables))
+        write("thresholds.json", thresholds.to_json())
+        write("family.json", family_to_json(grid, family))
         summary = {
             "initial_value": initial_value(tables),
             "components": restricted_components(tables).to_json(),
         }
-        artifacts.append(_write_json(out_dir, "summary.json", summary).name)
+        write("summary.json", summary)
 
     elif command == "solve-complete":
         tables = solve_complete(family, config)
@@ -264,24 +272,22 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
             "census": state_space_census(config).to_json(),
             "conjectures": verify_complete_conjectures(tables),
         }
-        artifacts.append(_write_json(out_dir, "summary.json", summary).name)
+        write("summary.json", summary)
         if args.export_policy:
-            artifacts.append(
-                _write_json(out_dir, "policy.json", policy_to_json(tables)).name
-            )
+            write("policy.json", policy_to_json(tables))
 
     elif command == "simulate":
         levels = policy_levels(args.policy, family, config)
         estimates = monte_carlo(levels, args.episodes, args.seed)
         payload = {"policy": args.policy, "eta": config.eta, "delta": config.delta}
         payload.update(estimates.to_json())
-        artifacts.append(_write_json(out_dir, "estimates.json", payload).name)
+        write("estimates.json", payload)
 
     elif command == "verify":
         tables = backward_induction(family, config)
         thresholds = extract_thresholds(tables)
         report = verify_structure(tables, thresholds)
-        artifacts.append(_write_json(out_dir, "report.json", report.to_json()).name)
+        write("report.json", report.to_json())
         _manifest(out_dir, command, config, args.seed, artifacts,
                   status="ok" if report.passed else "verification_failed")
         if not report.passed:
@@ -327,13 +333,11 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
             eta_hi=_calibrate_number(block, "eta_hi", 60.0),
             resolution=_calibrate_number(block, "resolution", 1e-3),
         )
-        artifacts.append(_write_json(out_dir, "calibration.json", result.to_json()).name)
+        write("calibration.json", result.to_json())
         print(f"eta = {result.eta:.6g} meets gamma = {gamma}")
 
     elif command == "census":
-        artifacts.append(
-            _write_json(out_dir, "census.json", state_space_census(config).to_json()).name
-        )
+        write("census.json", state_space_census(config).to_json())
 
     _manifest(out_dir, command, config, args.seed, artifacts)
     return 0

@@ -21,8 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._kernels import (ACTION_OF_CODE, NO_ACTION, PROBE, STOP, STRUCTURE_TOL, TIE_TOL, Action,
-                       Decision, IllegalActionError, expect_over_max, resolve_actions)
+from ._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, STRUCTURE_TOL, TIE_TOL, Decision,
+                       IllegalActionError, action_dtype, decision_of, expect_over_max,
+                       resolve_actions)
 from .model import ModelConfig, OrderedFamily, reward_grid
 
 DEFAULT_STATE_BUDGET = 50_000_000
@@ -143,11 +144,11 @@ class CompleteTables:
     """Memoized cost-to-go and argmin actions over (stage, best, multiset).
 
     ``values[k-1][s]`` is the (n_multisets(s), n_bins+1) value matrix at stage
-    k for unprobed multisets of size s <= min(k, capacity); ``actions`` holds
-    the STOP, PROBE and CONTINUE codes (NO_ACTION where no action is legal)
-    and ``probe_targets`` the location type probed, -1 elsewhere.  The none
-    row is the last column of every level: above capacity 1 the levels of
-    size k at stage k, which have probed nothing, hold that column alone,
+    k for unprobed multisets of size s <= min(k, capacity), and
+    ``actions[k-1][s]`` its action codes (``_kernels``: STOP, CONTINUE,
+    PROBE + t to probe type t, NO_ACTION) in ``action_dtype``.  The none row
+    is the last column of every level: above capacity 1 the levels of size k
+    at stage k, which have probed nothing, hold that column alone,
     (n_multisets(k), 1), and their real bins are not stored.
     ``kept[k-1]`` is the overflow rule at stage k (``_overflow_rule``), None at
     stages 1..capacity, where no wake-up overflows.
@@ -158,7 +159,6 @@ class CompleteTables:
     space: MultisetSpace = field(repr=False)
     values: list[list[np.ndarray]] = field(repr=False)
     actions: list[list[np.ndarray]] = field(repr=False)
-    probe_targets: list[list[np.ndarray]] = field(repr=False)
     kept: list[Optional[np.ndarray]] = field(repr=False)
 
     @property
@@ -235,15 +235,15 @@ def projected_state_count(n_types: int, n_bins: int, n_stages: int) -> int:
 def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharge: float,
                  types: np.ndarray, rests: np.ndarray,
                  none_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Best probe cost and target of every size-s state.
+    """Best probe cost and its action code, PROBE + t, of every size-s state.
 
     Probing slot p of the set of row g costs surcharge + E_t[V_f(max{b, R})]
     with t = types[g, p] and f = rests[g, p], a row of the ``smaller`` level
     (values over the real bins).  A running minimum over the slots with
     strict ``<`` keeps the first of equal costs, the stochastically largest
-    member, and never takes a NaN.  The expectations of every (type, smaller
-    row) pair run from the top bin down in chunks of bins holding at most
-    BATCH_ELEMENTS of them, carrying the reverse cumulative sum of
+    member, and never takes a NaN; where no slot wins the code is NO_ACTION.
+    The expectations of every (type, smaller row) pair run from the top bin
+    down in chunks of bins holding at most BATCH_ELEMENTS of them, carrying the reverse cumulative sum of
     ``expect_over_max`` across chunks in its sequential order, so the costs
     are bitwise those of that kernel.  With ``none_only`` just the none row
     is settled, from that same carried sum, and returned as one column.
@@ -251,22 +251,22 @@ def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharg
     n_types, n_bins = pmf.shape
     n_rows, n_slots = types.shape
     probe = np.empty((n_rows, 1 if none_only else n_bins + 1))
-    target = np.empty(probe.shape, dtype=np.int16)
+    code = np.empty(probe.shape, dtype=action_dtype(n_types))
     # pairs[p, g]: the (type, smaller row) pair of slot p of row g
     pairs = np.ascontiguousarray((types * len(smaller) + rests).T)
-    slot_types = np.ascontiguousarray(types.T, dtype=np.int16)
+    slot_codes = np.ascontiguousarray(types.T + PROBE, dtype=code.dtype)
 
     def settle(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The best cost and its type at every (bin of the chunk, row), from
+        """The best cost and its code at every (bin of the chunk, row), from
         costs[j, pair]."""
         costs = costs.reshape(len(costs), -1)
         best = np.full((len(costs), n_rows), np.inf)
-        pick = np.full(best.shape, -1, dtype=np.int16)
+        pick = np.full(best.shape, NO_ACTION, dtype=code.dtype)
         for p in range(n_slots):
             cost = np.take(costs, pairs[p], axis=1)
             better = np.less(cost, best)
             np.copyto(best, cost, where=better)
-            np.copyto(pick, slot_types[p], where=better)
+            np.copyto(pick, slot_codes[p], where=better)
         return best, pick
 
     # bins lead, so that the running sums add whole (type, row) planes
@@ -297,12 +297,12 @@ def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharg
             pending.insert(0, settle(costs))
             if written - lo >= block or lo == 0:
                 probe[:, lo:written] = np.concatenate([best for best, _ in pending]).T
-                target[:, lo:written] = np.concatenate([pick for _, pick in pending]).T
+                code[:, lo:written] = np.concatenate([pick for _, pick in pending]).T
                 pending, written = [], lo
         carry = rev[-1]
     best, pick = settle((carry + surcharge)[None])  # the none row: max{none, R} = R
-    probe[:, -1], target[:, -1] = best[0], pick[0]
-    return probe, target
+    probe[:, -1], code[:, -1] = best[0], pick[0]
+    return probe, code
 
 
 def _overflow_rule(space: MultisetSpace, level: np.ndarray, capacity: int,
@@ -377,7 +377,6 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
 
     values: list[list[np.ndarray]] = [[] for _ in range(n_stages)]
     actions: list[list[np.ndarray]] = [[] for _ in range(n_stages)]
-    targets: list[list[np.ndarray]] = [[] for _ in range(n_stages)]
     kept: list[Optional[np.ndarray]] = [None] * n_stages
     overflow = None  # the summed kept values of the full level solved last
     probes = [[] for _ in range(n_stages)] if keep_costs else None
@@ -390,11 +389,12 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
             none_only = _none_column_only(k, s, capacity)
             cols = slice(n_bins, None) if none_only else slice(None)  # the columns solved
             if s >= 1:
-                probe, tgt = _probe_costs(values[i][s - 1][:, :n_bins], pmf, cdf, eta * delta,
-                                          *_ranked_members(space, s, rank), none_only)
+                probe, code = _probe_costs(values[i][s - 1][:, :n_bins], pmf, cdf, eta * delta,
+                                           *_ranked_members(space, s, rank), none_only)
             else:
                 probe = np.full((n_s, n_bins + 1), np.inf)
-                tgt = np.full((n_s, n_bins + 1), -1, dtype=np.int16)
+                code = np.broadcast_to(np.array(NO_ACTION, dtype=action_dtype(n_types)),
+                                       probe.shape)
 
             cont = np.inf
             if k < n_stages:
@@ -410,13 +410,12 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
                 cont += tau
 
             # in row batches, so that the tie rule's float temporaries stay small
-            act = np.empty(probe.shape, dtype=np.int8)
+            act = np.empty(probe.shape, dtype=code.dtype)
             step = max(1, BATCH_ELEMENTS // probe.shape[1])
             for first in range(0, n_s, step):
                 rows = slice(first, first + step)
-                act[rows] = resolve_actions(stop[cols], probe[rows],
+                act[rows] = resolve_actions(stop[cols], probe[rows], code[rows],
                                             cont[rows] if k < n_stages else cont)
-            tgt[act != PROBE] = -1
             if keep_costs:
                 probes[i].append(probe.copy())
                 conts[i].append(np.broadcast_to(cont, probe.shape))
@@ -436,12 +435,11 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
                     f"overflows float arithmetic")
             values[i].append(val)
             actions[i].append(act)
-            targets[i].append(tgt)
             if s == capacity < k:
                 kept[i], overflow = _overflow_rule(space, val, capacity, rank)
 
     tables = CompleteTables(config=config, family=family, space=space, values=values,
-                           actions=actions, probe_targets=targets, kept=kept)
+                           actions=actions, kept=kept)
     return tables, probes, conts
 
 
@@ -473,22 +471,17 @@ def act_complete(
     if len(g) > tables.capacity:
         raise ValueError(f"multiset {g} holds {len(g)} unprobed relays, but these tables keep "
                          f"at most {tables.capacity} unprobed relays awake")
-    if any(not 0 <= t < len(tables.family) for t in g):
-        raise ValueError(f"unknown location types in {g}")
     if best is not None and not 0 <= best < tables.n_bins:
         raise ValueError(f"best-reward index {best} outside the grid")
 
-    b = tables._column(stage, best, g)
-    row = tables.space.row(g)
-    code = tables.actions[stage - 1][len(g)][row, b]
-    if code == NO_ACTION:
+    row = tables.space.row(g)  # a ValueError naming g at an unknown type
+    code = tables.actions[stage - 1][len(g)][row, tables._column(stage, best, g)]
+    decision = decision_of(code)
+    if decision is None:
         raise IllegalActionError(
             f"no legal action at stage {stage} with best={best}, multiset={g}"
         )
-    kind = ACTION_OF_CODE[code]
-    if kind is Action.PROBE:
-        return Decision(kind, int(tables.probe_targets[stage - 1][len(g)][row, b]))
-    return Decision(kind)
+    return decision
 
 
 @dataclass(frozen=True)
@@ -559,7 +552,7 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
         for s in range(1, k + 1):
             types, rests = ranked[s]
             smaller = tables.values[k - 1][s - 1][:, :n_bins]
-            probing = tables.actions[k - 1][s] == PROBE
+            probing = tables.actions[k - 1][s] >= PROBE
             none_only = probing.shape[1] == 1
             report["probing_states_checked"] += int(probing.sum())
             for first in range(0, len(types), step):
@@ -632,16 +625,19 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
 
 def policy_to_json(tables: CompleteTables) -> dict:
     """Export of the actions and probe targets only, not the values, to bound
-    size.  Rows of a level of the none row alone hold one column."""
+    size, in the export's numbering: actions stop 0, probe 1, continue 2 and
+    none -1, and the probed type in ``probe_targets``, -1 elsewhere.  Rows of
+    a level of the none row alone hold one column."""
     return {
         "n_stages": tables.n_stages,
         "n_bins": tables.n_bins,
         "stages": [
             {
                 "stage": k,
-                "actions": [a.tolist() for a in tables.actions[k - 1]],
-                "probe_targets": [t.tolist() for t in tables.probe_targets[k - 1]],
+                "actions": [np.select([a >= PROBE, a == CONTINUE], [1, 2], a).tolist()
+                            for a in levels],
+                "probe_targets": [np.where(a >= PROBE, a - PROBE, -1).tolist() for a in levels],
             }
-            for k in range(1, tables.n_stages + 1)
+            for k, levels in enumerate(tables.actions, start=1)
         ],
     }

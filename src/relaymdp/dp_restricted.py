@@ -11,9 +11,9 @@ kept.  Its size-0 and size-1 levels read as stagewise tables
     J_k(b, F_l)   states holding an unprobed relay of location type l,
 
 together with the continuing costs cc_k(b), cc_k(b, F_l), the probing cost
-cp_k(b, F_l) and the int8 action tables, which the structural checks and the
-tables export read.  The stopping and probing sets with their thresholds,
-``act``, the shared forward sweep and the episode engine read the levels.
+cp_k(b, F_l), which the structural checks and the tables export read.  The
+stopping and probing sets with their thresholds, ``act``, the shared forward
+sweep and the episode engine read the levels' action codes.
 
 Stage k occupies array index k - 1.  The best-reward axis has one extra row
 appended (index n_bins) for the "nothing probed yet" state, whose stop cost is
@@ -56,12 +56,10 @@ class RestrictedTables(CompleteTables):
     """The capacity-1 levels with the probe and continue costs of every
     level, probe_costs[k-1][s] and continue_costs[k-1][s].
 
-    The stagewise tables are stacked on first use and cached: j_b, cc_b
-    and act_b are (N, n_bins+1); j_bf, cc_bf, cp_bf and act_bf are (N,
-    n_bins+1, n_locations).  cc rows at stage N hold +inf (continuing is
-    unavailable there), as does the stop cost at the none row.  act_b and
-    act_bf hold the optimal action codes (STOP, PROBE, CONTINUE, or NO_ACTION
-    where nothing is legal) of the bare and retaining states.
+    The stagewise tables are stacked on first use and cached: j_b and cc_b
+    are (N, n_bins+1); j_bf, cc_bf and cp_bf are (N, n_bins+1, n_locations).
+    cc rows at stage N hold +inf (continuing is unavailable there), as does
+    the stop cost at the none row.
     """
 
     probe_costs: list[list[np.ndarray]] = field(repr=False)
@@ -72,8 +70,6 @@ class RestrictedTables(CompleteTables):
     cc_b = _stage_major("continue_costs", 0)
     cc_bf = _stage_major("continue_costs", 1)
     cp_bf = _stage_major("probe_costs", 1)
-    act_b = _stage_major("actions", 0)
-    act_bf = _stage_major("actions", 1)
 
     @property
     def grid(self) -> np.ndarray:
@@ -136,9 +132,9 @@ def extract_thresholds(levels: CompleteTables) -> ThresholdSummary:
     the retaining ones.
 
     S_k and S_k^l are the STOP entries of the bare and retaining tables, Q_k^l
-    the entries that do not continue and P_k^l the PROBE entries.  Raises
-    NonThresholdSetError if any stopping set fails to be an up-set of the
-    reward grid.
+    the entries that do not continue and P_k^l the probe entries (codes from
+    PROBE up).  Raises NonThresholdSetError if any stopping set fails to be an
+    up-set of the reward grid.
     """
     n_bins, n_loc = levels.n_bins, len(levels.family)
     n_dec = max(levels.n_stages - 1, 0)
@@ -146,7 +142,7 @@ def extract_thresholds(levels: CompleteTables) -> ThresholdSummary:
     act_bf = np.stack([lv[1].T for lv in levels.actions])[:n_dec, :n_bins]
     s_l_flags = act_bf == STOP
     q_flags = act_bf != CONTINUE
-    p_flags = act_bf == PROBE
+    p_flags = act_bf >= PROBE
 
     x = np.empty(n_dec, dtype=int)
     x_l = np.empty((n_dec, n_loc), dtype=int)

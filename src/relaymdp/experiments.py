@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from ._kernels import CONTINUE, PROBE, STOP, IllegalActionError, illegal_action
+from ._kernels import CONTINUE, PROBE, STOP, IllegalActionError, illegal_action, legal_actions
 from .dp_complete import (BATCH_ELEMENTS, OVERFLOW_ELEMENTS, BudgetExceededError, CompleteTables,
                           initial_value, solve_complete)
 from .dp_restricted import RestrictedTables, backward_induction, extract_thresholds
@@ -175,7 +175,6 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
             if mass is None:
                 continue
             act = tables.actions[k - 1][s]
-            tgt = tables.probe_targets[k - 1][s]
             # entries of positive mass, and those a legal action moved
             live, moved = np.count_nonzero(mass.none), 0
 
@@ -183,8 +182,8 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                 # w[t, f]: the mass at the none row probing t from the set of
                 # row plus[s-1][t][f], which leaves row f; bin j gains pmf[t, j] w
                 src = space.plus[s - 1]
-                w = np.where(act[:, -1] == PROBE, mass.none, 0.0)[src]
-                w *= tgt[:, -1][src] == types[:, None]
+                w = mass.none[src]
+                w *= act[:, -1][src] == PROBE + types[:, None]
                 count = np.count_nonzero(w)
                 if count:
                     moved += count
@@ -204,13 +203,12 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                 del stopping
 
                 if s >= 1:
-                    probing = np.where(code == PROBE, real, 0.0)
                     per_call = max(1, BATCH_ELEMENTS // (len(space.members[s - 1]) * n_bins))
                     for first in range(0, n_loc, per_call):
                         batch = types[first:first + per_call]
                         src = space.plus[s - 1][batch]
-                        w = probing[src]
-                        w *= tgt[src][..., :none] == batch[:, None, None]
+                        w = real[src]
+                        w *= code[src] == PROBE + batch[:, None, None]
                         count = np.count_nonzero(w)
                         if not count:
                             continue
@@ -221,7 +219,6 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                         gain[..., 1:] += pmf[batch, None, 1:] * np.cumsum(w[..., :-1], axis=-1)
                         out = level(current, s - 1).real_bins(n_bins)
                         out += gain.sum(axis=0)
-                    del probing
 
             if not last:
                 # to the set with the newcomer or, from the full size, to the
@@ -276,15 +273,12 @@ def _illegal_entry(tables: CompleteTables, stage: int, s: int,
         full[:, :none] = mass.real
     rows, cols = np.nonzero(full > 0)
     code = tables.actions[stage - 1][s][rows, cols]
-    target = tables.probe_targets[stage - 1][s][rows, cols]
     probed = cols != full.shape[1] - 1  # the last column is the none row
-    held = (space.members[s][rows] == target[:, None]).any(axis=1)
-    legal = (((code == STOP) & probed) | ((code == PROBE) & held)
-             | ((code == CONTINUE) & (stage < tables.n_stages)))
+    held = (space.members[s][rows] == (code.astype(np.intp) - PROBE)[:, None]).any(axis=1)
+    legal = legal_actions(code, held, probed, stage == tables.n_stages)
     i = int(np.argmin(legal))
     best = int(cols[i]) if probed[i] else None
-    return illegal_action(int(code[i]), int(target[i]),
-                          f"(stage {stage}, multiset {space.msets[s][rows[i]]}, best={best})")
+    return illegal_action(code[i], f"(stage {stage}, multiset {space.msets[s][rows[i]]}, best={best})")
 
 
 def baseline_components(family: OrderedFamily, config: ModelConfig) -> PolicyComponents:

@@ -14,7 +14,6 @@ ordered by first-order stochastic dominance.
 """
 from __future__ import annotations
 
-import json
 import logging
 import math
 import numbers
@@ -131,11 +130,6 @@ class ModelConfig:
                 value = int(value)
             coerced[f.name] = value
         return cls(**coerced).validate()
-
-    @classmethod
-    def from_json(cls, path) -> "ModelConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
     def to_dict(self) -> dict:
         return asdict(self)

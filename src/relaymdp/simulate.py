@@ -26,7 +26,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from ._kernels import CONTINUE, NO_ACTION, PROBE, STOP, illegal_action
+from ._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, action_dtype, illegal_action,
+                       legal_actions)
 from .dp_complete import CompleteTables, multiset_space
 from .model import ModelConfig, OrderedFamily, reward_grid
 
@@ -144,26 +145,17 @@ def probe_first_levels(family: OrderedFamily, config: ModelConfig) -> CompleteTa
     awake relay while nothing is probed and stops otherwise; the values are
     that policy's costs.  Later stages are never reached and hold NO_ACTION."""
     n_loc, none = len(family), family.n_bins
-
-    def unreached(rows: int) -> tuple:
-        shape = (rows, family.n_bins + 1)
-        return (np.full(shape, np.inf), np.full(shape, NO_ACTION, dtype=np.int8),
-                np.full(shape, -1, dtype=np.int16))
-
-    stages = [[unreached(1), unreached(n_loc)] for _ in range(config.n_relays)]
-    (bare, bare_act, _), (held, held_act, held_tgt) = stages[0]
+    shapes, stages = ((1, none + 1), (n_loc, none + 1)), range(config.n_relays)
+    values = [[np.full(shape, np.inf) for shape in shapes] for _ in stages]
+    actions = [[np.full(shape, NO_ACTION, dtype=action_dtype(n_loc)) for shape in shapes]
+               for _ in stages]
+    (bare, held), (bare_act, held_act) = values[0], actions[0]
     bare[:, :none] = held[:, :none] = -config.eta * reward_grid(family.n_bins)
     bare_act[:, :none] = held_act[:, :none] = STOP
     held[:, none] = config.eta * config.delta + family.pmf_matrix @ held[0, :none]
-    held_act[:, none] = PROBE
-    held_tgt[:, none] = np.arange(n_loc)
-    return CompleteTables(
-        config=config, family=family, space=multiset_space(n_loc, 1),
-        values=[[lv[0] for lv in st] for st in stages],
-        actions=[[lv[1] for lv in st] for st in stages],
-        probe_targets=[[lv[2] for lv in st] for st in stages],
-        kept=[None] * config.n_relays,
-    )
+    held_act[:, none] = PROBE + np.arange(n_loc)
+    return CompleteTables(config=config, family=family, space=multiset_space(n_loc, 1),
+                          values=values, actions=actions, kept=[None] * config.n_relays)
 
 
 def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
@@ -203,16 +195,13 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
             g, b = row[at], best[at]
             col = np.where(b == none, -1, b)  # the none row is the last column of a level
             code = levels.actions[k - 1][s][g, col]
-            target = levels.probe_targets[k - 1][s][g, col]
-            match = awake[at] & (loc[at] == target[:, None])
-            illegal = (((code == STOP) & (b == none)) | ((code == CONTINUE) & (k == n_stages))
-                       | ((code == PROBE) & ~match.any(axis=1))
-                       | ((code != STOP) & (code != PROBE) & (code != CONTINUE)))
-            if illegal.any():
-                i = int(np.argmax(illegal))
+            # the awake relays of the probed type (none for other codes)
+            match = awake[at] & (loc[at] == (code.astype(np.intp) - PROBE)[:, None])
+            legal = legal_actions(code, match.any(axis=1), b != none, k == n_stages)
+            if not legal.all():
+                i = int(np.argmin(legal))
                 raise illegal_action(
-                    int(code[i]), int(target[i]),
-                    f"(stage {k}, episode {at[i]}, best={None if b[i] == none else b[i]}, "
+                    code[i], f"(stage {k}, episode {at[i]}, best={None if b[i] == none else b[i]}, "
                     f"awake types {tuple(loc[at[i]][awake[at[i]]].tolist())})")
 
             stops = at[code == STOP]
@@ -220,7 +209,7 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
             stop_stage[stops] = k
             going[at[code == CONTINUE]] = True
 
-            probing = code == PROBE
+            probing = code >= PROBE
             if probing.any():
                 e = at[probing]
                 pick = match[probing].argmax(axis=1)  # the first-woken relay of that type

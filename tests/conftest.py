@@ -51,9 +51,6 @@ def small_instance(n_locations, n_bins, n_relays, eta, delta, tau=0.3):
 
 
 def corrupted(levels):
-    """A copy of solved levels whose action and target tables may be edited."""
+    """A copy of solved levels whose action tables may be edited."""
     return dataclasses.replace(
-        levels,
-        actions=[[a.copy() for a in stage] for stage in levels.actions],
-        probe_targets=[[t.copy() for t in stage] for stage in levels.probe_targets],
-    )
+        levels, actions=[[a.copy() for a in stage] for stage in levels.actions])

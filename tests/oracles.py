@@ -457,6 +457,12 @@ def probe_largest_violations(tables, tol: float = 1e-9) -> int:
     every member type, each expectation summed bin by bin from the stored
     value of the set left behind.  Only the states the tables hold count: a
     level of one column holds the none row alone."""
+    from relaymdp._kernels import Action, decision_of
+
+    def is_probe(code) -> bool:
+        decision = decision_of(code)
+        return decision is not None and decision.kind is Action.PROBE
+
     family, space, config = tables.family, tables.space, tables.config
     n_bins = tables.n_bins
     count = 0
@@ -466,8 +472,7 @@ def probe_largest_violations(tables, tol: float = 1e-9) -> int:
             level = tables.actions[k - 1][s]
             bins = range(n_bins + 1)[-level.shape[1]:]  # the best rewards of its columns
             for g, mset in enumerate(space.msets[s]):
-                # action code 1 is PROBE
-                probing = [b for col, b in enumerate(bins) if level[g, col] == 1]
+                probing = [b for col, b in enumerate(bins) if is_probe(level[g, col])]
                 if not probing:
                     continue
                 costs = {}
@@ -662,7 +667,7 @@ def reference_components(tables):
     """
     import numpy as np
 
-    from relaymdp._kernels import CONTINUE, STOP
+    from relaymdp._kernels import CONTINUE, PROBE, STOP
     from relaymdp.dp_complete import BATCH_ELEMENTS
     from relaymdp.experiments import _components
     from relaymdp.model import reward_grid
@@ -696,7 +701,8 @@ def reference_components(tables):
             # a level of one column, the none row alone, broadcasts its
             # actions over bins where no mass ever arrives
             act = tables.actions[k - 1][s]
-            tgt = tables.probe_targets[k - 1][s]
+            # the probed type of each probe code, -1 elsewhere
+            tgt = np.where(act >= PROBE, act.astype(np.intp) - PROBE, -1)
 
             stopping = m * (act == STOP)
             reward += float(stopping[:, :n_bins].sum(axis=0) @ grid)

@@ -167,6 +167,18 @@ def test_sweep_writes_figure_csvs(small_config, tmp_path):
     assert manifest["seed"] == 0
 
 
+@pytest.mark.parametrize("command,seed", [
+    ("simulate", "-1"), ("sweep", "-1"), ("simulate", str(2 ** 128)), ("solve-complete", "-5"),
+])
+def test_seed_outside_its_range_exits_one(small_config, tmp_path, capsys, command, seed):
+    out = tmp_path / "out"
+    code = main([command, "--config", str(small_config), "--out", str(out), "--seed", seed])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--seed" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("count", ["true", "2.7", "0"])
 def test_bad_sweep_episode_count_exits_one(small_config, tmp_path, capsys, count):
     out = tmp_path / "out"

@@ -63,9 +63,10 @@ def test_fuzzed_config_ends_in_named_error_or_finite_tables(doc):
         event(type(err).__name__)
         return
     event("finite tables")
-    for values, actions in ((tables.j_b, tables.act_b), (tables.j_bf, tables.act_bf)):
-        assert not np.isnan(values).any()
-        assert np.isfinite(values[actions != NO_ACTION]).all()
+    for values, actions in zip(tables.values, tables.actions):
+        for level, codes in zip(values, actions):
+            assert not np.isnan(level).any()
+            assert np.isfinite(level[codes != NO_ACTION]).all()
     for costs in (tables.cc_b, tables.cc_bf, tables.cp_bf):
         assert not np.isnan(costs).any()
 

@@ -22,7 +22,7 @@ from oracles import (
     reference_probe_costs,
 )
 from relaymdp import dp_complete
-from relaymdp._kernels import PROBE, IllegalActionError
+from relaymdp._kernels import PROBE, IllegalActionError, action_dtype
 from relaymdp.dp_complete import (
     BudgetExceededError,
     MultisetSpace,
@@ -356,6 +356,17 @@ class TestReachableScale:
             tracemalloc.stop()
         assert peak <= 32e6
 
+    def test_table_bytes(self, default_config, default_family):
+        # the arrays the reference solve keeps: 11,977,011 bytes, of which
+        # the one int8 action-code table per level takes 1,330,779 (14.6 MB
+        # while a parallel int16 probe-target table rode along); the cap
+        # leaves 5% headroom
+        tables = solve_complete(default_family, default_config.with_overrides(eta=10.0))
+        arrays = [a for stage in tables.values + tables.actions for a in stage]
+        arrays += [kept for kept in tables.kept if kept is not None]
+        assert all(a.dtype == np.int8 for stage in tables.actions for a in stage)
+        assert sum(a.nbytes for a in arrays) <= 12.6e6
+
 
 class TestClassDominance:
     @pytest.mark.parametrize("eta,delta", [(0.5, 0.1), (5.0, 0.05), (12.0, 0.01)])
@@ -395,7 +406,7 @@ class TestConjectures:
         # the only action; no other check reads this entry
         level = tables.values[-1][-1].copy()
         assert level.shape[1] == 1  # the none row alone, its last column
-        assert tables.actions[-1][-1][0, -1] == PROBE
+        assert tables.actions[-1][-1][0, -1] >= PROBE
         level[0, -1] -= 1e-6
         values = [list(stage) for stage in tables.values]
         values[-1][-1] = level
@@ -484,7 +495,13 @@ class TestProbeKernel:
     """The slot-gather kernel against the per-target scatter, bit for bit."""
 
     @staticmethod
-    def assert_levels_match(family, config, capacity):
+    def decoded(codes):
+        """The probed type of each probe code, -1 elsewhere, as the
+        reference's int16 targets."""
+        return np.where(codes >= PROBE, codes.astype(np.intp) - PROBE, -1).astype(np.int16)
+
+    @classmethod
+    def assert_levels_match(cls, family, config, capacity):
         # above capacity 1 a level of k unprobed relays at stage k is solved
         # at its none row alone, which must equal the reference's none column
         tables, probes, _ = _induction(family, config, capacity, keep_costs=True)
@@ -501,7 +518,8 @@ class TestProbeKernel:
                     want = tuple(w[:, tables.none_index:] for w in want)
                 assert tables.values[k - 1][s].shape == want[0].shape, (k, s)
                 assert got[0].tobytes() == want[0].tobytes(), (k, s)
-                assert got[1].tobytes() == want[1].tobytes(), (k, s)
+                assert got[1].dtype == action_dtype(len(family)), (k, s)
+                assert cls.decoded(got[1]).tobytes() == want[1].tobytes(), (k, s)
                 assert probes[k - 1][s].tobytes() == want[0].tobytes(), (k, s)
         return tables
 
@@ -539,4 +557,4 @@ class TestProbeKernel:
                                    *_ranked_members(space, 2, rank), none_only)
                 cols = slice(tables.none_index if none_only else 0, None)
                 assert got[0].tobytes() == want[0][:, cols].tobytes()
-                assert got[1].tobytes() == want[1][:, cols].tobytes()
+                assert self.decoded(got[1]).tobytes() == want[1][:, cols].tobytes()

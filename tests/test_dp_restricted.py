@@ -10,6 +10,7 @@ from oracles import (
     Toy,
     enumerate_restricted_policies,
     pairwise_lipschitz_excess,
+    reference_probe_costs,
     restricted_tree_sets,
     restricted_tree_state_value,
     restricted_tree_value,
@@ -20,7 +21,8 @@ from relaymdp import (
     build_forwarding_region,
     build_ordered_family,
 )
-from relaymdp._kernels import ACTION_OF_CODE, NO_ACTION
+from relaymdp._kernels import PROBE, Decision, decision_of
+from relaymdp.dp_complete import _probe_costs, _ranked_members, act_complete
 from relaymdp.dp_restricted import (
     Action,
     NonThresholdSetError,
@@ -32,6 +34,8 @@ from relaymdp.dp_restricted import (
     initial_value,
     verify_structure,
 )
+from relaymdp.model import OrderedFamily, RewardDistribution
+from relaymdp.simulate import block_rng, run_policy, sample_episode
 
 def retain_incumbent(tables, stage, best, incumbent, newcomer):
     """Whether the shared overflow rule keeps the awake incumbent when the
@@ -273,8 +277,9 @@ class TestAct:
     @pytest.mark.parametrize("instance", ["small", "reference"])
     def test_every_state_reads_the_action_tables(self, instance, delta, default_config,
                                                  default_family):
-        # every (stage, best, retained type) against act_b and act_bf, the
-        # restricted solver's own layout of its actions
+        # every (stage, best, retained type) against the code the level
+        # stores: the bare states' size-0 level, the retaining ones' size-1
+        # level, whose rows are the location types
         if instance == "small":
             config, family = small_instance(5, 20, 5, eta=3.0, delta=delta, tau=0.2)
         else:
@@ -285,16 +290,16 @@ class TestAct:
         for k in range(1, tables.n_stages + 1):
             for b in range(none + 1):
                 for dist in (None, *range(len(family))):
-                    code = int(tables.act_b[k - 1, b] if dist is None
-                               else tables.act_bf[k - 1, b, dist])
+                    level = tables.actions[k - 1][0 if dist is None else 1]
+                    decision = decision_of(level[dist or 0, b])
                     state = (None if b == none else b, dist, k)
-                    seen.add(code)
-                    if code == NO_ACTION:
+                    seen.add(None if decision is None else decision.kind)
+                    if decision is None:
                         with pytest.raises(IllegalActionError):
                             act(state, tables)
                     else:
-                        assert act(state, tables) is ACTION_OF_CODE[code], state
-        assert seen == {NO_ACTION, *ACTION_OF_CODE}
+                        assert act(state, tables) is decision.kind, state
+        assert seen == {None, *Action}
 
     def test_unreachable_bare_none_state_raises(self, default_tables):
         with pytest.raises(IllegalActionError):
@@ -315,6 +320,55 @@ class TestAct:
         for stage in range(2, tables.n_stages + 1):
             for b in (None, 0, 40, 99):
                 assert retain_incumbent(tables, stage, b, strong, weak)
+
+
+def two_bin_family(n_types):
+    """``n_types`` distinct two-bin reward laws, stochastically smaller with
+    every index, built without the forwarding region."""
+    top = np.linspace(0.75, 0.25, n_types)
+    pmf = np.column_stack([1.0 - top, top])
+    cdf = np.cumsum(pmf, axis=1)
+    return OrderedFamily(
+        distributions=tuple(RewardDistribution(i, 1.0, pmf[i], cdf[i]) for i in range(n_types)),
+        order=np.arange(n_types), minimal_index=n_types - 1, r_max=1.0,
+        pmf_matrix=pmf, cdf_matrix=cdf)
+
+
+class TestWideFamilies:
+    """A probe code holds the probed type whatever the number of types."""
+
+    def test_probe_types_past_32767(self):
+        # one relay over 33,000 types: with nothing probed, each singleton
+        # probes its own relay, a type that an int16 table would wrap
+        n = 33_000
+        config = ModelConfig(n_locations=n, n_reward_bins=2, n_relays=1).validate()
+        family = two_bin_family(n)
+        tables = backward_induction(family, config)
+        codes = tables.actions[0][1][:, -1]
+        assert codes.dtype == np.int32
+        assert np.array_equal(codes - PROBE, np.arange(n))
+        assert act_complete((1, None, (n - 1,)), tables) == Decision(Action.PROBE, n - 1)
+        out = run_policy(sample_episode(family, config, block_rng(0, 0)), tables)
+        assert np.all(out.probes == 1) and np.all(out.stop_stage == 1)
+
+    def test_int16_codes_decode_to_the_kernels_type(self):
+        config, family = small_instance(200, 12, 3, eta=4.0, delta=0.02)
+        tables = backward_induction(family, config)
+        surcharge = config.eta * config.delta
+        ranked = _ranked_members(tables.space, 1, tuple(family.rank))
+        probed = set()
+        for k in range(config.n_relays):
+            assert [a.dtype for a in tables.actions[k]] == [np.int16, np.int16]
+            smaller = tables.values[k][0][:, :tables.n_bins]
+            chosen = _probe_costs(smaller, family.pmf_matrix, family.cdf_matrix, surcharge,
+                                  *ranked)[1]
+            want = reference_probe_costs(smaller, family, surcharge, tables.space, 1)[1]
+            codes = tables.actions[k][1]
+            probing = codes >= PROBE
+            assert np.array_equal(codes[probing], chosen[probing])
+            assert np.array_equal(codes[probing] - PROBE, want[probing])
+            probed.update((codes[probing] - PROBE).tolist())
+        assert max(probed) > 126
 
 
 class TestVerifyStructure:

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import corrupted, small_instance
 from oracles import reference_components
-from relaymdp._kernels import CONTINUE, NO_ACTION, STOP, IllegalActionError
+from relaymdp._kernels import CONTINUE, NO_ACTION, PROBE, STOP, IllegalActionError
 from relaymdp.dp_complete import _induction, initial_value, solve_complete
 from relaymdp.dp_restricted import backward_induction
 from relaymdp.experiments import (
@@ -180,7 +180,7 @@ class TestSweepFailsClosed:
 
     def test_probe_target_not_in_the_set(self, solved):
         levels = corrupted(probe_first_levels(solved.family, solved.config))
-        levels.probe_targets[0][1][:, levels.none_index] = [1, 2, 3, 0]
+        levels.actions[0][1][:, levels.none_index] = PROBE + np.array([1, 2, 3, 0])
         with pytest.raises(IllegalActionError, match=(
                 r"probe target type 1 not awake \(stage 1, multiset \(0,\), best=None\)")):
             complete_components(levels)

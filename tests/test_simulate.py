@@ -176,11 +176,10 @@ class TestRunPolicy:
         config, family = sim_instance
         levels = corrupted(backward_induction(family, config))
         none = levels.none_index
-        for acts, tgts in zip(levels.actions, levels.probe_targets):
+        for acts in levels.actions:
             for act in acts:
                 act[:, :none] = CONTINUE
-            acts[1][:, none] = PROBE
-            tgts[1][:, none] = np.arange(len(family))
+            acts[1][:, none] = PROBE + np.arange(len(family))
         block = sample_episode(family, config, block_rng(0, 0))
         with pytest.raises(IllegalActionError,
                            match=r"last stage \(stage 5, episode 0, best=\d+, awake types"):
@@ -202,7 +201,7 @@ class TestRunPolicy:
         config, family = sim_instance
         levels = corrupted(probe_first_levels(family, config))
         n_loc = len(family)
-        levels.probe_targets[0][1][:, levels.none_index] = (np.arange(n_loc) + 1) % n_loc
+        levels.actions[0][1][:, levels.none_index] = PROBE + (np.arange(n_loc) + 1) % n_loc
         block = sample_episode(family, config, block_rng(0, 0))
         first = int(block.locations[0, 0])
         with pytest.raises(IllegalActionError, match=(
