@@ -8,15 +8,11 @@ from .model import (
     LocationGrid,
     ModelConfig,
     OrderedFamily,
-    OrderResult,
-    RewardDistribution,
     TotalOrderError,
     build_forwarding_region,
     build_ordered_family,
-    quantize_distribution,
     reward_grid,
     reward_scale,
-    stochastic_order_cmp,
 )
 from ._kernels import Action, Decision, IllegalActionError
 from .dp_restricted import (

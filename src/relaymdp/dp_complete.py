@@ -205,26 +205,29 @@ def _ranked_members(space: MultisetSpace, s: int, rank: tuple[int, ...]) -> tupl
     members = space.members[s]
     order = np.argsort(np.asarray(rank)[members], axis=1, kind="stable")
     types = np.take_along_axis(members, order, axis=1)
-    # without[t, g]: the row of size-s set g less one t (where g holds a t)
-    row_type = np.min_scalar_type(len(space.members[s - 1]))
-    without = np.zeros((space.n_types, len(members)), dtype=row_type)
-    joined = space.plus[s - 1]  # [t, f]: row of f + t
-    without[np.arange(space.n_types)[:, None], joined] = np.arange(joined.shape[1])
-    rests = without[types, np.arange(len(members))[:, None]]
+    # the row of each set less its p-th smallest member, then in rank order
+    rests = np.empty(members.shape, dtype=np.min_scalar_type(len(space.members[s - 1])))
+    for p in range(s):
+        rests[:, p] = space.ranks([members[:, j] for j in range(s) if j != p])
+    rests = np.take_along_axis(rests, order, axis=1)
     types.flags.writeable = rests.flags.writeable = False  # shared by every caller
     return types, rests
 
 
 def _states_per_stage(n_types: int, n_bins: int, n_stages: int, capacity: int) -> list[int]:
-    """Memo entries per stage k: all multisets of size 0..min(k, capacity)
-    (stars and bars) times the best-reward axis, or times the none row alone
-    where ``_none_column_only`` says so."""
+    """Memo entries per stage k: all multisets of size 0..m, m = min(k,
+    capacity), times the best-reward axis, which by the hockey-stick identity
+    is (n_bins+1) * C(n_types+m, m); less the n_bins real columns of the size-m
+    level where ``_none_column_only`` says so."""
     capacity = min(capacity, n_stages)
-    return [
-        sum(math.comb(n_types + s - 1, s) * (1 if _none_column_only(k, s, capacity) else n_bins + 1)
-            for s in range(min(k, capacity) + 1))
-        for k in range(1, n_stages + 1)
-    ]
+    counts = []
+    for k in range(1, n_stages + 1):
+        m = min(k, capacity)
+        count = (n_bins + 1) * math.comb(n_types + m, m)
+        if _none_column_only(k, m, capacity):
+            count -= n_bins * math.comb(n_types + m - 1, m)
+        counts.append(count)
+    return counts
 
 
 def projected_state_count(n_types: int, n_bins: int, n_stages: int) -> int:

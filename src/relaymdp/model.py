@@ -1,5 +1,5 @@
-"""Geographic relay model: forwarding region, reward scales and quantized
-reward distributions.
+"""Geographic relay model: forwarding region, reward scales and the family of
+quantized reward distributions.
 
 A source at distance ``v0`` from the sink forwards through relays located in
 the lens-shaped region where the communication disk (radius ``comm_radius``
@@ -10,7 +10,9 @@ progress and minimum transmit power,
     reward = Z^a / (gamma_n0 * d^beta)^(1-a) * E^(1-a),   E ~ Exponential(1),
 
 which on the common [0, 1] grid yields a family of distributions totally
-ordered by first-order stochastic dominance.
+ordered by first-order stochastic dominance.  The family is one set of arrays
+(``OrderedFamily``): the scales, the (n_locations, n_bins) pmf and CDF
+matrices, one row per location, and the dominance order.
 """
 from __future__ import annotations
 
@@ -18,8 +20,6 @@ import logging
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
-from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -155,44 +155,22 @@ class LocationGrid:
 
 
 @dataclass(frozen=True)
-class RewardDistribution:
-    """Quantized reward law of one location on the common [0, 1] grid."""
-
-    location_index: int
-    scale: float          # c_l in reward units (pre-normalization)
-    pmf: np.ndarray
-    cdf: np.ndarray
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.pmf)
-
-
-class OrderResult(Enum):
-    FIRST_GE = "first>=st"
-    SECOND_GE = "second>=st"
-    EQUAL = "equal"
-    INCOMPARABLE = "incomparable"
-
-
-@dataclass(frozen=True)
 class OrderedFamily:
-    """Location-indexed reward distributions, totally stochastically ordered.
+    """The locations' reward laws as arrays, totally stochastically ordered.
 
-    ``order`` lists location indices from stochastically largest to smallest;
-    ``minimal_index`` is the location whose distribution every other member
-    dominates.
+    Row l of ``pmf_matrix`` and ``cdf_matrix`` is the quantized reward law of
+    location l on the common grid and ``scales[l]`` its scale c_l; ``order``
+    lists the locations from stochastically largest to smallest.
     """
 
-    distributions: tuple[RewardDistribution, ...]
-    order: np.ndarray          # permutation, descending dominance
-    minimal_index: int
-    r_max: float               # normalization constant mapping rewards to [0,1]
-    pmf_matrix: np.ndarray = field(repr=False)   # (n_locations, n_bins)
+    scales: np.ndarray                          # c_l in reward units (pre-normalization)
+    pmf_matrix: np.ndarray = field(repr=False)  # (n_locations, n_bins)
     cdf_matrix: np.ndarray = field(repr=False)
+    order: np.ndarray                           # permutation, descending dominance
+    r_max: float                                # normalization mapping rewards to [0,1]
 
     def __len__(self) -> int:
-        return len(self.distributions)
+        return len(self.order)
 
     @property
     def n_bins(self) -> int:
@@ -205,11 +183,10 @@ class OrderedFamily:
         r[self.order] = np.arange(len(self.order))
         return r
 
-    def dominates(self, first: int, second: int) -> bool:
-        """True when distribution ``first`` >=st distribution ``second``."""
-        return bool(
-            np.all(self.cdf_matrix[first] <= self.cdf_matrix[second] + ORDER_TOL)
-        )
+    @property
+    def minimal_index(self) -> int:
+        """The location whose law every other member dominates."""
+        return int(self.order[-1])
 
 
 def reward_grid(n_bins: int) -> np.ndarray:
@@ -268,90 +245,56 @@ def reward_scale(point: tuple[float, float], config: ModelConfig) -> float:
     return z**a / (config.gamma_n0 * d**config.beta) ** (1.0 - a)
 
 
-def normalization_constant(scales: Sequence[float], config: ModelConfig) -> float:
+def normalization_constant(scales: np.ndarray, config: ModelConfig) -> float:
     """Reward value mapped to the top of the [0, 1] grid.
 
     Chosen as the (1 - tail_mass) quantile of the reward at the best scale,
     c_max * (-ln tail_mass)^(1-a), so that truncation folds only tail_mass of
     the largest distribution into the top bin.
     """
-    c_max = float(max(scales))
+    c_max = float(np.max(scales))
     if c_max <= 0.0:
         raise ConfigError("all reward scales are zero; region has no usable progress")
     return c_max * (-math.log(config.tail_mass)) ** (1.0 - config.a)
 
 
-def _analytic_cdf(x: np.ndarray, scale: float, r_max: float, a: float) -> np.ndarray:
-    """CDF of the normalized reward at grid coordinates x in [0, 1]."""
-    with np.errstate(over="ignore"):
-        out = 1.0 - np.exp(-np.power(x * r_max / scale, 1.0 / (1.0 - a)))
-    return np.where(np.isinf(x), 1.0, out)
-
-
-def quantize_distribution(
-    point: tuple[float, float],
-    config: ModelConfig,
-    r_max: float,
-    location_index: int = 0,
-) -> RewardDistribution:
-    """Quantize a location's reward law onto the common grid.
+def quantize_family(
+    grid: LocationGrid, scales: np.ndarray, r_max: float, config: ModelConfig
+) -> np.ndarray:
+    """Quantize every location's reward law onto the common grid: the
+    (n_locations, n_bins) pmf.
 
     Bin i receives the analytic CDF mass between the midpoints around grid
     value i (nearest-point rounding); everything above the top edge folds into
     the last bin, so the quantized variable is the reward capped at r_max.
     Shared bin edges across locations preserve stochastic dominance exactly.
+    With a = 1 the reward is the deterministic progress Z, and a location of
+    scale 0 has reward 0: both are point masses.
     """
-    z, d = point
     n_bins = config.n_reward_bins
-    grid = reward_grid(n_bins)
-    scale = reward_scale((z, d), config)
-
-    if config.a == 1.0:
-        # Power plays no role: reward is the deterministic progress Z.
-        log.warning("a = 1: degenerate point-mass reward at location %d", location_index)
-        pmf = np.zeros(n_bins)
-        pos = min(n_bins - 1, int(round(np.clip(z / r_max, 0.0, 1.0) * (n_bins - 1))))
-        pmf[pos] = 1.0
-    elif scale == 0.0:
-        log.warning(
-            "zero-progress location %d: reward degenerate at 0", location_index
-        )
-        pmf = np.zeros(n_bins)
-        pmf[0] = 1.0
-    else:
-        edges = np.empty(n_bins + 1)
-        edges[0] = 0.0
-        edges[1:n_bins] = 0.5 * (grid[:-1] + grid[1:])
-        edges[n_bins] = np.inf
-        cdf_at_edges = _analytic_cdf(edges, scale, r_max, config.a)
-        pmf = np.diff(cdf_at_edges)
-
-    return RewardDistribution(
-        location_index=location_index,
-        scale=scale,
-        pmf=pmf,
-        cdf=np.cumsum(pmf),
-    )
-
-
-def stochastic_order_cmp(
-    first: RewardDistribution, second: RewardDistribution, tol: float = ORDER_TOL
-) -> OrderResult:
-    """Pointwise CDF comparison on the shared grid.
-
-    F >=st G exactly when F's CDF lies below G's everywhere.
-    """
-    if first.n_bins != second.n_bins:
-        raise ValueError("distributions must share the reward grid")
-    first_ge = bool(np.all(first.cdf <= second.cdf + tol))
-    second_ge = bool(np.all(second.cdf <= first.cdf + tol))
-    if first_ge and second_ge:
-        return OrderResult.EQUAL
-    if first_ge:
-        return OrderResult.FIRST_GE
-    if second_ge:
-        return OrderResult.SECOND_GE
-    return OrderResult.INCOMPARABLE
+    a = config.a
+    pmf = np.zeros((len(grid), n_bins))
+    if a == 1.0:
+        log.warning("a = 1: degenerate point-mass rewards at all %d locations", len(grid))
+        pos = np.rint(np.clip(grid.progress / r_max, 0.0, 1.0) * (n_bins - 1))
+        pmf[np.arange(len(grid)), pos.astype(np.intp)] = 1.0
+        return pmf
+    zero = scales == 0.0
+    if zero.any():
+        log.warning("%d of %d locations have zero progress (first: %d): reward "
+                    "degenerate at 0", np.count_nonzero(zero), len(grid), np.argmax(zero))
+        pmf[zero, 0] = 1.0
+    grid_values = reward_grid(n_bins)
+    edges = np.empty(n_bins + 1)
+    edges[0] = 0.0
+    edges[1:n_bins] = 0.5 * (grid_values[:-1] + grid_values[1:])
+    edges[n_bins] = np.inf
+    with np.errstate(over="ignore"):
+        x = edges * r_max / scales[~zero, None]
+        cdf_at_edges = 1.0 - np.exp(-np.power(x, 1.0 / (1.0 - a)))
+    cdf_at_edges[:, n_bins] = 1.0
+    pmf[~zero] = np.diff(cdf_at_edges, axis=1)
+    return pmf
 
 
 def build_ordered_family(grid: LocationGrid, config: ModelConfig) -> OrderedFamily:
@@ -361,47 +304,43 @@ def build_ordered_family(grid: LocationGrid, config: ModelConfig) -> OrderedFami
     crossing CDFs; for reward laws of the c_l * E^(1-a) form this cannot
     happen and the order coincides with the order of the scales c_l.
     """
-    scales = [reward_scale(p, config) for p in grid.points]
+    # one location at a time in Python floats: numpy's vectorised power can
+    # differ from the scalar one in the last ulp
+    scales = np.array([reward_scale(p, config) for p in grid.points], dtype=float)
     r_max = normalization_constant(scales, config)
-    dists = tuple(
-        quantize_distribution(p, config, r_max, location_index=i)
-        for i, p in enumerate(grid.points)
-    )
-    return order_family(dists, r_max)
+    return order_family(quantize_family(grid, scales, r_max, config), scales, r_max)
 
 
-def order_family(
-    dists: Sequence[RewardDistribution], r_max: float = 1.0
-) -> OrderedFamily:
-    """Sort an arbitrary family by stochastic dominance (see build_ordered_family)."""
-    cdf_matrix = np.vstack([d.cdf for d in dists])
+def order_family(pmf: np.ndarray, scales: np.ndarray, r_max: float = 1.0) -> OrderedFamily:
+    """Sort a family of pmfs on one grid by stochastic dominance (see
+    build_ordered_family)."""
+    pmf = np.asarray(pmf, dtype=float)
+    scales = np.asarray(scales, dtype=float)
+    cdf = np.cumsum(pmf, axis=1)
     # Smaller total CDF mass == stochastically larger. Scales too close to
     # tell apart at this bin width quantize to the same pmf; those ties go
     # to the larger scale, then to the lower index, so the order stays the
     # order of the scales. By transitivity, adjacent pairs verify the order.
-    scales = np.array([d.scale for d in dists], dtype=float)
-    order = np.lexsort((-scales, cdf_matrix.sum(axis=1)))
-    for i, j in zip(order[:-1], order[1:]):
-        if stochastic_order_cmp(dists[i], dists[j]) is OrderResult.INCOMPARABLE:
-            raise TotalOrderError(
-                f"distributions {i} and {j} have crossing CDFs; "
-                "the family is not totally stochastically ordered"
-            )
-    return OrderedFamily(
-        distributions=tuple(dists),
-        order=order,
-        minimal_index=int(order[-1]),
-        r_max=r_max,
-        pmf_matrix=np.vstack([d.pmf for d in dists]),
-        cdf_matrix=cdf_matrix,
-    )
+    order = np.lexsort((-scales, cdf.sum(axis=1)))
+    ranked = cdf[order]
+    upper, lower = ranked[:-1], ranked[1:]
+    comparable = (np.all(upper <= lower + ORDER_TOL, axis=1)
+                  | np.all(lower <= upper + ORDER_TOL, axis=1))
+    if not comparable.all():
+        p = int(np.argmin(comparable))
+        raise TotalOrderError(
+            f"distributions {order[p]} and {order[p + 1]} have crossing CDFs; "
+            "the family is not totally stochastically ordered"
+        )
+    return OrderedFamily(scales=scales, pmf_matrix=pmf, cdf_matrix=cdf, order=order,
+                         r_max=r_max)
 
 
 def family_to_json(grid: LocationGrid, family: OrderedFamily) -> dict:
     """JSON-friendly dump of the grid and quantized family for inspection."""
     return {
         "points": [[z, d] for z, d in grid.points],
-        "scales": [d.scale for d in family.distributions],
+        "scales": family.scales.tolist(),
         "r_max": family.r_max,
         "order": family.order.tolist(),
         "minimal_index": family.minimal_index,

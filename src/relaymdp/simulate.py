@@ -128,14 +128,20 @@ def sample_episode(
         inter = rng.exponential(config.tau, size=shape)
     locations = rng.integers(len(family), size=shape)
     u = rng.random(shape)
-    # the bin of each draw: how many entries of its location's cdf lie at or
-    # below u, capped at the top bin; a cdf is nondecreasing, so searchsorted
-    # counts them exactly, one location at a time
-    bins = np.empty(shape, dtype=np.intp)
-    for loc, cdf in enumerate(family.cdf_matrix):
-        at = locations == loc
-        bins[at] = np.searchsorted(cdf, u[at], side="right")
-    np.minimum(bins, family.n_bins - 1, out=bins)
+    # the bin of each draw: how many of the first n_bins - 1 entries of its
+    # location's cdf lie at or below u (the top bin takes the rest); a cdf is
+    # nondecreasing, so a binary search over that row of the flattened
+    # matrix counts them exactly, the count lying in [at, at + span] - start
+    start = locations * family.n_bins
+    at = start.copy()
+    span = family.n_bins - 1
+    cdf = family.cdf_matrix.ravel()
+    while span > 1:
+        half = span // 2
+        at += half * (cdf[at + (half - 1)] <= u)
+        span -= half
+    at += cdf[at] <= u
+    bins = at - start
     return EpisodeBlock(wake_times=np.cumsum(inter, axis=1), locations=locations,
                         reward_bins=bins)
 

@@ -752,3 +752,77 @@ def reference_components(tables):
 
     return _components(waits, reward, probes, stopped, config)
 
+
+
+# ---------------------------------------------------------------------------
+# the location family, one location at a time
+# ---------------------------------------------------------------------------
+
+def reference_family(grid, config):
+    """The ordered family built location by location: each location's scale
+    and quantized pmf on its own, then every adjacent pair of the dominance
+    order compared by a pointwise CDF test.  The ground truth of
+    ``model.build_ordered_family``."""
+    import numpy as np
+
+    from relaymdp.model import ORDER_TOL, OrderedFamily, TotalOrderError, reward_grid, reward_scale
+
+    n_bins = config.n_reward_bins
+    values = reward_grid(n_bins)
+    scales = [reward_scale(p, config) for p in grid.points]
+    r_max = max(scales) * (-math.log(config.tail_mass)) ** (1.0 - config.a)
+    pmfs = []
+    for (z, _), scale in zip(grid.points, scales):
+        pmf = np.zeros(n_bins)
+        if config.a == 1.0:
+            pmf[min(n_bins - 1, int(round(np.clip(z / r_max, 0.0, 1.0) * (n_bins - 1))))] = 1.0
+        elif scale == 0.0:
+            pmf[0] = 1.0
+        else:
+            edges = np.empty(n_bins + 1)
+            edges[0] = 0.0
+            edges[1:n_bins] = 0.5 * (values[:-1] + values[1:])
+            edges[n_bins] = np.inf
+            with np.errstate(over="ignore"):
+                cdf = 1.0 - np.exp(-np.power(edges * r_max / scale, 1.0 / (1.0 - config.a)))
+            pmf = np.diff(np.where(np.isinf(edges), 1.0, cdf))
+        pmfs.append(pmf)
+    cdfs = [np.cumsum(pmf) for pmf in pmfs]
+    cdf_matrix = np.vstack(cdfs)
+    order = np.lexsort((-np.array(scales), cdf_matrix.sum(axis=1)))
+    for i, j in zip(order[:-1], order[1:]):
+        if not (np.all(cdfs[i] <= cdfs[j] + ORDER_TOL) or np.all(cdfs[j] <= cdfs[i] + ORDER_TOL)):
+            raise TotalOrderError(f"distributions {i} and {j} have crossing CDFs")
+    return OrderedFamily(scales=np.array(scales), pmf_matrix=np.vstack(pmfs),
+                         cdf_matrix=cdf_matrix, order=order, r_max=r_max)
+
+
+# ---------------------------------------------------------------------------
+# state counts and ranked members, by enumeration
+# ---------------------------------------------------------------------------
+
+def reference_states_per_stage(n_types, n_bins, n_stages, capacity):
+    """Memo entries per stage k, summed over every multiset size 0..min(k, c)
+    with its stars-and-bars count: a size-k level at stage k above capacity 1
+    holds its none row alone."""
+    capacity = min(capacity, n_stages)
+    return [
+        sum(math.comb(n_types + s - 1, s) * (1 if s == k and capacity >= 2 else n_bins + 1)
+            for s in range(min(k, capacity) + 1))
+        for k in range(1, n_stages + 1)
+    ]
+
+
+def reference_ranked_members(space, s, rank):
+    """(types, rests) of the size-s sets, with rests read from a full
+    (n_types, n_multisets(s)) table of the row of each set less one type."""
+    import numpy as np
+
+    members = space.members[s]
+    order = np.argsort(np.asarray(rank)[members], axis=1, kind="stable")
+    types = np.take_along_axis(members, order, axis=1)
+    without = np.zeros((space.n_types, len(members)),
+                       dtype=np.min_scalar_type(len(space.members[s - 1])))
+    joined = space.plus[s - 1]  # [t, f]: row of f + t
+    without[np.arange(space.n_types)[:, None], joined] = np.arange(joined.shape[1])
+    return types, without[types, np.arange(len(members))[:, None]]

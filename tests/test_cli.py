@@ -281,6 +281,17 @@ def test_budget_exceeded_exits_one(small_config, tmp_path, capsys):
     assert "budget" in capsys.readouterr().err
 
 
+def test_budget_exceeded_at_a_long_horizon_exits_one(small_config, tmp_path, capsys):
+    # the projected state count is worked out in closed form, not summed over
+    # every size at every stage
+    code = main([
+        "solve-complete", "--config", str(small_config), "--out", str(tmp_path / "o"),
+        "--override", "n_relays=100000",
+    ])
+    assert code == 1
+    assert "budget" in capsys.readouterr().err
+
+
 def test_verification_failure_exits_two(small_config, tmp_path, monkeypatch, capsys):
     failing = StructureReport(
         checks={"a_monotone_in_b": CheckResult(passed=False, worst=1.0)}

@@ -2,7 +2,7 @@ import math
 import re
 import tracemalloc
 from dataclasses import replace
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 import pytest
@@ -20,6 +20,8 @@ from oracles import (
     reference_multiset_space,
     reference_overflow_keep,
     reference_probe_costs,
+    reference_ranked_members,
+    reference_states_per_stage,
 )
 from relaymdp import dp_complete
 from relaymdp._kernels import PROBE, IllegalActionError, action_dtype
@@ -30,6 +32,7 @@ from relaymdp.dp_complete import (
     _induction,
     _probe_costs,
     _ranked_members,
+    _states_per_stage,
     act_complete,
     multiset_space,
     initial_value,
@@ -310,6 +313,12 @@ class TestCensus:
         # exact linearity: count(n) = (bins+1) * (n+1)
         assert (counts[10] - counts[5]) / 5 == (counts[20] - counts[10]) / 10
 
+    @pytest.mark.parametrize("n_types", [1, 2, 20, 57])
+    def test_closed_form_equals_the_sum_over_sizes(self, n_types):
+        for n_bins, n_stages, capacity in product((2, 101), (1, 2, 5, 9), (1, 2, 3, 5, 9, 40)):
+            assert (_states_per_stage(n_types, n_bins, n_stages, capacity)
+                    == reference_states_per_stage(n_types, n_bins, n_stages, capacity))
+
     def test_single_type_counts_coincide_at_stage_one(self):
         census = state_space_census(ModelConfig(n_locations=1, n_relays=1))
         assert census.complete[0] == census.restricted[0]
@@ -453,6 +462,33 @@ class TestMultisetSpace:
         tables = solve_complete(family, config)
         assert "msets" not in vars(tables.space)
         assert tables.space.msets[2][tables.space.row((0, 2))] == (0, 2)
+
+
+class TestRankedMembers:
+    @pytest.mark.parametrize("n_types,max_size", [(1, 3), (4, 3), (7, 4), (20, 5), (300, 2)])
+    def test_equal_to_the_table_construction(self, n_types, max_size):
+        space = MultisetSpace(n_types, max_size)
+        rank = tuple(np.random.default_rng(n_types).permutation(n_types).tolist())
+        for s in range(1, max_size + 1):
+            for got, want in zip(_ranked_members(space, s, rank),
+                                 reference_ranked_members(space, s, rank)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                assert not got.flags.writeable
+
+    def test_allocation_peak_is_linear_in_the_types(self):
+        # one relay over 33,000 types: a (types x sets) table of the rows
+        # less each type took 1,090 MB; the arrays themselves take under 1 MB
+        n = 33_000
+        space = MultisetSpace(n, 1)
+        rank = tuple(range(n - 1, -1, -1))
+        tracemalloc.start()
+        try:
+            types, rests = _ranked_members(space, 1, rank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4e6
+        assert np.array_equal(types[:, 0], np.arange(n)) and not rests.any()
 
 
 class TestOverflowRule:

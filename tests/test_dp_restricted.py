@@ -34,7 +34,7 @@ from relaymdp.dp_restricted import (
     initial_value,
     verify_structure,
 )
-from relaymdp.model import OrderedFamily, RewardDistribution
+from relaymdp.model import order_family
 from relaymdp.simulate import block_rng, run_policy, sample_episode
 
 def retain_incumbent(tables, stage, best, incumbent, newcomer):
@@ -326,12 +326,9 @@ def two_bin_family(n_types):
     """``n_types`` distinct two-bin reward laws, stochastically smaller with
     every index, built without the forwarding region."""
     top = np.linspace(0.75, 0.25, n_types)
-    pmf = np.column_stack([1.0 - top, top])
-    cdf = np.cumsum(pmf, axis=1)
-    return OrderedFamily(
-        distributions=tuple(RewardDistribution(i, 1.0, pmf[i], cdf[i]) for i in range(n_types)),
-        order=np.arange(n_types), minimal_index=n_types - 1, r_max=1.0,
-        pmf_matrix=pmf, cdf_matrix=cdf)
+    family = order_family(np.column_stack([1.0 - top, top]), np.ones(n_types))
+    assert np.array_equal(family.order, np.arange(n_types))
+    return family
 
 
 class TestWideFamilies:

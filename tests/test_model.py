@@ -1,31 +1,25 @@
 import math
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_family
 from relaymdp.model import (
     ConfigError,
+    LocationGrid,
     ModelConfig,
-    OrderResult,
-    RewardDistribution,
     TotalOrderError,
     build_forwarding_region,
+    build_ordered_family,
     normalization_constant,
     order_family,
-    quantize_distribution,
     reward_grid,
     reward_scale,
-    stochastic_order_cmp,
 )
-
-
-def make_dist(pmf, index=0, scale=1.0):
-    pmf = np.asarray(pmf, dtype=float)
-    return RewardDistribution(
-        location_index=index, scale=scale, pmf=pmf, cdf=np.cumsum(pmf)
-    )
 
 
 class TestConfig:
@@ -124,115 +118,161 @@ class TestRewardScale:
             reward_scale((0.5, 0.0), ModelConfig())
 
 
+def family_at(points, config):
+    """The ordered family of hand-placed (progress, distance) points."""
+    progress, distance = (np.array(column, dtype=float) for column in zip(*points))
+    grid = LocationGrid(progress=progress, distance=distance, xy=np.zeros((len(points), 2)))
+    return build_ordered_family(grid, config)
+
+
+def assert_bitwise_equal(family, reference):
+    for name in ("scales", "pmf_matrix", "cdf_matrix", "order"):
+        got, want = getattr(family, name), getattr(reference, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+    assert type(family.r_max) is float and family.r_max.hex() == reference.r_max.hex()
+    assert family.minimal_index == reference.minimal_index
+
+
 class TestQuantize:
     def test_zero_scale_point_mass_at_lowest_bin(self, default_config):
-        dist = quantize_distribution((0.0, 0.5), default_config, r_max=1.0)
-        assert dist.pmf[0] == 1.0
-        assert dist.pmf[1:].sum() == 0.0
+        family = family_at([(1.0, 0.5), (0.0, 0.5)], default_config)
+        assert family.scales[1] == 0.0
+        assert family.pmf_matrix[1, 0] == 1.0
+        assert family.pmf_matrix[1, 1:].sum() == 0.0
+        assert family.minimal_index == 1
 
     @pytest.mark.parametrize("point", [(0.2, 0.9), (0.9, 0.3), (0.05, 1.0)])
     def test_pmf_sums_to_one(self, default_config, point):
-        scales = [reward_scale(p, default_config) for p in [(1.0, 0.5), point]]
-        r_max = normalization_constant(scales, default_config)
-        dist = quantize_distribution(point, default_config, r_max)
-        assert abs(dist.pmf.sum() - 1.0) < 1e-12
-        assert np.all(dist.pmf >= 0.0)
-        assert np.all(np.diff(dist.cdf) >= -1e-15)
-        assert dist.cdf[-1] == pytest.approx(1.0, abs=1e-12)
+        family = family_at([(1.0, 0.5), point], default_config)
+        for pmf, cdf in zip(family.pmf_matrix, family.cdf_matrix):
+            assert abs(pmf.sum() - 1.0) < 1e-12
+            assert np.all(pmf >= 0.0)
+            assert np.all(np.diff(cdf) >= -1e-15)
+            assert cdf[-1] == pytest.approx(1.0, abs=1e-12)
 
     def test_larger_scale_dominates(self, default_config):
-        r_max = normalization_constant([2.0], default_config)
-        strong = quantize_distribution((1.0, 1.0 / 2.0**0.5), default_config, r_max)
-        weak = quantize_distribution((0.25, 1.0), default_config, r_max)
-        assert strong.scale > weak.scale
-        assert np.all(strong.cdf <= weak.cdf + 1e-12)
+        family = family_at([(0.25, 1.0), (1.0, 1.0 / 2.0**0.5)], default_config)
+        weak, strong = family.cdf_matrix
+        assert family.scales[1] > family.scales[0]
+        assert np.all(strong <= weak + 1e-12)
+        assert list(family.order) == [1, 0]
 
     def test_a_equal_one_degenerates_to_progress_point_mass(self, caplog):
         cfg = ModelConfig(a=1.0)
         with caplog.at_level("WARNING"):
-            dist = quantize_distribution((0.5, 0.5), cfg, r_max=1.0)
-        assert dist.pmf.max() == 1.0
-        assert np.count_nonzero(dist.pmf) == 1
+            family = family_at([(0.5, 0.5), (0.25, 0.8), (0.0, 0.3)], cfg)
+        assert np.all(family.pmf_matrix.max(axis=1) == 1.0)
+        assert np.all(np.count_nonzero(family.pmf_matrix, axis=1) == 1)
+        # reward Z on the grid scaled by r_max = max Z; 49.5 rounds to even
+        assert list(np.argmax(family.pmf_matrix, axis=1)) == [99, 50, 0]
+        assert len(caplog.records) == 1  # one line per family, not per location
+
+    def test_zero_progress_warns_once_per_family(self, default_config, caplog):
+        with caplog.at_level("WARNING"):
+            family = family_at([(0.0, 0.5), (1.0, 0.5), (0.0, 0.9)], default_config)
+        assert family.pmf_matrix[[0, 2], 0].tolist() == [1.0, 1.0]
+        assert len(caplog.records) == 1
+        assert "2 of 3 locations have zero progress" in caplog.records[0].getMessage()
 
     def test_a_equal_zero_is_pure_power_reward(self):
         # progress plays no role: scale is the inverse required power
         cfg = ModelConfig(a=0.0, beta=2.0, gamma_n0=2.0)
         assert reward_scale((0.0, 0.5), cfg) == pytest.approx(1.0 / (2.0 * 0.25))
-        r_max = normalization_constant([2.0], cfg)
-        dist = quantize_distribution((0.3, 0.5), cfg, r_max)
-        assert abs(dist.pmf.sum() - 1.0) < 1e-12
+        family = family_at([(0.0, 0.5), (0.3, 0.5), (0.3, 0.25)], cfg)
+        assert family.scales[0] == family.scales[1] > 0.0
+        assert np.all(np.abs(family.pmf_matrix.sum(axis=1) - 1.0) < 1e-12)
 
-    def test_quantized_mean_converges_to_truncated_analytic_mean(self, default_config):
+    def test_quantized_mean_converges_to_truncated_analytic_mean(self):
         # independent oracle: numeric quadrature of the truncated survival
         from scipy.integrate import quad
 
         cfg = ModelConfig(n_reward_bins=1000)
-        grid = build_forwarding_region(cfg)
-        scales = [reward_scale(p, cfg) for p in grid.points]
-        r_max = normalization_constant(scales, cfg)
+        family = build_ordered_family(build_forwarding_region(cfg), cfg)
+        r_max = family.r_max
+        assert r_max == normalization_constant(family.scales, cfg)
         exponent = 1.0 / (1.0 - cfg.a)
-        for point, scale in zip(grid.points, scales):
-            dist = quantize_distribution(point, cfg, r_max)
-            quantized_mean = float(dist.pmf @ reward_grid(cfg.n_reward_bins))
+        for pmf, scale in zip(family.pmf_matrix, family.scales):
+            quantized_mean = float(pmf @ reward_grid(cfg.n_reward_bins))
             analytic, _ = quad(
                 lambda x: math.exp(-((x * r_max / scale) ** exponent)), 0.0, 1.0
             )
             assert quantized_mean == pytest.approx(analytic, rel=0.01)
 
 
-class TestStochasticOrder:
-    def test_identical_distributions_equal(self):
-        f = make_dist([0.2, 0.3, 0.5])
-        assert stochastic_order_cmp(f, f) is OrderResult.EQUAL
+class TestReferenceFamily:
+    """The array build equals the location-by-location build bit for bit."""
+
+    @pytest.mark.parametrize("beta", [0.0, 2.0, 3.7])
+    @pytest.mark.parametrize("a", [0.0, 0.3, 0.5, 0.77, 0.999, 1.0])
+    def test_arrays_equal_the_reference(self, a, beta):
+        for v0, (n_locations, n_bins) in product(
+                (1.5, 10.0), ((1, 2), (2, 3), (57, 7), (20, 100), (13, 401))):
+            cfg = ModelConfig(v0=v0, a=a, beta=beta, n_locations=n_locations,
+                              n_reward_bins=n_bins).validate()
+            grid = build_forwarding_region(cfg)
+            grids = [grid]
+            if n_locations > 1:
+                # a point of zero progress, where the scale is 0 unless a = 0
+                progress = grid.progress.copy()
+                progress[n_locations // 2] = 0.0
+                grids.append(replace(grid, progress=progress))
+            for g in grids:
+                assert_bitwise_equal(build_ordered_family(g, cfg), reference_family(g, cfg))
+
+
+class TestDominanceCheck:
+    def test_identical_distributions_are_ordered(self):
+        f = [0.2, 0.3, 0.5]
+        family = order_family([f, f], [1.0, 1.0])
+        assert list(family.order) == [0, 1]
 
     def test_point_masses(self):
-        hi = make_dist([0.0, 0.0, 1.0])
-        lo = make_dist([1.0, 0.0, 0.0])
-        assert stochastic_order_cmp(hi, lo) is OrderResult.FIRST_GE
-        assert stochastic_order_cmp(lo, hi) is OrderResult.SECOND_GE
+        lo, hi = [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]
+        family = order_family([lo, hi], [0.0, 1.0])
+        assert list(family.order) == [1, 0]
+        assert family.minimal_index == 0
 
-    def test_crossing_cdfs_incomparable(self):
-        spread = make_dist([0.5, 0.0, 0.5])
-        middle = make_dist([0.0, 1.0, 0.0])
-        assert stochastic_order_cmp(spread, middle) is OrderResult.INCOMPARABLE
+    @pytest.mark.parametrize("swap", [False, True])
+    def test_crossing_cdfs_raise(self, swap):
+        pmfs = [[0.5, 0.0, 0.5], [0.0, 1.0, 0.0]]
+        with pytest.raises(TotalOrderError, match="crossing"):
+            order_family(pmfs[::-1] if swap else pmfs, [1.0, 1.0])
 
     def test_mismatched_grids_rejected(self):
         with pytest.raises(ValueError):
-            stochastic_order_cmp(make_dist([1.0]), make_dist([0.5, 0.5]))
+            order_family([[1.0], [0.5, 0.5]], [1.0, 1.0])
 
 
 class TestOrderedFamily:
     def test_default_family_totally_ordered_minimal_is_smallest_scale(
         self, default_family
     ):
-        scales = np.array([d.scale for d in default_family.distributions])
-        assert default_family.minimal_index == int(np.argmin(scales))
+        cdf = default_family.cdf_matrix
+        assert default_family.minimal_index == int(np.argmin(default_family.scales))
         # order is a valid dominance chain, largest first
         for a, b in zip(default_family.order[:-1], default_family.order[1:]):
-            assert default_family.dominates(int(a), int(b))
+            assert np.all(cdf[a] <= cdf[b] + 1e-12)
 
     def test_order_matches_scale_order(self, default_family):
-        scales = np.array([d.scale for d in default_family.distributions])
-        ordered_scales = scales[default_family.order]
+        ordered_scales = default_family.scales[default_family.order]
         assert np.all(np.diff(ordered_scales) <= 1e-12)
 
     def test_scale_order_iff_dominance(self, default_family):
         n = len(default_family)
-        scales = [d.scale for d in default_family.distributions]
+        scales, cdf = default_family.scales, default_family.cdf_matrix
         for i in range(n):
             for j in range(n):
                 if scales[i] >= scales[j]:
-                    assert default_family.dominates(i, j)
+                    assert np.all(cdf[i] <= cdf[j] + 1e-12)
 
     def test_single_distribution_family(self):
-        f = make_dist([0.3, 0.7])
-        family = order_family([f])
+        family = order_family([[0.3, 0.7]], [1.0])
         assert family.minimal_index == 0
         assert list(family.order) == [0]
-
-    def test_crossing_family_raises(self):
-        with pytest.raises(TotalOrderError):
-            order_family([make_dist([0.5, 0.0, 0.5]), make_dist([0.0, 1.0, 0.0])])
+        built = build_ordered_family(build_forwarding_region(ModelConfig(n_locations=1)),
+                                     ModelConfig(n_locations=1))
+        assert len(built) == 1 and built.minimal_index == 0
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -241,15 +281,12 @@ class TestOrderedFamily:
     )
     def test_shared_edge_quantization_preserves_scale_order(self, scales, n_bins):
         cfg = ModelConfig(n_reward_bins=n_bins)
-        r_max = normalization_constant(scales, cfg)
-        dists = [
-            quantize_distribution((c * c, 1.0), cfg, r_max, location_index=i)
-            for i, c in enumerate(scales)
-        ]  # Z = c^2, d = 1 gives scale exactly c under a = 0.5, beta = 2
-        family = order_family(dists, r_max)
-        got = [dists[i].scale for i in family.order]
+        # Z = c^2, d = 1 gives scale c under a = 0.5, beta = 2
+        family = family_at([(c * c, 1.0) for c in scales], cfg)
+        got = family.scales[family.order].tolist()
         assert got == sorted(got, reverse=True)
+        cdf = family.cdf_matrix
         for i, ci in enumerate(scales):
             for j, cj in enumerate(scales):
                 if ci >= cj:
-                    assert family.dominates(i, j)
+                    assert np.all(cdf[i] <= cdf[j] + 1e-12)
