@@ -2,7 +2,8 @@
 
 Subcommands bind a JSON config file to the solvers, the verifier, the
 simulator and the sweep harness.  Exit codes: 0 on success, 2 when a
-structural verification check fails, 1 for config/budget/IO errors.
+structural verification check fails, 1 for config/budget/IO errors and for a
+sweep in which no cell succeeds (its CSVs and manifest are still written).
 """
 from __future__ import annotations
 
@@ -311,12 +312,12 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
         result = run_sweep(spec)
         for path in emit_plot_data(result, out_dir):
             artifacts.append(Path(path).name)
-        bad = [c for c in result.cells if c.status != "ok"]
-        if bad:
-            print(f"{len(bad)} sweep cells failed (see manifest)", file=sys.stderr)
+        failed = sum(c.status != "ok" for c in result.cells)
+        if failed:
+            print(f"{failed} sweep cells failed (see manifest)", file=sys.stderr)
         # emit_plot_data already wrote the authoritative manifest (config hash,
         # seeds, per-cell status, trend observations); do not clobber it
-        return 0
+        return 1 if failed == len(result.cells) else 0
 
     elif command == "calibrate":
         block = dict(doc.get("calibrate", {}))

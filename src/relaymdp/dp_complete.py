@@ -15,6 +15,7 @@ probed nothing, so above capacity 1 those levels hold their none row alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Optional, Sequence
@@ -55,6 +56,11 @@ class NonFiniteValueError(ValueError):
 
 class UnreachableStateError(ValueError):
     """A state no policy reaches, whose entry the tables do not hold."""
+
+
+def _is_index(value) -> bool:
+    """Whether ``value`` is an integer and not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _none_column_only(stage: int, size: int, capacity: int) -> bool:
@@ -127,7 +133,7 @@ class MultisetSpace:
         """The row of a sorted multiset; ValueError if the space lacks it."""
         g = tuple(mset)
         if (len(g) > self.max_size or list(g) != sorted(g)
-                or not all(isinstance(t, (int, np.integer)) and 0 <= t < self.n_types for t in g)):
+                or not all(_is_index(t) and 0 <= t < self.n_types for t in g)):
             raise ValueError(
                 f"multiset {mset!r} is not a sorted multiset of at most {self.max_size} "
                 f"of the types 0..{self.n_types - 1}")
@@ -175,7 +181,8 @@ class CompleteTables:
 
     @property
     def capacity(self) -> int:
-        """Most unprobed relays kept awake: N (complete class) or 1 (restricted)."""
+        """Most unprobed relays kept awake, any c in 1..N: N is the complete
+        class, 1 the restricted one."""
         return len(self.values[-1]) - 1
 
     def value(self, stage: int, best: Optional[int], mset: Sequence[int]) -> float:
@@ -230,9 +237,24 @@ def _states_per_stage(n_types: int, n_bins: int, n_stages: int, capacity: int) -
     return counts
 
 
+@lru_cache(maxsize=8)
+def _projected_states(n_types: int, n_bins: int, n_stages: int, capacity: int) -> int:
+    """Memo entries of the capacity-c levels, cached because every cell of a
+    sweep asks again, and at a long horizon the big binomials take 0.2 s."""
+    return sum(_states_per_stage(n_types, n_bins, n_stages, capacity))
+
+
+def check_state_budget(n_types: int, n_bins: int, n_stages: int, capacity: int) -> None:
+    """BudgetExceededError unless the memo entries of the capacity-c levels
+    fit DEFAULT_STATE_BUDGET."""
+    projected = _projected_states(n_types, n_bins, n_stages, capacity)
+    if projected > DEFAULT_STATE_BUDGET:
+        raise BudgetExceededError(projected, DEFAULT_STATE_BUDGET)
+
+
 def projected_state_count(n_types: int, n_bins: int, n_stages: int) -> int:
     """Memo entries of the complete-class state space, reachable states only."""
-    return sum(_states_per_stage(n_types, n_bins, n_stages, n_stages))
+    return _projected_states(n_types, n_bins, n_stages, n_stages)
 
 
 def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharge: float,
@@ -369,10 +391,7 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
     capacity = min(capacity, n_stages)  # as ``CompleteTables.capacity`` reads it
     eta, delta, tau = config.eta, config.delta, config.tau
 
-    projected = sum(_states_per_stage(n_types, n_bins, n_stages, capacity))
-    if projected > DEFAULT_STATE_BUDGET:
-        raise BudgetExceededError(projected, DEFAULT_STATE_BUDGET)
-
+    check_state_budget(n_types, n_bins, n_stages, capacity)
     space = multiset_space(n_types, capacity)
     pmf, cdf = family.pmf_matrix, family.cdf_matrix
     stop = np.append(-eta * reward_grid(n_bins), np.inf)
@@ -467,17 +486,17 @@ def act_complete(
     do not hold."""
     stage, best, mset = state
     g = tuple(sorted(mset))
-    if not 1 <= stage <= tables.n_stages:
-        raise ValueError(f"stage {stage} outside 1..{tables.n_stages}")
+    if not (_is_index(stage) and 1 <= stage <= tables.n_stages):
+        raise ValueError(f"stage {stage!r} is not an integer in 1..{tables.n_stages}")
     if len(g) > stage:
         raise ValueError(f"multiset of size {len(g)} cannot occur at stage {stage}")
     if len(g) > tables.capacity:
         raise ValueError(f"multiset {g} holds {len(g)} unprobed relays, but these tables keep "
                          f"at most {tables.capacity} unprobed relays awake")
-    if best is not None and not 0 <= best < tables.n_bins:
-        raise ValueError(f"best-reward index {best} outside the grid")
+    if best is not None and not (_is_index(best) and 0 <= best < tables.n_bins):
+        raise ValueError(f"best-reward index {best!r} is not a bin of 0..{tables.n_bins - 1}")
 
-    row = tables.space.row(g)  # a ValueError naming g at an unknown type
+    row = tables.space.row(g)  # a ValueError naming g at an unknown or bool type
     code = tables.actions[stage - 1][len(g)][row, tables._column(stage, best, g)]
     decision = decision_of(code)
     if decision is None:

@@ -110,36 +110,17 @@ def restricted_components(tables: RestrictedTables) -> PolicyComponents:
     return complete_components(tables)
 
 
-class _LevelMass:
-    """The mass of one level of the forward sweep: ``none`` over its sets at
-    the none row, and ``real`` over (set, real bin), None until a move first
-    brings mass there."""
-
-    __slots__ = ("none", "real")
-
-    def __init__(self, n_sets: int):
-        self.none = np.zeros(n_sets)
-        self.real: Optional[np.ndarray] = None
-
-    def real_bins(self, n_bins: int) -> np.ndarray:
-        if self.real is None:
-            self.real = np.zeros((len(self.none), n_bins))
-        return self.real
-
-
 def complete_components(tables: CompleteTables) -> PolicyComponents:
     """Forward probability sweep under a solved policy of any capacity.
 
     Mass moves over (stage, multiset, best reward) as the action tables say;
     a continue from the full capacity goes where the overflow rule keeps it.
-    Each level holds its mass at the none row as a vector over its sets and
-    its mass over the real bins as a matrix, allocated when a move first
-    brings mass there.  At stage k a set of size k has probed nothing, so
-    that level is its vector alone: its probe move is pmf[t] times the
-    probing mass of each type t, and its continue a vector scatter.  The
-    none row is read as the last column of the tables, which is all that
-    such a level holds above capacity 1.  Only the masses of the current and
-    the next stage are alive at a time.
+    Each level's mass has the shape of its action table, the none row as the
+    last column, so a level that holds its none row alone (k unprobed relays
+    at stage k, above capacity 1) holds one column: it stops nowhere, its
+    probe move is pmf[t] times the probing mass of each type t, and its
+    continue lands in the none column of the level it moves to.  Only the
+    masses of the current and the next stage are alive at a time.
 
     Every entry of positive mass must be moved by a legal action: one on
     NO_ACTION, a stop with nothing probed, a probe of a type not in its set
@@ -150,7 +131,6 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
     family = tables.family
     space = tables.space
     n_bins = tables.n_bins
-    none = tables.none_index
     n_loc = len(family)
     n_stages = tables.n_stages
     capacity = tables.capacity
@@ -158,44 +138,39 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
     pmf, cdf = family.pmf_matrix, family.cdf_matrix
     types = np.arange(n_loc)
 
-    def level(masses: dict, s: int) -> _LevelMass:
+    def level(masses: dict, stage: int, s: int) -> np.ndarray:
         if s not in masses:
-            masses[s] = _LevelMass(len(space.members[s]))
+            masses[s] = np.zeros(tables.actions[stage - 1][s].shape)
         return masses[s]
 
     current = {}
-    level(current, 1).none[:] = 1.0 / n_loc  # msets of size 1 are ordered by type
+    level(current, 1, 1)[:, -1] = 1.0 / n_loc  # msets of size 1 are ordered by type
 
     reward = probes = waits = stopped = 0.0
     for k in range(1, n_stages + 1):
-        last = k == n_stages
         following = {}
         for s in range(min(k, capacity), -1, -1):
             mass = current.pop(s, None)
             if mass is None:
                 continue
             act = tables.actions[k - 1][s]
+            real, code = mass[:, :-1], act[:, :-1]  # the real bins, if the level holds them
             # entries of positive mass, and those a legal action moved
-            live, moved = np.count_nonzero(mass.none), 0
+            live, moved = np.count_nonzero(mass), 0
 
-            if s >= 1 and live:
+            if s >= 1 and mass[:, -1].any():
                 # w[t, f]: the mass at the none row probing t from the set of
                 # row plus[s-1][t][f], which leaves row f; bin j gains pmf[t, j] w
                 src = space.plus[s - 1]
-                w = mass.none[src]
+                w = mass[:, -1][src]
                 w *= act[:, -1][src] == PROBE + types[:, None]
                 count = np.count_nonzero(w)
                 if count:
                     moved += count
                     probes += float(w.sum())
-                    out = level(current, s - 1).real_bins(n_bins)
-                    out += np.einsum("tf,tj->fj", w, pmf)
+                    level(current, k, s - 1)[:, :-1] += np.einsum("tf,tj->fj", w, pmf)
 
-            real = mass.real
-            if real is not None:
-                code = act[:, :none]
-                live += np.count_nonzero(real)
-
+            if real.size:
                 stopping = np.where(code == STOP, real, 0.0)
                 moved += np.count_nonzero(stopping)
                 reward += float(stopping.sum(axis=0) @ grid)
@@ -217,28 +192,28 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                         # bin j gains w[j] cdf[j] plus pmf[j] times the mass below j
                         gain = w * cdf[batch, None]
                         gain[..., 1:] += pmf[batch, None, 1:] * np.cumsum(w[..., :-1], axis=-1)
-                        out = level(current, s - 1).real_bins(n_bins)
-                        out += gain.sum(axis=0)
+                        level(current, k, s - 1)[:, :-1] += gain.sum(axis=0)
 
-            if not last:
-                # to the set with the newcomer or, from the full size, to the
-                # set the overflow rule keeps
-                grown = s if s == capacity else s + 1
-                for part, cols in ((mass.none[:, None], slice(-1, None)),
-                                   (real, slice(0, none))):
-                    if part is None:
-                        continue
-                    cw = np.where(act[:, cols] == CONTINUE, part, 0.0)
-                    count = np.count_nonzero(cw)
-                    if not count:
-                        continue
+            if k < n_stages:
+                cw = np.where(act == CONTINUE, mass, 0.0)
+                count = np.count_nonzero(cw)
+                if count:
                     moved += count
-                    waits += float(cw.sum())
+                    # the none row, then the real bins as one contiguous
+                    # array, which fixes the order of the float sums
+                    waits += float(cw[:, -1].sum())
+                    waits += float(np.ascontiguousarray(cw[:, :-1]).sum())
+                    # from the first column that continues: those before it
+                    # would scatter zeros (all real bins of (1, 1) at c = 1)
+                    cw = cw[:, np.argmax(cw.any(axis=0)):]
                     cw /= n_loc
-                    nxt = level(following, grown)
-                    out = nxt.real_bins(n_bins) if part is real else nxt.none[:, None]
-                    rows = tables.kept[k][..., cols] if s == capacity else space.plus[s][:, :, None]
-                    _add_moved(out, rows, cw)
+                    # to the set with the newcomer or, from the full size, to
+                    # the set the overflow rule keeps
+                    if s == capacity:
+                        grown, rows = s, tables.kept[k][..., -cw.shape[1]:]
+                    else:
+                        grown, rows = s + 1, space.plus[s][:, :, None]
+                    _add_moved(level(following, k + 1, grown), rows, cw)
 
             if moved != live:
                 raise _illegal_entry(tables, k, s, mass)
@@ -248,12 +223,13 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
 
 
 def _add_moved(out: np.ndarray, rows: np.ndarray, mass: np.ndarray) -> None:
-    """out[rows[t, g, j], j] += mass[g, j] for every newcomer type t, row g
-    and column j, ``rows`` broadcasting along the columns.  np.add.at adds in
-    the order of one pass over (t, g, j), a batch of types of at most
-    OVERFLOW_ELEMENTS entries at a time."""
-    width = mass.shape[1]
-    flat, cols = out.reshape(-1), np.arange(width)
+    """out[rows[t, g, j], o + j] += mass[g, j] for every newcomer type t, row
+    g and column j, ``rows`` broadcasting along the columns; the offset o
+    makes the columns of ``mass`` the last ones of ``out``, so a none column
+    alone lands in the none column.  np.add.at adds in the order of one pass over (t, g, j), a
+    batch of types of at most OVERFLOW_ELEMENTS entries at a time."""
+    width = out.shape[1]
+    flat, cols = out.reshape(-1), np.arange(width - mass.shape[1], width)
     step = max(1, OVERFLOW_ELEMENTS // mass.size)
     for first in range(0, len(rows), step):
         index = rows[first:first + step] * np.intp(width) + cols
@@ -263,17 +239,13 @@ def _add_moved(out: np.ndarray, rows: np.ndarray, mass: np.ndarray) -> None:
 
 
 def _illegal_entry(tables: CompleteTables, stage: int, s: int,
-                   mass: _LevelMass) -> IllegalActionError:
+                   mass: np.ndarray) -> IllegalActionError:
     """The error naming the first entry of positive mass, by row and then
     bin, that no legal action moves."""
-    space, none = tables.space, tables.none_index
-    full = np.zeros(tables.actions[stage - 1][s].shape)
-    full[:, -1] = mass.none
-    if mass.real is not None:
-        full[:, :none] = mass.real
-    rows, cols = np.nonzero(full > 0)
+    space = tables.space
+    rows, cols = np.nonzero(mass > 0)
     code = tables.actions[stage - 1][s][rows, cols]
-    probed = cols != full.shape[1] - 1  # the last column is the none row
+    probed = cols != mass.shape[1] - 1  # the last column is the none row
     held = (space.members[s][rows] == (code.astype(np.intp) - PROBE)[:, None]).any(axis=1)
     legal = legal_actions(code, held, probed, stage == tables.n_stages)
     i = int(np.argmin(legal))

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, action_dtype, illegal_action,
                        legal_actions)
-from .dp_complete import CompleteTables, multiset_space
+from .dp_complete import CompleteTables, check_state_budget, multiset_space
 from .model import ModelConfig, OrderedFamily, reward_grid
 
 # Nothing here calls these two; perfbench/tracing.py wraps them by their names
@@ -149,8 +149,11 @@ def sample_episode(
 def probe_first_levels(family: OrderedFamily, config: ModelConfig) -> CompleteTables:
     """The probe-first baseline as capacity-1 levels: at stage 1 it probes the
     awake relay while nothing is probed and stops otherwise; the values are
-    that policy's costs.  Later stages are never reached and hold NO_ACTION."""
+    that policy's costs.  Later stages are never reached and hold NO_ACTION.
+    BudgetExceededError, before anything is allocated, where those levels
+    would not fit the state budget."""
     n_loc, none = len(family), family.n_bins
+    check_state_budget(n_loc, none, config.n_relays, 1)
     shapes, stages = ((1, none + 1), (n_loc, none + 1)), range(config.n_relays)
     values = [[np.full(shape, np.inf) for shape in shapes] for _ in stages]
     actions = [[np.full(shape, NO_ACTION, dtype=action_dtype(n_loc)) for shape in shapes]

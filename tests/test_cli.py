@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import relaymdp
+from relaymdp import dp_complete
 from relaymdp.cli import main
 from relaymdp.dp_restricted import CheckResult, StructureReport
 
@@ -290,6 +291,41 @@ def test_budget_exceeded_at_a_long_horizon_exits_one(small_config, tmp_path, cap
     ])
     assert code == 1
     assert "budget" in capsys.readouterr().err
+
+
+def test_probe_first_budget_exceeded_exits_one(small_config, tmp_path, capsys, monkeypatch):
+    # 3 stages of the capacity-1 shapes, 13 x (1 + 4) entries each
+    monkeypatch.setattr(dp_complete, "DEFAULT_STATE_BUDGET", 194)
+    code = main(["simulate", "--config", str(small_config), "--out", str(tmp_path / "o"),
+                 "--policy", "first", "--episodes", "10"])
+    assert code == 1
+    assert "needs 195 memo entries, over the budget of 194" in capsys.readouterr().err
+
+
+# one cell per policy; glb at 8 relays of the shipped config needs about 123M
+# states, over the budget
+EIGHT_RELAY_SWEEP = (
+    "--override", "n_relays=8", "--override", "sweep.eta_values=[1.0]",
+    "--override", "sweep.delta_values=[0.1]", "--override", "sweep.n_episodes=50",
+)
+
+
+@pytest.mark.parametrize("policies,statuses,code", [
+    ('["glb"]', ["budget_exceeded"], 1),
+    ('["rst", "glb"]', ["ok", "budget_exceeded"], 0),
+])
+def test_sweep_exits_one_only_when_no_cell_succeeds(tmp_path, capsys, policies, statuses,
+                                                    code):
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(SHIPPED_DEFAULT), "--out", str(out),
+                 *EIGHT_RELAY_SWEEP, "--override", f"sweep.policies={policies}"]) == code
+    assert "1 sweep cells failed (see manifest)" in capsys.readouterr().err
+    # the CSVs and the manifest are written either way
+    for name in ("fig_total_cost.csv", "fig_delay.csv", "fig_reward.csv",
+                 "fig_probing_cost.csv"):
+        assert (out / name).exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert [c["status"] for c in manifest["cells"]] == statuses
 
 
 def test_verification_failure_exits_two(small_config, tmp_path, monkeypatch, capsys):

@@ -269,6 +269,16 @@ class TestActComplete:
             act_complete((stage, 4, mset), tables)
         assert act_complete((stage, None, mset), tables).kind is Action.PROBE
 
+    @pytest.mark.parametrize("state,named", [
+        ((True, None, (0,)), r"stage True is not an integer in 1\.\.3"),
+        ((3, True, (0,)), r"best-reward index True is not a bin of 0\.\.7"),
+        ((1, None, (True,)), r"multiset \(True,\) is not a sorted multiset"),
+    ])
+    def test_bool_in_an_integer_field_rejected(self, small_solved, state, named):
+        _, _, tables = small_solved
+        with pytest.raises(ValueError, match=named):
+            act_complete(state, tables)
+
     def test_unknown_types_rejected(self, small_solved):
         _, _, tables = small_solved
         with pytest.raises(ValueError):

@@ -108,9 +108,10 @@ def reference_glb(default_config, default_family):
 
 
 class TestSweepAgainstDenseReference:
-    """The split sweep (none-row vectors, real-bin matrices made on demand)
-    against ``oracles.reference_components``, which holds every level as one
-    dense array; only the order of the sums differs."""
+    """The sweep (each level's mass in the shape of its action table, a
+    none-only level one column) against ``oracles.reference_components``,
+    which holds every level as one dense (sets, bins + 1) array; only the
+    order of the sums differs."""
 
     @pytest.mark.parametrize("delta", [0.1, 0.01, 0.0])
     @pytest.mark.parametrize("eta", [0.3, 2.0, 8.0])
@@ -135,8 +136,9 @@ class TestSweepAgainstDenseReference:
 
     def test_allocation_peak(self, reference_glb):
         # deterministic memory, not timing: at eta 10 mass reaches every
-        # level, and the largest (42,504 sets of size 5) held as one dense
-        # (sets, bins + 1) array would take 34 MB by itself
+        # level, and the largest (42,504 sets of size 5) holds its none
+        # column alone; as one dense (sets, bins + 1) array it would take
+        # 34 MB by itself
         tracemalloc.start()
         try:
             complete_components(reference_glb)
@@ -183,6 +185,16 @@ class TestSweepFailsClosed:
         levels.actions[0][1][:, levels.none_index] = PROBE + np.array([1, 2, 3, 0])
         with pytest.raises(IllegalActionError, match=(
                 r"probe target type 1 not awake \(stage 1, multiset \(0,\), best=None\)")):
+            complete_components(levels)
+
+    def test_no_action_where_only_an_overflow_arrives(self):
+        # at capacity 2 the none row of (stage 3, size 2) is entered only from
+        # the none row of (2, 2), whose one column overflows into it
+        config, family = small_instance(4, 15, 4, eta=8.0, delta=0.05)
+        levels = corrupted(_induction(family, config, 2)[0])
+        levels.actions[2][2][:, -1] = NO_ACTION
+        with pytest.raises(IllegalActionError, match=(
+                r"no legal action \(code -1\) \(stage 3, multiset \(0, 0\), best=None\)")):
             complete_components(levels)
 
 

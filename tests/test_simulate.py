@@ -7,7 +7,9 @@ import pytest
 from conftest import corrupted, small_instance
 from oracles import reference_run_policy
 from relaymdp._kernels import CONTINUE, NO_ACTION, PROBE, STOP, IllegalActionError
-from relaymdp.dp_complete import _induction, initial_value, solve_complete
+from relaymdp import dp_complete
+from relaymdp.dp_complete import (BudgetExceededError, _induction, _states_per_stage,
+                                  initial_value, solve_complete)
 from relaymdp.dp_restricted import backward_induction
 from relaymdp.experiments import baseline_components, complete_components, policy_levels
 from relaymdp.model import ModelConfig, reward_grid
@@ -129,6 +131,17 @@ class TestRunPolicy:
         assert initial_value(levels) == pytest.approx(baseline.cost, abs=1e-12)
         for name in ("waiting", "reward", "probes", "cost", "stopped_mass"):
             assert getattr(comps, name) == pytest.approx(getattr(baseline, name), abs=1e-12)
+
+    def test_probe_first_levels_check_the_state_budget(self, sim_instance, monkeypatch):
+        # the capacity-1 level shapes: what rst levels of the same size pass
+        config, family = sim_instance
+        needed = sum(_states_per_stage(len(family), family.n_bins, config.n_relays, 1))
+        monkeypatch.setattr(dp_complete, "DEFAULT_STATE_BUDGET", needed)
+        levels = probe_first_levels(family, config)
+        assert sum(a.size for stage in levels.actions for a in stage) == needed
+        monkeypatch.setattr(dp_complete, "DEFAULT_STATE_BUDGET", needed - 1)
+        with pytest.raises(BudgetExceededError, match=f"needs {needed} memo entries"):
+            probe_first_levels(family, config)
 
     def test_tiny_eta_optimal_behaves_like_baseline(self, sim_instance):
         _, family = sim_instance
