@@ -18,7 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -61,6 +61,16 @@ class UnreachableStateError(ValueError):
 def _is_index(value) -> bool:
     """Whether ``value`` is an integer and not a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _sorted_multiset(mset) -> tuple:
+    """``mset`` as a sorted tuple; ValueError naming it unless it is a
+    collection of integers, so that it sorts (``MultisetSpace.row`` then
+    rejects bools and unknown types)."""
+    members = tuple(mset) if isinstance(mset, Iterable) else None
+    if members is None or not all(isinstance(t, numbers.Integral) for t in members):
+        raise ValueError(f"multiset {mset!r} is not a collection of integer location types")
+    return tuple(sorted(members))
 
 
 def _none_column_only(stage: int, size: int, capacity: int) -> bool:
@@ -157,7 +167,10 @@ class CompleteTables:
     at stage k, which have probed nothing, hold that column alone,
     (n_multisets(k), 1), and their real bins are not stored.
     ``kept[k-1]`` is the overflow rule at stage k (``_overflow_rule``), None at
-    stages 1..capacity, where no wake-up overflows.
+    stages 1..capacity, where no wake-up overflows.  It holds the columns of
+    the full level a stage earlier, from which wake-ups overflow into stage
+    k: at stage capacity + 1 above capacity 1 the none column alone,
+    (n_types, n_multisets(capacity), 1).
     """
 
     config: ModelConfig
@@ -186,7 +199,7 @@ class CompleteTables:
         return len(self.values[-1]) - 1
 
     def value(self, stage: int, best: Optional[int], mset: Sequence[int]) -> float:
-        g = tuple(sorted(mset))
+        g = _sorted_multiset(mset)
         level = self.values[stage - 1][len(g)]
         return float(level[self.space.row(g), self._column(stage, best, g)])
 
@@ -267,11 +280,19 @@ def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharg
     (values over the real bins).  A running minimum over the slots with
     strict ``<`` keeps the first of equal costs, the stochastically largest
     member, and never takes a NaN; where no slot wins the code is NO_ACTION.
-    The expectations of every (type, smaller row) pair run from the top bin
-    down in chunks of bins holding at most BATCH_ELEMENTS of them, carrying the reverse cumulative sum of
-    ``expect_over_max`` across chunks in its sequential order, so the costs
-    are bitwise those of that kernel.  With ``none_only`` just the none row
-    is settled, from that same carried sum, and returned as one column.
+
+    The expectations of every (type, smaller row) pair, a plane, run from the
+    top bin down in chunks of bins holding at most BATCH_ELEMENTS entries,
+    carrying the reverse cumulative sum of ``expect_over_max`` across chunks.
+    Every running sum adds one bin's term to the sum over the bins above it,
+    in that kernel's sequential order, so the costs are bitwise its own.  How
+    a chunk adds them follows its shape: a chunk of no more bins than its
+    plane has pairs (the wide planes of the larger levels, a few bins each)
+    adds one whole plane per bin, and a chunk of more bins than pairs (the
+    narrow planes of the small levels, all bins at once) runs ``np.cumsum``
+    along its bins, whose per-pair loop is then long.  With ``none_only``
+    just the none row is settled, from the carried sum alone, accumulated
+    bin by bin in one plane, and returned as one column.
     """
     n_types, n_bins = pmf.shape
     n_rows, n_slots = types.shape
@@ -294,29 +315,37 @@ def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharg
             np.copyto(pick, slot_codes[p], where=better)
         return best, pick
 
-    # bins lead, so that the running sums add whole (type, row) planes
+    # bins lead, so that the running sums add whole (type, row) planes; all
+    # three row-major, so that the products are too and each plane is one
+    # contiguous block
     vals_by_bin = np.ascontiguousarray(smaller.T)[:, None, :]
-    pmf_by_bin, cdf_by_bin = pmf.T[:, :, None], cdf.T[:, :, None]
-    width = max(1, BATCH_ELEMENTS // (n_types * len(smaller)))
-    # settled chunks wait until they span a block of bins, which is written
-    # into the row-major tables at once (a bin at a time touches a cache line
-    # per row)
-    block = max(1, BATCH_ELEMENTS // n_rows)
-    pending, written = [], n_bins  # the bins from `written` up are in the tables
+    pmf_by_bin, cdf_by_bin = (np.ascontiguousarray(m.T)[:, :, None] for m in (pmf, cdf))
     # the sum of pmf * V over the bins above the chunk; -0.0 adds exactly
     carry = np.full((n_types, len(smaller)), -0.0)
-    for hi in range(n_bins, 0, -width):
-        lo = max(0, hi - width)
-        vals = vals_by_bin[lo:hi]
-        terms = pmf_by_bin[lo:hi] * vals
-        terms[-1] += carry
-        # rev[m]: the sum over bins >= hi - 1 - m, added from the top bin down;
-        # np.cumsum costs about 10 ns per (type, row) pair, which one-bin
-        # chunks skip: there the cumulative sum is the term itself
-        rev = np.cumsum(terms[::-1], axis=0) if hi - lo > 1 else terms
-        if not none_only:
+    if none_only:
+        term = np.empty_like(carry)
+        for b in range(n_bins - 1, -1, -1):
+            carry += np.multiply(pmf_by_bin[b], vals_by_bin[b], out=term)
+    else:
+        width = max(1, BATCH_ELEMENTS // carry.size)
+        # settled chunks wait until they span a block of bins, which is
+        # written into the row-major tables at once (a bin at a time touches
+        # a cache line per row)
+        block = max(1, BATCH_ELEMENTS // n_rows)
+        pending, written = [], n_bins  # the bins from `written` up are in the tables
+        for hi in range(n_bins, 0, -width):
+            lo = max(0, hi - width)
+            vals = vals_by_bin[lo:hi]
+            # sums[j]: the sum over bins >= lo + j, added from the top bin down
+            sums = pmf_by_bin[lo:hi] * vals
+            sums[-1] += carry
+            if carry.size >= hi - lo:  # no more bins than pairs: plane by plane
+                for j in range(hi - lo - 2, -1, -1):
+                    np.add(sums[j + 1], sums[j], out=sums[j])
+            else:  # more bins than pairs: one long loop per pair
+                sums = np.cumsum(sums[::-1], axis=0)[::-1]
             costs = cdf_by_bin[lo:hi] * vals
-            costs[:-1] += rev[:hi - lo - 1][::-1]
+            costs[:-1] += sums[1:]
             costs[-1] += carry
             costs += surcharge
             pending.insert(0, settle(costs))
@@ -324,20 +353,21 @@ def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharg
                 probe[:, lo:written] = np.concatenate([best for best, _ in pending]).T
                 code[:, lo:written] = np.concatenate([pick for _, pick in pending]).T
                 pending, written = [], lo
-        carry = rev[-1]
-    best, pick = settle((carry + surcharge)[None])  # the none row: max{none, R} = R
+            carry = sums[0]
+    carry += surcharge  # in place: nothing reads the sums after this
+    best, pick = settle(carry[None])  # the none row: max{none, R} = R
     probe[:, -1], code[:, -1] = best[0], pick[0]
     return probe, code
 
 
 def _overflow_rule(space: MultisetSpace, level: np.ndarray, capacity: int,
                    rank: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The overflow rule on a solved full level (size c = ``capacity``): when a
-    relay of type t wakes beside the awake set of row g at best reward b, the
-    newcomer is dropped unless dropping a member leaves a strictly smaller
-    value, and of members that tie, the one of lowest ``rank`` is.  Returns
-    kept[t, g, b], the row of the set kept, and the sum over t of its value
-    in type order."""
+    """The overflow rule on the columns of a solved full level (size c =
+    ``capacity``) that wake-ups enter: when a relay of type t wakes beside
+    the awake set of row g at best reward b, the newcomer is dropped unless
+    dropping a member leaves a strictly smaller value, and of members that
+    tie, the one of lowest ``rank`` is.  Returns kept[t, g, b], the row of the
+    set kept, and the sum over t of its value in type order."""
     dtype = np.min_scalar_type(len(level))
     # swaps[t, g, p]: the row of g with its p-th member, taken from the lowest
     # rank up, replaced by t
@@ -375,12 +405,13 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
     within each stage.  Among probe targets, ties break toward the
     stochastically largest member; between stop, the best probe and
     continue, ``resolve_actions`` decides.  Each full level (size c) past
-    stage c goes to ``_overflow_rule`` once solved, for its kept rows and the
-    continue term of the full level a stage earlier.  A level that
+    stage c goes to ``_overflow_rule`` once solved, on the columns of the
+    full level a stage earlier, for its kept rows and that level's continue
+    term.  A level that
     ``_none_column_only`` names is solved at its none row alone: its probe
     cost is the kernel's carried none-row sum, and its continue term gathers
-    the next stage's level of that kind, or the none column of the overflow
-    sum.  Returns the tables and,
+    the next stage's level of that kind, or the overflow sum, which is
+    built on that column alone.  Returns the tables and,
     with ``keep_costs``, the probe and the continue costs of every level,
     probes[k-1][s] and conts[k-1][s] (else None, None).
     """
@@ -427,7 +458,8 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
                     for t in range(n_types):
                         cont += values[i + 1][s + 1][space.plus[s][t]]
                 else:
-                    cont = overflow[:, cols]
+                    # built on the columns this level holds
+                    cont = overflow
                 cont /= n_types
                 cont += tau
 
@@ -458,7 +490,10 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
             values[i].append(val)
             actions[i].append(act)
             if s == capacity < k:
-                kept[i], overflow = _overflow_rule(space, val, capacity, rank)
+                # a wake-up overflows into stage k from the full level a
+                # stage earlier, which at k = c + 1 holds its none row alone
+                held = val[:, -1:] if _none_column_only(k - 1, capacity, capacity) else val
+                kept[i], overflow = _overflow_rule(space, held, capacity, rank)
 
     tables = CompleteTables(config=config, family=family, space=space, values=values,
                            actions=actions, kept=kept)
@@ -485,7 +520,7 @@ def act_complete(
     UnreachableStateError at a state that no policy reaches and the tables
     do not hold."""
     stage, best, mset = state
-    g = tuple(sorted(mset))
+    g = _sorted_multiset(mset)
     if not (_is_index(stage) and 1 <= stage <= tables.n_stages):
         raise ValueError(f"stage {stage!r} is not an integer in 1..{tables.n_stages}")
     if len(g) > stage:
@@ -550,8 +585,13 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
     value counts as a violation), value improvement under multiset
     enlargement, and agreement of the stage-N stopping rule with the
     one-step-look-ahead rule.  Inequalities are checked at STRUCTURE_TOL,
-    over the reachable states the tables hold.
+    over the reachable states the tables hold.  ValueError on tables of a
+    capacity below N, which the checks do not cover.
     """
+    if tables.capacity < tables.n_stages:
+        raise ValueError(
+            f"the conjecture checks cover the complete class only: these tables keep at most "
+            f"{tables.capacity} unprobed relays awake, below N = {tables.n_stages}")
     family = tables.family
     config = tables.config
     space = tables.space

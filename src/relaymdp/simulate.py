@@ -244,7 +244,7 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
         full = sizes == capacity
         if full.any():
             e, t, g = e[full], t[full], g[full]
-            kept = levels.kept[k][t, g, best[e]]
+            kept = levels.kept[k][t, g, np.where(best[e] == none, -1, best[e])]
             swap = kept != g  # else the newcomer is dropped
             e, t, g, kept = e[swap], t[swap], g[swap], kept[swap]
             # the type dropped: the members of g and t, less those kept

@@ -568,7 +568,7 @@ def _overflow_drop(levels, stage, best, types):
     dropped type."""
     space = levels.space
     held = space.row(tuple(sorted(types[:-1])))
-    b = levels.none_index if best is None else best
+    b = -1 if best is None else best  # the none row is the last column
     kept = levels.kept[stage - 1][types[-1], held, b]
     if kept == held:
         return len(types) - 1

@@ -43,7 +43,8 @@ from relaymdp.dp_complete import (
 )
 from relaymdp.dp_restricted import Action, backward_induction
 from relaymdp.experiments import complete_components
-from relaymdp.model import ModelConfig, reward_grid
+from relaymdp.model import (ModelConfig, build_forwarding_region, build_ordered_family,
+                            reward_grid)
 
 # frozen from the policy-enumeration oracle on the 2-location / 2-bin / N=2
 # instance with eta=0.8, delta=0.05, tau=0.3
@@ -279,6 +280,15 @@ class TestActComplete:
         with pytest.raises(ValueError, match=named):
             act_complete(state, tables)
 
+    @pytest.mark.parametrize("mset", [(0, "a"), 5, None])
+    def test_multiset_of_non_integers_is_a_value_error_naming_it(self, small_solved, mset):
+        _, _, tables = small_solved
+        named = re.escape(f"multiset {mset!r} is not a collection of integer location types")
+        with pytest.raises(ValueError, match=named):
+            act_complete((2, None, mset), tables)
+        with pytest.raises(ValueError, match=named):
+            tables.value(2, None, mset)
+
     def test_unknown_types_rejected(self, small_solved):
         _, _, tables = small_solved
         with pytest.raises(ValueError):
@@ -433,6 +443,14 @@ class TestConjectures:
         assert report["probe_largest_violations"] == before["probe_largest_violations"] + 1 == 1
         assert report["all_hold"] is False
 
+    @pytest.mark.parametrize("capacity", [1, 2])
+    def test_tables_below_capacity_n_are_refused(self, capacity):
+        config, family = small_instance(4, 6, 3, eta=2.0, delta=0.05)
+        tables = _induction(family, config, capacity)[0]
+        named = f"keep at most {capacity} unprobed relays awake, below N = 3"
+        with pytest.raises(ValueError, match=named):
+            verify_complete_conjectures(tables)
+
     def test_nan_value_fails_the_report(self):
         config, family = small_instance(6, 20, 4, eta=2.0, delta=0.05)
         tables = solve_complete(family, config)
@@ -513,7 +531,11 @@ class TestOverflowRule:
         swapped = 0
         for stage in range(capacity + 1, config.n_relays + 1):
             kept = tables.kept[stage - 1]
-            assert np.array_equal(kept, reference_overflow_keep(tables, stage)), stage
+            # on the columns the table holds: the none column alone at stage
+            # capacity + 1 above capacity 1
+            assert kept.shape[-1] == (1 if stage == capacity + 1 > 2 else tables.n_bins + 1)
+            want = reference_overflow_keep(tables, stage)[..., -kept.shape[-1]:]
+            assert np.array_equal(kept, want), stage
             swapped += int((kept != np.arange(kept.shape[1])[:, None]).sum())
         assert swapped > 0  # some wake-ups drop an awake relay
 
@@ -527,8 +549,9 @@ class TestOverflowRule:
         for k in range(capacity, config.n_relays):
             # stage k continues from its full level into stage k + 1
             total = np.zeros(tables.values[k][capacity].shape)
+            held = bins[-tables.kept[k].shape[-1]:]  # the columns the kept table holds
             for t in range(n_types):
-                total += tables.values[k][capacity][tables.kept[k][t], bins]
+                total[:, held] += tables.values[k][capacity][tables.kept[k][t], held]
             want = total / n_types + config.tau
             # above capacity 1 the full level at stage k = capacity holds
             # its none row alone
@@ -588,6 +611,58 @@ class TestProbeKernel:
         config, family = small_instance(20, 100, 4, eta=10.0, delta=0.01)
         assert dp_complete.BATCH_ELEMENTS // (20 * 210) < 100
         self.assert_levels_match(family, config, 3)
+
+    @classmethod
+    def assert_regime(cls, monkeypatch, tables, k, s, none_only, cumsums):
+        """The level of size s at stage k equals the reference bitwise, and
+        its running sums take ``cumsums`` np.cumsum calls."""
+        family, config, n_bins = tables.family, tables.config, tables.n_bins
+        smaller = tables.values[k - 1][s - 1][:, :n_bins]
+        surcharge = config.eta * config.delta
+        calls, cumsum = [], np.cumsum
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return cumsum(*args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(dp_complete.np, "cumsum", counted)
+            got = _probe_costs(smaller, family.pmf_matrix, family.cdf_matrix, surcharge,
+                               *_ranked_members(tables.space, s, tuple(family.rank)), none_only)
+        assert len(calls) == cumsums
+        want = reference_probe_costs(smaller, family, surcharge, tables.space, s)
+        want = tuple(w[:, -tables.values[k - 1][s].shape[1]:] for w in want)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert cls.decoded(got[1]).tobytes() == want[1].tobytes()
+
+    def test_many_bins_of_a_narrow_plane_take_one_cumsum(self, monkeypatch, default_config):
+        # capacity 1 at 400 bins: the (1, 1) level reads the one row of size
+        # 0, a plane of 20 (type, row) pairs, and all 400 bins fit one chunk
+        config = default_config.with_overrides(eta=10.0, n_reward_bins=400)
+        family = build_ordered_family(build_forwarding_region(config), config)
+        tables = _induction(family, config, 1)[0]
+        plane = len(family)
+        assert dp_complete.BATCH_ELEMENTS // plane >= 400 > plane
+        self.assert_regime(monkeypatch, tables, 1, 1, False, cumsums=1)
+
+    def test_few_bins_of_a_wide_plane_add_plane_by_plane(self, monkeypatch, default_config,
+                                                         default_family):
+        # the reference solve's size-4 level at stage 5 reads 20 x 1540 pairs
+        # per bin in chunks of 8 bins, each summed one plane at a time
+        tables = solve_complete(default_family, default_config.with_overrides(eta=10.0))
+        plane = len(default_family) * math.comb(22, 3)
+        width = dp_complete.BATCH_ELEMENTS // plane
+        assert 1 < width < tables.n_bins and plane >= width
+        self.assert_regime(monkeypatch, tables, 5, 4, False, cumsums=0)
+
+    def test_level_of_the_none_row_alone_carries_one_sum(self, monkeypatch, default_config,
+                                                          default_family):
+        # the size-4 level at stage 4, which has probed nothing, needs only
+        # the sum over every bin of the stage's size-3 level: no cumsum, and
+        # one column
+        tables = solve_complete(default_family, default_config.with_overrides(eta=10.0))
+        assert tables.values[3][4].shape[1] == 1
+        self.assert_regime(monkeypatch, tables, 4, 4, True, cumsums=0)
 
     def test_non_finite_inputs_behave_as_the_reference(self):
         config, family = small_instance(4, 12, 3, eta=2.0, delta=0.05)
