@@ -58,8 +58,9 @@ def legal_actions(code: np.ndarray, held: np.ndarray, probed: np.ndarray,
     """The one legality rule: a stop only at a real bin (``probed``), a probe
     only if the state holds an awake relay of the type code - PROBE
     (``held``), a continue only before the last stage; no negative code."""
-    return (((code == STOP) & probed) | ((code >= PROBE) & held)
-            | ((code == CONTINUE) & (not last)))
+    legal = ((code == STOP) & probed) | ((code >= PROBE) & held)
+    # not ``& (not last)``: an array & a Python bool takes numpy's slow path
+    return legal if last else legal | (code == CONTINUE)
 
 
 def illegal_action(code: int, state: str) -> IllegalActionError:

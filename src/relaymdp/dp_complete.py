@@ -185,10 +185,6 @@ class CompleteTables:
         return self.values[0][0].shape[1] - 1
 
     @property
-    def none_index(self) -> int:
-        return self.n_bins
-
-    @property
     def n_stages(self) -> int:
         return len(self.values)
 
@@ -199,21 +195,31 @@ class CompleteTables:
         return len(self.values[-1]) - 1
 
     def value(self, stage: int, best: Optional[int], mset: Sequence[int]) -> float:
-        g = _sorted_multiset(mset)
-        level = self.values[stage - 1][len(g)]
-        return float(level[self.space.row(g), self._column(stage, best, g)])
+        size, row, col = self.locate(stage, best, mset)
+        return float(self.values[stage - 1][size][row, col])
 
-    def _column(self, stage: int, best: Optional[int], g: tuple[int, ...]) -> int:
-        """The column of best reward ``best`` (None: nothing probed) in the
-        level of the sorted multiset ``g`` at ``stage``; UnreachableStateError
-        where that level holds its none row alone."""
+    def locate(self, stage: int, best: Optional[int], mset: Sequence[int]) -> tuple[int, int, int]:
+        """The (size, row, column) of a state, column -1 where ``best`` is None
+        (nothing probed); ValueError naming a field that no state here holds,
+        UnreachableStateError at a real bin of a level of the none row alone."""
+        g = _sorted_multiset(mset)
+        if not (_is_index(stage) and 1 <= stage <= self.n_stages):
+            raise ValueError(f"stage {stage!r} is not an integer in 1..{self.n_stages}")
+        if len(g) > stage:
+            raise ValueError(f"multiset of size {len(g)} cannot occur at stage {stage}")
+        if len(g) > self.capacity:
+            raise ValueError(f"multiset {g} holds {len(g)} unprobed relays, but these tables keep "
+                             f"at most {self.capacity} unprobed relays awake")
+        if best is not None and not (_is_index(best) and 0 <= best < self.n_bins):
+            raise ValueError(f"best-reward index {best!r} is not a bin of 0..{self.n_bins - 1}")
+        row = self.space.row(g)  # a ValueError naming g at an unknown or bool type
         if best is None:
-            return -1
+            return len(g), row, -1
         if self.values[stage - 1][len(g)].shape[1] == 1:
             raise UnreachableStateError(
                 f"state (stage {stage}, multiset {g}, bin {best}) is never reached: "
                 f"{len(g)} unprobed relays at stage {stage} mean that nothing has been probed")
-        return best
+        return len(g), row, best
 
 
 @lru_cache(maxsize=8)
@@ -520,24 +526,12 @@ def act_complete(
     UnreachableStateError at a state that no policy reaches and the tables
     do not hold."""
     stage, best, mset = state
-    g = _sorted_multiset(mset)
-    if not (_is_index(stage) and 1 <= stage <= tables.n_stages):
-        raise ValueError(f"stage {stage!r} is not an integer in 1..{tables.n_stages}")
-    if len(g) > stage:
-        raise ValueError(f"multiset of size {len(g)} cannot occur at stage {stage}")
-    if len(g) > tables.capacity:
-        raise ValueError(f"multiset {g} holds {len(g)} unprobed relays, but these tables keep "
-                         f"at most {tables.capacity} unprobed relays awake")
-    if best is not None and not (_is_index(best) and 0 <= best < tables.n_bins):
-        raise ValueError(f"best-reward index {best!r} is not a bin of 0..{tables.n_bins - 1}")
-
-    row = tables.space.row(g)  # a ValueError naming g at an unknown or bool type
-    code = tables.actions[stage - 1][len(g)][row, tables._column(stage, best, g)]
+    size, row, col = tables.locate(stage, best, mset)
+    code = tables.actions[stage - 1][size][row, col]
     decision = decision_of(code)
     if decision is None:
-        raise IllegalActionError(
-            f"no legal action at stage {stage} with best={best}, multiset={g}"
-        )
+        raise IllegalActionError(f"no legal action at stage {stage} with best={best}, multiset="
+                                 f"{tuple(tables.space.members[size][row].tolist())}")
     return decision
 
 

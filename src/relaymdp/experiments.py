@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from ._kernels import CONTINUE, PROBE, STOP, IllegalActionError, illegal_action, legal_actions
+from ._kernels import CONTINUE, PROBE, STOP, illegal_action, legal_actions
 from .dp_complete import (BATCH_ELEMENTS, OVERFLOW_ELEMENTS, BudgetExceededError, CompleteTables,
                           initial_value, solve_complete)
 from .dp_restricted import RestrictedTables, backward_induction, extract_thresholds
@@ -33,7 +33,7 @@ from .model import (
     build_ordered_family,
     reward_grid,
 )
-from .simulate import Estimates, check_episode_count, monte_carlo, probe_first_levels
+from .simulate import Estimates, check_episode_count, check_seed, monte_carlo, probe_first_levels
 
 POLICY_NAMES = ("rst", "glb", "first")
 
@@ -122,7 +122,8 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
     continue lands in the none column of the level it moves to.  Only the
     masses of the current and the next stage are alive at a time.
 
-    Every entry of positive mass must be moved by a legal action: one on
+    Every entry of nonzero mass must hold an action that ``legal_actions``
+    allows, which each level checks once before its mass moves: one on
     NO_ACTION, a stop with nothing probed, a probe of a type not in its set
     or a continue at the last stage raises IllegalActionError naming the
     stage, the multiset and the bin.
@@ -137,6 +138,7 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
     grid = reward_grid(n_bins)
     pmf, cdf = family.pmf_matrix, family.cdf_matrix
     types = np.arange(n_loc)
+    probed = np.arange(n_bins + 1) < n_bins  # a stop's column: any but the none row
 
     def level(masses: dict, stage: int, s: int) -> np.ndarray:
         if s not in masses:
@@ -154,9 +156,20 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
             if mass is None:
                 continue
             act = tables.actions[k - 1][s]
+            # the whole level at once, before its mass moves: a probe needs a
+            # member of the row's set of the type code - PROBE
+            held = np.zeros(act.shape, dtype=bool)
+            for member in (space.members[s].T + PROBE).astype(act.dtype):
+                held |= member[:, None] == act
+            stops = probed[-act.shape[1]:]
+            legal = legal_actions(act, held, stops, k == n_stages)
+            if not legal.all() and mass[~legal].any():
+                row, col = np.argwhere(~legal & (mass != 0))[0]
+                g = tuple(space.members[s][row].tolist())  # msets would build every set's tuple
+                raise illegal_action(act[row, col], f"(stage {k}, multiset {g}, "
+                                     f"best={col if stops[col] else None})")
+            del held, legal  # not alive through the moves, which set the peak
             real, code = mass[:, :-1], act[:, :-1]  # the real bins, if the level holds them
-            # entries of positive mass, and those a legal action moved
-            live, moved = np.count_nonzero(mass), 0
 
             if s >= 1 and mass[:, -1].any():
                 # w[t, f]: the mass at the none row probing t from the set of
@@ -164,15 +177,12 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                 src = space.plus[s - 1]
                 w = mass[:, -1][src]
                 w *= act[:, -1][src] == PROBE + types[:, None]
-                count = np.count_nonzero(w)
-                if count:
-                    moved += count
+                if w.any():
                     probes += float(w.sum())
                     level(current, k, s - 1)[:, :-1] += np.einsum("tf,tj->fj", w, pmf)
 
             if real.size:
                 stopping = np.where(code == STOP, real, 0.0)
-                moved += np.count_nonzero(stopping)
                 reward += float(stopping.sum(axis=0) @ grid)
                 stopped += float(stopping.sum())
                 del stopping
@@ -184,10 +194,8 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                         src = space.plus[s - 1][batch]
                         w = real[src]
                         w *= code[src] == PROBE + batch[:, None, None]
-                        count = np.count_nonzero(w)
-                        if not count:
+                        if not w.any():
                             continue
-                        moved += count
                         probes += float(w.sum())
                         # bin j gains w[j] cdf[j] plus pmf[j] times the mass below j
                         gain = w * cdf[batch, None]
@@ -196,9 +204,7 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
 
             if k < n_stages:
                 cw = np.where(act == CONTINUE, mass, 0.0)
-                count = np.count_nonzero(cw)
-                if count:
-                    moved += count
+                if cw.any():
                     # the none row, then the real bins as one contiguous
                     # array, which fixes the order of the float sums
                     waits += float(cw[:, -1].sum())
@@ -214,9 +220,6 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                     else:
                         grown, rows = s + 1, space.plus[s][:, :, None]
                     _add_moved(level(following, k + 1, grown), rows, cw)
-
-            if moved != live:
-                raise _illegal_entry(tables, k, s, mass)
         current = following
 
     return _components(waits, reward, probes, stopped, config)
@@ -236,21 +239,6 @@ def _add_moved(out: np.ndarray, rows: np.ndarray, mass: np.ndarray) -> None:
         # values of the index's own shape: numpy 2.4's np.add.at adds wrong
         # sums, or crashes, when the values broadcast against the indices
         np.add.at(flat, index.ravel(), np.broadcast_to(mass, index.shape).ravel())
-
-
-def _illegal_entry(tables: CompleteTables, stage: int, s: int,
-                   mass: np.ndarray) -> IllegalActionError:
-    """The error naming the first entry of positive mass, by row and then
-    bin, that no legal action moves."""
-    space = tables.space
-    rows, cols = np.nonzero(mass > 0)
-    code = tables.actions[stage - 1][s][rows, cols]
-    probed = cols != mass.shape[1] - 1  # the last column is the none row
-    held = (space.members[s][rows] == (code.astype(np.intp) - PROBE)[:, None]).any(axis=1)
-    legal = legal_actions(code, held, probed, stage == tables.n_stages)
-    i = int(np.argmin(legal))
-    best = int(cols[i]) if probed[i] else None
-    return illegal_action(code[i], f"(stage {stage}, multiset {space.msets[s][rows[i]]}, best={best})")
 
 
 def baseline_components(family: OrderedFamily, config: ModelConfig) -> PolicyComponents:
@@ -284,6 +272,7 @@ class SweepSpec:
         if unknown:
             raise ValueError(f"unknown policies {sorted(unknown)}; choose from {POLICY_NAMES}")
         check_episode_count(self.n_episodes)
+        check_seed(self.seed)
         return self
 
 

@@ -182,7 +182,7 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
     awake, continue at the last stage, NO_ACTION) raise IllegalActionError
     naming the state of the first offending episode.
     """
-    space, capacity, none = levels.space, levels.capacity, levels.none_index
+    space, capacity = levels.space, levels.capacity
     loc, bins = block.locations, block.reward_bins
     n, n_stages = loc.shape
 
@@ -190,7 +190,7 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
     awake[:, 0] = True
     size = np.ones(n, dtype=np.intp)
     row = loc[:, 0].astype(np.intp)  # multisets of size 1 are ordered by type
-    best = np.full(n, none, dtype=np.intp)
+    best = np.full(n, -1, dtype=np.intp)  # nothing probed: the none column, -1, of a level
     probes = np.zeros(n, dtype=np.intp)
     stop_stage = np.zeros(n, dtype=np.intp)
     live = np.ones(n, dtype=bool)
@@ -202,15 +202,14 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
             if at.size == 0:
                 continue
             g, b = row[at], best[at]
-            col = np.where(b == none, -1, b)  # the none row is the last column of a level
-            code = levels.actions[k - 1][s][g, col]
+            code = levels.actions[k - 1][s][g, b]
             # the awake relays of the probed type (none for other codes)
             match = awake[at] & (loc[at] == (code.astype(np.intp) - PROBE)[:, None])
-            legal = legal_actions(code, match.any(axis=1), b != none, k == n_stages)
+            legal = legal_actions(code, match.any(axis=1), b >= 0, k == n_stages)
             if not legal.all():
                 i = int(np.argmin(legal))
                 raise illegal_action(
-                    code[i], f"(stage {k}, episode {at[i]}, best={None if b[i] == none else b[i]}, "
+                    code[i], f"(stage {k}, episode {at[i]}, best={None if b[i] < 0 else b[i]}, "
                     f"awake types {tuple(loc[at[i]][awake[at[i]]].tolist())})")
 
             stops = at[code == STOP]
@@ -224,7 +223,7 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
                 pick = match[probing].argmax(axis=1)  # the first-woken relay of that type
                 awake[e, pick] = False
                 revealed = bins[e, pick]
-                best[e] = np.where(best[e] == none, revealed, np.maximum(best[e], revealed))
+                best[e] = np.maximum(best[e], revealed)
                 probes[e] += 1
                 # the row of the set left, ranked from its s - 1 members
                 left = np.sort(loc[e][awake[e]].reshape(len(e), s - 1), axis=1)
@@ -244,7 +243,7 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
         full = sizes == capacity
         if full.any():
             e, t, g = e[full], t[full], g[full]
-            kept = levels.kept[k][t, g, np.where(best[e] == none, -1, best[e])]
+            kept = levels.kept[k][t, g, best[e]]
             swap = kept != g  # else the newcomer is dropped
             e, t, g, kept = e[swap], t[swap], g[swap], kept[swap]
             # the type dropped: the members of g and t, less those kept
@@ -278,10 +277,21 @@ def check_episode_count(n_episodes) -> int:
     return int(n_episodes)
 
 
+def check_seed(seed) -> int:
+    """The master seed, a key of the counter-based streams, as an int; a
+    bool, a non-integral or a seed outside 0 <= seed < 2**128 raises
+    ValueError."""
+    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
+            or not 0 <= seed < 2 ** 128):
+        raise ValueError(f"seed must be an integer in 0 .. 2**128 - 1, got {seed!r}")
+    return int(seed)
+
+
 def episode_outcomes(levels: CompleteTables, n_episodes: int, seed: int) -> Outcomes:
     """Outcomes of episodes 0 .. n_episodes - 1 of a policy's levels under a
     master seed, drawn and replayed a block at a time."""
     count = check_episode_count(n_episodes)
+    seed = check_seed(seed)
     parts = []
     for j, first in enumerate(range(0, count, EPISODES_PER_BLOCK)):
         block = sample_episode(levels.family, levels.config, block_rng(seed, j))
@@ -302,7 +312,7 @@ def monte_carlo(levels: CompleteTables, n_episodes: int, seed: int) -> Estimates
         ses = [0.0] * 5
     return Estimates(
         n_episodes=int(n_episodes),
-        seed=seed,
+        seed=int(seed),
         mean_delay=means[0], se_delay=ses[0],
         mean_reward=means[1], se_reward=ses[1],
         mean_probes=means[2], se_probes=ses[2],

@@ -1,0 +1,77 @@
+"""Print SHA-256 digests of what the solvers, the exact sweep and the replay
+engine compute on a fixed grid, so that two trees can be shown to behave the
+same byte for byte.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/behaviour_digest.py
+
+The grid is the reference config (20 locations, 100 bins, 5 relays) at the
+20 etas of ``default_eta_grid`` times delta 0.1, 0.01 and 0: 60 cells.  For
+each policy, rst (capacity 1), c2 (capacity 2), glb (capacity N) and first
+(the probe-first baseline), one line per kind digests, over every cell in
+grid order:
+
+- tables: the value, action and overflow (``kept``) arrays of every level;
+- components: ``repr`` of the exact sweep's ``PolicyComponents``;
+- episodes: the ``episode_outcomes`` arrays of 5000 episodes under seed 7.
+
+Every array enters with its dtype and shape.  The script takes no options
+and pytest does not collect it.
+"""
+import dataclasses
+import hashlib
+
+import numpy as np
+
+from relaymdp.dp_complete import _induction
+from relaymdp.experiments import complete_components, default_eta_grid, policy_levels
+from relaymdp.model import ModelConfig, build_forwarding_region, build_ordered_family
+from relaymdp.simulate import episode_outcomes
+
+POLICIES = ("rst", "c2", "glb", "first")
+DELTAS = (0.1, 0.01, 0.0)
+EPISODES, SEED = 5000, 7
+
+
+def update(digest, array) -> None:
+    if array is None:
+        digest.update(b"None")
+        return
+    digest.update(f"{array.dtype.str}{array.shape}".encode())
+    digest.update(np.ascontiguousarray(array).tobytes())
+
+
+def levels_of(policy, family, config):
+    if policy == "c2":
+        return _induction(family, config, 2)[0]
+    return policy_levels(policy, family, config)
+
+
+def main() -> None:
+    base = ModelConfig().validate()
+    family = build_ordered_family(build_forwarding_region(base), base)
+    digests = {(kind, policy): hashlib.sha256()
+               for kind in ("tables", "components", "episodes") for policy in POLICIES}
+    for delta in DELTAS:
+        for eta in default_eta_grid():
+            config = base.with_overrides(eta=eta, delta=delta)
+            for policy in POLICIES:
+                levels = levels_of(policy, family, config)
+                tables = digests["tables", policy]
+                for stage in levels.values + levels.actions:
+                    for level in stage:
+                        update(tables, level)
+                for kept in levels.kept:
+                    update(tables, kept)
+                digests["components", policy].update(
+                    repr(complete_components(levels)).encode())
+                outcomes = episode_outcomes(levels, EPISODES, SEED)
+                for field in dataclasses.fields(outcomes):
+                    update(digests["episodes", policy], getattr(outcomes, field.name))
+    for (kind, policy), digest in digests.items():
+        print(f"{kind:<10} {policy:<5} {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

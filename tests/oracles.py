@@ -676,7 +676,7 @@ def reference_components(tables):
     family = tables.family
     space = tables.space
     n_bins = tables.n_bins
-    none = tables.none_index
+    none = tables.n_bins
     n_loc = len(family)
     n_stages = tables.n_stages
     capacity = tables.capacity

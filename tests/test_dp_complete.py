@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_instance
+from conftest import corrupted, small_instance
 from oracles import (
     Toy,
     complete_memo_state_values,
@@ -24,7 +24,7 @@ from oracles import (
     reference_states_per_stage,
 )
 from relaymdp import dp_complete
-from relaymdp._kernels import PROBE, IllegalActionError, action_dtype
+from relaymdp._kernels import CONTINUE, PROBE, STOP, IllegalActionError, action_dtype
 from relaymdp.dp_complete import (
     BudgetExceededError,
     MultisetSpace,
@@ -62,7 +62,7 @@ class TestStageN:
         config, family, tables = small_solved
         expected = -config.eta * reward_grid(tables.n_bins)
         assert np.array_equal(tables.values[-1][0][0, : tables.n_bins], expected)
-        assert np.isinf(tables.values[-1][0][0, tables.none_index])
+        assert np.isinf(tables.values[-1][0][0, tables.n_bins])
 
     def test_singleton_stage_n_equals_restricted_exactly(self, small_solved):
         config, family, tables = small_solved
@@ -177,7 +177,7 @@ class TestBellman:
         config, family, tables = small_solved
         eta, delta, tau = config.eta, config.delta, config.tau
         grid = reward_grid(tables.n_bins)
-        n_bins, none = tables.n_bins, tables.none_index
+        n_bins = none = tables.n_bins
         n_loc = len(family)
         pmf = family.pmf_matrix
         space = tables.space
@@ -288,6 +288,23 @@ class TestActComplete:
             act_complete((2, None, mset), tables)
         with pytest.raises(ValueError, match=named):
             tables.value(2, None, mset)
+
+    @pytest.mark.parametrize("state,named", [
+        ((0, 2, (1,)), r"stage 0 is not an integer in 1\.\.3"),
+        ((2, 6, (1,)), r"best-reward index 6 is not a bin of 0\.\.5"),
+        ((2, -1, (1,)), r"best-reward index -1 is not a bin of 0\.\.5"),
+        ((True, 2, (1,)), r"stage True is not an integer in 1\.\.3"),
+        ((2, 2, (0, 1, 2)), r"multiset of size 3 cannot occur at stage 2"),
+    ], ids=["stage_0", "bin_6", "bin_minus_1", "stage_true", "size_past_stage"])
+    def test_value_and_action_share_one_lookup(self, state, named):
+        # each field is checked before it indexes a table, where stage 0 and
+        # bin -1 would wrap, bin 6 would read the none row and True stage 1
+        config, family = small_instance(4, 6, 3, eta=2.0, delta=0.05)
+        tables = solve_complete(family, config)
+        with pytest.raises(ValueError, match=named):
+            tables.value(*state)
+        with pytest.raises(ValueError, match=named):
+            act_complete(state, tables)
 
     def test_unknown_types_rejected(self, small_solved):
         _, _, tables = small_solved
@@ -443,6 +460,49 @@ class TestConjectures:
         assert report["probe_largest_violations"] == before["probe_largest_violations"] + 1 == 1
         assert report["all_hold"] is False
 
+    # one corrupted entry per failure counter, read by that check alone
+
+    def test_flipped_stop_before_the_last_stage_is_one_mismatch(self, small_solved):
+        _, _, tables = small_solved
+        before = verify_complete_conjectures(tables)
+        top = tables.n_bins - 1
+        # the empty set at stage 1 against stage 2, its reference: both stop at the top bin
+        assert tables.actions[0][0][0, top] == tables.actions[1][0][0, top] == STOP
+        levels = corrupted(tables)
+        levels.actions[0][0][0, top] = CONTINUE
+        report = verify_complete_conjectures(levels)
+        assert (report["stage_independence_mismatches"]
+                == before["stage_independence_mismatches"] + 1 == 1)
+        assert report["all_hold"] is False
+
+    def test_raised_enlarged_value_is_one_violation(self, small_solved):
+        _, _, tables = small_solved
+        before = verify_complete_conjectures(tables)
+        # J_1(none, {0}) above J_1(none, {}): only the enlargement check can
+        # fail on it, the probe-largest check fails on lowered values only
+        level = tables.values[0][1].copy()
+        assert level.shape[1] == 1  # the none row alone
+        level[0, -1] = tables.values[0][0][0, -1] + 1.0
+        values = [list(stage) for stage in tables.values]
+        values[0][1] = level
+        report = verify_complete_conjectures(replace(tables, values=values))
+        assert report["enlargement_violations"] == before["enlargement_violations"] + 1 == 1
+        assert report["all_hold"] is False
+
+    def test_stage_n_stop_flipped_is_one_osla_mismatch(self, small_solved):
+        _, _, tables = small_solved
+        before = verify_complete_conjectures(tables)
+        top = tables.n_bins - 1
+        # at stage N the top bin stops, ahead of the look-ahead probe by
+        # eta * delta, far past the tie tolerance; no other check reads
+        # a stage-N stop
+        assert tables.actions[-1][1][0, top] == STOP
+        levels = corrupted(tables)
+        levels.actions[-1][1][0, top] = CONTINUE
+        report = verify_complete_conjectures(levels)
+        assert report["osla_stage_n_mismatches"] == before["osla_stage_n_mismatches"] + 1 == 1
+        assert report["all_hold"] is False
+
     @pytest.mark.parametrize("capacity", [1, 2])
     def test_tables_below_capacity_n_are_refused(self, capacity):
         config, family = small_instance(4, 6, 3, eta=2.0, delta=0.05)
@@ -584,7 +644,7 @@ class TestProbeKernel:
                                    *_ranked_members(space, s, rank), none_only)
                 want = reference_probe_costs(smaller, family, surcharge, space, s)
                 if none_only:
-                    want = tuple(w[:, tables.none_index:] for w in want)
+                    want = tuple(w[:, tables.n_bins:] for w in want)
                 assert tables.values[k - 1][s].shape == want[0].shape, (k, s)
                 assert got[0].tobytes() == want[0].tobytes(), (k, s)
                 assert got[1].dtype == action_dtype(len(family)), (k, s)
@@ -676,6 +736,6 @@ class TestProbeKernel:
             for none_only in (False, True):
                 got = _probe_costs(smaller, family.pmf_matrix, family.cdf_matrix, 0.1,
                                    *_ranked_members(space, 2, rank), none_only)
-                cols = slice(tables.none_index if none_only else 0, None)
+                cols = slice(tables.n_bins if none_only else 0, None)
                 assert got[0].tobytes() == want[0][:, cols].tobytes()
                 assert self.decoded(got[1]).tobytes() == want[1][:, cols].tobytes()

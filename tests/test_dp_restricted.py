@@ -40,7 +40,7 @@ from relaymdp.simulate import block_rng, run_policy, sample_episode
 def retain_incumbent(tables, stage, best, incumbent, newcomer):
     """Whether the shared overflow rule keeps the awake incumbent when the
     newcomer wakes at ``stage`` (size-1 multisets are rows by type)."""
-    b = tables.none_index if best is None else best
+    b = tables.n_bins if best is None else best
     return tables.kept[stage - 1][newcomer, incumbent, b] == incumbent
 
 
@@ -103,7 +103,7 @@ class TestOracleEquivalence:
         assert restricted_tree_state_value(toy, 2, None, 0) == pytest.approx(
             TOY222_STATE_K2_NONE_L0, abs=1e-15
         )
-        assert tables.j_bf[1, tables.none_index, 0] == pytest.approx(
+        assert tables.j_bf[1, tables.n_bins, 0] == pytest.approx(
             TOY222_STATE_K2_NONE_L0, abs=1e-12
         )
 
@@ -144,7 +144,7 @@ class TestBellmanConsistency:
         config, family = small_instance(3, 8, 4, eta=2.5, delta=0.07)
         tables = backward_induction(family, config)
         grid = tables.grid
-        n_bins, none = tables.n_bins, tables.none_index
+        n_bins = none = tables.n_bins
         n_loc, n_stages = len(family), config.n_relays
         pmf = family.pmf_matrix
         eta, delta, tau = config.eta, config.delta, config.tau
@@ -285,7 +285,7 @@ class TestAct:
         else:
             config, family = default_config.with_overrides(eta=10.0, delta=delta), default_family
         tables = backward_induction(family, config)
-        none = tables.none_index
+        none = tables.n_bins
         seen = set()
         for k in range(1, tables.n_stages + 1):
             for b in range(none + 1):

@@ -23,7 +23,7 @@ from relaymdp.experiments import (
     restricted_components,
     run_sweep,
 )
-from relaymdp.simulate import probe_first_levels
+from relaymdp.simulate import block_rng, probe_first_levels, run_policy, sample_episode
 
 
 @pytest.fixture(scope="module")
@@ -148,43 +148,77 @@ class TestSweepAgainstDenseReference:
         assert peak <= 32e6
 
 
+def _no_action_at_one_reached_entry(levels):
+    # the first relay is of type 2 with probability 1/4
+    levels.actions[0][1][2, -1] = NO_ACTION  # the none row, the one column of (1, 1)
+
+
+def _stop_with_nothing_probed(levels):
+    levels.actions[0][1][:, -1] = STOP
+
+
+def _probe_of_a_type_not_held(levels):
+    levels.actions[0][1][:, -1] = PROBE + 1  # held by the set (1,) alone
+
+
+def _continue_at_the_last_stage(levels):
+    act = levels.actions[-1][0]
+    act[act == STOP] = CONTINUE
+
+
+# corruption: (the action named, the sweep's state, the first types of the
+# episodes that meet it at stage 1, or None past stage 1)
+CORRUPTIONS = {
+    _no_action_at_one_reached_entry: (r"no legal action \(code -1\)",
+                                      r"\(stage 1, multiset \(2,\), best=None\)", {2}),
+    _stop_with_nothing_probed: ("stop with nothing probed",
+                                r"\(stage 1, multiset \(0,\), best=None\)", {0, 1, 2, 3}),
+    _probe_of_a_type_not_held: ("probe target type 1 not awake",
+                                r"\(stage 1, multiset \(0,\), best=None\)", {0, 2, 3}),
+    _continue_at_the_last_stage: ("continue at the last stage",
+                                  r"\(stage 3, multiset \(\), best=\d+\)", None),
+}
+
+
 class TestSweepFailsClosed:
-    """Positive mass on an action its state forbids raises IllegalActionError
-    naming the stage, the multiset and the bin."""
+    """Nonzero mass on an action its state forbids raises IllegalActionError
+    naming the stage, the multiset and the bin; the replay engine rejects the
+    same tables, naming the same action."""
 
     @pytest.fixture(scope="class")
     def solved(self):
         config, family = small_instance(4, 15, 3, eta=8.0, delta=0.05)
         return solve_complete(family, config)
 
-    def test_no_action_at_one_reached_entry(self, solved):
-        # the first relay is of type 2 with probability 1/4
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__[1:])
+    def test_both_engines_reject_the_same_tables(self, solved, corrupt):
+        action, sweep_state, first_types = CORRUPTIONS[corrupt]
         levels = corrupted(solved)
-        levels.actions[0][1][2, -1] = NO_ACTION  # the none row, the one column of (1, 1)
-        with pytest.raises(IllegalActionError, match=(
-                r"no legal action \(code -1\) \(stage 1, multiset \(2,\), best=None\)")):
+        corrupt(levels)
+        with pytest.raises(IllegalActionError, match=rf"^{action} {sweep_state}$"):
             complete_components(levels)
+        block = sample_episode(levels.family, levels.config, block_rng(0, 0))
+        if first_types is None:
+            episode = r"\(stage 3, episode \d+, best=\d+, awake types \(\)\)"
+        else:
+            # the first episode whose first relay's type meets it
+            e = next(i for i, t in enumerate(block.locations[:, 0]) if t in first_types)
+            episode = (rf"\(stage 1, episode {e}, best=None, "
+                       rf"awake types \({block.locations[e, 0]},\)\)")
+        with pytest.raises(IllegalActionError, match=rf"^{action} {episode}$"):
+            run_policy(block, levels)
 
-    def test_continue_at_the_last_stage(self, solved):
-        levels = corrupted(solved)
-        act = levels.actions[-1][0]
-        act[act == STOP] = CONTINUE
-        with pytest.raises(IllegalActionError,
-                           match=r"continue at the last stage \(stage 3, multiset \(\), best=\d+\)"):
-            complete_components(levels)
-
-    def test_stop_with_nothing_probed(self, solved):
-        levels = corrupted(solved)
-        levels.actions[0][1][:, -1] = STOP
+    def test_negative_mass_is_named_where_it_lies(self, solved):
+        # a negated pmf column sends negative mass to bin 3 of the empty set
+        # at stage 1, where NO_ACTION then stands; an entry of nonzero mass,
+        # not only of positive mass, must hold a legal action
+        pmf = solved.family.pmf_matrix.copy()
+        pmf[:, 3] *= -1.0
+        levels = dataclasses.replace(corrupted(solved),
+                                     family=dataclasses.replace(solved.family, pmf_matrix=pmf))
+        levels.actions[0][0][0, 3] = NO_ACTION
         with pytest.raises(IllegalActionError, match=(
-                r"stop with nothing probed \(stage 1, multiset \(0,\), best=None\)")):
-            complete_components(levels)
-
-    def test_probe_target_not_in_the_set(self, solved):
-        levels = corrupted(probe_first_levels(solved.family, solved.config))
-        levels.actions[0][1][:, levels.none_index] = PROBE + np.array([1, 2, 3, 0])
-        with pytest.raises(IllegalActionError, match=(
-                r"probe target type 1 not awake \(stage 1, multiset \(0,\), best=None\)")):
+                r"^no legal action \(code -1\) \(stage 1, multiset \(\), best=3\)$")):
             complete_components(levels)
 
     def test_no_action_where_only_an_overflow_arrives(self):
@@ -418,6 +452,17 @@ class TestEmit:
         (cell,) = json.loads((tmp_path / "manifest.json").read_text())["cells"]
         assert cell["mc_z"] is None
         assert cell["stopped_mass"] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("seed", [True, 1.5, -1, 2 ** 128],
+                             ids=["bool", "float", "negative", "2**128"])
+    def test_bad_seeds_rejected(self, small_base, seed):
+        # a bool or a float must not pass for the integer it equals
+        config, _ = small_base
+        spec = SweepSpec(base=config, eta_values=(1.0,), delta_values=(0.1,), seed=seed)
+        with pytest.raises(ValueError, match="seed must be"):
+            spec.validate()
+        with pytest.raises(ValueError, match="seed must be"):
+            run_sweep(spec)
 
     @pytest.mark.parametrize("count", [True, 2.7, 0])
     def test_bad_episode_counts_rejected(self, small_base, count):

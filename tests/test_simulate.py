@@ -1,12 +1,12 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
-from conftest import corrupted, small_instance
+from conftest import small_instance
 from oracles import reference_run_policy
-from relaymdp._kernels import CONTINUE, NO_ACTION, PROBE, STOP, IllegalActionError
 from relaymdp import dp_complete
 from relaymdp.dp_complete import (BudgetExceededError, _induction, _states_per_stage,
                                   initial_value, solve_complete)
@@ -16,6 +16,7 @@ from relaymdp.model import ModelConfig, reward_grid
 from relaymdp.simulate import (
     EPISODES_PER_BLOCK,
     block_rng,
+    check_seed,
     episode_outcomes,
     monte_carlo,
     probe_first_levels,
@@ -181,66 +182,6 @@ class TestRunPolicy:
             out = run_policy(block, policy_levels(name, family, config))
             assert np.all(out.stop_stage == 1) and np.all(out.probes == 1)
 
-    # illegal actions, on corrupted copies of solved tables: the engine names
-    # the state of the first offending episode
-
-    def test_illegal_continue_at_last_stage(self, sim_instance):
-        # probe while nothing is probed, else continue, also at the last stage
-        config, family = sim_instance
-        levels = corrupted(backward_induction(family, config))
-        none = levels.none_index
-        for acts in levels.actions:
-            for act in acts:
-                act[:, :none] = CONTINUE
-            acts[1][:, none] = PROBE + np.arange(len(family))
-        block = sample_episode(family, config, block_rng(0, 0))
-        with pytest.raises(IllegalActionError,
-                           match=r"last stage \(stage 5, episode 0, best=\d+, awake types"):
-            run_policy(block, levels)
-
-    def test_illegal_stop_with_nothing_probed(self, sim_instance):
-        config, family = sim_instance
-        levels = corrupted(solve_complete(family, config))
-        for acts in levels.actions:
-            for act in acts:
-                act[:] = STOP
-        block = sample_episode(family, config, block_rng(0, 0))
-        first = int(block.locations[0, 0])
-        with pytest.raises(IllegalActionError, match=(
-                rf"nothing probed \(stage 1, episode 0, best=None, awake types \({first},\)\)")):
-            run_policy(block, levels)
-
-    def test_probe_target_not_awake(self, sim_instance):
-        config, family = sim_instance
-        levels = corrupted(probe_first_levels(family, config))
-        n_loc = len(family)
-        levels.actions[0][1][:, levels.none_index] = PROBE + (np.arange(n_loc) + 1) % n_loc
-        block = sample_episode(family, config, block_rng(0, 0))
-        first = int(block.locations[0, 0])
-        with pytest.raises(IllegalActionError, match=(
-                rf"target type {(first + 1) % n_loc} not awake \(stage 1, episode 0, "
-                rf"best=None, awake types \({first},\)\)")):
-            run_policy(block, levels)
-
-    def test_no_action(self, sim_instance):
-        config, family = sim_instance
-        levels = corrupted(solve_complete(family, config))
-        levels.actions[0][1][:] = NO_ACTION
-        block = sample_episode(family, config, block_rng(0, 0))
-        with pytest.raises(IllegalActionError,
-                           match=r"no legal action \(code -1\) \(stage 1, episode 0, best=None"):
-            run_policy(block, levels)
-
-    def test_first_offending_episode_is_named(self, sim_instance):
-        # only episodes whose first relay has type 2 meet the NO_ACTION row
-        config, family = sim_instance
-        levels = corrupted(solve_complete(family, config))
-        levels.actions[0][1][2] = NO_ACTION
-        block = sample_episode(family, config, block_rng(0, 0))
-        first = int(np.flatnonzero(block.locations[:, 0] == 2)[0])
-        with pytest.raises(IllegalActionError, match=rf"\(stage 1, episode {first}, best=None"):
-            run_policy(block, levels)
-
 
 class TestEngineAgreement:
     """The batched engine against the scalar reference, episode by episode."""
@@ -362,3 +303,22 @@ class TestMonteCarlo:
         config, family = sim_instance
         with pytest.raises(ValueError, match="n_episodes must be an integer"):
             monte_carlo(probe_first_levels(family, config), count, seed=0)
+
+    @pytest.mark.parametrize("seed", [True, 1.5, 1.0, "1", -1, 2 ** 128],
+                             ids=["bool", "float", "integral_float", "str", "negative", "2**128"])
+    def test_bad_seeds_rejected(self, sim_instance, seed):
+        # a bool or a float must not pass for the integer it equals
+        config, family = sim_instance
+        levels = probe_first_levels(family, config)
+        named = re.escape(f"seed must be an integer in 0 .. 2**128 - 1, got {seed!r}")
+        with pytest.raises(ValueError, match=named):
+            monte_carlo(levels, 10, seed)
+        with pytest.raises(ValueError, match=named):
+            episode_outcomes(levels, 10, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 128 - 1, np.uint64(2 ** 64 - 1)],
+                             ids=["0", "2**128-1", "numpy_uint64"])
+    def test_seeds_of_the_whole_key_range_accepted(self, sim_instance, seed):
+        config, family = sim_instance
+        assert check_seed(seed) == int(seed) and type(check_seed(seed)) is int
+        assert monte_carlo(probe_first_levels(family, config), 10, seed).n_episodes == 10
