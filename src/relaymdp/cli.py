@@ -41,6 +41,7 @@ from .experiments import (
     policy_levels,
     restricted_components,
     run_sweep,
+    write_json,
 )
 from .model import (
     ConfigError,
@@ -204,9 +205,7 @@ def _model_config(doc: dict) -> ModelConfig:
 def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
     return path
 
 

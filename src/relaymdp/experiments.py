@@ -213,13 +213,17 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                     # would scatter zeros (all real bins of (1, 1) at c = 1)
                     cw = cw[:, np.argmax(cw.any(axis=0)):]
                     cw /= n_loc
-                    # to the set with the newcomer or, from the full size, to
-                    # the set the overflow rule keeps
                     if s == capacity:
-                        grown, rows = s, tables.kept[k][..., -cw.shape[1]:]
+                        # to the set the overflow rule keeps
+                        _add_moved(level(following, k + 1, s),
+                                   tables.kept[k][..., -cw.shape[1]:], cw)
                     else:
-                        grown, rows = s + 1, space.plus[s][:, :, None]
-                    _add_moved(level(following, k + 1, grown), rows, cw)
+                        # to the set with the newcomer: plus[s][t] is injective
+                        # in the row, so one += per type, in type order, adds
+                        # the sums np.add.at would, in the same order
+                        grown = level(following, k + 1, s + 1)[:, -cw.shape[1]:]
+                        for rows in space.plus[s]:
+                            grown[rows] += cw
         current = following
 
     return _components(waits, reward, probes, stopped, config)
@@ -229,8 +233,11 @@ def _add_moved(out: np.ndarray, rows: np.ndarray, mass: np.ndarray) -> None:
     """out[rows[t, g, j], o + j] += mass[g, j] for every newcomer type t, row
     g and column j, ``rows`` broadcasting along the columns; the offset o
     makes the columns of ``mass`` the last ones of ``out``, so a none column
-    alone lands in the none column.  np.add.at adds in the order of one pass over (t, g, j), a
-    batch of types of at most OVERFLOW_ELEMENTS entries at a time."""
+    alone lands in the none column.  The overflow rule's rows are not
+    injective per type (every row that drops its member lands on the
+    newcomer's row), so np.add.at adds them, in the order of one pass over
+    (t, g, j), a batch of types of at most OVERFLOW_ELEMENTS entries at a
+    time."""
     width = out.shape[1]
     flat, cols = out.reshape(-1), np.arange(width - mass.shape[1], width)
     step = max(1, OVERFLOW_ELEMENTS // mass.size)
@@ -485,6 +492,73 @@ def config_hash(config: ModelConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+_FLOAT_ROW = frozenset({float, type(None)})
+_NUMBER_ROW = frozenset({int, float, bool, type(None)})
+
+
+def write_json(path, payload) -> None:
+    """Write ``payload`` to ``path`` as exactly the bytes of ``json.dump(payload,
+    fh, indent=2, sort_keys=True)`` and a newline, streamed in chunks.
+
+    An indent keeps json on its pure-Python encoder, which formats every
+    float on its own.  Here a list of floats (and None) formats each
+    distinct nonzero finite value once per file, and any other list of
+    numbers, bools and None is one call to the C encoder, re-indented; the
+    rest goes through ``json.dumps`` with the same arguments."""
+    with open(path, "w") as fh:
+        # None is no float's key, so it can wait in the cache as null
+        fh.writelines(_json_chunks(payload, "\n", {None: "null"}))
+        fh.write("\n")
+
+
+def _json_chunks(value, pad: str, floats: dict):
+    """The JSON text of ``value`` in chunks, where ``pad`` (a newline and the
+    indent of the value's level) starts every line after its first, and
+    ``floats`` holds the text of each nonzero finite float met so far."""
+    inner = pad + "  "
+    if type(value) is dict and value and all(type(key) is str for key in value):
+        opener = "{"
+        for key in sorted(value):
+            yield f"{opener}{inner}{json.dumps(key)}: "
+            yield from _json_chunks(value[key], inner, floats)
+            opener = ","
+        yield pad + "}"
+    elif type(value) is list and value:
+        kinds = set(map(type, value))
+        if kinds <= _FLOAT_ROW:
+            yield f"[{inner}{(',' + inner).join(_float_texts(value, floats))}{pad}]"
+        elif kinds <= _NUMBER_ROW:
+            # no text of a number, bool or null holds ", "
+            yield f"[{inner}{json.dumps(value)[1:-1].replace(', ', ',' + inner)}{pad}]"
+        else:
+            opener = "["
+            for item in value:
+                yield opener + inner
+                yield from _json_chunks(item, inner, floats)
+                opener = ","
+            yield pad + "]"
+    else:
+        # a scalar, an empty container, a tuple or a dict with other keys; no
+        # newline of JSON text lies inside a string, which escapes it
+        yield json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
+
+
+def _float_texts(row: list, floats: dict) -> list[str]:
+    """The JSON texts of a list of floats and None, each distinct nonzero
+    finite value formatted once into ``floats``.  Zeros (0.0 and -0.0 are one
+    key), NaN and the infinities are formatted each time."""
+    texts = list(map(floats.get, row))
+    if None in texts:
+        for i, text in enumerate(texts):
+            if text is None:
+                x = row[i]
+                if x and math.isfinite(x):
+                    texts[i] = floats[x] = float.__repr__(x)
+                else:
+                    texts[i] = json.dumps(x)
+    return texts
+
+
 def emit_plot_data(result: SweepResult, out_dir) -> list[Path]:
     """Write one CSV per figure analog (total cost, delay, reward, probing
     cost vs eta; one series per policy and delta) plus a manifest carrying the
@@ -523,9 +597,7 @@ def emit_plot_data(result: SweepResult, out_dir) -> list[Path]:
         ],
     }
     manifest_path = out / "manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(manifest_path, manifest)
     written.append(manifest_path)
     return written
 

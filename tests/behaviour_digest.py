@@ -16,14 +16,23 @@ grid order:
 - components: ``repr`` of the exact sweep's ``PolicyComponents``;
 - episodes: the ``episode_outcomes`` arrays of 5000 episodes under seed 7.
 
-Every array enters with its dtype and shape.  The script takes no options
-and pytest does not collect it.
+Every array enters with its dtype and shape.  One more line, ``artifacts``,
+digests the bytes of every file that the CLI commands ``solve-restricted``,
+``verify``, ``solve-complete --export-policy``, ``calibrate``, ``census`` and
+a 2-cell ``sweep`` write on one small fixed config, each under its command
+and file name.  The script takes no options and pytest does not collect it.
 """
+import contextlib
 import dataclasses
 import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
+from relaymdp.cli import main as cli_main
 from relaymdp.dp_complete import _induction
 from relaymdp.experiments import complete_components, default_eta_grid, policy_levels
 from relaymdp.model import ModelConfig, build_forwarding_region, build_ordered_family
@@ -46,6 +55,35 @@ def levels_of(policy, family, config):
     if policy == "c2":
         return _induction(family, config, 2)[0]
     return policy_levels(policy, family, config)
+
+
+ARTIFACT_CONFIG = {
+    "n_locations": 5, "n_reward_bins": 40, "n_relays": 3, "eta": 5.0, "delta": 0.1,
+    "sweep": {"eta_values": [1.0, 5.0], "delta_values": [0.1], "policies": ["rst"],
+              "n_episodes": 200},
+    "calibrate": {"target_gamma": 0.5},
+}
+ARTIFACT_COMMANDS = (
+    ("solve-restricted",), ("verify",), ("solve-complete", "--export-policy"),
+    ("calibrate",), ("census",), ("sweep",),
+)
+
+
+def artifacts_digest() -> str:
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(ARTIFACT_CONFIG))
+        for command in ARTIFACT_COMMANDS:
+            out = Path(tmp) / command[0]
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli_main([*command, "--config", str(config), "--out", str(out)])
+            if code != 0:
+                raise SystemExit(f"relaymdp {' '.join(command)} failed")
+            for path in sorted(out.iterdir()):
+                digest.update(f"{command[0]}/{path.name}\n".encode())
+                digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def main() -> None:
@@ -71,6 +109,7 @@ def main() -> None:
                     update(digests["episodes", policy], getattr(outcomes, field.name))
     for (kind, policy), digest in digests.items():
         print(f"{kind:<10} {policy:<5} {digest.hexdigest()}")
+    print(f"{'artifacts':<10} {'cli':<5} {artifacts_digest()}")
 
 
 if __name__ == "__main__":
