@@ -8,6 +8,8 @@ sweep in which no cell succeeds (its CSVs and manifest are still written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -36,7 +38,6 @@ from .experiments import (
     calibrate_eta,
     complete_components,
     config_hash,
-    default_eta_grid,
     emit_plot_data,
     policy_levels,
     restricted_components,
@@ -57,8 +58,9 @@ COMMANDS = (
     "calibrate", "census",
 )
 
-_SWEEP_KEYS = {"eta_values", "delta_values", "policies", "n_episodes"}
-_CALIBRATE_KEYS = {"target_gamma", "delta", "eta_lo", "eta_hi", "resolution"}
+# the blocks' keys are their owners' parameters, less those the CLI fills from its flags
+_SWEEP_KEYS = {f.name for f in dataclasses.fields(SweepSpec)} - {"base", "seed", "threads"}
+_CALIBRATE_KEYS = set(inspect.signature(calibrate_eta).parameters) - {"config"}
 
 
 class CliUsageError(Exception):
@@ -125,11 +127,14 @@ def _parse_override(text: str) -> tuple[list[str], object]:
     if "=" not in text:
         raise ConfigError(f"override {text!r} is not KEY=VALUE")
     key, raw = text.split("=", 1)
+    keys = key.strip().split(".")
+    if len(keys) > 2:
+        raise ConfigError(f"override path {key.strip()!r} reaches below a config block's keys")
     try:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
-    return key.strip().split("."), value
+    return keys, value
 
 
 def _load_config_doc(path: str, overrides: list[str]) -> dict:
@@ -145,7 +150,11 @@ def _load_config_doc(path: str, overrides: list[str]) -> dict:
 
     for text in overrides:
         keys, value = _parse_override(text)
-        _apply_override(doc, keys, value)
+        target = doc
+        for key in keys[:-1]:
+            target.setdefault(key, {})
+            target = _config_block(target, key)
+        target[keys[-1]] = value
 
     known_top = set(ModelConfig.field_names()) | {"sweep", "calibrate"}
     unknown = set(doc) - known_top
@@ -158,43 +167,12 @@ def _load_config_doc(path: str, overrides: list[str]) -> dict:
     return doc
 
 
-def _apply_override(doc: dict, keys: list[str], value) -> None:
-    schema = {name: None for name in ModelConfig.field_names()}
-    schema["sweep"] = {k: None for k in _SWEEP_KEYS}
-    schema["calibrate"] = {k: None for k in _CALIBRATE_KEYS}
-    node = schema
-    for key in keys[:-1]:
-        if not isinstance(node, dict) or key not in node:
-            raise ConfigError(f"override path {'.'.join(keys)} references unknown key {key!r}")
-        node = node[key]
-    if not isinstance(node, dict) or keys[-1] not in node:
-        raise ConfigError(f"override path {'.'.join(keys)} references unknown key {keys[-1]!r}")
-
-    target = doc
-    for key in keys[:-1]:
-        target.setdefault(key, {})
-        target = _config_block(target, key)
-    target[keys[-1]] = value
-
-
 def _config_block(doc: dict, name: str) -> dict:
     """A block of a config ({} when absent); ConfigError unless an object."""
     block = doc.get(name, {})
     if not isinstance(block, dict):
         raise ConfigError(f"config block {name!r} must be a JSON object, got {block!r}")
     return block
-
-
-def _calibrate_number(block: dict, key: str, default) -> float:
-    """A number of the calibrate block as a float; a bool, a string or an
-    integer past the float range raises ConfigError instead of converting."""
-    value = block.get(key, default)
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
-    raise ConfigError(f"calibrate.{key} must be a number, got {value!r}")
 
 
 def _model_config(doc: dict) -> ModelConfig:
@@ -298,16 +276,8 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
         return 0
 
     elif command == "sweep":
-        block = doc.get("sweep", {})
-        spec = SweepSpec(
-            base=config,
-            eta_values=block.get("eta_values", default_eta_grid()),
-            delta_values=block.get("delta_values", (0.1, 0.01)),
-            policies=block.get("policies", ("rst", "glb")),
-            n_episodes=block.get("n_episodes", 2000),
-            seed=args.seed,
-            threads=args.threads,
-        )
+        spec = SweepSpec(base=config, seed=args.seed, threads=args.threads,
+                         **_config_block(doc, "sweep"))
         result = run_sweep(spec)
         for path in emit_plot_data(result, out_dir):
             artifacts.append(Path(path).name)
@@ -319,22 +289,14 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
         return 1 if failed == len(result.cells) else 0
 
     elif command == "calibrate":
-        block = dict(doc.get("calibrate", {}))
+        block = {"delta": config.delta, **_config_block(doc, "calibrate")}
         if args.gamma is not None:
             block["target_gamma"] = args.gamma
         if block.get("target_gamma") is None:
             raise ConfigError("calibrate needs --gamma or a calibrate.target_gamma entry")
-        gamma = _calibrate_number(block, "target_gamma", None)
-        result = calibrate_eta(
-            target_gamma=gamma,
-            delta=_calibrate_number(block, "delta", config.delta),
-            config=config,
-            eta_lo=_calibrate_number(block, "eta_lo", 0.0),
-            eta_hi=_calibrate_number(block, "eta_hi", 60.0),
-            resolution=_calibrate_number(block, "resolution", 1e-3),
-        )
+        result = calibrate_eta(config=config, **block)
         write("calibration.json", result.to_json())
-        print(f"eta = {result.eta:.6g} meets gamma = {gamma}")
+        print(f"eta = {result.eta:.6g} meets gamma = {result.target_gamma}")
 
     elif command == "census":
         write("census.json", state_space_census(config).to_json())

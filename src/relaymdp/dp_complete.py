@@ -491,8 +491,8 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
                 row, b = np.argwhere(bad)[0]
                 raise NonFiniteValueError(
                     f"value {val[row, b]} at stage {k}, multiset size {s}, row {row} "
-                    f"{space.msets[s][row]}, bin {range(n_bins + 1)[cols][b]}: the config "
-                    f"overflows float arithmetic")
+                    f"{tuple(space.members[s][row].tolist())}, "
+                    f"bin {range(n_bins + 1)[cols][b]}: the config overflows float arithmetic")
             values[i].append(val)
             actions[i].append(act)
             if s == capacity < k:

@@ -310,11 +310,11 @@ def verify_structure(tables: RestrictedTables, thresholds: ThresholdSummary) -> 
 
 
 def tables_to_json(tables: RestrictedTables) -> dict:
-    """Stage-major dump of all arrays (finite entries only become numbers;
-    +inf sentinels serialize as null)."""
+    """Stage-major dump of all arrays: +inf sentinels serialize as null, and
+    any other entry stays a float, so a NaN reaches the writer as NaN."""
 
     def clean(arr: np.ndarray):
-        return np.where(np.isfinite(arr), arr, None).tolist()
+        return np.where(np.isposinf(arr), None, arr).tolist()
 
     return {
         "n_stages": tables.n_stages,

@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +30,7 @@ from .model import (
     OrderedFamily,
     build_forwarding_region,
     build_ordered_family,
+    finite_number,
     reward_grid,
 )
 from .simulate import Estimates, check_episode_count, check_seed, monte_carlo, probe_first_levels
@@ -254,11 +254,20 @@ def baseline_components(family: OrderedFamily, config: ModelConfig) -> PolicyCom
     return _components(0.0, mean_reward, 1.0, 1.0, config)
 
 
+def default_eta_grid(n: int = 20, lo: float = 0.1, hi: float = 60.0) -> tuple[float, ...]:
+    """Log-spaced multiplier grid covering both asymptotic regimes."""
+    return tuple(float(x) for x in np.geomspace(lo, hi, n))
+
+
 @dataclass(frozen=True)
 class SweepSpec:
+    """One sweep: every policy at every (eta, delta) of the grids.  Its fields
+    other than ``base``, ``seed`` and ``threads`` are the config file's
+    ``sweep`` block, with these defaults."""
+
     base: ModelConfig
-    eta_values: Sequence[float]
-    delta_values: Sequence[float]
+    eta_values: Sequence[float] = default_eta_grid()
+    delta_values: Sequence[float] = (0.1, 0.01)
     policies: Sequence[str] = ("rst", "glb")
     n_episodes: int = 2000
     seed: int = 0
@@ -271,21 +280,15 @@ class SweepSpec:
                 raise ValueError(f"sweep.{key} must be a non-empty list, got {values!r}")
         for key in ("eta_values", "delta_values"):
             for value in getattr(self, key):
-                if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                        or not 0.0 <= value < math.inf):
+                if finite_number(value, f"sweep.{key}") < 0.0:
                     raise ValueError(
-                        f"sweep.{key} must hold finite nonnegative numbers, got {value!r}")
+                        f"sweep.{key} must hold nonnegative numbers, got {value!r}")
         unknown = set(map(str, self.policies)) - set(POLICY_NAMES)
         if unknown:
             raise ValueError(f"unknown policies {sorted(unknown)}; choose from {POLICY_NAMES}")
         check_episode_count(self.n_episodes)
         check_seed(self.seed)
         return self
-
-
-def default_eta_grid(n: int = 20, lo: float = 0.1, hi: float = 60.0) -> tuple[float, ...]:
-    """Log-spaced multiplier grid covering both asymptotic regimes."""
-    return tuple(float(x) for x in np.geomspace(lo, hi, n))
 
 
 @dataclass(frozen=True)
@@ -426,14 +429,14 @@ def calibrate_eta(
     concave Lagrangian dual min over policies of E[W] - eta E[R_eff] (Beutler
     & Ross, J. Math. Anal. Appl. 112, 1985).  The bisection also stops when
     the bracket holds no float between its ends.  Raises ValueError, naming
-    the argument, for a non-finite target, a bracket outside
-    0 <= eta_lo < eta_hi or a resolution that is not positive and finite, and
+    the argument, for a number that is not finite or is a bool, a bracket
+    outside 0 <= eta_lo < eta_hi or a resolution that is not positive, and
     InfeasibleGammaError with the achievable supremum when the target is out
     of reach."""
-    for name, value in (("target_gamma", target_gamma), ("eta_lo", eta_lo),
-                        ("eta_hi", eta_hi), ("resolution", resolution)):
-        if not math.isfinite(value):
-            raise ValueError(f"calibrate {name} must be a finite number, got {value!r}")
+    target_gamma, delta, eta_lo, eta_hi, resolution = (
+        finite_number(value, f"calibrate {name}") for name, value in (
+            ("target_gamma", target_gamma), ("delta", delta), ("eta_lo", eta_lo),
+            ("eta_hi", eta_hi), ("resolution", resolution)))
     if not 0.0 <= eta_lo < eta_hi:
         raise ValueError(f"calibrate needs 0 <= eta_lo < eta_hi, got eta_lo={eta_lo!r}, "
                          f"eta_hi={eta_hi!r}")

@@ -39,6 +39,21 @@ class TotalOrderError(ValueError):
     """Raised when a distribution family is not totally stochastically ordered."""
 
 
+def finite_number(value, name: str) -> float:
+    """``value`` as a float: a real that is not a bool and is finite once
+    converted, so an integer past the float range fails too.  Otherwise
+    ConfigError naming ``name``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ConfigError(f"{name} must be a finite number, got an integer past "
+                              "the float range") from None
+        if math.isfinite(number):
+            return number
+    raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Full parameterization of one relay-selection instance.
@@ -65,10 +80,10 @@ class ModelConfig:
     def validate(self) -> "ModelConfig":
         for f in fields(self):
             value = getattr(self, f.name)
-            number = isinstance(value, numbers.Real) and not isinstance(value, bool)
-            if f.type == "float" and not (number and math.isfinite(value)):
-                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
-            if f.type == "int" and not (number and isinstance(value, numbers.Integral)):
+            if f.type == "float":
+                finite_number(value, f.name)
+            elif f.type == "int" and (isinstance(value, bool)
+                                      or not isinstance(value, numbers.Integral)):
                 raise ConfigError(f"{f.name} must be an integer, got {value!r}")
         if not (self.v0 > self.comm_radius > 0.0):
             raise ConfigError(
@@ -117,14 +132,9 @@ class ModelConfig:
             if f.name not in data:
                 continue
             value = data[f.name]
-            # bools stay bools, so that validate() rejects them
-            numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if f.type in ("float", float) and numeric:
-                try:
-                    value = float(value)
-                except OverflowError:
-                    raise ConfigError(f"{f.name} is an integer past the float range") from None
-            elif f.type in ("int", int) and isinstance(value, float):
+            if f.type == "float":
+                value = finite_number(value, f.name)
+            elif f.type == "int" and isinstance(value, float):
                 if not value.is_integer():
                     raise ConfigError(f"{f.name} must be an integer, got {value}")
                 value = int(value)

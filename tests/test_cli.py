@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,7 @@ import relaymdp
 from relaymdp import dp_complete
 from relaymdp.cli import main
 from relaymdp.dp_restricted import CheckResult, StructureReport
+from relaymdp.model import ModelConfig
 
 SHIPPED_DEFAULT = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
@@ -257,6 +260,55 @@ def test_integer_past_the_float_range_exits_one(small_config, tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
     assert not (tmp_path / "o").exists()
+
+
+# every number a config takes: (command, key, override with {} for the value)
+NUMERIC_KEYS = (
+    [("census", f.name, f"{f.name}={{}}")
+     for f in dataclasses.fields(ModelConfig) if f.type == "float"]
+    + [("sweep", key, f"sweep.{key}=[1.0, {{}}]") for key in ("eta_values", "delta_values")]
+    + [("calibrate", key, f"calibrate.{key}={{}}")
+       for key in ("target_gamma", "delta", "eta_lo", "eta_hi", "resolution")]
+)
+
+
+@pytest.mark.parametrize("command,key,override", NUMERIC_KEYS,
+                         ids=[f"{command}-{key}" for command, key, _ in NUMERIC_KEYS])
+@pytest.mark.parametrize("value", ["true", '"x"', "NaN", "Infinity", "1" + "0" * 400],
+                         ids=["bool", "str", "nan", "inf", "huge-int"])
+def test_every_number_must_be_finite_and_not_a_bool(small_config, tmp_path, capsys, command,
+                                                    key, override, value):
+    out = tmp_path / "out"
+    code = main([command, "--config", str(small_config), "--out", str(out),
+                 "--override", override.format(value)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert re.search(rf"\b{key} must be a finite number", err), err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override,named", [
+    ("sweep.seed=3", "seed"),
+    ("sweep.threads=2", "threads"),
+    ("sweep.base=1", "base"),
+    ("calibrate.config=1", "config"),
+    ("nonsense.x=1", "nonsense"),
+    ("eta.x=1", "eta"),
+    ("n_relays.x=1", "n_relays"),
+    ("sweep.eta_values.x=1", "sweep.eta_values.x"),
+])
+def test_override_outside_the_config_schema_rejected(small_config, tmp_path, capsys,
+                                                     override, named):
+    # the CLI fills sweep.seed, sweep.threads, sweep.base and calibrate.config
+    # from its own flags and the model config, so no block may set them
+    out = tmp_path / "out"
+    code = main(["census", "--config", str(small_config), "--out", str(out),
+                 "--override", override])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not out.exists()
 
 
 def test_calibrate_command(small_config, tmp_path, capsys):

@@ -312,6 +312,18 @@ class TestActComplete:
             act_complete((2, None, (99,)), tables)
 
 
+def test_overflow_names_the_multiset_without_building_every_tuple():
+    config, family = small_instance(4, 12, 3, eta=1e308, delta=0.05)
+    multiset_space.cache_clear()
+    with pytest.raises(dp_complete.NonFiniteValueError, match="overflows float") as err:
+        solve_complete(family, config)
+    found = re.search(r"multiset size (\d+), row (\d+) (\(.*?\)), bin", str(err.value))
+    size, row, named = int(found[1]), int(found[2]), found[3]
+    space = multiset_space(len(family), config.n_relays)
+    assert named == str(tuple(space.members[size][row].tolist()))
+    assert "msets" not in space.__dict__
+
+
 class TestCensus:
     def test_stars_and_bars_matches_enumeration(self):
         for n_types in (3, 5, 20):

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import corrupted, small_instance
 from oracles import reference_components
+from relaymdp import experiments
 from relaymdp._kernels import CONTINUE, NO_ACTION, PROBE, STOP, IllegalActionError
 from relaymdp.dp_complete import _induction, initial_value, solve_complete
 from relaymdp.dp_restricted import backward_induction
@@ -335,8 +336,42 @@ class TestSweep:
                 policies=("nope",),
             ).validate()
 
+    @pytest.mark.parametrize("key", ["eta_values", "delta_values"])
+    @pytest.mark.parametrize("bad", [True, "0.5", float("nan"), 10 ** 400],
+                             ids=["bool", "str", "nan", "huge-int"])
+    def test_spec_rejects_a_grid_entry_that_is_not_a_finite_number(self, small_base, key,
+                                                                     bad):
+        config, _ = small_base
+        with pytest.raises(ValueError, match=f"sweep.{key} must be a finite number"):
+            SweepSpec(base=config, **{key: (1.0, bad)}).validate()
+
+    def test_spec_defaults_are_the_sweep_block_defaults(self, small_base):
+        config, _ = small_base
+        spec = SweepSpec(base=config)
+        assert spec.eta_values == default_eta_grid() and len(spec.eta_values) == 20
+        assert spec.delta_values == (0.1, 0.01)
+        assert spec.policies == ("rst", "glb")
+        assert spec.n_episodes == 2000
+
+
+CALIBRATE_NUMBERS = {"target_gamma": 0.1, "delta": 0.05, "eta_lo": 0.0, "eta_hi": 10.0,
+                     "resolution": 0.05}
+
 
 class TestCalibration:
+    @pytest.mark.parametrize("name", list(CALIBRATE_NUMBERS))
+    @pytest.mark.parametrize("bad", [True, "0.2", 10 ** 400], ids=["bool", "str", "huge-int"])
+    def test_a_bad_number_is_named_before_any_solve(self, small_base, monkeypatch, name, bad):
+        config, _ = small_base
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("calibrate_eta solved before checking its arguments")
+
+        monkeypatch.setattr(experiments, "build_forwarding_region", no_solve)
+        monkeypatch.setattr(experiments, "backward_induction", no_solve)
+        with pytest.raises(ValueError, match=f"calibrate {name} must be a finite number"):
+            calibrate_eta(config=config, **{**CALIBRATE_NUMBERS, name: bad})
+
     def test_zero_target_returns_smallest_eta(self, small_base):
         config, _ = small_base
         result = calibrate_eta(0.0, delta=0.05, config=config, eta_hi=20.0)

@@ -15,6 +15,7 @@ from relaymdp.model import (
     TotalOrderError,
     build_forwarding_region,
     build_ordered_family,
+    finite_number,
     normalization_constant,
     order_family,
     reward_grid,
@@ -59,6 +60,28 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
             ModelConfig.from_dict({"v0": 10.0, "typo_field": 1})
+
+    @pytest.mark.parametrize("field,build", [
+        ("eta", lambda: ModelConfig(eta=10 ** 400).validate()),
+        ("tau", lambda: ModelConfig().with_overrides(tau=10 ** 400)),
+        ("v0", lambda: ModelConfig.from_dict({"v0": 10 ** 400})),
+    ], ids=["validate", "with_overrides", "from_dict"])
+    def test_integer_past_the_float_range_is_a_config_error(self, field, build):
+        with pytest.raises(ConfigError, match=f"^{field} must be a finite number"):
+            build()
+
+
+class TestFiniteNumber:
+    @pytest.mark.parametrize("value", [3, 2.5, -0.0, np.float64(0.25), np.int64(7), 10 ** 300])
+    def test_a_finite_real_becomes_a_float(self, value):
+        number = finite_number(value, "x")
+        assert type(number) is float and number == float(value)
+
+    @pytest.mark.parametrize("value", [True, False, "0.2", None, [1.0], math.nan, math.inf,
+                                       -math.inf, 10 ** 400, -(10 ** 400), np.bool_(True)])
+    def test_anything_else_is_a_config_error_naming_the_field(self, value):
+        with pytest.raises(ConfigError, match="^sweep.eta_values must be a finite number"):
+            finite_number(value, "sweep.eta_values")
 
 
 class TestForwardingRegion:

@@ -4,6 +4,7 @@ the CLI's own artifact payloads."""
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,6 +72,24 @@ def test_cli_payloads_match_json_dump(path):
     ):
         write_json(path, payload)
         assert path.read_bytes() == expected(payload)
+
+
+def test_nan_table_entry_is_not_written_as_a_sentinel(path):
+    config, family = small_instance(4, 12, 3, eta=2.0, delta=0.05)
+    tables = backward_induction(family, config)
+    keys = ("j_b", "j_bf", "cc_b", "cc_bf", "cp_bf")
+    sentinels = {key: np.isposinf(getattr(tables, key)) for key in keys}
+    assert not sentinels["j_b"][0, 2]
+    tables.j_b[0, 2] = math.nan
+    payload = tables_to_json(tables)
+    assert math.isnan(payload["j_b"][0][2])
+    for key in keys:
+        nulls = np.equal(np.array(payload[key], dtype=object), None)
+        assert nulls.tolist() == sentinels[key].tolist()
+    write_json(path, payload)
+    text = path.read_text()
+    assert text.count("NaN") == 1
+    assert text.count("null") == sum(int(mask.sum()) for mask in sentinels.values()) > 0
 
 
 def test_nan_is_written_as_nan_not_null(path):
