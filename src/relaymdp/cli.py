@@ -33,9 +33,9 @@ from .dp_restricted import (
 )
 from .experiments import (
     POLICY_NAMES,
-    InfeasibleGammaError,
     SweepSpec,
     calibrate_eta,
+    check_threads,
     complete_components,
     config_hash,
     emit_plot_data,
@@ -51,7 +51,7 @@ from .model import (
     build_ordered_family,
     family_to_json,
 )
-from .simulate import monte_carlo
+from .simulate import check_episode_count, check_seed, monte_carlo
 
 COMMANDS = (
     "solve-restricted", "solve-complete", "simulate", "verify", "sweep",
@@ -72,24 +72,19 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _whole_number(low: int, high: float, wanted: str, source: str):
-    """An argparse type: a whole number with low <= n < high, whose error
-    says what is ``wanted`` and names the ``source`` of the text."""
+def _integer_flag(check, source: str):
+    """An argparse type: the text as an integer that passes ``check``, whose
+    error names the ``source`` of the text."""
     def parse(text: str) -> int:
         try:
             value = int(text)
         except ValueError:
-            value = low - 1
-        if not low <= value < high:
-            raise argparse.ArgumentTypeError(
-                f"{text!r} is not a whole number {wanted} (from {source})")
-        return value
+            value = text  # not an integer: the check says what it wants
+        try:
+            return check(value)
+        except ConfigError as err:
+            raise argparse.ArgumentTypeError(f"{err} (from {source})") from None
     return parse
-
-
-# a master seed keys the counter-based streams, which take 128-bit keys
-_seed = _whole_number(0, 2 ** 128, "in 0 .. 2**128 - 1", "--seed")
-_thread_count = _whole_number(1, float("inf"), "of at least 1", "--threads or RELAYMDP_THREADS")
 
 
 def _build_parser() -> _Parser:
@@ -100,10 +95,10 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=_seed, default=0)
+        p.add_argument("--seed", type=_integer_flag(check_seed, "--seed"), default=0)
         # a string default goes through the type check too, when the flag is absent
         p.add_argument(
-            "--threads", type=_thread_count,
+            "--threads", type=_integer_flag(check_threads, "--threads or RELAYMDP_THREADS"),
             default=os.environ.get("RELAYMDP_THREADS", "1"),
             help="worker cap (env RELAYMDP_THREADS as fallback)",
         )
@@ -113,7 +108,8 @@ def _build_parser() -> _Parser:
         )
         if name == "simulate":
             p.add_argument("--policy", choices=POLICY_NAMES, default="rst")
-            p.add_argument("--episodes", type=int, default=10000)
+            p.add_argument("--episodes", type=_integer_flag(check_episode_count, "--episodes"),
+                           default=10000)
         if name == "calibrate":
             p.add_argument("--gamma", type=float, default=None,
                            help="effective-reward target (overrides config)")
@@ -132,7 +128,7 @@ def _parse_override(text: str) -> tuple[list[str], object]:
         raise ConfigError(f"override path {key.strip()!r} reaches below a config block's keys")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an integer past int's digit limit: the key's rule names it
         value = raw
     return keys, value
 
@@ -143,7 +139,7 @@ def _load_config_doc(path: str, overrides: list[str]) -> dict:
         raise ConfigError(f"config file not found: {p}")
     try:
         doc = json.loads(p.read_text())
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an integer past int's digit limit
         raise ConfigError(f"config file {p} is not valid JSON: {err}") from err
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {p} must hold a JSON object")
@@ -156,10 +152,6 @@ def _load_config_doc(path: str, overrides: list[str]) -> dict:
             target = _config_block(target, key)
         target[keys[-1]] = value
 
-    known_top = set(ModelConfig.field_names()) | {"sweep", "calibrate"}
-    unknown = set(doc) - known_top
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for block, allowed in (("sweep", _SWEEP_KEYS), ("calibrate", _CALIBRATE_KEYS)):
         extra = set(_config_block(doc, block)) - allowed
         if extra:
@@ -173,11 +165,6 @@ def _config_block(doc: dict, name: str) -> dict:
     if not isinstance(block, dict):
         raise ConfigError(f"config block {name!r} must be a JSON object, got {block!r}")
     return block
-
-
-def _model_config(doc: dict) -> ModelConfig:
-    fields = {k: v for k, v in doc.items() if k in ModelConfig.field_names()}
-    return ModelConfig.from_dict(fields)
 
 
 def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
@@ -209,11 +196,12 @@ def main(argv=None) -> int:
 
     try:
         doc = _load_config_doc(args.config, args.override)
-        config = _model_config(doc)
+        # the model's keys, and any unknown one, which from_dict rejects
+        config = ModelConfig.from_dict(
+            {k: v for k, v in doc.items() if k not in ("sweep", "calibrate")})
         out_dir = Path(args.out)
         return _dispatch(args, doc, config, out_dir)
-    except (ConfigError, BudgetExceededError, InfeasibleGammaError, OSError, ValueError,
-            NonThresholdSetError) as err:
+    except (BudgetExceededError, NonThresholdSetError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, NonThresholdSetError) else 1
 

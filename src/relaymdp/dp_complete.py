@@ -25,9 +25,9 @@ import numpy as np
 from ._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, STRUCTURE_TOL, TIE_TOL, Decision,
                        IllegalActionError, action_dtype, decision_of, expect_over_max,
                        resolve_actions)
-from .model import ModelConfig, OrderedFamily, reward_grid
+# check_state_budget reads this module's binding of the budget, which a caller may patch
+from .model import DEFAULT_STATE_BUDGET, ModelConfig, OrderedFamily, reward_grid
 
-DEFAULT_STATE_BUDGET = 50_000_000
 # Float entries of one batch: a chunk of bins of the probe kernel's (type,
 # smaller row) expectations, where small levels take all bins at once and the
 # largest (which set the peak memory) one bin at a time, and a batch of probe

@@ -32,6 +32,7 @@ from .model import (
     build_ordered_family,
     finite_number,
     reward_grid,
+    whole_number,
 )
 from .simulate import Estimates, check_episode_count, check_seed, monte_carlo, probe_first_levels
 
@@ -259,6 +260,11 @@ def default_eta_grid(n: int = 20, lo: float = 0.1, hi: float = 60.0) -> tuple[fl
     return tuple(float(x) for x in np.geomspace(lo, hi, n))
 
 
+def check_threads(threads) -> int:
+    """A sweep's worker cap as an int of at least 1; otherwise ConfigError."""
+    return whole_number(threads, "threads", 1)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep: every policy at every (eta, delta) of the grids.  Its fields
@@ -288,6 +294,7 @@ class SweepSpec:
             raise ValueError(f"unknown policies {sorted(unknown)}; choose from {POLICY_NAMES}")
         check_episode_count(self.n_episodes)
         check_seed(self.seed)
+        check_threads(self.threads)
         return self
 
 

@@ -30,6 +30,9 @@ ORDER_TOL = 1e-12
 
 WAKEUP_LAWS = ("exponential", "deterministic")
 
+# memo entries a solve may store; ModelConfig.validate holds the restricted class to it
+DEFAULT_STATE_BUDGET = 50_000_000
+
 
 class ConfigError(ValueError):
     """Raised for configurations that violate the model's invariants."""
@@ -54,6 +57,17 @@ def finite_number(value, name: str) -> float:
     raise ConfigError(f"{name} must be a finite number, got {value!r}")
 
 
+def whole_number(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int: an integer that is not a bool, with low <= value
+    and, when ``high`` is given, value < high.  Otherwise ConfigError naming
+    ``name`` and its range."""
+    if (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and low <= value and (high is None or value < high)):
+        return int(value)
+    wanted = f">= {low}" if high is None else f"in {low} .. {high - 1}"
+    raise ConfigError(f"{name} must be an integer {wanted}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     """Full parameterization of one relay-selection instance.
@@ -76,15 +90,22 @@ class ModelConfig:
     delta: float = 0.1
     wakeup_law: str = "exponential"
     tail_mass: float = 0.3
+    # the lowest value of each integer field (a plain class attribute)
+    _LOWEST = {"n_locations": 1, "n_reward_bins": 2, "n_relays": 1}
 
     def validate(self) -> "ModelConfig":
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "float":
                 finite_number(value, f.name)
-            elif f.type == "int" and (isinstance(value, bool)
-                                      or not isinstance(value, numbers.Integral)):
-                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+            elif f.type == "int":
+                whole_number(value, f.name, self._LOWEST[f.name])
+        # the restricted class's tables, allocated first; in Python ints, which
+        # cannot wrap as a numpy integer field would
+        size = int(self.n_relays) * (int(self.n_reward_bins) + 1) * (int(self.n_locations) + 1)
+        if size > DEFAULT_STATE_BUDGET:
+            raise ConfigError(f"n_relays * (n_reward_bins + 1) * (n_locations + 1) = {size} "
+                              f"memo entries, over the state budget of {DEFAULT_STATE_BUDGET}")
         if not (self.v0 > self.comm_radius > 0.0):
             raise ConfigError(
                 f"need v0 > comm_radius > 0, got v0={self.v0}, comm_radius={self.comm_radius}"
@@ -95,18 +116,12 @@ class ModelConfig:
             raise ConfigError(f"path-loss exponent must be >= 0, got {self.beta}")
         if self.gamma_n0 <= 0.0:
             raise ConfigError(f"gamma_n0 must be positive, got {self.gamma_n0}")
-        if self.n_relays < 1:
-            raise ConfigError(f"need at least one relay, got {self.n_relays}")
         if self.tau <= 0.0:
             raise ConfigError(f"mean inter-wake-up time must be positive, got {self.tau}")
         if self.eta < 0.0:
             raise ConfigError(f"Lagrange multiplier eta must be >= 0, got {self.eta}")
         if self.delta < 0.0:
             raise ConfigError(f"probe cost delta must be >= 0, got {self.delta}")
-        if self.n_locations < 1:
-            raise ConfigError(f"need at least one location, got {self.n_locations}")
-        if self.n_reward_bins < 2:
-            raise ConfigError(f"need at least two reward bins, got {self.n_reward_bins}")
         if self.wakeup_law not in WAKEUP_LAWS:
             raise ConfigError(
                 f"wakeup_law must be one of {WAKEUP_LAWS}, got {self.wakeup_law!r}"
@@ -134,9 +149,7 @@ class ModelConfig:
             value = data[f.name]
             if f.type == "float":
                 value = finite_number(value, f.name)
-            elif f.type == "int" and isinstance(value, float):
-                if not value.is_integer():
-                    raise ConfigError(f"{f.name} must be an integer, got {value}")
+            elif f.type == "int" and isinstance(value, float) and value.is_integer():
                 value = int(value)
             coerced[f.name] = value
         return cls(**coerced).validate()

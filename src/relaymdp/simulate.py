@@ -21,15 +21,15 @@ episodes, whatever the number of threads or the order of the work.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, action_dtype, illegal_action,
                        legal_actions)
-from .dp_complete import CompleteTables, check_state_budget, multiset_space
-from .model import ModelConfig, OrderedFamily, reward_grid
+from . import dp_complete
+from .dp_complete import BudgetExceededError, CompleteTables, check_state_budget, multiset_space
+from .model import DEFAULT_STATE_BUDGET, ModelConfig, OrderedFamily, reward_grid, whole_number
 
 # Nothing here calls these two; perfbench/tracing.py wraps them by their names
 # in this module, so the bindings stay.
@@ -268,23 +268,16 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
 
 
 def check_episode_count(n_episodes) -> int:
-    """The episode count as an int; a bool, a non-integral or a count below
-    one raises ValueError."""
-    if isinstance(n_episodes, bool) or not isinstance(n_episodes, numbers.Integral):
-        raise ValueError(f"n_episodes must be an integer, got {n_episodes!r}")
-    if n_episodes < 1:
-        raise ValueError(f"n_episodes must be >= 1, got {n_episodes}")
-    return int(n_episodes)
+    """The episode count as an int, held to the state budget in entries of
+    its outcome arrays; otherwise ConfigError."""
+    return whole_number(n_episodes, "n_episodes", 1,
+                        DEFAULT_STATE_BUDGET // len(fields(Outcomes)) + 1)
 
 
 def check_seed(seed) -> int:
-    """The master seed, a key of the counter-based streams, as an int; a
-    bool, a non-integral or a seed outside 0 <= seed < 2**128 raises
-    ValueError."""
-    if (isinstance(seed, bool) or not isinstance(seed, numbers.Integral)
-            or not 0 <= seed < 2 ** 128):
-        raise ValueError(f"seed must be an integer in 0 .. 2**128 - 1, got {seed!r}")
-    return int(seed)
+    """The master seed, a key of the counter-based streams, which take 128-bit
+    keys, as an int; otherwise ConfigError."""
+    return whole_number(seed, "seed", 0, 2 ** 128)
 
 
 def episode_outcomes(levels: CompleteTables, n_episodes: int, seed: int) -> Outcomes:
@@ -292,6 +285,10 @@ def episode_outcomes(levels: CompleteTables, n_episodes: int, seed: int) -> Outc
     master seed, drawn and replayed a block at a time."""
     count = check_episode_count(n_episodes)
     seed = check_seed(seed)
+    # a block draws several (EPISODES_PER_BLOCK, n_relays) arrays, each held to the budget
+    entries = EPISODES_PER_BLOCK * levels.config.n_relays
+    if entries > dp_complete.DEFAULT_STATE_BUDGET:
+        raise BudgetExceededError(entries, dp_complete.DEFAULT_STATE_BUDGET)
     parts = []
     for j, first in enumerate(range(0, count, EPISODES_PER_BLOCK)):
         block = sample_episode(levels.family, levels.config, block_rng(seed, j))

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -285,6 +286,75 @@ def test_every_number_must_be_finite_and_not_a_bool(small_config, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert re.search(rf"\b{key} must be a finite number", err), err
+    assert not out.exists()
+
+
+# every integer that enters from outside: (command, argv with {} for the value,
+# what the error names, one below the lowest value, one past the highest value
+# or, for the model's sizes, a value past the state budget)
+INTEGER_INPUTS = {
+    "n_locations": ("census", ["--override", "n_locations={}"], "n_locations", 0, 10 ** 8),
+    "n_reward_bins": ("census", ["--override", "n_reward_bins={}"], "n_reward_bins", 1,
+                      10 ** 8),
+    "n_relays": ("census", ["--override", "n_relays={}"], "n_relays", 0, 10 ** 9),
+    "sweep.n_episodes": ("sweep", ["--override", "sweep.n_episodes={}"], "n_episodes", 0,
+                         8_333_334),
+    "--seed": ("census", ["--seed", "{}"], "--seed", -1, 2 ** 128),
+    "--threads": ("census", ["--threads", "{}"], "--threads", 0, None),
+    "--episodes": ("simulate", ["--episodes", "{}"], "--episodes", 0, 8_333_334),
+}
+INTEGER_CASES = [
+    (name, value)
+    for name, (_, _, _, below, past) in INTEGER_INPUTS.items()
+    for value in ("true", "2.5", '"x"', str(below)) + (() if past is None else (str(past),))
+]
+
+
+@pytest.mark.parametrize("name,value", INTEGER_CASES,
+                         ids=[f"{name}-{value[:12]}" for name, value in INTEGER_CASES])
+def test_every_integer_input_is_checked_where_it_enters(small_config, tmp_path, capsys, name,
+                                                        value):
+    command, argv, named, _, past = INTEGER_INPUTS[name]
+    out = tmp_path / "out"
+    start = time.perf_counter()
+    code = main([command, "--config", str(small_config), "--out", str(out),
+                 *(arg.format(value) for arg in argv)])
+    assert time.perf_counter() - start < 2.0
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert named in err, err
+    wanted = "over the state budget" if name.startswith("n_") and value == str(past) else (
+        "must be an integer")
+    assert wanted in err, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,named", [
+    ("tau", "tau must be a finite number"),
+    ("n_relays", "n_relays must be an integer"),
+    ("sweep.n_episodes", "n_episodes must be an integer"),
+])
+def test_integer_literal_past_the_digit_limit_is_named_by_its_key(small_config, tmp_path,
+                                                                   capsys, key, named):
+    # json.loads refuses to convert more than 4300 digits; the text then
+    # reaches the key's own rule
+    out = tmp_path / "out"
+    code = main(["sweep" if key.startswith("sweep.") else "census", "--config",
+                 str(small_config), "--out", str(out), "--override", f"{key}=1{'0' * 5000}"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_file_with_an_integer_past_the_digit_limit_is_not_valid_json(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(f'{{"n_relays": 1{"0" * 5000}}}')
+    out = tmp_path / "out"
+    assert main(["census", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {path} is not valid JSON")
     assert not out.exists()
 
 

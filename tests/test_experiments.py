@@ -24,6 +24,7 @@ from relaymdp.experiments import (
     restricted_components,
     run_sweep,
 )
+from relaymdp.model import ConfigError
 from relaymdp.simulate import block_rng, probe_first_levels, run_policy, sample_episode
 
 
@@ -506,6 +507,17 @@ class TestEmit:
                          n_episodes=count)
         with pytest.raises(ValueError, match="n_episodes"):
             spec.validate()
+
+    @pytest.mark.parametrize("threads", ["4", 2.5, True, 0, -3])
+    def test_bad_thread_counts_rejected(self, small_base, threads):
+        config, _ = small_base
+        spec = SweepSpec(base=config, eta_values=(1.0,), delta_values=(0.1,),
+                         threads=threads)
+        named = f"^threads must be an integer >= 1, got {threads!r}$"
+        with pytest.raises(ConfigError, match=named):
+            spec.validate()
+        with pytest.raises(ConfigError, match="^threads must be"):
+            run_sweep(spec)
 
     def test_reruns_are_byte_identical(self, small_base, tmp_path):
         config, _ = small_base

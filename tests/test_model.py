@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 from itertools import product
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_family
+from relaymdp import model
 from relaymdp.model import (
     ConfigError,
     LocationGrid,
@@ -20,6 +22,7 @@ from relaymdp.model import (
     order_family,
     reward_grid,
     reward_scale,
+    whole_number,
 )
 
 
@@ -82,6 +85,75 @@ class TestFiniteNumber:
     def test_anything_else_is_a_config_error_naming_the_field(self, value):
         with pytest.raises(ConfigError, match="^sweep.eta_values must be a finite number"):
             finite_number(value, "sweep.eta_values")
+
+
+class TestWholeNumber:
+    @pytest.mark.parametrize("value,low,high", [
+        (0, 0, None), (7, 1, None), (10 ** 400, 1, None), (np.int64(3), 1, 4),
+        (2 ** 128 - 1, 0, 2 ** 128),
+    ])
+    def test_an_integer_in_range_becomes_an_int(self, value, low, high):
+        number = whole_number(value, "x", low, high)
+        assert type(number) is int and number == value
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 2.0, 2.5, "3", None,
+                                       math.nan, [3]])
+    def test_anything_but_an_integer_is_a_config_error_naming_the_field(self, value):
+        with pytest.raises(ConfigError, match=r"^sweep\.n_episodes must be an integer >= 1"):
+            whole_number(value, "sweep.n_episodes", 1)
+
+    @pytest.mark.parametrize("value,low,high,wanted", [
+        (0, 1, None, ">= 1"), (-1, 0, 10, "in 0 .. 9"), (10, 0, 10, "in 0 .. 9"),
+        (1, 2, 5, "in 2 .. 4"),
+    ])
+    def test_an_integer_out_of_range_is_a_config_error_naming_the_range(self, value, low,
+                                                                        high, wanted):
+        with pytest.raises(ConfigError, match=f"^n must be an integer {wanted}, got {value}$"):
+            whole_number(value, "n", low, high)
+
+
+class TestSizeRule:
+    """The restricted class's n_relays * (n_reward_bins + 1) * (n_locations + 1)
+    entries must fit the state budget, checked before anything is allocated."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: ModelConfig(n_relays=10 ** 9).validate(),
+        lambda: ModelConfig(n_reward_bins=10 ** 8).validate(),
+        lambda: ModelConfig(n_locations=10 ** 7).validate(),
+        lambda: ModelConfig.from_dict({"n_relays": 1e20}),
+        lambda: ModelConfig().with_overrides(n_relays=10 ** 400),
+        lambda: ModelConfig(n_relays=np.int64(2 ** 62)).validate(),
+    ], ids=["n_relays", "n_reward_bins", "n_locations", "from_dict_float", "10**400",
+            "numpy_int64"])
+    def test_oversized_configs_are_refused_at_once(self, build):
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match="over the state budget of 50000000"):
+            build()
+        assert time.perf_counter() - start < 1.0
+
+    def test_the_budget_is_met_exactly_at_its_edge(self):
+        # 101 * 21 entries per stage at the reference L and B
+        longest = model.DEFAULT_STATE_BUDGET // (101 * 21)
+        assert ModelConfig(n_relays=longest).validate().n_relays == longest == 23_573
+        with pytest.raises(ConfigError, match=f"= {(longest + 1) * 101 * 21} memo entries"):
+            ModelConfig(n_relays=longest + 1).validate()
+
+    def test_the_rule_reads_the_model_budget(self, monkeypatch):
+        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", 5 * 101 * 21 - 1)
+        with pytest.raises(ConfigError, match="over the state budget of 10604"):
+            ModelConfig().validate()
+
+    @pytest.mark.parametrize("field,low", [("n_locations", 1), ("n_reward_bins", 2),
+                                           ("n_relays", 1)])
+    def test_integer_fields_have_their_lowest_values(self, field, low):
+        assert getattr(ModelConfig(**{field: low}).validate(), field) == low
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer >= {low}, got"):
+            ModelConfig(**{field: low - 1}).validate()
+
+    @pytest.mark.parametrize("value", [True, 2.5, "x", math.inf, math.nan])
+    def test_integer_fields_refuse_what_is_not_an_integer(self, value):
+        with pytest.raises(ConfigError, match="^n_relays must be an integer >= 1, got"):
+            ModelConfig.from_dict({"n_relays": value})
 
 
 class TestForwardingRegion:

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import small_instance
 from oracles import reference_run_policy
-from relaymdp import dp_complete
+from relaymdp import dp_complete, simulate
 from relaymdp.dp_complete import (BudgetExceededError, _induction, _states_per_stage,
                                   initial_value, solve_complete)
 from relaymdp.dp_restricted import backward_induction
@@ -16,6 +16,7 @@ from relaymdp.model import ModelConfig, reward_grid
 from relaymdp.simulate import (
     EPISODES_PER_BLOCK,
     block_rng,
+    check_episode_count,
     check_seed,
     episode_outcomes,
     monte_carlo,
@@ -304,13 +305,37 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="n_episodes must be an integer"):
             monte_carlo(probe_first_levels(family, config), count, seed=0)
 
+    def test_episode_counts_are_held_to_the_state_budget(self):
+        # six outcome arrays of one entry per episode; no episode is drawn here
+        assert check_episode_count(8_333_333) == 8_333_333
+        with pytest.raises(ValueError, match=r"^n_episodes must be an integer in 1 \.\. 8333333, "
+                                             "got 8333334$"):
+            check_episode_count(8_333_334)
+
+    def test_an_episode_block_is_held_to_the_state_budget(self, sim_instance, monkeypatch):
+        # each (EPISODES_PER_BLOCK, n_relays) array of a block must fit, checked
+        # before anything is drawn
+        config, family = sim_instance
+        levels = probe_first_levels(family, config)
+        needed = EPISODES_PER_BLOCK * config.n_relays
+        monkeypatch.setattr(dp_complete, "DEFAULT_STATE_BUDGET", needed)
+        assert len(episode_outcomes(levels, 10, 0).delay) == 10
+        monkeypatch.setattr(dp_complete, "DEFAULT_STATE_BUDGET", needed - 1)
+
+        def never(*args):
+            raise AssertionError("an episode block was drawn")
+
+        monkeypatch.setattr(simulate, "sample_episode", never)
+        with pytest.raises(BudgetExceededError, match=f"needs {needed} memo entries"):
+            monte_carlo(levels, 10, seed=0)
+
     @pytest.mark.parametrize("seed", [True, 1.5, 1.0, "1", -1, 2 ** 128],
                              ids=["bool", "float", "integral_float", "str", "negative", "2**128"])
     def test_bad_seeds_rejected(self, sim_instance, seed):
         # a bool or a float must not pass for the integer it equals
         config, family = sim_instance
         levels = probe_first_levels(family, config)
-        named = re.escape(f"seed must be an integer in 0 .. 2**128 - 1, got {seed!r}")
+        named = re.escape(f"seed must be an integer in 0 .. {2 ** 128 - 1}, got {seed!r}")
         with pytest.raises(ValueError, match=named):
             monte_carlo(levels, 10, seed)
         with pytest.raises(ValueError, match=named):
