@@ -4,6 +4,7 @@ and Monte-Carlo simulation for sleep-wake cycling geographic forwarding."""
 __version__ = "0.1.0"
 
 from .model import (
+    BudgetExceededError,
     ConfigError,
     LocationGrid,
     ModelConfig,
@@ -26,7 +27,6 @@ from .dp_restricted import (
 )
 from .dp_restricted import initial_value as restricted_initial_value
 from .dp_complete import (
-    BudgetExceededError,
     CompleteTables,
     NonFiniteValueError,
     UnreachableStateError,

@@ -17,7 +17,6 @@ from pathlib import Path
 
 from . import __version__
 from .dp_complete import (
-    BudgetExceededError,
     initial_value,
     policy_to_json,
     solve_complete,
@@ -201,7 +200,7 @@ def main(argv=None) -> int:
             {k: v for k, v in doc.items() if k not in ("sweep", "calibrate")})
         out_dir = Path(args.out)
         return _dispatch(args, doc, config, out_dir)
-    except (BudgetExceededError, NonThresholdSetError, OSError, ValueError) as err:
+    except (NonThresholdSetError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err, NonThresholdSetError) else 1
 

@@ -25,8 +25,8 @@ import numpy as np
 from ._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, STRUCTURE_TOL, TIE_TOL, Decision,
                        IllegalActionError, action_dtype, decision_of, expect_over_max,
                        resolve_actions)
-# check_state_budget reads this module's binding of the budget, which a caller may patch
-from .model import DEFAULT_STATE_BUDGET, ModelConfig, OrderedFamily, reward_grid
+from .model import (BudgetExceededError, ModelConfig, OrderedFamily, check_budget,  # noqa: F401
+                    reward_grid, whole_number)
 
 # Float entries of one batch: a chunk of bins of the probe kernel's (type,
 # smaller row) expectations, where small levels take all bins at once and the
@@ -40,27 +40,12 @@ BATCH_ELEMENTS = 1 << 18
 OVERFLOW_ELEMENTS = 1 << 13
 
 
-class BudgetExceededError(RuntimeError):
-    def __init__(self, projected: int, budget: int):
-        super().__init__(
-            f"state space needs {projected} memo entries, over the budget of "
-            f"{budget}; reduce n_locations, n_relays or n_reward_bins"
-        )
-        self.projected = projected
-        self.budget = budget
-
-
 class NonFiniteValueError(ValueError):
     """A solved value is NaN, or infinite in a state with a legal action."""
 
 
 class UnreachableStateError(ValueError):
     """A state no policy reaches, whose entry the tables do not hold."""
-
-
-def _is_index(value) -> bool:
-    """Whether ``value`` is an integer and not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _sorted_multiset(mset) -> tuple:
@@ -141,9 +126,8 @@ class MultisetSpace:
 
     def row(self, mset: tuple[int, ...]) -> int:
         """The row of a sorted multiset; ValueError if the space lacks it."""
-        g = tuple(mset)
-        if (len(g) > self.max_size or list(g) != sorted(g)
-                or not all(_is_index(t) and 0 <= t < self.n_types for t in g)):
+        g = tuple(whole_number(t, "multiset member", 0, self.n_types) for t in mset)
+        if len(g) > self.max_size or list(g) != sorted(g):
             raise ValueError(
                 f"multiset {mset!r} is not a sorted multiset of at most {self.max_size} "
                 f"of the types 0..{self.n_types - 1}")
@@ -203,16 +187,14 @@ class CompleteTables:
         (nothing probed); ValueError naming a field that no state here holds,
         UnreachableStateError at a real bin of a level of the none row alone."""
         g = _sorted_multiset(mset)
-        if not (_is_index(stage) and 1 <= stage <= self.n_stages):
-            raise ValueError(f"stage {stage!r} is not an integer in 1..{self.n_stages}")
+        stage = whole_number(stage, "stage", 1, self.n_stages + 1)
         if len(g) > stage:
             raise ValueError(f"multiset of size {len(g)} cannot occur at stage {stage}")
         if len(g) > self.capacity:
-            raise ValueError(f"multiset {g} holds {len(g)} unprobed relays, but these tables keep "
-                             f"at most {self.capacity} unprobed relays awake")
-        if best is not None and not (_is_index(best) and 0 <= best < self.n_bins):
-            raise ValueError(f"best-reward index {best!r} is not a bin of 0..{self.n_bins - 1}")
-        row = self.space.row(g)  # a ValueError naming g at an unknown or bool type
+            raise ValueError(f"multiset of size {len(g)}: these tables keep at most "
+                             f"{self.capacity} unprobed relays awake")
+        best = None if best is None else whole_number(best, "best-reward index", 0, self.n_bins)
+        row = self.space.row(g)  # a ValueError at an unknown or bool type
         if best is None:
             return len(g), row, -1
         if self.values[stage - 1][len(g)].shape[1] == 1:
@@ -261,14 +243,6 @@ def _projected_states(n_types: int, n_bins: int, n_stages: int, capacity: int) -
     """Memo entries of the capacity-c levels, cached because every cell of a
     sweep asks again, and at a long horizon the big binomials take 0.2 s."""
     return sum(_states_per_stage(n_types, n_bins, n_stages, capacity))
-
-
-def check_state_budget(n_types: int, n_bins: int, n_stages: int, capacity: int) -> None:
-    """BudgetExceededError unless the memo entries of the capacity-c levels
-    fit DEFAULT_STATE_BUDGET."""
-    projected = _projected_states(n_types, n_bins, n_stages, capacity)
-    if projected > DEFAULT_STATE_BUDGET:
-        raise BudgetExceededError(projected, DEFAULT_STATE_BUDGET)
 
 
 def projected_state_count(n_types: int, n_bins: int, n_stages: int) -> int:
@@ -428,7 +402,13 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
     capacity = min(capacity, n_stages)  # as ``CompleteTables.capacity`` reads it
     eta, delta, tau = config.eta, config.delta, config.tau
 
-    check_state_budget(n_types, n_bins, n_stages, capacity)
+    entries = _projected_states(n_types, n_bins, n_stages, capacity)
+    if capacity < n_stages:  # and the kept rows at stages c+1..N (``CompleteTables``)
+        cols = (n_stages - capacity) * (n_bins + 1)
+        cols -= n_bins * _none_column_only(capacity, capacity, capacity)
+        entries += n_types * math.comb(n_types + capacity - 1, capacity) * cols
+    check_budget(entries, f"the capacity-{capacity} tables over {n_types} types, {n_bins} "
+                          f"bins and {n_stages} stages")
     space = multiset_space(n_types, capacity)
     pmf, cdf = family.pmf_matrix, family.cdf_matrix
     stop = np.append(-eta * reward_grid(n_bins), np.inf)

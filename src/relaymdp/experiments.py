@@ -22,10 +22,11 @@ import numpy as np
 
 from . import __version__
 from ._kernels import CONTINUE, PROBE, STOP, illegal_action, legal_actions
-from .dp_complete import (BATCH_ELEMENTS, OVERFLOW_ELEMENTS, BudgetExceededError, CompleteTables,
-                          initial_value, solve_complete)
+from .dp_complete import (BATCH_ELEMENTS, OVERFLOW_ELEMENTS, CompleteTables, initial_value,
+                          solve_complete)
 from .dp_restricted import RestrictedTables, backward_induction, extract_thresholds
 from .model import (
+    BudgetExceededError,
     ModelConfig,
     OrderedFamily,
     build_forwarding_region,

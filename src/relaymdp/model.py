@@ -30,7 +30,7 @@ ORDER_TOL = 1e-12
 
 WAKEUP_LAWS = ("exponential", "deterministic")
 
-# memo entries a solve may store; ModelConfig.validate holds the restricted class to it
+# entries a solve or a simulation may allocate; check_budget reads it at each call
 DEFAULT_STATE_BUDGET = 50_000_000
 
 
@@ -40,6 +40,27 @@ class ConfigError(ValueError):
 
 class TotalOrderError(ValueError):
     """Raised when a distribution family is not totally stochastically ordered."""
+
+
+class BudgetExceededError(ConfigError):
+    """Sizes past the state budget: ``projected`` entries against ``budget``."""
+
+
+def _shown(value) -> str:
+    """``value``'s repr, or an integer past Python's digit limit for one by its size."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<an integer of {value.bit_length()} bits>"
+
+
+def check_budget(entries: int, what: str) -> None:
+    """BudgetExceededError naming ``what`` if its ``entries`` exceed DEFAULT_STATE_BUDGET."""
+    if entries > DEFAULT_STATE_BUDGET:
+        err = BudgetExceededError(f"{what} = {_shown(entries)} memo entries, over the state "
+                                  f"budget of {DEFAULT_STATE_BUDGET}")
+        err.projected, err.budget = entries, DEFAULT_STATE_BUDGET
+        raise err
 
 
 def finite_number(value, name: str) -> float:
@@ -65,7 +86,7 @@ def whole_number(value, name: str, low: int, high: int | None = None) -> int:
             and low <= value and (high is None or value < high)):
         return int(value)
     wanted = f">= {low}" if high is None else f"in {low} .. {high - 1}"
-    raise ConfigError(f"{name} must be an integer {wanted}, got {value!r}")
+    raise ConfigError(f"{name} must be an integer {wanted}, got {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -100,12 +121,11 @@ class ModelConfig:
                 finite_number(value, f.name)
             elif f.type == "int":
                 whole_number(value, f.name, self._LOWEST[f.name])
-        # the restricted class's tables, allocated first; in Python ints, which
-        # cannot wrap as a numpy integer field would
-        size = int(self.n_relays) * (int(self.n_reward_bins) + 1) * (int(self.n_locations) + 1)
-        if size > DEFAULT_STATE_BUDGET:
-            raise ConfigError(f"n_relays * (n_reward_bins + 1) * (n_locations + 1) = {size} "
-                              f"memo entries, over the state budget of {DEFAULT_STATE_BUDGET}")
+        # the restricted class's values and its (L, L, B+1) kept rows at stages
+        # 2..N, in Python ints, which cannot wrap as a numpy integer field would
+        n, bins, types = int(self.n_relays), int(self.n_reward_bins), int(self.n_locations)
+        check_budget((bins + 1) * (n * (types + 1) + (n - 1) * types ** 2), "(n_reward_bins + 1)"
+                     " * (n_relays * (n_locations + 1) + (n_relays - 1) * n_locations ** 2)")
         if not (self.v0 > self.comm_radius > 0.0):
             raise ConfigError(
                 f"need v0 > comm_radius > 0, got v0={self.v0}, comm_radius={self.comm_radius}"

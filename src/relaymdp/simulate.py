@@ -27,9 +27,8 @@ import numpy as np
 
 from ._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, action_dtype, illegal_action,
                        legal_actions)
-from . import dp_complete
-from .dp_complete import BudgetExceededError, CompleteTables, check_state_budget, multiset_space
-from .model import DEFAULT_STATE_BUDGET, ModelConfig, OrderedFamily, reward_grid, whole_number
+from .dp_complete import CompleteTables, multiset_space
+from .model import ModelConfig, OrderedFamily, check_budget, reward_grid, whole_number
 
 # Nothing here calls these two; perfbench/tracing.py wraps them by their names
 # in this module, so the bindings stay.
@@ -150,10 +149,10 @@ def probe_first_levels(family: OrderedFamily, config: ModelConfig) -> CompleteTa
     """The probe-first baseline as capacity-1 levels: at stage 1 it probes the
     awake relay while nothing is probed and stops otherwise; the values are
     that policy's costs.  Later stages are never reached and hold NO_ACTION.
-    BudgetExceededError, before anything is allocated, where those levels
-    would not fit the state budget."""
+    BudgetExceededError, before anything is allocated, where the restricted
+    class, whose levels have these shapes, would not fit the state budget."""
+    config.validate()
     n_loc, none = len(family), family.n_bins
-    check_state_budget(n_loc, none, config.n_relays, 1)
     shapes, stages = ((1, none + 1), (n_loc, none + 1)), range(config.n_relays)
     values = [[np.full(shape, np.inf) for shape in shapes] for _ in stages]
     actions = [[np.full(shape, NO_ACTION, dtype=action_dtype(n_loc)) for shape in shapes]
@@ -270,8 +269,9 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
 def check_episode_count(n_episodes) -> int:
     """The episode count as an int, held to the state budget in entries of
     its outcome arrays; otherwise ConfigError."""
-    return whole_number(n_episodes, "n_episodes", 1,
-                        DEFAULT_STATE_BUDGET // len(fields(Outcomes)) + 1)
+    count = whole_number(n_episodes, "n_episodes", 1)
+    check_budget(len(fields(Outcomes)) * count, "the outcome arrays, n_episodes entries each")
+    return count
 
 
 def check_seed(seed) -> int:
@@ -286,9 +286,8 @@ def episode_outcomes(levels: CompleteTables, n_episodes: int, seed: int) -> Outc
     count = check_episode_count(n_episodes)
     seed = check_seed(seed)
     # a block draws several (EPISODES_PER_BLOCK, n_relays) arrays, each held to the budget
-    entries = EPISODES_PER_BLOCK * levels.config.n_relays
-    if entries > dp_complete.DEFAULT_STATE_BUDGET:
-        raise BudgetExceededError(entries, dp_complete.DEFAULT_STATE_BUDGET)
+    check_budget(EPISODES_PER_BLOCK * levels.config.n_relays,
+                 f"an episode block, {EPISODES_PER_BLOCK} episodes x n_relays")
     parts = []
     for j, first in enumerate(range(0, count, EPISODES_PER_BLOCK)):
         block = sample_episode(levels.family, levels.config, block_rng(seed, j))

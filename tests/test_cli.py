@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import relaymdp
-from relaymdp import dp_complete
+from relaymdp import model
 from relaymdp.cli import main
 from relaymdp.dp_restricted import CheckResult, StructureReport
 from relaymdp.model import ModelConfig
@@ -291,7 +291,7 @@ def test_every_number_must_be_finite_and_not_a_bool(small_config, tmp_path, caps
 
 # every integer that enters from outside: (command, argv with {} for the value,
 # what the error names, one below the lowest value, one past the highest value
-# or, for the model's sizes, a value past the state budget)
+# or, for the model's sizes and the episode counts, a value past the state budget)
 INTEGER_INPUTS = {
     "n_locations": ("census", ["--override", "n_locations={}"], "n_locations", 0, 10 ** 8),
     "n_reward_bins": ("census", ["--override", "n_reward_bins={}"], "n_reward_bins", 1,
@@ -324,7 +324,8 @@ def test_every_integer_input_is_checked_where_it_enters(small_config, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert named in err, err
-    wanted = "over the state budget" if name.startswith("n_") and value == str(past) else (
+    # every past value but the seed's is past the state budget
+    wanted = "over the state budget" if name != "--seed" and value == str(past) else (
         "must be an integer")
     assert wanted in err, err
     assert not out.exists()
@@ -416,12 +417,13 @@ def test_budget_exceeded_at_a_long_horizon_exits_one(small_config, tmp_path, cap
 
 
 def test_probe_first_budget_exceeded_exits_one(small_config, tmp_path, capsys, monkeypatch):
-    # 3 stages of the capacity-1 shapes, 13 x (1 + 4) entries each
-    monkeypatch.setattr(dp_complete, "DEFAULT_STATE_BUDGET", 194)
+    # the probe-first levels are held to the restricted class's entries: 3
+    # stages of 13 x (1 + 4) values and 2 of 13 x 4 x 4 kept rows
+    monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", 610)
     code = main(["simulate", "--config", str(small_config), "--out", str(tmp_path / "o"),
                  "--policy", "first", "--episodes", "10"])
     assert code == 1
-    assert "needs 195 memo entries, over the budget of 194" in capsys.readouterr().err
+    assert "= 611 memo entries, over the state budget of 610" in capsys.readouterr().err
 
 
 # one cell per policy; glb at 8 relays of the shipped config needs about 123M

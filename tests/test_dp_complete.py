@@ -23,7 +23,7 @@ from oracles import (
     reference_ranked_members,
     reference_states_per_stage,
 )
-from relaymdp import dp_complete
+from relaymdp import dp_complete, model
 from relaymdp._kernels import CONTINUE, PROBE, STOP, IllegalActionError, action_dtype
 from relaymdp.dp_complete import (
     BudgetExceededError,
@@ -43,8 +43,8 @@ from relaymdp.dp_complete import (
 )
 from relaymdp.dp_restricted import Action, backward_induction
 from relaymdp.experiments import complete_components
-from relaymdp.model import (ModelConfig, build_forwarding_region, build_ordered_family,
-                            reward_grid)
+from relaymdp.model import (ConfigError, ModelConfig, build_forwarding_region,
+                            build_ordered_family, reward_grid)
 
 # frozen from the policy-enumeration oracle on the 2-location / 2-bin / N=2
 # instance with eta=0.8, delta=0.05, tau=0.3
@@ -271,9 +271,9 @@ class TestActComplete:
         assert act_complete((stage, None, mset), tables).kind is Action.PROBE
 
     @pytest.mark.parametrize("state,named", [
-        ((True, None, (0,)), r"stage True is not an integer in 1\.\.3"),
-        ((3, True, (0,)), r"best-reward index True is not a bin of 0\.\.7"),
-        ((1, None, (True,)), r"multiset \(True,\) is not a sorted multiset"),
+        ((True, None, (0,)), r"stage must be an integer in 1 \.\. 3, got True"),
+        ((3, True, (0,)), r"best-reward index must be an integer in 0 \.\. 7, got True"),
+        ((1, None, (True,)), r"multiset member must be an integer in 0 \.\. 2, got True"),
     ])
     def test_bool_in_an_integer_field_rejected(self, small_solved, state, named):
         _, _, tables = small_solved
@@ -290,10 +290,10 @@ class TestActComplete:
             tables.value(2, None, mset)
 
     @pytest.mark.parametrize("state,named", [
-        ((0, 2, (1,)), r"stage 0 is not an integer in 1\.\.3"),
-        ((2, 6, (1,)), r"best-reward index 6 is not a bin of 0\.\.5"),
-        ((2, -1, (1,)), r"best-reward index -1 is not a bin of 0\.\.5"),
-        ((True, 2, (1,)), r"stage True is not an integer in 1\.\.3"),
+        ((0, 2, (1,)), r"stage must be an integer in 1 \.\. 3, got 0"),
+        ((2, 6, (1,)), r"best-reward index must be an integer in 0 \.\. 5, got 6"),
+        ((2, -1, (1,)), r"best-reward index must be an integer in 0 \.\. 5, got -1"),
+        ((True, 2, (1,)), r"stage must be an integer in 1 \.\. 3, got True"),
         ((2, 2, (0, 1, 2)), r"multiset of size 3 cannot occur at stage 2"),
     ], ids=["stage_0", "bin_6", "bin_minus_1", "stage_true", "size_past_stage"])
     def test_value_and_action_share_one_lookup(self, state, named):
@@ -305,6 +305,13 @@ class TestActComplete:
             tables.value(*state)
         with pytest.raises(ValueError, match=named):
             act_complete(state, tables)
+
+    def test_a_stage_past_the_digit_limit_is_named_by_its_bits(self, small_solved):
+        # str() of an int of more than 4,300 digits raises ValueError
+        _, _, tables = small_solved
+        with pytest.raises(ConfigError, match=r"^stage must be an integer in 1 \.\. 3, got "
+                                              r"<an integer of 16610 bits>$"):
+            act_complete((10 ** 5000, None, (0,)), tables)
 
     def test_unknown_types_rejected(self, small_solved):
         _, _, tables = small_solved
@@ -349,7 +356,7 @@ class TestCensus:
         census = state_space_census(ModelConfig(n_relays=7))
         assert census.complete == [121, 2331, 24871, 187726, 1115730, 5543230, 23911030]
         assert sum(census.complete) == projected_state_count(20, 100, 7) == 30_785_039
-        assert sum(census.complete) < dp_complete.DEFAULT_STATE_BUDGET
+        assert sum(census.complete) < model.DEFAULT_STATE_BUDGET
 
     def test_restricted_linear_in_family_size(self):
         counts = {}
@@ -384,6 +391,19 @@ class TestGuards:
 
     def test_default_instance_fits_default_budget(self):
         assert projected_state_count(20, 100, 5) < 50_000_000
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3])
+    def test_below_n_the_budget_counts_the_kept_rows(self, monkeypatch, capacity):
+        # every value and kept row a capacity-c solve stores, and no more
+        config, family = small_instance(4, 6, 4, eta=2.0, delta=0.05)
+        tables = _induction(family, config, capacity)[0]
+        stored = sum(level.size for stage in tables.values for level in stage) + sum(
+            kept.size for kept in tables.kept if kept is not None)
+        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", stored)
+        _induction(family, config, capacity)
+        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", stored - 1)
+        with pytest.raises(BudgetExceededError, match=f"= {stored} memo entries"):
+            _induction(family, config, capacity)
 
 
 class TestReachableScale:
@@ -551,9 +571,15 @@ class TestMultisetSpace:
         for got, want in zip(space.plus, plus):
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
-    @pytest.mark.parametrize("mset", [(1, 0), (0, 3), (-1,), (0, 0, 0, 0, 0), (0.5,)])
-    def test_unknown_multiset_is_a_value_error_naming_it(self, mset):
-        with pytest.raises(ValueError, match=re.escape(repr(mset))):
+    @pytest.mark.parametrize("mset,named", [
+        ((1, 0), "multiset (1, 0) is not a sorted multiset"),
+        ((0, 3), "multiset member must be an integer in 0 .. 2, got 3"),
+        ((-1,), "multiset member must be an integer in 0 .. 2, got -1"),
+        ((0, 0, 0, 0, 0), "multiset (0, 0, 0, 0, 0) is not a sorted multiset"),
+        ((0.5,), "multiset member must be an integer in 0 .. 2, got 0.5"),
+    ], ids=[f"mset{i}" for i in range(5)])
+    def test_unknown_multiset_is_a_value_error_naming_it(self, mset, named):
+        with pytest.raises(ValueError, match=re.escape(named)):
             MultisetSpace(3, 4).row(mset)
 
     def test_solve_builds_no_tuples(self):

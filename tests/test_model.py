@@ -1,4 +1,5 @@
 import math
+import re
 import time
 from dataclasses import replace
 from itertools import product
@@ -8,9 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_instance
 from oracles import reference_family
-from relaymdp import model
+import relaymdp
+from relaymdp import dp_complete, model, simulate
+from relaymdp.dp_complete import solve_complete
 from relaymdp.model import (
+    BudgetExceededError,
     ConfigError,
     LocationGrid,
     ModelConfig,
@@ -24,6 +29,8 @@ from relaymdp.model import (
     reward_scale,
     whole_number,
 )
+from relaymdp.simulate import (EPISODES_PER_BLOCK, check_episode_count, episode_outcomes,
+                               probe_first_levels)
 
 
 class TestConfig:
@@ -113,8 +120,9 @@ class TestWholeNumber:
 
 
 class TestSizeRule:
-    """The restricted class's n_relays * (n_reward_bins + 1) * (n_locations + 1)
-    entries must fit the state budget, checked before anything is allocated."""
+    """The restricted class's entries, its N (B+1) (L+1) values and the
+    (N-1) (B+1) L^2 kept rows of its overflow rule, must fit the state budget,
+    checked before anything is allocated."""
 
     @pytest.mark.parametrize("build", [
         lambda: ModelConfig(n_relays=10 ** 9).validate(),
@@ -132,16 +140,28 @@ class TestSizeRule:
         assert time.perf_counter() - start < 1.0
 
     def test_the_budget_is_met_exactly_at_its_edge(self):
-        # 101 * 21 entries per stage at the reference L and B
-        longest = model.DEFAULT_STATE_BUDGET // (101 * 21)
-        assert ModelConfig(n_relays=longest).validate().n_relays == longest == 23_573
-        with pytest.raises(ConfigError, match=f"= {(longest + 1) * 101 * 21} memo entries"):
+        # at the reference L and B, 101 * 21 values per stage and 101 * 20 * 20
+        # kept rows per stage past the first: 101 * (421 N - 400) entries
+        longest = (model.DEFAULT_STATE_BUDGET // 101 + 400) // 421
+        assert ModelConfig(n_relays=longest).validate().n_relays == longest == 1_176
+        with pytest.raises(ConfigError, match=f"= {101 * (421 * (longest + 1) - 400)} memo "
+                                              "entries"):
             ModelConfig(n_relays=longest + 1).validate()
 
     def test_the_rule_reads_the_model_budget(self, monkeypatch):
-        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", 5 * 101 * 21 - 1)
-        with pytest.raises(ConfigError, match="over the state budget of 10604"):
+        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", 101 * (5 * 21 + 4 * 400) - 1)
+        with pytest.raises(ConfigError, match="= 172205 memo entries, over the state budget "
+                                              "of 172204$"):
             ModelConfig().validate()
+
+    def test_a_size_past_the_digit_limit_is_named_by_its_bits(self):
+        # str() of an int of more than 4,300 digits raises ValueError
+        entries = 101 * (421 * 10 ** 5000 - 400)
+        named = (f"(n_reward_bins + 1) * (n_relays * (n_locations + 1) + (n_relays - 1) * "
+                 f"n_locations ** 2) = <an integer of {entries.bit_length()} bits> memo "
+                 "entries, over the state budget of 50000000")
+        with pytest.raises(BudgetExceededError, match=f"^{re.escape(named)}$"):
+            ModelConfig(n_relays=10 ** 5000).validate()
 
     @pytest.mark.parametrize("field,low", [("n_locations", 1), ("n_reward_bins", 2),
                                            ("n_relays", 1)])
@@ -154,6 +174,55 @@ class TestSizeRule:
     def test_integer_fields_refuse_what_is_not_an_integer(self, value):
         with pytest.raises(ConfigError, match="^n_relays must be an integer >= 1, got"):
             ModelConfig.from_dict({"n_relays": value})
+
+
+@pytest.fixture(scope="module")
+def budget_instance():
+    # L = 3, B = 4, N = 6: the size rule counts 5 * (6 * 4 + 5 * 9) = 345
+    # entries, the complete class 713, an episode block 4096 * 6
+    config, family = small_instance(3, 4, 6, eta=2.0, delta=0.05)
+    return config, family, probe_first_levels(family, config)
+
+
+class TestStateBudget:
+    """One budget, model.DEFAULT_STATE_BUDGET, read at each call by the one
+    check that raises, model.check_budget."""
+
+    @pytest.mark.parametrize("needed,read", [
+        (345, lambda config, family, levels: config.validate()),
+        (713, lambda config, family, levels: solve_complete(family, config)),
+        (345, lambda config, family, levels: probe_first_levels(family, config)),
+        (EPISODES_PER_BLOCK * 6, lambda config, family, levels:
+            episode_outcomes(levels, 1, 0)),
+        (6 * 100, lambda config, family, levels: check_episode_count(100)),
+    ], ids=["validate", "complete_solve", "probe_first", "episode_block", "n_episodes"])
+    def test_every_reader_refuses_past_the_model_budget(self, budget_instance, monkeypatch,
+                                                         needed, read):
+        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", needed)
+        read(*budget_instance)
+        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", needed - 1)
+        with pytest.raises(BudgetExceededError,
+                           match=f"= {needed} memo entries, over the state budget of "
+                                 f"{needed - 1}$") as err:
+            read(*budget_instance)
+        assert (err.value.projected, err.value.budget) == (needed, needed - 1)
+
+    def test_only_the_model_binds_the_budget(self):
+        assert not hasattr(dp_complete, "DEFAULT_STATE_BUDGET")
+        assert not hasattr(simulate, "DEFAULT_STATE_BUDGET")
+
+    def test_the_budget_error_is_a_config_error_wherever_imported(self):
+        assert issubclass(BudgetExceededError, ConfigError)
+        assert dp_complete.BudgetExceededError is relaymdp.BudgetExceededError
+        assert relaymdp.BudgetExceededError is BudgetExceededError
+
+    def test_an_episode_block_is_named_by_what_sizes_it(self, budget_instance, monkeypatch):
+        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", EPISODES_PER_BLOCK * 6 - 1)
+        with pytest.raises(BudgetExceededError) as err:
+            episode_outcomes(budget_instance[2], 1, 0)
+        assert str(err.value).startswith(f"an episode block, {EPISODES_PER_BLOCK} episodes "
+                                         "x n_relays = ")
+        assert "n_locations" not in str(err.value) and "n_reward_bins" not in str(err.value)
 
 
 class TestForwardingRegion:

@@ -7,12 +7,12 @@ import pytest
 
 from conftest import small_instance
 from oracles import reference_run_policy
-from relaymdp import dp_complete, simulate
+from relaymdp import model, simulate
 from relaymdp.dp_complete import (BudgetExceededError, _induction, _states_per_stage,
                                   initial_value, solve_complete)
 from relaymdp.dp_restricted import backward_induction
 from relaymdp.experiments import baseline_components, complete_components, policy_levels
-from relaymdp.model import ModelConfig, reward_grid
+from relaymdp.model import ConfigError, ModelConfig, reward_grid
 from relaymdp.simulate import (
     EPISODES_PER_BLOCK,
     block_rng,
@@ -135,14 +135,16 @@ class TestRunPolicy:
             assert getattr(comps, name) == pytest.approx(getattr(baseline, name), abs=1e-12)
 
     def test_probe_first_levels_check_the_state_budget(self, sim_instance, monkeypatch):
-        # the capacity-1 level shapes: what rst levels of the same size pass
+        # the capacity-1 level shapes, held to what the rst levels of the same
+        # size and their kept rows need
         config, family = sim_instance
-        needed = sum(_states_per_stage(len(family), family.n_bins, config.n_relays, 1))
-        monkeypatch.setattr(dp_complete, "DEFAULT_STATE_BUDGET", needed)
+        stored = sum(_states_per_stage(len(family), family.n_bins, config.n_relays, 1))
+        needed = (20 + 1) * (5 * (5 + 1) + 4 * 5 ** 2)
+        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", needed)
         levels = probe_first_levels(family, config)
-        assert sum(a.size for stage in levels.actions for a in stage) == needed
-        monkeypatch.setattr(dp_complete, "DEFAULT_STATE_BUDGET", needed - 1)
-        with pytest.raises(BudgetExceededError, match=f"needs {needed} memo entries"):
+        assert sum(a.size for stage in levels.actions for a in stage) == stored == 630
+        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", needed - 1)
+        with pytest.raises(BudgetExceededError, match=f"= {needed} memo entries"):
             probe_first_levels(family, config)
 
     def test_tiny_eta_optimal_behaves_like_baseline(self, sim_instance):
@@ -308,8 +310,8 @@ class TestMonteCarlo:
     def test_episode_counts_are_held_to_the_state_budget(self):
         # six outcome arrays of one entry per episode; no episode is drawn here
         assert check_episode_count(8_333_333) == 8_333_333
-        with pytest.raises(ValueError, match=r"^n_episodes must be an integer in 1 \.\. 8333333, "
-                                             "got 8333334$"):
+        with pytest.raises(BudgetExceededError, match=r"^the outcome arrays, n_episodes entries "
+                           r"each = 50000004 memo entries, over the state budget of 50000000$"):
             check_episode_count(8_333_334)
 
     def test_an_episode_block_is_held_to_the_state_budget(self, sim_instance, monkeypatch):
@@ -318,15 +320,16 @@ class TestMonteCarlo:
         config, family = sim_instance
         levels = probe_first_levels(family, config)
         needed = EPISODES_PER_BLOCK * config.n_relays
-        monkeypatch.setattr(dp_complete, "DEFAULT_STATE_BUDGET", needed)
+        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", needed)
         assert len(episode_outcomes(levels, 10, 0).delay) == 10
-        monkeypatch.setattr(dp_complete, "DEFAULT_STATE_BUDGET", needed - 1)
+        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", needed - 1)
 
         def never(*args):
             raise AssertionError("an episode block was drawn")
 
         monkeypatch.setattr(simulate, "sample_episode", never)
-        with pytest.raises(BudgetExceededError, match=f"needs {needed} memo entries"):
+        named = f"^an episode block, {EPISODES_PER_BLOCK} episodes x n_relays = {needed} memo"
+        with pytest.raises(BudgetExceededError, match=named):
             monte_carlo(levels, 10, seed=0)
 
     @pytest.mark.parametrize("seed", [True, 1.5, 1.0, "1", -1, 2 ** 128],
@@ -340,6 +343,12 @@ class TestMonteCarlo:
             monte_carlo(levels, 10, seed)
         with pytest.raises(ValueError, match=named):
             episode_outcomes(levels, 10, seed)
+
+    def test_a_seed_past_the_digit_limit_is_named_by_its_bits(self):
+        # str() of an int of more than 4,300 digits raises ValueError
+        named = f"seed must be an integer in 0 .. {2 ** 128 - 1}, got <an integer of 16610 bits>"
+        with pytest.raises(ConfigError, match=f"^{re.escape(named)}$"):
+            check_seed(10 ** 5000)
 
     @pytest.mark.parametrize("seed", [0, 2 ** 128 - 1, np.uint64(2 ** 64 - 1)],
                              ids=["0", "2**128-1", "numpy_uint64"])
