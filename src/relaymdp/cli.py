@@ -57,9 +57,10 @@ COMMANDS = (
     "calibrate", "census",
 )
 
-# the blocks' keys are their owners' parameters, less those the CLI fills from its flags
+# the blocks' keys are their owners' parameters, less those the CLI fills from
+# its flags and the config (calibrate's delta is the config's)
 _SWEEP_KEYS = {f.name for f in dataclasses.fields(SweepSpec)} - {"base", "seed", "threads"}
-_CALIBRATE_KEYS = set(inspect.signature(calibrate_eta).parameters) - {"config"}
+_CALIBRATE_KEYS = set(inspect.signature(calibrate_eta).parameters) - {"config", "delta"}
 
 
 class CliUsageError(Exception):
@@ -249,9 +250,7 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
         write("estimates.json", payload)
 
     elif command == "verify":
-        tables = backward_induction(family, config)
-        thresholds = extract_thresholds(tables)
-        report = verify_structure(tables, thresholds)
+        report = verify_structure(backward_induction(family, config))
         write("report.json", report.to_json())
         _manifest(out_dir, command, config, args.seed, artifacts,
                   status="ok" if report.passed else "verification_failed")

@@ -25,8 +25,8 @@ import numpy as np
 from ._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, STRUCTURE_TOL, TIE_TOL, Decision,
                        IllegalActionError, action_dtype, decision_of, expect_over_max,
                        resolve_actions)
-from .model import (BudgetExceededError, ModelConfig, OrderedFamily, check_budget,  # noqa: F401
-                    reward_grid, whole_number)
+from .model import (BudgetExceededError, ModelConfig, OrderedFamily, _shown,  # noqa: F401
+                    check_budget, reward_grid, whole_number)
 
 # Float entries of one batch: a chunk of bins of the probe kernel's (type,
 # smaller row) expectations, where small levels take all bins at once and the
@@ -49,12 +49,15 @@ class UnreachableStateError(ValueError):
 
 
 def _sorted_multiset(mset) -> tuple:
-    """``mset`` as a sorted tuple; ValueError naming it unless it is a
-    collection of integers, so that it sorts (``MultisetSpace.row`` then
-    rejects bools and unknown types)."""
-    members = tuple(mset) if isinstance(mset, Iterable) else None
-    if members is None or not all(isinstance(t, numbers.Integral) for t in members):
-        raise ValueError(f"multiset {mset!r} is not a collection of integer location types")
+    """``mset`` as a sorted tuple; ValueError naming it, or its first member
+    that is not an integer, unless it is a collection of integers, so that it
+    sorts (``MultisetSpace.row`` then rejects bools and unknown types)."""
+    if not isinstance(mset, Iterable):
+        raise ValueError(f"multiset {_shown(mset)} is not a collection of integer location types")
+    members = tuple(mset)
+    for t in members:
+        if not isinstance(t, numbers.Integral):
+            raise ValueError(f"multiset member {_shown(t)} is not an integer location type")
     return tuple(sorted(members))
 
 
@@ -377,8 +380,7 @@ def _overflow_rule(space: MultisetSpace, level: np.ndarray, capacity: int,
 
 # overflow and invalid values surface in the check of each solved level
 @np.errstate(over="ignore", invalid="ignore")
-def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
-               keep_costs: bool = False) -> tuple:
+def _induction(family: OrderedFamily, config: ModelConfig, capacity: int) -> CompleteTables:
     """Solve the recursion of the policy class of the given capacity.
 
     Stages run from N down to 1 and multiset sizes from 0 up to min(k, c)
@@ -391,9 +393,7 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
     ``_none_column_only`` names is solved at its none row alone: its probe
     cost is the kernel's carried none-row sum, and its continue term gathers
     the next stage's level of that kind, or the overflow sum, which is
-    built on that column alone.  Returns the tables and,
-    with ``keep_costs``, the probe and the continue costs of every level,
-    probes[k-1][s] and conts[k-1][s] (else None, None).
+    built on that column alone.
     """
     config.validate()
     n_bins = family.n_bins
@@ -418,8 +418,6 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
     actions: list[list[np.ndarray]] = [[] for _ in range(n_stages)]
     kept: list[Optional[np.ndarray]] = [None] * n_stages
     overflow = None  # the summed kept values of the full level solved last
-    probes = [[] for _ in range(n_stages)] if keep_costs else None
-    conts = [[] for _ in range(n_stages)] if keep_costs else None
 
     for k in range(n_stages, 0, -1):
         i = k - 1
@@ -456,9 +454,6 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
                 rows = slice(first, first + step)
                 act[rows] = resolve_actions(stop[cols], probe[rows], code[rows],
                                             cont[rows] if k < n_stages else cont)
-            if keep_costs:
-                probes[i].append(probe.copy())
-                conts[i].append(np.broadcast_to(cont, probe.shape))
             # Computed in place of the probe costs.  On equal values
             # np.minimum returns its second argument, so a -0.0 stop cost
             # outranks a +0.0 probe or continue cost, as in the tie rule.
@@ -481,15 +476,14 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int,
                 held = val[:, -1:] if _none_column_only(k - 1, capacity, capacity) else val
                 kept[i], overflow = _overflow_rule(space, held, capacity, rank)
 
-    tables = CompleteTables(config=config, family=family, space=space, values=values,
-                           actions=actions, kept=kept)
-    return tables, probes, conts
+    return CompleteTables(config=config, family=family, space=space, values=values,
+                          actions=actions, kept=kept)
 
 
 def solve_complete(family: OrderedFamily, config: ModelConfig) -> CompleteTables:
     """Solve the complete-class recursion exactly for all stages: the shared
     induction at capacity N, where no wake-up overflows."""
-    return _induction(family, config, config.n_relays)[0]
+    return _induction(family, config, config.n_relays)
 
 
 def initial_value(tables: CompleteTables) -> float:
@@ -559,23 +553,19 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
     value counts as a violation), value improvement under multiset
     enlargement, and agreement of the stage-N stopping rule with the
     one-step-look-ahead rule.  Inequalities are checked at STRUCTURE_TOL,
-    over the reachable states the tables hold.  ValueError on tables of a
-    capacity below N, which the checks do not cover.
+    over the reachable states the tables hold, at any capacity c: the sets
+    at stage k hold at most min(k, c) members.
     """
-    if tables.capacity < tables.n_stages:
-        raise ValueError(
-            f"the conjecture checks cover the complete class only: these tables keep at most "
-            f"{tables.capacity} unprobed relays awake, below N = {tables.n_stages}")
     family = tables.family
     config = tables.config
     space = tables.space
     n_bins = tables.n_bins
-    n_stages = tables.n_stages
+    n_stages, capacity = tables.n_stages, tables.capacity
     eta, delta = config.eta, config.delta
     pmf, cdf = family.pmf_matrix, family.cdf_matrix
     grid = reward_grid(n_bins)
     rank = tuple(family.rank)
-    ranked = [None] + [_ranked_members(space, s, rank) for s in range(1, n_stages + 1)]
+    ranked = [None] + [_ranked_members(space, s, rank) for s in range(1, capacity + 1)]
     step = max(1, BATCH_ELEMENTS // n_bins)  # rows per batch of the checks below
 
     failures = ("probe_largest_violations", "stage_independence_mismatches",
@@ -585,7 +575,7 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
     # probe-largest: at every probing state, probing the stochastically
     # largest member costs no more than the solved value
     for k in range(1, n_stages + 1):
-        for s in range(1, k + 1):
+        for s in range(1, min(k, capacity) + 1):
             types, rests = ranked[s]
             smaller = tables.values[k - 1][s - 1][:, :n_bins]
             probing = tables.actions[k - 1][s] >= PROBE
@@ -606,7 +596,7 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
     # stage independence of stopping decisions over (best, multiset) slices,
     # on stages where continuing is available: each stage against the last,
     # whose level holds every column, on the columns it holds
-    for s in range(n_stages - 1):
+    for s in range(min(n_stages - 1, capacity + 1)):
         stages = [k for k in range(max(s, 1), n_stages)]
         if len(stages) < 2:
             continue
@@ -620,12 +610,12 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
     # value monotone in best reward; enlargement cannot increase the value,
     # checked on the columns the larger set's level holds
     for k in range(1, n_stages + 1):
-        for s in range(k + 1):
+        for s in range(min(k, capacity) + 1):
             val = tables.values[k - 1][s]
             report["value_monotone_violations"] += int(
                 (np.diff(val[:, :-1], axis=1) > STRUCTURE_TOL).sum() + np.isnan(val).sum()
             )
-            if s + 1 <= k:
+            if s < min(k, capacity):
                 larger = tables.values[k - 1][s + 1]
                 bound = val[:, -larger.shape[1]:] + STRUCTURE_TOL
                 for t in range(len(family)):
@@ -635,7 +625,7 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
     # stage-N stopping matches the one-step-look-ahead rule
     stop_real = -eta * grid
     one_step = eta * delta - eta * expect_over_max(grid, pmf, cdf)  # (L, n_bins+1)
-    for s in range(1, n_stages + 1):
+    for s in range(1, capacity + 1):
         types = ranked[s][0]
         dp_stop = tables.actions[n_stages - 1][s][:, :-1] == STOP
         if dp_stop.shape[1] == 0:  # a level of the none row alone: no reward to stop on

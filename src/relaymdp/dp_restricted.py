@@ -4,14 +4,15 @@ Restricted policies keep at most two relays awake: the best probed one
 (summarized by the best reward b, or none before the first probe) and one
 retained unprobed relay (summarized by its reward distribution).  That is the
 capacity-c induction of ``dp_complete`` at c = 1, whose levels
-``backward_induction`` returns as they are, with the probe and continue costs
-kept.  Its size-0 and size-1 levels read as stagewise tables
+``backward_induction`` returns as they are.  Its size-0 and size-1 levels read
+as stagewise tables
 
     J_k(b)        bare states, reached just after probing,
     J_k(b, F_l)   states holding an unprobed relay of location type l,
 
-together with the continuing costs cc_k(b), cc_k(b, F_l), the probing cost
-cp_k(b, F_l), which the structural checks and the tables export read.  The
+together with the continuing costs cc_k(b), cc_k(b, F_l) and the probing cost
+cp_k(b, F_l), worked out from those values with the induction's own
+arithmetic, which the structural checks and the tables export read.  The
 stopping and probing sets with their thresholds, ``act``, the shared forward
 sweep and the episode engine read the levels' action codes.
 
@@ -28,8 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import CONTINUE, PROBE, STOP, STRUCTURE_TOL, Action
-from .dp_complete import CompleteTables, _induction, act_complete
+from ._kernels import CONTINUE, PROBE, STOP, STRUCTURE_TOL, Action, expect_over_max
+from .dp_complete import CompleteTables, _induction, _overflow_rule, act_complete
 from .dp_complete import initial_value  # noqa: F401  (one initial value for every capacity)
 from .model import ModelConfig, OrderedFamily, reward_grid
 
@@ -41,35 +42,49 @@ class NonThresholdSetError(RuntimeError):
 BestReward = Optional[int]  # None before the first probe, else a grid index
 
 
-def _stage_major(levels: str, s: int) -> cached_property:
-    """The size-s level of every stage of ``levels``, stacked stage-major:
-    (N, n_bins+1) for the bare states (s = 0), (N, n_bins+1, L) for the
-    retaining ones (s = 1), whose rows are the location types."""
-    def stacked(tables):
-        return np.ascontiguousarray(
-            [lv[s][0] if s == 0 else lv[s].T for lv in getattr(tables, levels)])
-    return cached_property(stacked)
-
-
 @dataclass(frozen=True)
 class RestrictedTables(CompleteTables):
-    """The capacity-1 levels with the probe and continue costs of every
-    level, probe_costs[k-1][s] and continue_costs[k-1][s].
-
-    The stagewise tables are stacked on first use and cached: j_b and cc_b
-    are (N, n_bins+1); j_bf, cc_bf and cp_bf are (N, n_bins+1, n_locations).
-    cc rows at stage N hold +inf (continuing is unavailable there), as does
-    the stop cost at the none row.
+    """The capacity-1 levels, read as stagewise tables, each worked out on
+    first use and cached: j_b and cc_b are (N, n_bins+1); j_bf, cc_bf and
+    cp_bf are (N, n_bins+1, n_locations).  The costs repeat the induction's
+    arithmetic on the stored values, bitwise, under its float error state (the
+    solve checked the values these are built from).  cc rows at stage N hold
+    +inf (continuing is unavailable there), as does the stop cost at the none
+    row.
     """
 
-    probe_costs: list[list[np.ndarray]] = field(repr=False)
-    continue_costs: list[list[np.ndarray]] = field(repr=False)
+    @cached_property
+    def j_b(self) -> np.ndarray:
+        return np.ascontiguousarray([lv[0][0] for lv in self.values])
 
-    j_b = _stage_major("values", 0)
-    j_bf = _stage_major("values", 1)
-    cc_b = _stage_major("continue_costs", 0)
-    cc_bf = _stage_major("continue_costs", 1)
-    cp_bf = _stage_major("probe_costs", 1)
+    @cached_property
+    def j_bf(self) -> np.ndarray:
+        return np.ascontiguousarray([lv[1].T for lv in self.values])
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def cp_bf(self) -> np.ndarray:
+        """eta delta plus E_l[J_k(max{b, R})], summed as the probe kernel sums it."""
+        expected = expect_over_max(self.j_b[:, None, :-1], self.family.pmf_matrix,
+                                   self.family.cdf_matrix)
+        return np.ascontiguousarray((self.config.eta * self.config.delta + expected)
+                                    .transpose(0, 2, 1))
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def _continue_costs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cc_b, cc_bf): tau plus the mean over the newcomer's type t of
+        J_{k+1}(b, F_t), or of the value of the relay the overflow rule keeps,
+        each summed in type order from +0.0."""
+        n, tau, rank = len(self.family), self.config.tau, tuple(self.family.rank)
+        cc_b, cc_bf = np.full(self.j_b.shape, np.inf), np.full(self.j_bf.shape, np.inf)
+        for i, level in enumerate(lv[1] for lv in self.values[1:]):
+            cc_b[i] = sum(level, 0.0) / n + tau
+            cc_bf[i] = (_overflow_rule(self.space, level, 1, rank)[1] / n + tau).T
+        return cc_b, cc_bf
+
+    cc_b = property(lambda self: self._continue_costs[0])
+    cc_bf = property(lambda self: self._continue_costs[1])
 
     @property
     def grid(self) -> np.ndarray:
@@ -110,8 +125,7 @@ def backward_induction(family: OrderedFamily, config: ModelConfig) -> Restricted
     reads the better of the two unprobed relays at the next stage.  Bare
     states cannot probe, so their probe cost is +inf.
     """
-    levels, probes, conts = _induction(family, config, capacity=1, keep_costs=True)
-    return RestrictedTables(**vars(levels), probe_costs=probes, continue_costs=conts)
+    return RestrictedTables(**vars(_induction(family, config, capacity=1)))
 
 
 def _upset_min_index(mask: np.ndarray, label: str) -> int:
@@ -120,9 +134,7 @@ def _upset_min_index(mask: np.ndarray, label: str) -> int:
         return mask.shape[0]
     first = int(members[0])
     if not mask[first:].all():
-        raise NonThresholdSetError(
-            f"{label} is not an up-set: members {members.tolist()}"
-        )
+        raise NonThresholdSetError(f"{label} is not an up-set: members {members.tolist()}")
     return first
 
 
@@ -134,8 +146,11 @@ def extract_thresholds(levels: CompleteTables) -> ThresholdSummary:
     S_k and S_k^l are the STOP entries of the bare and retaining tables, Q_k^l
     the entries that do not continue and P_k^l the probe entries (codes from
     PROBE up).  Raises NonThresholdSetError if any stopping set fails to be an
-    up-set of the reward grid.
+    up-set of the reward grid, and ValueError on levels of another capacity.
     """
+    if levels.capacity != 1:
+        raise ValueError(f"thresholds are read off capacity-1 levels; these keep at most "
+                         f"{levels.capacity} unprobed relays awake")
     n_bins, n_loc = levels.n_bins, len(levels.family)
     n_dec = max(levels.n_stages - 1, 0)
     s_flags = np.stack([lv[0][0] for lv in levels.actions])[:n_dec, :n_bins] == STOP
@@ -221,16 +236,19 @@ def _pair_excess(g: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(g, axis=-1)[..., :-1] - g[..., 1:]
 
 
-def verify_structure(tables: RestrictedTables, thresholds: ThresholdSummary) -> StructureReport:
+def verify_structure(tables: RestrictedTables) -> StructureReport:
     """Machine-check the solver output against the ordering, threshold and
     stage-independence properties the solution must satisfy, each at
     STRUCTURE_TOL.
 
+    Reads the sets off the tables' own action codes (``extract_thresholds``,
+    whose NonThresholdSetError it passes on), and the costs off their values.
     Produces a pass/fail report; any failure of checks (a)-(h) is a defect.
     The probing-set observations (down-set structure, y thresholds increasing
     with stage) are reported but never asserted: they hold empirically but are
     not guaranteed.
     """
+    thresholds = extract_thresholds(tables)
     n_bins = tables.n_bins
     n_stages = tables.n_stages
     grid = tables.grid
@@ -260,11 +278,8 @@ def verify_structure(tables: RestrictedTables, thresholds: ThresholdSummary) -> 
     checks["d_cc_retained_le_bare"] = CheckResult(worst_d <= STRUCTURE_TOL, worst_d)
 
     # (e) set inclusions S^l <= Q^l, S^l <= S, S <= Q^l
-    bad_e = (
-        int((thresholds.s_l_flags & ~thresholds.q_flags).sum())
-        + int((thresholds.s_l_flags & ~thresholds.s_flags[:, :, None]).sum())
-        + int((thresholds.s_flags[:, :, None] & ~thresholds.q_flags).sum())
-    )
+    s, s_l, q = thresholds.s_flags[:, :, None], thresholds.s_l_flags, thresholds.q_flags
+    bad_e = int((s_l & ~q).sum() + (s_l & ~s).sum() + (s & ~q).sum())
     checks["e_set_inclusions"] = CheckResult(bad_e == 0, float(bad_e), "violating entries")
 
     # (f) one-step costs a are eta-Lipschitz against the stop cost:
@@ -277,21 +292,13 @@ def verify_structure(tables: RestrictedTables, thresholds: ThresholdSummary) -> 
     checks["f_lipschitz"] = CheckResult(worst_f <= STRUCTURE_TOL, worst_f)
 
     # (g) inside the stopping set the cost-to-go already equals its stage-N value
-    worst_g = 0.0
-    for i in range(n_stages - 1):
-        members = thresholds.s_flags[i]
-        gap = np.abs(
-            tables.j_bf[i, :n_bins, :][members] - tables.j_bf[-1, :n_bins, :][members]
-        )
-        worst_g = max(worst_g, _worst(gap))
+    gap = tables.j_bf[: n_stages - 1, :n_bins] - tables.j_bf[-1, :n_bins]
+    worst_g = _worst(np.abs(gap[thresholds.s_flags]))
     checks["g_equal_costs_on_s"] = CheckResult(worst_g <= STRUCTURE_TOL, worst_g)
 
     # (h) stopping sets are stage independent
-    mism = sum(
-        int((thresholds.s_flags[0] != thresholds.s_flags[i]).sum())
-        + int((thresholds.s_l_flags[0] != thresholds.s_l_flags[i]).sum())
-        for i in range(1, n_stages - 1)
-    )
+    mism = sum(int((flags[1:] != flags[:1]).sum())
+               for flags in (thresholds.s_flags, thresholds.s_l_flags))
     checks["h_stage_independent_sets"] = CheckResult(mism == 0, float(mism), "mask mismatches")
 
     # reported-only conjecture observations

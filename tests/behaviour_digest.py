@@ -16,11 +16,14 @@ grid order:
 - components: ``repr`` of the exact sweep's ``PolicyComponents``;
 - episodes: the ``episode_outcomes`` arrays of 5000 episodes under seed 7.
 
-Every array enters with its dtype and shape.  One more line, ``artifacts``,
-digests the bytes of every file that the CLI commands ``solve-restricted``,
-``verify``, ``solve-complete --export-policy``, ``calibrate``, ``census`` and
-a 2-cell ``sweep`` write on one small fixed config, each under its command
-and file name.  The script takes no options and pytest does not collect it.
+Every array enters with its dtype and shape.  A ``reports`` line digests, over
+the same cells, the JSON of ``verify_structure`` on rst and of
+``verify_complete_conjectures`` on rst, c2 and glb.  One more line,
+``artifacts``, digests the bytes of every file that the CLI commands
+``solve-restricted``, ``verify``, ``solve-complete --export-policy``,
+``calibrate``, ``census`` and a 2-cell ``sweep`` write on one small fixed
+config, each under its command and file name.  The script takes no options
+and pytest does not collect it.
 """
 import contextlib
 import dataclasses
@@ -33,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 from relaymdp.cli import main as cli_main
-from relaymdp.dp_complete import _induction
+from relaymdp.dp_complete import _induction, verify_complete_conjectures
+from relaymdp.dp_restricted import verify_structure
 from relaymdp.experiments import complete_components, default_eta_grid, policy_levels
 from relaymdp.model import ModelConfig, build_forwarding_region, build_ordered_family
 from relaymdp.simulate import episode_outcomes
@@ -53,7 +57,7 @@ def update(digest, array) -> None:
 
 def levels_of(policy, family, config):
     if policy == "c2":
-        return _induction(family, config, 2)[0]
+        return _induction(family, config, 2)
     return policy_levels(policy, family, config)
 
 
@@ -91,6 +95,7 @@ def main() -> None:
     family = build_ordered_family(build_forwarding_region(base), base)
     digests = {(kind, policy): hashlib.sha256()
                for kind in ("tables", "components", "episodes") for policy in POLICIES}
+    reports = hashlib.sha256()
     for delta in DELTAS:
         for eta in default_eta_grid():
             config = base.with_overrides(eta=eta, delta=delta)
@@ -104,11 +109,18 @@ def main() -> None:
                     update(tables, kept)
                 digests["components", policy].update(
                     repr(complete_components(levels)).encode())
+                if policy == "rst":
+                    reports.update(json.dumps(verify_structure(levels).to_json(),
+                                              sort_keys=True).encode())
+                if policy != "first":
+                    reports.update(json.dumps(verify_complete_conjectures(levels),
+                                              sort_keys=True).encode())
                 outcomes = episode_outcomes(levels, EPISODES, SEED)
                 for field in dataclasses.fields(outcomes):
                     update(digests["episodes", policy], getattr(outcomes, field.name))
     for (kind, policy), digest in digests.items():
         print(f"{kind:<10} {policy:<5} {digest.hexdigest()}")
+    print(f"{'reports':<10} {'all':<5} {reports.hexdigest()}")
     print(f"{'artifacts':<10} {'cli':<5} {artifacts_digest()}")
 
 

@@ -137,9 +137,7 @@ def test_criterion_3_ordering_property_suite(default_config):
     for i, config in enumerate(configs):
         grid = build_forwarding_region(config)
         family = build_ordered_family(grid, config)
-        tables = backward_induction(family, config)
-        thresholds = extract_thresholds(tables)
-        report = verify_structure(tables, thresholds)
+        report = verify_structure(backward_induction(family, config))
         if not report.passed:
             bad = [k for k, c in report.checks.items() if not c.passed]
             failures.append((i, bad))
@@ -318,10 +316,8 @@ def test_criterion_10_state_space_census(default_config):
     )
 
 
-def test_criterion_11_conjecture_reports(
-    default_tables, default_thresholds, default_complete_tables
-):
-    structure = verify_structure(default_tables, default_thresholds)
+def test_criterion_11_conjecture_reports(default_tables, default_complete_tables):
+    structure = verify_structure(default_tables)
     complete = verify_complete_conjectures(default_complete_tables)
     restricted_clean = (
         structure.conjecture["p_down_set_violations"] == 0

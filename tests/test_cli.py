@@ -217,7 +217,7 @@ def test_bad_sweep_values_exit_one(small_config, tmp_path, capsys, override):
     ("resolution", ["--override", "calibrate.resolution=0"]),
     ("resolution", ["--override", 'calibrate.resolution="0.1"']),
     ("target_gamma", ["--gamma", "nan"]),
-    ("delta", ["--override", "calibrate.delta=true"]),
+    ("delta", ["--override", "delta=true"]),
     ("eta_lo", ["--override", "calibrate.eta_lo=10.0"]),
     ("eta_lo", ["--override", "calibrate.eta_lo=-1"]),
     ("eta_hi", ["--override", "calibrate.eta_hi=1e999"]),
@@ -269,7 +269,8 @@ NUMERIC_KEYS = (
      for f in dataclasses.fields(ModelConfig) if f.type == "float"]
     + [("sweep", key, f"sweep.{key}=[1.0, {{}}]") for key in ("eta_values", "delta_values")]
     + [("calibrate", key, f"calibrate.{key}={{}}")
-       for key in ("target_gamma", "delta", "eta_lo", "eta_hi", "resolution")]
+       for key in ("target_gamma", "eta_lo", "eta_hi", "resolution")]
+    + [("calibrate", "delta", "delta={}")]  # calibrate's delta is the config's
 )
 
 
@@ -364,6 +365,7 @@ def test_config_file_with_an_integer_past_the_digit_limit_is_not_valid_json(tmp_
     ("sweep.threads=2", "threads"),
     ("sweep.base=1", "base"),
     ("calibrate.config=1", "config"),
+    ("calibrate.delta=0.5", "delta"),
     ("nonsense.x=1", "nonsense"),
     ("eta.x=1", "eta"),
     ("n_relays.x=1", "n_relays"),
@@ -371,8 +373,9 @@ def test_config_file_with_an_integer_past_the_digit_limit_is_not_valid_json(tmp_
 ])
 def test_override_outside_the_config_schema_rejected(small_config, tmp_path, capsys,
                                                      override, named):
-    # the CLI fills sweep.seed, sweep.threads, sweep.base and calibrate.config
-    # from its own flags and the model config, so no block may set them
+    # the CLI fills sweep.seed, sweep.threads, sweep.base, calibrate.config and
+    # calibrate.delta from its own flags and the model config, so no block may
+    # set them
     out = tmp_path / "out"
     code = main(["census", "--config", str(small_config), "--out", str(out),
                  "--override", override])
@@ -387,6 +390,17 @@ def test_calibrate_command(small_config, tmp_path, capsys):
     assert main(["calibrate", "--config", str(small_config), "--out", str(out)]) == 0
     result = json.loads((out / "calibration.json").read_text())
     assert result["effective_reward"] >= result["target_gamma"]
+
+
+def test_calibrate_solves_at_the_configs_delta(small_config, tmp_path, capsys):
+    # the manifest's config holds the delta the calibration was made at
+    out = tmp_path / "out"
+    assert main(["calibrate", "--config", str(small_config), "--out", str(out),
+                 "--override", "delta=0.02"]) == 0
+    config = ModelConfig.from_dict(json.loads((out / "manifest.json").read_text())["config"])
+    assert config.delta == 0.02
+    want = relaymdp.calibrate_eta(0.1, 0.02, config, eta_hi=10.0, resolution=0.05)
+    assert json.loads((out / "calibration.json").read_text()) == want.to_json()
 
 
 def test_census_command(small_config, tmp_path):

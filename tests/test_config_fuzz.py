@@ -18,7 +18,6 @@ from relaymdp import (
     backward_induction,
     build_forwarding_region,
     build_ordered_family,
-    extract_thresholds,
     verify_structure,
 )
 from relaymdp._kernels import NO_ACTION
@@ -76,5 +75,5 @@ def test_verify_structure_at_2000_bins():
     config = ModelConfig(n_reward_bins=2000).validate()
     family = build_ordered_family(build_forwarding_region(config), config)
     tables = backward_induction(family, config)
-    report = verify_structure(tables, extract_thresholds(tables))
+    report = verify_structure(tables)
     assert report.passed, report.to_json()

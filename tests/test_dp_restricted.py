@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import small_instance
+from conftest import corrupted, small_instance
 from oracles import (
     Toy,
     enumerate_restricted_policies,
@@ -21,11 +21,14 @@ from relaymdp import (
     build_forwarding_region,
     build_ordered_family,
 )
-from relaymdp._kernels import PROBE, Decision, decision_of
-from relaymdp.dp_complete import _probe_costs, _ranked_members, act_complete
+from relaymdp._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, Decision, decision_of,
+                               resolve_actions)
+from relaymdp.dp_complete import (_induction, _probe_costs, _ranked_members, act_complete,
+                                  solve_complete)
 from relaymdp.dp_restricted import (
     Action,
     NonThresholdSetError,
+    RestrictedTables,
     _pair_excess,
     _upset_min_index,
     act,
@@ -369,33 +372,79 @@ class TestWideFamilies:
 
 
 class TestVerifyStructure:
-    def test_default_config_passes_all_checks(self, default_tables, default_thresholds):
-        report = verify_structure(default_tables, default_thresholds)
+    def test_default_config_passes_all_checks(self, default_tables):
+        report = verify_structure(default_tables)
         assert report.passed
         for key, check in report.checks.items():
             assert check.passed, key
 
-    def test_nan_in_tables_fails_closed(self, default_tables, default_thresholds):
+    def test_nan_in_tables_fails_closed(self, default_tables):
         # J_3(b=40, F_7), in the levels: the stagewise tables are read off them
         values = [[v.copy() for v in stage] for stage in default_tables.values]
         values[2][1][7, 40] = np.nan
-        corrupted = replace(default_tables, values=values)
-        assert np.isnan(corrupted.j_bf[2, 40, 7])
-        report = verify_structure(corrupted, default_thresholds)
+        edited = replace(default_tables, values=values)
+        assert np.isnan(edited.j_bf[2, 40, 7])
+        report = verify_structure(edited)
         assert not report.passed
 
-    def test_nan_in_a_continue_cost_fails_checks_d_and_f(
-        self, default_tables, default_thresholds
-    ):
-        # cc_2(b=40, F_7): retaining cheapens continuing (d), and the
-        # continue costs are eta-Lipschitz (f)
-        conts = [[c.copy() for c in stage] for stage in default_tables.continue_costs]
-        conts[1][1][7, 40] = np.nan
-        corrupted = replace(default_tables, continue_costs=conts)
-        assert np.isnan(corrupted.cc_bf[1, 40, 7])
-        report = verify_structure(corrupted, default_thresholds)
+    def test_nan_in_a_continue_cost_fails_checks_d_and_f(self, default_tables):
+        # J_3(b=40, F_7), which the overflow rule sums into cc_2(b=40, F_7):
+        # retaining cheapens continuing (d), and the continue costs are
+        # eta-Lipschitz (f)
+        values = [[v.copy() for v in stage] for stage in default_tables.values]
+        values[2][1][7, 40] = np.nan
+        edited = replace(default_tables, values=values)
+        assert np.isnan(edited.cc_bf[1, 40, 7])
+        report = verify_structure(edited)
         failed = {key for key, check in report.checks.items() if not check.passed}
         assert {"d_cc_retained_le_bare", "f_lipschitz"} <= failed
+
+    def test_an_edited_stop_code_moves_the_checked_sets(self, default_tables,
+                                                         default_thresholds):
+        # the bare state at stage 2 and bin x[1] stops; continuing there
+        # instead leaves S_2 short of S_1 (h) and of S_2^l (e).  The report
+        # reads the sets off the edited codes, not off a summary of the
+        # unedited ones, which passes every check
+        x = int(default_thresholds.x[1])
+        assert x == 0 and default_tables.actions[1][0][0, x] == STOP
+        levels = corrupted(default_tables)
+        levels.actions[1][0][0, x] = CONTINUE
+        report = verify_structure(levels)
+        failed = {key for key, check in report.checks.items() if not check.passed}
+        assert failed == {"e_set_inclusions", "h_stage_independent_sets"}
+
+    @pytest.mark.parametrize("capacity", [2, 3])
+    def test_levels_of_another_capacity_are_named(self, capacity):
+        # capacity 3 = N: the complete class
+        config, family = small_instance(4, 6, 3, eta=2.0, delta=0.05)
+        levels = (_induction(family, config, 2) if capacity == 2
+                  else solve_complete(family, config))
+        named = f"these keep at most {capacity} unprobed relays awake"
+        with pytest.raises(ValueError, match=named):
+            extract_thresholds(levels)
+        with pytest.raises(ValueError, match=named):
+            verify_structure(RestrictedTables(**vars(levels)))
+
+    @pytest.mark.parametrize("delta", [0.1, 0.0])
+    def test_costs_resolve_to_the_stored_codes_and_values(self, default_config,
+                                                           default_family, delta):
+        # the induction's tie rule and minimum, applied to the worked-out
+        # costs, give every stored code and value bitwise: they are the costs
+        # the solve resolved from (delta 0 ties probing with stopping)
+        config = default_config.with_overrides(eta=10.0, delta=delta)
+        tables = backward_induction(default_family, config)
+        stop = np.append(-config.eta * tables.grid, np.inf)[:, None]
+        dtype = tables.actions[0][0].dtype
+        targets = np.broadcast_to(PROBE + np.arange(len(default_family)), tables.j_bf[0].shape)
+        for i, (values, codes) in enumerate(zip(tables.values, tables.actions)):
+            for probe, code, cont, level, act in (
+                (np.inf, np.array(NO_ACTION), tables.cc_b[i][:, None], values[0].T, codes[0].T),
+                (tables.cp_bf[i], targets, tables.cc_bf[i], values[1].T, codes[1].T),
+            ):
+                assert np.array_equal(resolve_actions(stop, probe, code.astype(dtype), cont),
+                                      act), i
+                value = np.minimum(cont, np.minimum(probe, stop))
+                assert value.tobytes() == np.ascontiguousarray(level).tobytes(), i
 
     @pytest.mark.parametrize("n_bins", [100, 400])
     def test_lipschitz_prefix_max_matches_pairwise(self, default_family, n_bins):
@@ -411,8 +460,8 @@ class TestVerifyStructure:
             reference = pairwise_lipschitz_excess(arr, tables.grid, config.eta)
             np.testing.assert_allclose(fast, reference, rtol=0.0, atol=1e-12)
 
-    def test_report_serializes(self, default_tables, default_thresholds):
-        report = verify_structure(default_tables, default_thresholds)
+    def test_report_serializes(self, default_tables):
+        report = verify_structure(default_tables)
         payload = report.to_json()
         assert payload["passed"] is True
         assert set(payload["checks"]) == {

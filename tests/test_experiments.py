@@ -93,7 +93,7 @@ def capacity_levels(policy, family, config):
     "first", of the probe-first baseline."""
     if policy == "first":
         return probe_first_levels(family, config)
-    return _induction(family, config, config.n_relays if policy == "N" else policy)[0]
+    return _induction(family, config, config.n_relays if policy == "N" else policy)
 
 
 def assert_matches_reference(comps, levels):
@@ -227,7 +227,7 @@ class TestSweepFailsClosed:
         # at capacity 2 the none row of (stage 3, size 2) is entered only from
         # the none row of (2, 2), whose one column overflows into it
         config, family = small_instance(4, 15, 4, eta=8.0, delta=0.05)
-        levels = corrupted(_induction(family, config, 2)[0])
+        levels = corrupted(_induction(family, config, 2))
         levels.actions[2][2][:, -1] = NO_ACTION
         with pytest.raises(IllegalActionError, match=(
                 r"no legal action \(code -1\) \(stage 3, multiset \(0, 0\), best=None\)")):

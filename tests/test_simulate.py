@@ -202,7 +202,7 @@ class TestEngineAgreement:
         config = config.with_overrides(delta=delta)
         # c2: capacity 2, where two awake relays may share a type, so an
         # overflow must work out which type it dropped from the kept set
-        levels = (_induction(family, config, 2)[0] if name == "c2"
+        levels = (_induction(family, config, 2) if name == "c2"
                   else policy_levels(name, family, config))
         seen = set()
         for j in (0, 5):
