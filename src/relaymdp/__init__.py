@@ -25,7 +25,6 @@ from .dp_restricted import (
     extract_thresholds,
     verify_structure,
 )
-from .dp_restricted import initial_value as restricted_initial_value
 from .dp_complete import (
     CompleteTables,
     NonFiniteValueError,
@@ -36,6 +35,7 @@ from .dp_complete import (
     verify_complete_conjectures,
 )
 from .dp_complete import initial_value as complete_initial_value
+from .dp_complete import initial_value as restricted_initial_value
 from .simulate import (
     EpisodeBlock,
     Estimates,

@@ -9,9 +9,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import inspect
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -49,6 +47,7 @@ from .model import (
     build_forwarding_region,
     build_ordered_family,
     family_to_json,
+    finite_number,
 )
 from .simulate import check_episode_count, check_seed, monte_carlo
 
@@ -57,10 +56,9 @@ COMMANDS = (
     "calibrate", "census",
 )
 
-# the blocks' keys are their owners' parameters, less those the CLI fills from
-# its flags and the config (calibrate's delta is the config's)
+# the sweep block's keys are SweepSpec's fields, less those the CLI fills from
+# its flags and the config
 _SWEEP_KEYS = {f.name for f in dataclasses.fields(SweepSpec)} - {"base", "seed", "threads"}
-_CALIBRATE_KEYS = set(inspect.signature(calibrate_eta).parameters) - {"config", "delta"}
 
 
 class CliUsageError(Exception):
@@ -72,14 +70,14 @@ class _Parser(argparse.ArgumentParser):
         raise CliUsageError(message)
 
 
-def _integer_flag(check, source: str):
-    """An argparse type: the text as an integer that passes ``check``, whose
-    error names the ``source`` of the text."""
-    def parse(text: str) -> int:
+def _checked_flag(convert, check, source: str):
+    """An argparse type: the text as ``convert`` reads it, which must pass
+    ``check``, whose error names the ``source`` of the text."""
+    def parse(text: str):
         try:
-            value = int(text)
+            value = convert(text)
         except ValueError:
-            value = text  # not an integer: the check says what it wants
+            value = text  # not a number: the check says what it wants
         try:
             return check(value)
         except ConfigError as err:
@@ -95,24 +93,22 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=_integer_flag(check_seed, "--seed"), default=0)
-        # a string default goes through the type check too, when the flag is absent
-        p.add_argument(
-            "--threads", type=_integer_flag(check_threads, "--threads or RELAYMDP_THREADS"),
-            default=os.environ.get("RELAYMDP_THREADS", "1"),
-            help="worker cap (env RELAYMDP_THREADS as fallback)",
-        )
+        p.add_argument("--seed", type=_checked_flag(int, check_seed, "--seed"), default=0)
+        p.add_argument("--threads", type=_checked_flag(int, check_threads, "--threads"),
+                       default=1, help="worker cap")
         p.add_argument(
             "--override", action="append", default=[], metavar="KEY=VALUE",
             help="config override, e.g. eta=5.0 or sweep.n_episodes=500",
         )
         if name == "simulate":
             p.add_argument("--policy", choices=POLICY_NAMES, default="rst")
-            p.add_argument("--episodes", type=_integer_flag(check_episode_count, "--episodes"),
+            p.add_argument("--episodes",
+                           type=_checked_flag(int, check_episode_count, "--episodes"),
                            default=10000)
         if name == "calibrate":
-            p.add_argument("--gamma", type=float, default=None,
-                           help="effective-reward target (overrides config)")
+            p.add_argument("--gamma", required=True, help="effective-reward target",
+                           type=_checked_flag(
+                               float, lambda v: finite_number(v, "target_gamma"), "--gamma"))
         if name == "solve-complete":
             p.add_argument("--export-policy", action="store_true",
                            help="also write the (large) per-state policy")
@@ -152,10 +148,9 @@ def _load_config_doc(path: str, overrides: list[str]) -> dict:
             target = _config_block(target, key)
         target[keys[-1]] = value
 
-    for block, allowed in (("sweep", _SWEEP_KEYS), ("calibrate", _CALIBRATE_KEYS)):
-        extra = set(_config_block(doc, block)) - allowed
-        if extra:
-            raise ConfigError(f"unknown {block} keys: {sorted(extra)}")
+    extra = set(_config_block(doc, "sweep")) - _SWEEP_KEYS
+    if extra:
+        raise ConfigError(f"unknown sweep keys: {sorted(extra)}")
     return doc
 
 
@@ -197,8 +192,7 @@ def main(argv=None) -> int:
     try:
         doc = _load_config_doc(args.config, args.override)
         # the model's keys, and any unknown one, which from_dict rejects
-        config = ModelConfig.from_dict(
-            {k: v for k, v in doc.items() if k not in ("sweep", "calibrate")})
+        config = ModelConfig.from_dict({k: v for k, v in doc.items() if k != "sweep"})
         out_dir = Path(args.out)
         return _dispatch(args, doc, config, out_dir)
     except (NonThresholdSetError, OSError, ValueError) as err:
@@ -258,7 +252,7 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
             failed = [k for k, c in report.checks.items() if not c.passed]
             print(f"verification FAILED: {failed}", file=sys.stderr)
             return 2
-        print("verification passed: checks (a)-(h) hold")
+        print("verification passed: checks (a)-(i) hold")
         return 0
 
     elif command == "sweep":
@@ -275,12 +269,7 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
         return 1 if failed == len(result.cells) else 0
 
     elif command == "calibrate":
-        block = {"delta": config.delta, **_config_block(doc, "calibrate")}
-        if args.gamma is not None:
-            block["target_gamma"] = args.gamma
-        if block.get("target_gamma") is None:
-            raise ConfigError("calibrate needs --gamma or a calibrate.target_gamma entry")
-        result = calibrate_eta(config=config, **block)
+        result = calibrate_eta(args.gamma, config.delta, config)
         write("calibration.json", result.to_json())
         print(f"eta = {result.eta:.6g} meets gamma = {result.target_gamma}")
 

@@ -29,9 +29,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._kernels import CONTINUE, PROBE, STOP, STRUCTURE_TOL, Action, expect_over_max
+from ._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, STRUCTURE_TOL, Action, expect_over_max,
+                       resolve_actions)
 from .dp_complete import CompleteTables, _induction, _overflow_rule, act_complete
-from .dp_complete import initial_value  # noqa: F401  (one initial value for every capacity)
 from .model import ModelConfig, OrderedFamily, reward_grid
 
 
@@ -72,16 +72,20 @@ class RestrictedTables(CompleteTables):
 
     @cached_property
     @np.errstate(over="ignore", invalid="ignore")
-    def _continue_costs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(cc_b, cc_bf): tau plus the mean over the newcomer's type t of
+    def _continue_costs(self) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+        """(cc_b, cc_bf, kept): tau plus the mean over the newcomer's type t of
         J_{k+1}(b, F_t), or of the value of the relay the overflow rule keeps,
-        each summed in type order from +0.0."""
+        each summed in type order from +0.0; and that rule's kept rows at
+        stages 2..N, rebuilt from the values for check (i)."""
         n, tau, rank = len(self.family), self.config.tau, tuple(self.family.rank)
         cc_b, cc_bf = np.full(self.j_b.shape, np.inf), np.full(self.j_bf.shape, np.inf)
+        kept = []
         for i, level in enumerate(lv[1] for lv in self.values[1:]):
+            rows, total = _overflow_rule(self.space, level, 1, rank)
+            kept.append(rows)
             cc_b[i] = sum(level, 0.0) / n + tau
-            cc_bf[i] = (_overflow_rule(self.space, level, 1, rank)[1] / n + tau).T
-        return cc_b, cc_bf
+            cc_bf[i] = (total / n + tau).T
+        return cc_b, cc_bf, kept
 
     cc_b = property(lambda self: self._continue_costs[0])
     cc_bf = property(lambda self: self._continue_costs[1])
@@ -199,8 +203,9 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Outcome of the ordering/threshold property sweep, checks (a)-(h), plus
-    the reported-only probing-set conjecture observations."""
+    """Outcome of the ordering/threshold property sweep, checks (a)-(h), of
+    the Bellman residual, check (i), and the reported-only probing-set
+    conjecture observations."""
 
     checks: dict[str, CheckResult]
     conjecture: dict = field(default_factory=dict)
@@ -243,7 +248,7 @@ def verify_structure(tables: RestrictedTables) -> StructureReport:
 
     Reads the sets off the tables' own action codes (``extract_thresholds``,
     whose NonThresholdSetError it passes on), and the costs off their values.
-    Produces a pass/fail report; any failure of checks (a)-(h) is a defect.
+    Produces a pass/fail report; any failure of checks (a)-(i) is a defect.
     The probing-set observations (down-set structure, y thresholds increasing
     with stage) are reported but never asserted: they hold empirically but are
     not guaranteed.
@@ -300,6 +305,29 @@ def verify_structure(tables: RestrictedTables) -> StructureReport:
     mism = sum(int((flags[1:] != flags[:1]).sum())
                for flags in (thresholds.s_flags, thresholds.s_l_flags))
     checks["h_stage_independent_sets"] = CheckResult(mism == 0, float(mism), "mask mismatches")
+
+    # (i) Bellman residual: each stored value is the least of its stop, probe
+    # and continue costs rebuilt from the values, each code the tie rule's
+    # for them (a bare state cannot probe), each kept row the overflow rule's
+    stop = np.append(-eta * grid, np.inf)
+    no_probe = np.array(NO_ACTION, dtype=tables.actions[0][0].dtype)
+    targets = (PROBE + np.arange(len(tables.family))).astype(no_probe.dtype)
+    worst_i, codes_i = 0.0, 0
+    for values, codes, (stop_b, probe, target, cont) in (
+        (tables.j_b, [lv[0][0] for lv in tables.actions], (stop, np.inf, no_probe, tables.cc_b)),
+        (tables.j_bf, [lv[1].T for lv in tables.actions],
+         (stop[:, None], tables.cp_bf, targets, tables.cc_bf)),
+    ):
+        rebuilt = np.minimum(cont, np.minimum(probe, stop_b))
+        # 0 where equal (equal infinities are never subtracted), NaN at a NaN
+        gap = np.subtract(values, rebuilt, out=np.zeros(values.shape), where=values != rebuilt)
+        worst_i = max(worst_i, _worst(np.abs(gap)))
+        codes_i += int((resolve_actions(stop_b, probe, target, cont) != np.stack(codes)).sum())
+    rows_i = sum(int((stored != rebuilt).sum())
+                 for stored, rebuilt in zip(tables.kept[1:], tables._continue_costs[2]))
+    checks["i_bellman_residual"] = CheckResult(
+        worst_i <= STRUCTURE_TOL and codes_i == rows_i == 0, worst_i,
+        f"worst value gap; {codes_i} codes and {rows_i} kept entries differ")
 
     # reported-only conjecture observations
     # a down-set of the grid is a run of members from bin 0 on

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from ._kernels import CONTINUE, PROBE, STOP, illegal_action, legal_actions
-from .dp_complete import (BATCH_ELEMENTS, OVERFLOW_ELEMENTS, CompleteTables, initial_value,
-                          solve_complete)
+from .dp_complete import (BATCH_ELEMENTS, OVERFLOW_ELEMENTS, CompleteTables,
+                          NonFiniteValueError, initial_value, solve_complete)
 from .dp_restricted import RestrictedTables, backward_induction, extract_thresholds
 from .model import (
     BudgetExceededError,
@@ -256,9 +256,15 @@ def baseline_components(family: OrderedFamily, config: ModelConfig) -> PolicyCom
     return _components(0.0, mean_reward, 1.0, 1.0, config)
 
 
-def default_eta_grid(n: int = 20, lo: float = 0.1, hi: float = 60.0) -> tuple[float, ...]:
-    """Log-spaced multiplier grid covering both asymptotic regimes."""
-    return tuple(float(x) for x in np.geomspace(lo, hi, n))
+# The multipliers calibration searches, [0, ETA_MAX], to within RESOLUTION,
+# and the top of the default sweep grid.
+ETA_MAX = 60.0
+RESOLUTION = 1e-3
+
+
+def default_eta_grid() -> tuple[float, ...]:
+    """20 log-spaced multipliers from 0.1 to ETA_MAX, covering both asymptotic regimes."""
+    return tuple(float(x) for x in np.geomspace(0.1, ETA_MAX, 20))
 
 
 def check_threads(threads) -> int:
@@ -304,7 +310,7 @@ class SweepCell:
     policy: str
     eta: float
     delta: float
-    status: str                      # "ok" or an error tag
+    status: str                      # "ok", "budget_exceeded" or "non_finite"
     dp_value: Optional[float] = None
     components: Optional[PolicyComponents] = None
     estimates: Optional[Estimates] = None
@@ -355,8 +361,9 @@ def _cell_seed(master: int, index: int) -> int:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Solve, evaluate exactly, and simulate every (policy, eta, delta) cell.
 
-    Budget failures on complete-class cells are recorded per cell and the
-    sweep continues.  Deterministic for a fixed spec."""
+    A cell over the state budget, or whose solved values overflow float
+    arithmetic, is recorded with its status and the sweep continues.
+    Deterministic for a fixed spec."""
     spec.validate()
     grid = build_forwarding_region(spec.base)
     family = build_ordered_family(grid, spec.base)
@@ -377,11 +384,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             comps = complete_components(levels)
             dp_value = initial_value(levels)
             estimates = monte_carlo(levels, spec.n_episodes, seed)
-        except BudgetExceededError as err:
-            return SweepCell(
-                policy=policy, eta=eta, delta=delta,
-                status="budget_exceeded", message=str(err),
-            )
+        except (BudgetExceededError, NonFiniteValueError) as err:
+            status = "budget_exceeded" if isinstance(err, BudgetExceededError) else "non_finite"
+            return SweepCell(policy=policy, eta=eta, delta=delta, status=status, message=str(err))
         snapshot = None
         if policy == "rst":
             thresholds = extract_thresholds(levels)
@@ -421,35 +426,21 @@ class CalibrationResult:
         }
 
 
-def calibrate_eta(
-    target_gamma: float,
-    delta: float,
-    config: ModelConfig,
-    eta_lo: float = 0.0,
-    eta_hi: float = 60.0,
-    resolution: float = 1e-3,
-) -> CalibrationResult:
-    """Smallest multiplier (to within ``resolution``) whose optimal restricted
-    policy meets the effective-reward constraint E[R] - delta E[M] >= gamma.
+def calibrate_eta(target_gamma: float, delta: float, config: ModelConfig) -> CalibrationResult:
+    """Smallest multiplier in [0, ETA_MAX], to within RESOLUTION, whose optimal
+    restricted policy meets the effective-reward constraint E[R] - delta E[M]
+    >= gamma.
 
     Uses bisection on the exact (expectation-pass) effective reward, which is
     nondecreasing in eta for every family: it is a supergradient of the
     concave Lagrangian dual min over policies of E[W] - eta E[R_eff] (Beutler
-    & Ross, J. Math. Anal. Appl. 112, 1985).  The bisection also stops when
-    the bracket holds no float between its ends.  Raises ValueError, naming
-    the argument, for a number that is not finite or is a bool, a bracket
-    outside 0 <= eta_lo < eta_hi or a resolution that is not positive, and
+    & Ross, J. Math. Anal. Appl. 112, 1985).  Raises ValueError, naming the
+    argument, for a number that is not finite or is a bool, and
     InfeasibleGammaError with the achievable supremum when the target is out
     of reach."""
-    target_gamma, delta, eta_lo, eta_hi, resolution = (
-        finite_number(value, f"calibrate {name}") for name, value in (
-            ("target_gamma", target_gamma), ("delta", delta), ("eta_lo", eta_lo),
-            ("eta_hi", eta_hi), ("resolution", resolution)))
-    if not 0.0 <= eta_lo < eta_hi:
-        raise ValueError(f"calibrate needs 0 <= eta_lo < eta_hi, got eta_lo={eta_lo!r}, "
-                         f"eta_hi={eta_hi!r}")
-    if not resolution > 0.0:
-        raise ValueError(f"calibrate resolution must be positive, got {resolution!r}")
+    target_gamma, delta = (
+        finite_number(value, f"calibrate {name}")
+        for name, value in (("target_gamma", target_gamma), ("delta", delta)))
     grid = build_forwarding_region(config)
     family = build_ordered_family(grid, config)
     evaluations = 0
@@ -460,28 +451,19 @@ def calibrate_eta(
         tables = backward_induction(family, config.with_overrides(eta=eta, delta=delta))
         return restricted_components(tables)
 
-    lo_comp = eff(eta_lo)
-    if lo_comp.effective_reward >= target_gamma:
-        return CalibrationResult(
-            eta=eta_lo, effective_reward=lo_comp.effective_reward,
-            mean_delay=lo_comp.mean_delay, target_gamma=target_gamma,
-            bracket=(eta_lo, eta_lo), evaluations=evaluations,
-        )
-    hi_comp = eff(eta_hi)
-    if hi_comp.effective_reward < target_gamma:
-        raise InfeasibleGammaError(target_gamma, hi_comp.effective_reward)
-
-    lo, hi = eta_lo, eta_hi
-    hi_result = hi_comp
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # lo and hi are adjacent floats
-            break
-        mid_comp = eff(mid)
-        if mid_comp.effective_reward >= target_gamma:
-            hi, hi_result = mid, mid_comp
-        else:
-            lo = mid
+    # hi_result: the components at hi, the least multiplier known to meet gamma
+    lo, hi, hi_result = 0.0, 0.0, eff(0.0)
+    if hi_result.effective_reward < target_gamma:
+        hi, hi_result = ETA_MAX, eff(ETA_MAX)
+        if hi_result.effective_reward < target_gamma:
+            raise InfeasibleGammaError(target_gamma, hi_result.effective_reward)
+        while hi - lo > RESOLUTION:
+            mid = 0.5 * (lo + hi)
+            mid_comp = eff(mid)
+            if mid_comp.effective_reward >= target_gamma:
+                hi, hi_result = mid, mid_comp
+            else:
+                lo = mid
     return CalibrationResult(
         eta=hi, effective_reward=hi_result.effective_reward,
         mean_delay=hi_result.mean_delay, target_gamma=target_gamma,

@@ -16,14 +16,16 @@ grid order:
 - components: ``repr`` of the exact sweep's ``PolicyComponents``;
 - episodes: the ``episode_outcomes`` arrays of 5000 episodes under seed 7.
 
-Every array enters with its dtype and shape.  A ``reports`` line digests, over
-the same cells, the JSON of ``verify_structure`` on rst and of
+Every array enters with its dtype and shape.  A ``costs`` line digests rst's
+stagewise ``j_b``, ``j_bf``, ``cc_b``, ``cc_bf`` and ``cp_bf`` over the same
+cells, the costs that ``verify_structure`` reads.  A ``reports`` line
+digests, over the same cells, the JSON of ``verify_structure`` on rst and of
 ``verify_complete_conjectures`` on rst, c2 and glb.  One more line,
 ``artifacts``, digests the bytes of every file that the CLI commands
 ``solve-restricted``, ``verify``, ``solve-complete --export-policy``,
-``calibrate``, ``census`` and a 2-cell ``sweep`` write on one small fixed
-config, each under its command and file name.  The script takes no options
-and pytest does not collect it.
+``calibrate --gamma 0.5``, ``census`` and a 2-cell ``sweep`` write on one
+small fixed config, each under its command and file name.  The script takes
+no options and pytest does not collect it.
 """
 import contextlib
 import dataclasses
@@ -65,11 +67,10 @@ ARTIFACT_CONFIG = {
     "n_locations": 5, "n_reward_bins": 40, "n_relays": 3, "eta": 5.0, "delta": 0.1,
     "sweep": {"eta_values": [1.0, 5.0], "delta_values": [0.1], "policies": ["rst"],
               "n_episodes": 200},
-    "calibrate": {"target_gamma": 0.5},
 }
 ARTIFACT_COMMANDS = (
     ("solve-restricted",), ("verify",), ("solve-complete", "--export-policy"),
-    ("calibrate",), ("census",), ("sweep",),
+    ("calibrate", "--gamma", "0.5"), ("census",), ("sweep",),
 )
 
 
@@ -95,7 +96,7 @@ def main() -> None:
     family = build_ordered_family(build_forwarding_region(base), base)
     digests = {(kind, policy): hashlib.sha256()
                for kind in ("tables", "components", "episodes") for policy in POLICIES}
-    reports = hashlib.sha256()
+    costs, reports = hashlib.sha256(), hashlib.sha256()
     for delta in DELTAS:
         for eta in default_eta_grid():
             config = base.with_overrides(eta=eta, delta=delta)
@@ -110,6 +111,8 @@ def main() -> None:
                 digests["components", policy].update(
                     repr(complete_components(levels)).encode())
                 if policy == "rst":
+                    for name in ("j_b", "j_bf", "cc_b", "cc_bf", "cp_bf"):
+                        update(costs, getattr(levels, name))
                     reports.update(json.dumps(verify_structure(levels).to_json(),
                                               sort_keys=True).encode())
                 if policy != "first":
@@ -120,6 +123,7 @@ def main() -> None:
                     update(digests["episodes", policy], getattr(outcomes, field.name))
     for (kind, policy), digest in digests.items():
         print(f"{kind:<10} {policy:<5} {digest.hexdigest()}")
+    print(f"{'costs':<10} {'rst':<5} {costs.hexdigest()}")
     print(f"{'reports':<10} {'all':<5} {reports.hexdigest()}")
     print(f"{'artifacts':<10} {'cli':<5} {artifacts_digest()}")
 

@@ -36,7 +36,6 @@ def small_config(tmp_path):
             "policies": ["rst", "first"],
             "n_episodes": 50,
         },
-        "calibrate": {"target_gamma": 0.1, "eta_hi": 10.0, "resolution": 0.05},
     }))
     return path
 
@@ -214,13 +213,10 @@ def test_bad_sweep_values_exit_one(small_config, tmp_path, capsys, override):
 
 
 @pytest.mark.parametrize("field,args", [
-    ("resolution", ["--override", "calibrate.resolution=0"]),
-    ("resolution", ["--override", 'calibrate.resolution="0.1"']),
+    ("--gamma", []),
+    ("--gamma", ["--gamma"]),
     ("target_gamma", ["--gamma", "nan"]),
-    ("delta", ["--override", "delta=true"]),
-    ("eta_lo", ["--override", "calibrate.eta_lo=10.0"]),
-    ("eta_lo", ["--override", "calibrate.eta_lo=-1"]),
-    ("eta_hi", ["--override", "calibrate.eta_hi=1e999"]),
+    ("delta", ["--gamma", "0.1", "--override", "delta=true"]),
 ])
 def test_bad_calibrate_values_exit_one(small_config, tmp_path, capsys, field, args):
     out = tmp_path / "out"
@@ -232,8 +228,6 @@ def test_bad_calibrate_values_exit_one(small_config, tmp_path, capsys, field, ar
 
 
 @pytest.mark.parametrize("block,value,override", [
-    ("calibrate", 5, None),
-    ("calibrate", 5, "calibrate.delta=0.1"),
     ("sweep", "eta", None),
     ("sweep", "eta", "sweep.n_episodes=10"),
 ])
@@ -253,6 +247,19 @@ def test_block_that_is_not_an_object_exits_one(small_config, tmp_path, capsys, b
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", [{"target_gamma": 0.1}, 5], ids=["object", "number"])
+def test_a_calibrate_block_is_an_unknown_config_key(small_config, tmp_path, capsys, value):
+    # --gamma is calibrate's one input besides the config
+    doc = json.loads(small_config.read_text())
+    doc["calibrate"] = value
+    small_config.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["calibrate", "--config", str(small_config), "--out", str(out),
+                 "--gamma", "0.1"]) == 1
+    assert capsys.readouterr().err.startswith("error: unknown config keys: ['calibrate']")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["tau", "eta"])
 def test_integer_past_the_float_range_exits_one(small_config, tmp_path, capsys, field):
     code = main(["census", "--config", str(small_config), "--out", str(tmp_path / "o"),
@@ -263,26 +270,27 @@ def test_integer_past_the_float_range_exits_one(small_config, tmp_path, capsys, 
     assert not (tmp_path / "o").exists()
 
 
-# every number a config takes: (command, key, override with {} for the value)
+# every number a config or a flag takes: (command, key, argv with {} for the value)
 NUMERIC_KEYS = (
-    [("census", f.name, f"{f.name}={{}}")
+    [("census", f.name, ["--override", f"{f.name}={{}}"])
      for f in dataclasses.fields(ModelConfig) if f.type == "float"]
-    + [("sweep", key, f"sweep.{key}=[1.0, {{}}]") for key in ("eta_values", "delta_values")]
-    + [("calibrate", key, f"calibrate.{key}={{}}")
-       for key in ("target_gamma", "eta_lo", "eta_hi", "resolution")]
-    + [("calibrate", "delta", "delta={}")]  # calibrate's delta is the config's
+    + [("sweep", key, ["--override", f"sweep.{key}=[1.0, {{}}]"])
+       for key in ("eta_values", "delta_values")]
+    + [("calibrate", "target_gamma", ["--gamma", "{}"])]
+    # calibrate's delta is the config's
+    + [("calibrate", "delta", ["--gamma", "0.1", "--override", "delta={}"])]
 )
 
 
-@pytest.mark.parametrize("command,key,override", NUMERIC_KEYS,
+@pytest.mark.parametrize("command,key,argv", NUMERIC_KEYS,
                          ids=[f"{command}-{key}" for command, key, _ in NUMERIC_KEYS])
 @pytest.mark.parametrize("value", ["true", '"x"', "NaN", "Infinity", "1" + "0" * 400],
                          ids=["bool", "str", "nan", "inf", "huge-int"])
 def test_every_number_must_be_finite_and_not_a_bool(small_config, tmp_path, capsys, command,
-                                                    key, override, value):
+                                                    key, argv, value):
     out = tmp_path / "out"
     code = main([command, "--config", str(small_config), "--out", str(out),
-                 "--override", override.format(value)])
+                 *(arg.format(value) for arg in argv)])
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
@@ -364,8 +372,7 @@ def test_config_file_with_an_integer_past_the_digit_limit_is_not_valid_json(tmp_
     ("sweep.seed=3", "seed"),
     ("sweep.threads=2", "threads"),
     ("sweep.base=1", "base"),
-    ("calibrate.config=1", "config"),
-    ("calibrate.delta=0.5", "delta"),
+    ("calibrate.target_gamma=0.1", "['calibrate']"),
     ("nonsense.x=1", "nonsense"),
     ("eta.x=1", "eta"),
     ("n_relays.x=1", "n_relays"),
@@ -373,9 +380,9 @@ def test_config_file_with_an_integer_past_the_digit_limit_is_not_valid_json(tmp_
 ])
 def test_override_outside_the_config_schema_rejected(small_config, tmp_path, capsys,
                                                      override, named):
-    # the CLI fills sweep.seed, sweep.threads, sweep.base, calibrate.config and
-    # calibrate.delta from its own flags and the model config, so no block may
-    # set them
+    # the CLI fills sweep.seed, sweep.threads and sweep.base from its own
+    # flags and the model config, so no block may set them, and calibrate
+    # takes its target from --gamma alone
     out = tmp_path / "out"
     code = main(["census", "--config", str(small_config), "--out", str(out),
                  "--override", override])
@@ -387,7 +394,8 @@ def test_override_outside_the_config_schema_rejected(small_config, tmp_path, cap
 
 def test_calibrate_command(small_config, tmp_path, capsys):
     out = tmp_path / "out"
-    assert main(["calibrate", "--config", str(small_config), "--out", str(out)]) == 0
+    assert main(["calibrate", "--config", str(small_config), "--out", str(out),
+                 "--gamma", "0.1"]) == 0
     result = json.loads((out / "calibration.json").read_text())
     assert result["effective_reward"] >= result["target_gamma"]
 
@@ -396,10 +404,10 @@ def test_calibrate_solves_at_the_configs_delta(small_config, tmp_path, capsys):
     # the manifest's config holds the delta the calibration was made at
     out = tmp_path / "out"
     assert main(["calibrate", "--config", str(small_config), "--out", str(out),
-                 "--override", "delta=0.02"]) == 0
+                 "--gamma", "0.1", "--override", "delta=0.02"]) == 0
     config = ModelConfig.from_dict(json.loads((out / "manifest.json").read_text())["config"])
     assert config.delta == 0.02
-    want = relaymdp.calibrate_eta(0.1, 0.02, config, eta_hi=10.0, resolution=0.05)
+    want = relaymdp.calibrate_eta(0.1, 0.02, config)
     assert json.loads((out / "calibration.json").read_text()) == want.to_json()
 
 
@@ -464,6 +472,25 @@ def test_sweep_exits_one_only_when_no_cell_succeeds(tmp_path, capsys, policies, 
         assert (out / name).exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert [c["status"] for c in manifest["cells"]] == statuses
+
+
+def test_a_sweep_cell_whose_values_overflow_is_recorded(tmp_path, capsys):
+    # eta 1e308 drives the solve's sums past the float range; the eta-1 cell
+    # beside it is kept
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "n_locations": 5, "n_reward_bins": 40, "n_relays": 3,
+        "sweep": {"eta_values": [1.0, 1e308], "delta_values": [0.1], "policies": ["rst"],
+                  "n_episodes": 200},
+    }))
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", str(path), "--out", str(out)]) == 0
+    assert "1 sweep cells failed (see manifest)" in capsys.readouterr().err
+    cells = json.loads((out / "manifest.json").read_text())["cells"]
+    assert [c["status"] for c in cells] == ["ok", "non_finite"]
+    assert "overflows float arithmetic" in cells[1]["message"]
+    rows = (out / "fig_total_cost.csv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].startswith("rst,1.0,0.1,")
 
 
 def test_verification_failure_exits_two(small_config, tmp_path, monkeypatch, capsys):
@@ -534,16 +561,10 @@ def test_module_entry_points_report_version(module):
     assert result.stdout.strip() == f"relaymdp {relaymdp.__version__}"
 
 
-@pytest.mark.parametrize("flag,env", [
-    ("0", None), ("-2", None), ("abc", None), ("1.5", None),
-    (None, "abc"), (None, "0"), (None, ""),
-])
-def test_bad_thread_count_exits_one(small_config, tmp_path, capsys, monkeypatch, flag, env):
-    if env is not None:
-        monkeypatch.setenv("RELAYMDP_THREADS", env)
-    argv = ["census", "--config", str(small_config), "--out", str(tmp_path / "o")]
-    if flag is not None:
-        argv += ["--threads", flag]
+@pytest.mark.parametrize("flag", ["0", "-2", "abc", "1.5"])
+def test_bad_thread_count_exits_one(small_config, tmp_path, capsys, flag):
+    argv = ["census", "--config", str(small_config), "--out", str(tmp_path / "o"),
+            "--threads", flag]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "threads" in err

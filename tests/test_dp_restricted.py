@@ -24,7 +24,7 @@ from relaymdp import (
 from relaymdp._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, Decision, decision_of,
                                resolve_actions)
 from relaymdp.dp_complete import (_induction, _probe_costs, _ranked_members, act_complete,
-                                  solve_complete)
+                                  initial_value, solve_complete)
 from relaymdp.dp_restricted import (
     Action,
     NonThresholdSetError,
@@ -34,7 +34,6 @@ from relaymdp.dp_restricted import (
     act,
     backward_induction,
     extract_thresholds,
-    initial_value,
     verify_structure,
 )
 from relaymdp.model import order_family
@@ -402,16 +401,55 @@ class TestVerifyStructure:
     def test_an_edited_stop_code_moves_the_checked_sets(self, default_tables,
                                                          default_thresholds):
         # the bare state at stage 2 and bin x[1] stops; continuing there
-        # instead leaves S_2 short of S_1 (h) and of S_2^l (e).  The report
-        # reads the sets off the edited codes, not off a summary of the
-        # unedited ones, which passes every check
+        # instead leaves S_2 short of S_1 (h) and of S_2^l (e), and is not
+        # the tie rule's code for its costs (i).  The report reads the sets
+        # off the edited codes, not off a summary of the unedited ones, which
+        # passes every check
         x = int(default_thresholds.x[1])
         assert x == 0 and default_tables.actions[1][0][0, x] == STOP
         levels = corrupted(default_tables)
         levels.actions[1][0][0, x] = CONTINUE
         report = verify_structure(levels)
         failed = {key for key, check in report.checks.items() if not check.passed}
-        assert failed == {"e_set_inclusions", "h_stage_independent_sets"}
+        assert failed == {"e_set_inclusions", "h_stage_independent_sets", "i_bellman_residual"}
+
+    @pytest.mark.parametrize("edit", [
+        # (stage, size, row, bin, change) at eta 10: the continue entries
+        # J_2(b=0, F_0) and J_1(none, F_3), the stop entries J_3(b=40),
+        # J_4(b=40, F_7) and J_5(b=10)
+        (2, 1, 0, 0, 1e-7), (2, 1, 0, 0, -1e-7), (3, 0, 0, 40, 1e-7), (4, 1, 7, 40, -1e-7),
+        (1, 1, 3, 100, 0.5), (5, 0, 0, 10, -0.5),
+    ])
+    def test_a_finite_edit_to_a_value_fails_the_bellman_residual(self, default_config,
+                                                                  default_family, edit):
+        stage, size, row, b, change = edit
+        tables = backward_induction(default_family, default_config.with_overrides(eta=10.0))
+        tables.values[stage - 1][size][row, b] += change
+        report = verify_structure(tables)
+        check = report.checks["i_bellman_residual"]
+        assert not check.passed
+        assert check.worst == pytest.approx(abs(change), rel=1e-6)
+        if edit == (2, 1, 0, 0, 1e-7):  # which passes every other check
+            assert [key for key, c in report.checks.items() if not c.passed] == [
+                "i_bellman_residual"]
+
+    def test_an_edited_code_or_kept_row_fails_the_bellman_residual(self, default_tables):
+        # the state J_3(b=5, F_7) probes its relay: continuing instead; and
+        # the relay kept when a type-0 relay wakes beside a type-7 one at
+        # stage 3 and bin 40: neither of the two
+        assert default_tables.actions[2][1][7, 5] == PROBE + 7
+        levels = corrupted(default_tables)
+        levels.actions[2][1][7, 5] = CONTINUE
+        report = verify_structure(levels)
+        assert not report.checks["i_bellman_residual"].passed
+        assert report.checks["i_bellman_residual"].detail.endswith(
+            "1 codes and 0 kept entries differ")
+        kept = [None if k is None else k.copy() for k in default_tables.kept]
+        kept[2][0, 7, 40] = 3
+        report = verify_structure(replace(default_tables, kept=kept))
+        assert not report.checks["i_bellman_residual"].passed
+        assert report.checks["i_bellman_residual"].detail.endswith(
+            "0 codes and 1 kept entries differ")
 
     @pytest.mark.parametrize("capacity", [2, 3])
     def test_levels_of_another_capacity_are_named(self, capacity):
@@ -467,6 +505,6 @@ class TestVerifyStructure:
         assert set(payload["checks"]) == {
             "a_monotone_in_b", "b_stage_monotone", "c_dominance_order",
             "d_cc_retained_le_bare", "e_set_inclusions", "f_lipschitz",
-            "g_equal_costs_on_s", "h_stage_independent_sets",
+            "g_equal_costs_on_s", "h_stage_independent_sets", "i_bellman_residual",
         }
         assert "p_all_down_sets" in payload["conjecture"]

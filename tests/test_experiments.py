@@ -13,6 +13,8 @@ from relaymdp._kernels import CONTINUE, NO_ACTION, PROBE, STOP, IllegalActionErr
 from relaymdp.dp_complete import _induction, initial_value, solve_complete
 from relaymdp.dp_restricted import backward_induction
 from relaymdp.experiments import (
+    ETA_MAX,
+    RESOLUTION,
     InfeasibleGammaError,
     SweepSpec,
     baseline_components,
@@ -355,8 +357,7 @@ class TestSweep:
         assert spec.n_episodes == 2000
 
 
-CALIBRATE_NUMBERS = {"target_gamma": 0.1, "delta": 0.05, "eta_lo": 0.0, "eta_hi": 10.0,
-                     "resolution": 0.05}
+CALIBRATE_NUMBERS = {"target_gamma": 0.1, "delta": 0.05}
 
 
 class TestCalibration:
@@ -375,19 +376,18 @@ class TestCalibration:
 
     def test_zero_target_returns_smallest_eta(self, small_base):
         config, _ = small_base
-        result = calibrate_eta(0.0, delta=0.05, config=config, eta_hi=20.0)
+        result = calibrate_eta(0.0, delta=0.05, config=config)
         assert result.eta == 0.0
         assert result.effective_reward >= 0.0
 
     def test_unreachable_target_raises_with_supremum(self, small_base):
         config, _ = small_base
         with pytest.raises(InfeasibleGammaError) as err:
-            calibrate_eta(10.0, delta=0.05, config=config, eta_hi=20.0)
+            calibrate_eta(10.0, delta=0.05, config=config)
         assert err.value.achievable < 10.0
 
     def test_midrange_target_is_tight_at_grid_resolution(self, small_base):
         config, family = small_base
-        resolution = 1e-2
 
         def eff(eta):
             tables = backward_induction(
@@ -395,26 +395,16 @@ class TestCalibration:
             )
             return restricted_components(tables).effective_reward
 
-        gamma = 0.5 * (eff(0.0) + eff(20.0))  # strictly interior target
-        result = calibrate_eta(
-            gamma, delta=0.05, config=config, eta_hi=20.0, resolution=resolution
-        )
+        gamma = 0.5 * (eff(0.0) + eff(ETA_MAX))  # strictly interior target
+        result = calibrate_eta(gamma, delta=0.05, config=config)
         assert result.effective_reward >= gamma
-        assert 0.0 < result.eta <= 20.0
-        # the previous grid point must miss the target
-        assert eff(max(result.eta - resolution, 0.0)) < gamma
-
-    def test_resolution_below_float_spacing_ends_at_adjacent_floats(self, small_base):
-        config, family = small_base
-        lo_eff = restricted_components(backward_induction(
-            family, config.with_overrides(eta=0.0, delta=0.05))).effective_reward
-        hi_eff = restricted_components(backward_induction(
-            family, config.with_overrides(eta=20.0, delta=0.05))).effective_reward
-        result = calibrate_eta(0.5 * (lo_eff + hi_eff), delta=0.05, config=config,
-                               eta_hi=20.0, resolution=1e-300)
+        assert 0.0 < result.eta <= ETA_MAX
         lo, hi = result.bracket
-        assert np.nextafter(lo, np.inf) == hi == result.eta
-        assert result.evaluations < 100
+        assert hi == result.eta and 0.0 < hi - lo <= RESOLUTION
+        # the bracket's lower end must miss the target
+        assert eff(lo) < gamma
+        # [0, 60] halved until at most 1e-3 wide: 16 halvings, after the two ends
+        assert result.evaluations == 18
 
     def test_effective_reward_nondecreasing_in_eta(self, small_base):
         config, family = small_base
