@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import relaymdp
-from relaymdp import model
+from relaymdp import cli, model
 from relaymdp.cli import main
 from relaymdp.dp_restricted import CheckResult, StructureReport
 from relaymdp.model import ModelConfig
@@ -212,11 +212,30 @@ def test_bad_sweep_values_exit_one(small_config, tmp_path, capsys, override):
     assert not out.exists()
 
 
+UNKNOWN_CALIBRATE = "unknown config keys: ['calibrate']"
+
+
+# the calibrate block's resolution, eta_lo and eta_hi are removed inputs, so
+# each of their bad values is now refused as an unknown config key
 @pytest.mark.parametrize("field,args", [
-    ("--gamma", []),
-    ("--gamma", ["--gamma"]),
-    ("target_gamma", ["--gamma", "nan"]),
-    ("delta", ["--gamma", "0.1", "--override", "delta=true"]),
+    pytest.param(UNKNOWN_CALIBRATE,
+                 ["--gamma", "0.1", "--override", "calibrate.resolution=0"],
+                 id="resolution-args0"),
+    pytest.param(UNKNOWN_CALIBRATE,
+                 ["--gamma", "0.1", "--override", 'calibrate.resolution="0.1"'],
+                 id="resolution-args1"),
+    pytest.param("target_gamma", ["--gamma", "nan"], id="target_gamma-args2"),
+    pytest.param("delta", ["--gamma", "0.1", "--override", "delta=true"], id="delta-args3"),
+    pytest.param(UNKNOWN_CALIBRATE,
+                 ["--gamma", "0.1", "--override", "calibrate.eta_lo=10.0"],
+                 id="eta_lo-args4"),
+    pytest.param(UNKNOWN_CALIBRATE, ["--gamma", "0.1", "--override", "calibrate.eta_lo=-1"],
+                 id="eta_lo-args5"),
+    pytest.param(UNKNOWN_CALIBRATE,
+                 ["--gamma", "0.1", "--override", "calibrate.eta_hi=1e999"],
+                 id="eta_hi-args6"),
+    pytest.param("--gamma", [], id="--gamma-args7"),
+    pytest.param("--gamma", ["--gamma"], id="--gamma-args8"),
 ])
 def test_bad_calibrate_values_exit_one(small_config, tmp_path, capsys, field, args):
     out = tmp_path / "out"
@@ -227,36 +246,45 @@ def test_bad_calibrate_values_exit_one(small_config, tmp_path, capsys, field, ar
     assert not out.exists()
 
 
-@pytest.mark.parametrize("block,value,override", [
-    ("sweep", "eta", None),
-    ("sweep", "eta", "sweep.n_episodes=10"),
+# (block, value, override, what the error says); the block's command reads
+# it, and calibrate, which reads no block, refuses one as an unknown key once
+# no override has to write into it
+@pytest.mark.parametrize("block,value,override,error", [
+    pytest.param("calibrate", 5, None, UNKNOWN_CALIBRATE, id="calibrate-5-None"),
+    pytest.param("calibrate", 5, "calibrate.delta=0.1",
+                 "config block 'calibrate' must be a JSON object",
+                 id="calibrate-5-calibrate.delta=0.1"),
+    pytest.param("sweep", "eta", None, "config block 'sweep' must be a JSON object",
+                 id="sweep-eta-None"),
+    pytest.param("sweep", "eta", "sweep.n_episodes=10",
+                 "config block 'sweep' must be a JSON object",
+                 id="sweep-eta-sweep.n_episodes=10"),
 ])
 def test_block_that_is_not_an_object_exits_one(small_config, tmp_path, capsys, block, value,
-                                                override):
-    # the block's command reads it
+                                                override, error):
     doc = json.loads(small_config.read_text())
     doc[block] = value
     small_config.write_text(json.dumps(doc))
     out = tmp_path / "out"
     argv = [block, "--config", str(small_config), "--out", str(out)]
+    if block == "calibrate":
+        argv += ["--gamma", "0.1"]
     if override:
         argv += ["--override", override]
     assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and repr(block) in err and "JSON object" in err
+    assert capsys.readouterr().err.startswith(f"error: {error}")
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", [{"target_gamma": 0.1}, 5], ids=["object", "number"])
-def test_a_calibrate_block_is_an_unknown_config_key(small_config, tmp_path, capsys, value):
+def test_a_calibrate_block_is_an_unknown_config_key(small_config, tmp_path, capsys):
     # --gamma is calibrate's one input besides the config
     doc = json.loads(small_config.read_text())
-    doc["calibrate"] = value
+    doc["calibrate"] = {"target_gamma": 0.1}
     small_config.write_text(json.dumps(doc))
     out = tmp_path / "out"
     assert main(["calibrate", "--config", str(small_config), "--out", str(out),
                  "--gamma", "0.1"]) == 1
-    assert capsys.readouterr().err.startswith("error: unknown config keys: ['calibrate']")
+    assert capsys.readouterr().err.startswith(f"error: {UNKNOWN_CALIBRATE}")
     assert not out.exists()
 
 
@@ -280,10 +308,17 @@ NUMERIC_KEYS = (
     # calibrate's delta is the config's
     + [("calibrate", "delta", ["--gamma", "0.1", "--override", "delta={}"])]
 )
+# numbers the calibrate block took before it was removed: any value for them,
+# finite or not, is an unknown config key
+REMOVED_CALIBRATE_KEYS = [
+    ("calibrate", key, ["--gamma", "0.1", "--override", f"calibrate.{key}={{}}"])
+    for key in ("eta_lo", "eta_hi", "resolution")
+]
 
 
-@pytest.mark.parametrize("command,key,argv", NUMERIC_KEYS,
-                         ids=[f"{command}-{key}" for command, key, _ in NUMERIC_KEYS])
+@pytest.mark.parametrize("command,key,argv", NUMERIC_KEYS + REMOVED_CALIBRATE_KEYS,
+                         ids=[f"{command}-{key}"
+                              for command, key, _ in NUMERIC_KEYS + REMOVED_CALIBRATE_KEYS])
 @pytest.mark.parametrize("value", ["true", '"x"', "NaN", "Infinity", "1" + "0" * 400],
                          ids=["bool", "str", "nan", "inf", "huge-int"])
 def test_every_number_must_be_finite_and_not_a_bool(small_config, tmp_path, capsys, command,
@@ -294,7 +329,10 @@ def test_every_number_must_be_finite_and_not_a_bool(small_config, tmp_path, caps
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
-    assert re.search(rf"\b{key} must be a finite number", err), err
+    if (command, key, argv) in REMOVED_CALIBRATE_KEYS:
+        assert err.startswith(f"error: {UNKNOWN_CALIBRATE}"), err
+    else:
+        assert re.search(rf"\b{key} must be a finite number", err), err
     assert not out.exists()
 
 
@@ -373,6 +411,9 @@ def test_config_file_with_an_integer_past_the_digit_limit_is_not_valid_json(tmp_
     ("sweep.threads=2", "threads"),
     ("sweep.base=1", "base"),
     ("calibrate.target_gamma=0.1", "['calibrate']"),
+    # the calibrate block is removed, so even the keys the CLI once filled are unknown
+    pytest.param("calibrate.config=1", "['calibrate']", id="calibrate.config=1-config"),
+    pytest.param("calibrate.delta=0.5", "['calibrate']", id="calibrate.delta=0.5-delta"),
     ("nonsense.x=1", "nonsense"),
     ("eta.x=1", "eta"),
     ("n_relays.x=1", "n_relays"),
@@ -561,11 +602,26 @@ def test_module_entry_points_report_version(module):
     assert result.stdout.strip() == f"relaymdp {relaymdp.__version__}"
 
 
-@pytest.mark.parametrize("flag", ["0", "-2", "abc", "1.5"])
-def test_bad_thread_count_exits_one(small_config, tmp_path, capsys, flag):
+# (--threads, RELAYMDP_THREADS or None to leave it unset): the CLI reads no
+# environment variable, so a good one does not rescue a bad flag
+@pytest.mark.parametrize("flag,env", [
+    ("0", None), ("-2", None), ("abc", None), ("1.5", None), ("0", "4"),
+])
+def test_bad_thread_count_exits_one(small_config, tmp_path, capsys, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("RELAYMDP_THREADS", env)
     argv = ["census", "--config", str(small_config), "--out", str(tmp_path / "o"),
             "--threads", flag]
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "threads" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("env", ["abc", "0", ""])
+def test_relaymdp_threads_is_not_read(small_config, tmp_path, capsys, monkeypatch, env):
+    # it was once the fallback for --threads, which now defaults to 1
+    monkeypatch.setenv("RELAYMDP_THREADS", env)
+    argv = ["census", "--config", str(small_config), "--out", str(tmp_path / "o")]
+    assert cli._build_parser().parse_args(argv).threads == 1
+    assert main(argv) == 0

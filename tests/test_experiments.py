@@ -358,10 +358,12 @@ class TestSweep:
 
 
 CALIBRATE_NUMBERS = {"target_gamma": 0.1, "delta": 0.05}
+# the bracket and resolution calibrate_eta no longer takes: ETA_MAX and RESOLUTION
+REMOVED_CALIBRATE_ARGUMENTS = ("eta_lo", "eta_hi", "resolution")
 
 
 class TestCalibration:
-    @pytest.mark.parametrize("name", list(CALIBRATE_NUMBERS))
+    @pytest.mark.parametrize("name", [*CALIBRATE_NUMBERS, *REMOVED_CALIBRATE_ARGUMENTS])
     @pytest.mark.parametrize("bad", [True, "0.2", 10 ** 400], ids=["bool", "str", "huge-int"])
     def test_a_bad_number_is_named_before_any_solve(self, small_base, monkeypatch, name, bad):
         config, _ = small_base
@@ -371,7 +373,11 @@ class TestCalibration:
 
         monkeypatch.setattr(experiments, "build_forwarding_region", no_solve)
         monkeypatch.setattr(experiments, "backward_induction", no_solve)
-        with pytest.raises(ValueError, match=f"calibrate {name} must be a finite number"):
+        if name in CALIBRATE_NUMBERS:
+            error, match = ValueError, f"calibrate {name} must be a finite number"
+        else:
+            error, match = TypeError, f"unexpected keyword argument '{name}'"
+        with pytest.raises(error, match=match):
             calibrate_eta(config=config, **{**CALIBRATE_NUMBERS, name: bad})
 
     def test_zero_target_returns_smallest_eta(self, small_base):
