@@ -273,9 +273,10 @@ def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharg
     plane has pairs (the wide planes of the larger levels, a few bins each)
     adds one whole plane per bin, and a chunk of more bins than pairs (the
     narrow planes of the small levels, all bins at once) runs ``np.cumsum``
-    along its bins, whose per-pair loop is then long.  With ``none_only``
-    just the none row is settled, from the carried sum alone, accumulated
-    bin by bin in one plane, and returned as one column.
+    along its bins, whose per-pair loop is then long.  Each chunk writes its
+    settled bins straight into the tables.  With ``none_only`` the chunks
+    run the same sums but settle no real bin: the none row alone is settled,
+    from the carried sum, and returned as one column.
     """
     n_types, n_bins = pmf.shape
     n_rows, n_slots = types.shape
@@ -305,38 +306,26 @@ def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharg
     pmf_by_bin, cdf_by_bin = (np.ascontiguousarray(m.T)[:, :, None] for m in (pmf, cdf))
     # the sum of pmf * V over the bins above the chunk; -0.0 adds exactly
     carry = np.full((n_types, len(smaller)), -0.0)
-    if none_only:
-        term = np.empty_like(carry)
-        for b in range(n_bins - 1, -1, -1):
-            carry += np.multiply(pmf_by_bin[b], vals_by_bin[b], out=term)
-    else:
-        width = max(1, BATCH_ELEMENTS // carry.size)
-        # settled chunks wait until they span a block of bins, which is
-        # written into the row-major tables at once (a bin at a time touches
-        # a cache line per row)
-        block = max(1, BATCH_ELEMENTS // n_rows)
-        pending, written = [], n_bins  # the bins from `written` up are in the tables
-        for hi in range(n_bins, 0, -width):
-            lo = max(0, hi - width)
-            vals = vals_by_bin[lo:hi]
-            # sums[j]: the sum over bins >= lo + j, added from the top bin down
-            sums = pmf_by_bin[lo:hi] * vals
-            sums[-1] += carry
-            if carry.size >= hi - lo:  # no more bins than pairs: plane by plane
-                for j in range(hi - lo - 2, -1, -1):
-                    np.add(sums[j + 1], sums[j], out=sums[j])
-            else:  # more bins than pairs: one long loop per pair
-                sums = np.cumsum(sums[::-1], axis=0)[::-1]
+    width = max(1, BATCH_ELEMENTS // carry.size)
+    for hi in range(n_bins, 0, -width):
+        lo = max(0, hi - width)
+        vals = vals_by_bin[lo:hi]
+        # sums[j]: the sum over bins >= lo + j, added from the top bin down
+        sums = pmf_by_bin[lo:hi] * vals
+        sums[-1] += carry
+        if carry.size >= hi - lo:  # no more bins than pairs: plane by plane
+            for j in range(hi - lo - 2, -1, -1):
+                np.add(sums[j + 1], sums[j], out=sums[j])
+        else:  # more bins than pairs: one long loop per pair
+            sums = np.cumsum(sums[::-1], axis=0)[::-1]
+        if not none_only:
             costs = cdf_by_bin[lo:hi] * vals
             costs[:-1] += sums[1:]
             costs[-1] += carry
             costs += surcharge
-            pending.insert(0, settle(costs))
-            if written - lo >= block or lo == 0:
-                probe[:, lo:written] = np.concatenate([best for best, _ in pending]).T
-                code[:, lo:written] = np.concatenate([pick for _, pick in pending]).T
-                pending, written = [], lo
-            carry = sums[0]
+            best, pick = settle(costs)
+            probe[:, lo:hi], code[:, lo:hi] = best.T, pick.T
+        carry = sums[0]
     carry += surcharge  # in place: nothing reads the sums after this
     best, pick = settle(carry[None])  # the none row: max{none, R} = R
     probe[:, -1], code[:, -1] = best[0], pick[0]

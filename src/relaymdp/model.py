@@ -121,11 +121,12 @@ class ModelConfig:
                 finite_number(value, f.name)
             elif f.type == "int":
                 whole_number(value, f.name, self._LOWEST[f.name])
-        # the restricted class's values and its (L, L, B+1) kept rows at stages
-        # 2..N, in Python ints, which cannot wrap as a numpy integer field would
+        # the restricted class's values, which every reader holds at least,
+        # in Python ints, which cannot wrap as a numpy integer field would;
+        # a solve counts what it stores besides
         n, bins, types = int(self.n_relays), int(self.n_reward_bins), int(self.n_locations)
-        check_budget((bins + 1) * (n * (types + 1) + (n - 1) * types ** 2), "(n_reward_bins + 1)"
-                     " * (n_relays * (n_locations + 1) + (n_relays - 1) * n_locations ** 2)")
+        check_budget((bins + 1) * n * (types + 1),
+                     "(n_reward_bins + 1) * n_relays * (n_locations + 1)")
         if not (self.v0 > self.comm_radius > 0.0):
             raise ConfigError(
                 f"need v0 > comm_radius > 0, got v0={self.v0}, comm_radius={self.comm_radius}"
@@ -169,8 +170,6 @@ class ModelConfig:
             value = data[f.name]
             if f.type == "float":
                 value = finite_number(value, f.name)
-            elif f.type == "int" and isinstance(value, float) and value.is_integer():
-                value = int(value)
             coerced[f.name] = value
         return cls(**coerced).validate()
 

@@ -150,7 +150,7 @@ def probe_first_levels(family: OrderedFamily, config: ModelConfig) -> CompleteTa
     awake relay while nothing is probed and stops otherwise; the values are
     that policy's costs.  Later stages are never reached and hold NO_ACTION.
     BudgetExceededError, before anything is allocated, where the restricted
-    class, whose levels have these shapes, would not fit the state budget."""
+    class's values, which these levels hold, would not fit the state budget."""
     config.validate()
     n_loc, none = len(family), family.n_bins
     shapes, stages = ((1, none + 1), (n_loc, none + 1)), range(config.n_relays)

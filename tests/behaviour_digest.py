@@ -24,8 +24,12 @@ digests, over the same cells, the JSON of ``verify_structure`` on rst and of
 ``artifacts``, digests the bytes of every file that the CLI commands
 ``solve-restricted``, ``verify``, ``solve-complete --export-policy``,
 ``calibrate --gamma 0.5``, ``census`` and a 2-cell ``sweep`` write on one
-small fixed config, each under its command and file name.  The script takes
-no options and pytest does not collect it.
+small fixed config, each under its command and file name.  Two last
+``tables`` lines, L3-c2 and L3-cN, digest the levels of capacity 2 and N on
+a small config (3 locations, 40 bins, 4 relays) over the same 60 cells:
+there every level of the none row alone sums a plane of fewer (type, row)
+pairs than bins (9, 18 and 30), which the reference grid never does.  The
+script takes no options and pytest does not collect it.
 """
 import contextlib
 import dataclasses
@@ -61,6 +65,29 @@ def levels_of(policy, family, config):
     if policy == "c2":
         return _induction(family, config, 2)
     return policy_levels(policy, family, config)
+
+
+NARROW = {"n_locations": 3, "n_reward_bins": 40, "n_relays": 4}
+
+
+def update_tables(digest, levels) -> None:
+    for stage in levels.values + levels.actions:
+        for level in stage:
+            update(digest, level)
+    for kept in levels.kept:
+        update(digest, kept)
+
+
+def narrow_digests() -> dict:
+    base = ModelConfig(**NARROW).validate()
+    family = build_ordered_family(build_forwarding_region(base), base)
+    digests = {name: hashlib.sha256() for name in ("L3-c2", "L3-cN")}
+    for delta in DELTAS:
+        for eta in default_eta_grid():
+            config = base.with_overrides(eta=eta, delta=delta)
+            for name, capacity in (("L3-c2", 2), ("L3-cN", config.n_relays)):
+                update_tables(digests[name], _induction(family, config, capacity))
+    return digests
 
 
 ARTIFACT_CONFIG = {
@@ -102,12 +129,7 @@ def main() -> None:
             config = base.with_overrides(eta=eta, delta=delta)
             for policy in POLICIES:
                 levels = levels_of(policy, family, config)
-                tables = digests["tables", policy]
-                for stage in levels.values + levels.actions:
-                    for level in stage:
-                        update(tables, level)
-                for kept in levels.kept:
-                    update(tables, kept)
+                update_tables(digests["tables", policy], levels)
                 digests["components", policy].update(
                     repr(complete_components(levels)).encode())
                 if policy == "rst":
@@ -126,6 +148,8 @@ def main() -> None:
     print(f"{'costs':<10} {'rst':<5} {costs.hexdigest()}")
     print(f"{'reports':<10} {'all':<5} {reports.hexdigest()}")
     print(f"{'artifacts':<10} {'cli':<5} {artifacts_digest()}")
+    for name, digest in narrow_digests().items():
+        print(f"{'tables':<10} {name:<5} {digest.hexdigest()}")
 
 
 if __name__ == "__main__":

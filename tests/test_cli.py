@@ -353,7 +353,7 @@ INTEGER_INPUTS = {
 INTEGER_CASES = [
     (name, value)
     for name, (_, _, _, below, past) in INTEGER_INPUTS.items()
-    for value in ("true", "2.5", '"x"', str(below)) + (() if past is None else (str(past),))
+    for value in ("true", "2.5", "3.0", '"x"', str(below)) + (() if past is None else (str(past),))
 ]
 
 
@@ -480,13 +480,13 @@ def test_budget_exceeded_at_a_long_horizon_exits_one(small_config, tmp_path, cap
 
 
 def test_probe_first_budget_exceeded_exits_one(small_config, tmp_path, capsys, monkeypatch):
-    # the probe-first levels are held to the restricted class's entries: 3
-    # stages of 13 x (1 + 4) values and 2 of 13 x 4 x 4 kept rows
-    monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", 610)
+    # the probe-first levels are held to the values they store: 3 stages of
+    # 13 x (1 + 4)
+    monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", 194)
     code = main(["simulate", "--config", str(small_config), "--out", str(tmp_path / "o"),
                  "--policy", "first", "--episodes", "10"])
     assert code == 1
-    assert "= 611 memo entries, over the state budget of 610" in capsys.readouterr().err
+    assert "= 195 memo entries, over the state budget of 194" in capsys.readouterr().err
 
 
 # one cell per policy; glb at 8 relays of the shipped config needs about 123M

@@ -778,6 +778,16 @@ class TestProbeKernel:
         assert tables.values[3][4].shape[1] == 1
         self.assert_regime(monkeypatch, tables, 4, 4, True, cumsums=0)
 
+    def test_level_of_the_none_row_alone_over_a_narrow_plane_takes_one_cumsum(
+            self, monkeypatch):
+        # at capacity 2 the size-2 level at stage 2 has probed nothing and
+        # reads the stage's size-1 level, a plane of 3 x 3 (type, row) pairs,
+        # over 40 bins: one chunk, summed by np.cumsum
+        config, family = small_instance(3, 40, 3, eta=2.0, delta=0.05)
+        tables = _induction(family, config, 2)
+        assert tables.values[1][2].shape[1] == 1 and 3 * 3 < 40
+        self.assert_regime(monkeypatch, tables, 2, 2, True, cumsums=1)
+
     def test_non_finite_inputs_behave_as_the_reference(self):
         config, family = small_instance(4, 12, 3, eta=2.0, delta=0.05)
         tables = solve_complete(family, config)

@@ -14,6 +14,7 @@ from oracles import reference_family
 import relaymdp
 from relaymdp import dp_complete, model, simulate
 from relaymdp.dp_complete import solve_complete
+from relaymdp.dp_restricted import backward_induction
 from relaymdp.model import (
     BudgetExceededError,
     ConfigError,
@@ -120,15 +121,15 @@ class TestWholeNumber:
 
 
 class TestSizeRule:
-    """The restricted class's entries, its N (B+1) (L+1) values and the
-    (N-1) (B+1) L^2 kept rows of its overflow rule, must fit the state budget,
-    checked before anything is allocated."""
+    """The restricted class's N (B+1) (L+1) values, which every reader holds
+    at least, must fit the state budget, checked before anything is
+    allocated; a solve counts the rest of what it stores itself."""
 
     @pytest.mark.parametrize("build", [
         lambda: ModelConfig(n_relays=10 ** 9).validate(),
         lambda: ModelConfig(n_reward_bins=10 ** 8).validate(),
         lambda: ModelConfig(n_locations=10 ** 7).validate(),
-        lambda: ModelConfig.from_dict({"n_relays": 1e20}),
+        lambda: ModelConfig.from_dict({"n_relays": 10 ** 20}),
         lambda: ModelConfig().with_overrides(n_relays=10 ** 400),
         lambda: ModelConfig(n_relays=np.int64(2 ** 62)).validate(),
     ], ids=["n_relays", "n_reward_bins", "n_locations", "from_dict_float", "10**400",
@@ -140,26 +141,47 @@ class TestSizeRule:
         assert time.perf_counter() - start < 1.0
 
     def test_the_budget_is_met_exactly_at_its_edge(self):
-        # at the reference L and B, 101 * 21 values per stage and 101 * 20 * 20
-        # kept rows per stage past the first: 101 * (421 N - 400) entries
-        longest = (model.DEFAULT_STATE_BUDGET // 101 + 400) // 421
-        assert ModelConfig(n_relays=longest).validate().n_relays == longest == 1_176
-        with pytest.raises(ConfigError, match=f"= {101 * (421 * (longest + 1) - 400)} memo "
-                                              "entries"):
+        # at the reference L and B, 101 * 21 values per stage: 2121 N entries
+        longest = model.DEFAULT_STATE_BUDGET // 2121
+        assert ModelConfig(n_relays=longest).validate().n_relays == longest == 23_573
+        with pytest.raises(ConfigError, match=f"= {2121 * (longest + 1)} memo entries"):
             ModelConfig(n_relays=longest + 1).validate()
 
+    def test_the_restricted_solve_counts_its_kept_rows_at_its_edge(self, monkeypatch,
+                                                                   default_config,
+                                                                   default_family):
+        # the capacity-1 solve adds 101 * 20 * 20 kept rows per stage past the
+        # first: 101 * (421 N - 400) entries, refused before anything is
+        # allocated; the space, built right after the count, marks a pass
+        class Counted(Exception):
+            pass
+
+        def counted(*args):
+            raise Counted
+
+        monkeypatch.setattr(dp_complete, "multiset_space", counted)
+        longest = (model.DEFAULT_STATE_BUDGET // 101 + 400) // 421
+        assert longest == 1_176
+        start = time.perf_counter()
+        with pytest.raises(Counted):
+            backward_induction(default_family, default_config.with_overrides(n_relays=longest))
+        with pytest.raises(BudgetExceededError,
+                           match=f"^the capacity-1 tables over 20 types, 100 bins and 1177 "
+                                 f"stages = {101 * (421 * (longest + 1) - 400)} memo entries"):
+            backward_induction(default_family, default_config.with_overrides(n_relays=longest + 1))
+        assert time.perf_counter() - start < 1.0
+
     def test_the_rule_reads_the_model_budget(self, monkeypatch):
-        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", 101 * (5 * 21 + 4 * 400) - 1)
-        with pytest.raises(ConfigError, match="= 172205 memo entries, over the state budget "
-                                              "of 172204$"):
+        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", 5 * 101 * 21 - 1)
+        with pytest.raises(ConfigError, match="= 10605 memo entries, over the state budget "
+                                              "of 10604$"):
             ModelConfig().validate()
 
     def test_a_size_past_the_digit_limit_is_named_by_its_bits(self):
         # str() of an int of more than 4,300 digits raises ValueError
-        entries = 101 * (421 * 10 ** 5000 - 400)
-        named = (f"(n_reward_bins + 1) * (n_relays * (n_locations + 1) + (n_relays - 1) * "
-                 f"n_locations ** 2) = <an integer of {entries.bit_length()} bits> memo "
-                 "entries, over the state budget of 50000000")
+        entries = 2121 * 10 ** 5000
+        named = (f"(n_reward_bins + 1) * n_relays * (n_locations + 1) = <an integer of "
+                 f"{entries.bit_length()} bits> memo entries, over the state budget of 50000000")
         with pytest.raises(BudgetExceededError, match=f"^{re.escape(named)}$"):
             ModelConfig(n_relays=10 ** 5000).validate()
 
@@ -170,7 +192,7 @@ class TestSizeRule:
         with pytest.raises(ConfigError, match=f"^{field} must be an integer >= {low}, got"):
             ModelConfig(**{field: low - 1}).validate()
 
-    @pytest.mark.parametrize("value", [True, 2.5, "x", math.inf, math.nan])
+    @pytest.mark.parametrize("value", [True, 2.5, 3.0, "x", math.inf, math.nan])
     def test_integer_fields_refuse_what_is_not_an_integer(self, value):
         with pytest.raises(ConfigError, match="^n_relays must be an integer >= 1, got"):
             ModelConfig.from_dict({"n_relays": value})
@@ -178,8 +200,8 @@ class TestSizeRule:
 
 @pytest.fixture(scope="module")
 def budget_instance():
-    # L = 3, B = 4, N = 6: the size rule counts 5 * (6 * 4 + 5 * 9) = 345
-    # entries, the complete class 713, an episode block 4096 * 6
+    # L = 3, B = 4, N = 6: the size rule counts 5 * 6 * 4 = 120 entries, the
+    # complete class 713, an episode block 4096 * 6
     config, family = small_instance(3, 4, 6, eta=2.0, delta=0.05)
     return config, family, probe_first_levels(family, config)
 
@@ -189,9 +211,9 @@ class TestStateBudget:
     check that raises, model.check_budget."""
 
     @pytest.mark.parametrize("needed,read", [
-        (345, lambda config, family, levels: config.validate()),
+        (120, lambda config, family, levels: config.validate()),
         (713, lambda config, family, levels: solve_complete(family, config)),
-        (345, lambda config, family, levels: probe_first_levels(family, config)),
+        (120, lambda config, family, levels: probe_first_levels(family, config)),
         (EPISODES_PER_BLOCK * 6, lambda config, family, levels:
             episode_outcomes(levels, 1, 0)),
         (6 * 100, lambda config, family, levels: check_episode_count(100)),
@@ -206,6 +228,25 @@ class TestStateBudget:
                                  f"{needed - 1}$") as err:
             read(*budget_instance)
         assert (err.value.projected, err.value.budget) == (needed, needed - 1)
+
+    def test_a_complete_solve_is_held_to_what_it_stores(self, monkeypatch):
+        # at L = 4, B = 6, N = 4 the complete class stores 461 entries and the
+        # restricted class, with its kept rows, 476
+        config, family = small_instance(4, 6, 4, eta=2.0, delta=0.05)
+        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", 461)
+        tables = solve_complete(family, config)
+        assert sum(a.size for stage in tables.values for a in stage) == 461
+        with pytest.raises(BudgetExceededError, match="= 476 memo entries, over the state "
+                                                      "budget of 461$"):
+            backward_induction(family, config)
+
+    def test_many_types_at_a_short_horizon_fit(self):
+        # the restricted class with its kept rows would take 50,057,317
+        # entries here, but the complete class stores 319,364
+        config = ModelConfig(n_locations=703, n_relays=2).validate()
+        family = build_ordered_family(build_forwarding_region(config), config)
+        tables = solve_complete(family, config)
+        assert sum(a.size for stage in tables.values for a in stage) == 319_364
 
     def test_only_the_model_binds_the_budget(self):
         assert not hasattr(dp_complete, "DEFAULT_STATE_BUDGET")

@@ -135,16 +135,14 @@ class TestRunPolicy:
             assert getattr(comps, name) == pytest.approx(getattr(baseline, name), abs=1e-12)
 
     def test_probe_first_levels_check_the_state_budget(self, sim_instance, monkeypatch):
-        # the capacity-1 level shapes, held to what the rst levels of the same
-        # size and their kept rows need
+        # the capacity-1 level shapes, held to the values they store
         config, family = sim_instance
         stored = sum(_states_per_stage(len(family), family.n_bins, config.n_relays, 1))
-        needed = (20 + 1) * (5 * (5 + 1) + 4 * 5 ** 2)
-        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", needed)
+        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", stored)
         levels = probe_first_levels(family, config)
         assert sum(a.size for stage in levels.actions for a in stage) == stored == 630
-        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", needed - 1)
-        with pytest.raises(BudgetExceededError, match=f"= {needed} memo entries"):
+        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", stored - 1)
+        with pytest.raises(BudgetExceededError, match=f"= {stored} memo entries"):
             probe_first_levels(family, config)
 
     def test_tiny_eta_optimal_behaves_like_baseline(self, sim_instance):
