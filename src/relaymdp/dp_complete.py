@@ -15,7 +15,6 @@ probed nothing, so above capacity 1 those levels hold their none row alone.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Optional, Sequence
@@ -46,19 +45,6 @@ class NonFiniteValueError(ValueError):
 
 class UnreachableStateError(ValueError):
     """A state no policy reaches, whose entry the tables do not hold."""
-
-
-def _sorted_multiset(mset) -> tuple:
-    """``mset`` as a sorted tuple; ValueError naming it, or its first member
-    that is not an integer, unless it is a collection of integers, so that it
-    sorts (``MultisetSpace.row`` then rejects bools and unknown types)."""
-    if not isinstance(mset, Iterable):
-        raise ValueError(f"multiset {_shown(mset)} is not a collection of integer location types")
-    members = tuple(mset)
-    for t in members:
-        if not isinstance(t, numbers.Integral):
-            raise ValueError(f"multiset member {_shown(t)} is not an integer location type")
-    return tuple(sorted(members))
 
 
 def _none_column_only(stage: int, size: int, capacity: int) -> bool:
@@ -127,14 +113,14 @@ class MultisetSpace:
         """The members as sorted tuples, built on first use (off the solve path)."""
         return [[tuple(g) for g in level.tolist()] for level in self.members]
 
-    def row(self, mset: tuple[int, ...]) -> int:
-        """The row of a sorted multiset; ValueError if the space lacks it."""
-        g = tuple(whole_number(t, "multiset member", 0, self.n_types) for t in mset)
-        if len(g) > self.max_size or list(g) != sorted(g):
-            raise ValueError(
-                f"multiset {mset!r} is not a sorted multiset of at most {self.max_size} "
-                f"of the types 0..{self.n_types - 1}")
-        return int(self.ranks(list(g)))
+    def row(self, mset: Sequence[int]) -> int:
+        """The row of a multiset, its members in any order; ValueError if the
+        space lacks it."""
+        g = sorted(whole_number(t, "multiset member", 0, self.n_types) for t in mset)
+        if len(g) > self.max_size:
+            raise ValueError(f"multiset {tuple(g)} holds more than the {self.max_size} "
+                             "members of this space")
+        return int(self.ranks(g))
 
 
 @lru_cache(maxsize=8)
@@ -189,7 +175,10 @@ class CompleteTables:
         """The (size, row, column) of a state, column -1 where ``best`` is None
         (nothing probed); ValueError naming a field that no state here holds,
         UnreachableStateError at a real bin of a level of the none row alone."""
-        g = _sorted_multiset(mset)
+        if not isinstance(mset, Iterable):
+            raise ValueError(f"multiset {_shown(mset)} is not a collection of integer "
+                             "location types")
+        g = tuple(mset)
         stage = whole_number(stage, "stage", 1, self.n_stages + 1)
         if len(g) > stage:
             raise ValueError(f"multiset of size {len(g)} cannot occur at stage {stage}")
@@ -197,7 +186,7 @@ class CompleteTables:
             raise ValueError(f"multiset of size {len(g)}: these tables keep at most "
                              f"{self.capacity} unprobed relays awake")
         best = None if best is None else whole_number(best, "best-reward index", 0, self.n_bins)
-        row = self.space.row(g)  # a ValueError at an unknown or bool type
+        row = self.space.row(g)  # a ValueError at a member that is not a type
         if best is None:
             return len(g), row, -1
         if self.values[stage - 1][len(g)].shape[1] == 1:

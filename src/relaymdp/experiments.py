@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from ._kernels import CONTINUE, PROBE, STOP, illegal_action, legal_actions
+from ._kernels import CONTINUE, PROBE, STOP, STRUCTURE_TOL, illegal_action, legal_actions
 from .dp_complete import (BATCH_ELEMENTS, OVERFLOW_ELEMENTS, CompleteTables,
                           NonFiniteValueError, initial_value, solve_complete)
 from .dp_restricted import RestrictedTables, backward_induction, extract_thresholds
@@ -314,7 +314,6 @@ class SweepCell:
     dp_value: Optional[float] = None
     components: Optional[PolicyComponents] = None
     estimates: Optional[Estimates] = None
-    thresholds: Optional[dict] = None
     message: str = ""
 
     def row(self) -> dict:
@@ -387,15 +386,10 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         except (BudgetExceededError, NonFiniteValueError) as err:
             status = "budget_exceeded" if isinstance(err, BudgetExceededError) else "non_finite"
             return SweepCell(policy=policy, eta=eta, delta=delta, status=status, message=str(err))
-        snapshot = None
         if policy == "rst":
-            thresholds = extract_thresholds(levels)
-            snapshot = {"x": thresholds.x.tolist(), "x_l": thresholds.x_l.tolist()}
-        return SweepCell(
-            policy=policy, eta=eta, delta=delta, status="ok",
-            dp_value=dp_value, components=comps, estimates=estimates,
-            thresholds=snapshot,
-        )
+            extract_thresholds(levels)  # NonThresholdSetError at a set that is not an up-set
+        return SweepCell(policy=policy, eta=eta, delta=delta, status="ok",
+                         dp_value=dp_value, components=comps, estimates=estimates)
 
     jobs = list(enumerate(keys))
     if spec.threads > 1:
@@ -610,7 +604,7 @@ def _component_observations(result: SweepResult) -> dict:
                 continue
 
             def nondecreasing(values):
-                return bool(all(b >= a - 1e-9 for a, b in zip(values, values[1:])))
+                return bool(all(b >= a - STRUCTURE_TOL for a, b in zip(values, values[1:])))
 
             observations[f"{policy},delta={delta}"] = {
                 "delay_nondecreasing_in_eta": nondecreasing([c.mean_delay for c in comps]),
@@ -623,8 +617,6 @@ def _component_observations(result: SweepResult) -> dict:
 
 
 def _fmt(value):
-    if value is None:
-        return ""
     if isinstance(value, float):
         return repr(value)
     return value

@@ -155,12 +155,8 @@ class ModelConfig:
         return replace(self, **kwargs).validate()
 
     @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
-
-    @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        unknown = set(data) - set(cls.field_names())
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         coerced = {}
@@ -240,38 +236,39 @@ def reward_grid(n_bins: int) -> np.ndarray:
 def build_forwarding_region(config: ModelConfig) -> LocationGrid:
     """Discretize the forwarding region into ``n_locations`` points.
 
-    A regular grid of cell centers is laid over the bounding box
-    [0, comm_radius] x [-comm_radius, comm_radius]; points inside the region
-    (d <= comm_radius, progress >= 0, d > 0) are kept in row-major order
-    (y ascending, then x ascending) and the first n_locations are taken,
-    refining the grid when fewer qualify.  Deterministic for a fixed config.
+    A regular m x m grid of cell centers, m = isqrt(2 * n_locations) + 1, is
+    laid over the bounding box [0, comm_radius] x [-comm_radius, comm_radius];
+    points inside the region (d <= comm_radius, progress >= 0, d > 0) are kept
+    in row-major order (y ascending, then x ascending) and the first
+    n_locations are taken.  The region covers at least 61% of the box (the
+    lens at v0 = comm_radius), so the 2 * n_locations or more cells hold
+    enough points.  The grid's arrays, about 8 m^2 floats, are charged to the
+    state budget first.  Deterministic for a fixed config.
     """
     config.validate()
     rc = config.comm_radius
     v0 = config.v0
     n = config.n_locations
     m = max(2, math.isqrt(2 * n) + 1)
-    while m <= 4096:
-        xs = (np.arange(m) + 0.5) * rc / m
-        ys = -rc + (np.arange(m) + 0.5) * 2.0 * rc / m
-        yy, xx = np.meshgrid(ys, xs, indexing="ij")  # rows over y, columns over x
-        xx = xx.ravel()
-        yy = yy.ravel()
-        d = np.hypot(xx, yy)
-        v = np.hypot(xx - v0, yy)
-        keep = (d <= rc) & (d > 0.0) & (v0 - v >= 0.0)
-        if int(keep.sum()) >= n:
-            xx, yy, d, v = xx[keep], yy[keep], d[keep], v[keep]
-            sel = slice(0, n)
-            return LocationGrid(
-                progress=(v0 - v)[sel].copy(),
-                distance=d[sel].copy(),
-                xy=np.column_stack([xx, yy])[sel].copy(),
-            )
-        m += 1
-    raise ConfigError(
-        f"forwarding region admits fewer than {n} grid points "
-        f"(v0={v0}, comm_radius={rc})"
+    check_budget(8 * m * m, f"the region grid, 8 floats x its {m} x {m} cells")
+    xs = (np.arange(m) + 0.5) * rc / m
+    ys = -rc + (np.arange(m) + 0.5) * 2.0 * rc / m
+    yy, xx = np.meshgrid(ys, xs, indexing="ij")  # rows over y, columns over x
+    xx = xx.ravel()
+    yy = yy.ravel()
+    d = np.hypot(xx, yy)
+    v = np.hypot(xx - v0, yy)
+    keep = (d <= rc) & (d > 0.0) & (v0 - v >= 0.0)
+    found = int(keep.sum())
+    if found < n:
+        raise ConfigError(f"forwarding region admits {found} of the {n} grid points wanted "
+                          f"(v0={v0}, comm_radius={rc}, m={m})")
+    xx, yy, d, v = xx[keep], yy[keep], d[keep], v[keep]
+    sel = slice(0, n)
+    return LocationGrid(
+        progress=(v0 - v)[sel].copy(),
+        distance=d[sel].copy(),
+        xy=np.column_stack([xx, yy])[sel].copy(),
     )
 
 

@@ -81,6 +81,38 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     assert "etaa" in capsys.readouterr().err
 
 
+def test_override_without_equals_exits_one(small_config, tmp_path, capsys):
+    code = main(["census", "--config", str(small_config), "--out", str(tmp_path / "o"),
+                 "--override", "eta5"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: override 'eta5' is not KEY=VALUE\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_that_is_not_an_object_exits_one(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code = main(["census", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: config file {path} must hold a JSON object\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_region_grid_past_the_budget_exits_one_before_allocating(tmp_path, capsys):
+    # validate admits 3 * 1 * 8,388,609 entries; the 4097 x 4097 region grid
+    # is past the budget and is refused before any of it is allocated
+    start = time.perf_counter()
+    code = main(["solve-restricted", "--config", str(SHIPPED_DEFAULT),
+                 "--out", str(tmp_path / "o"), "--override", "n_locations=8388608",
+                 "--override", "n_reward_bins=2", "--override", "n_relays=1"])
+    assert time.perf_counter() - start < 0.1
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the region grid, 8 floats x its 4097 x 4097 cells = ")
+    assert "over the state budget" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_override_key_rejected(small_config, tmp_path, capsys):
     code = main([
         "census", "--config", str(small_config), "--out", str(tmp_path / "o"),
@@ -577,11 +609,17 @@ def test_overflowing_values_exit_one(tmp_path, capsys, command, overrides):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("command", ["solve-restricted", "verify"])
-def test_non_threshold_set_exits_two(tmp_path, capsys, command):
+@pytest.mark.parametrize("command,overrides", [
+    ("solve-restricted", ["eta=1e20", "delta=5"]),
+    ("verify", ["eta=1e20", "delta=5"]),
+    ("sweep", ["sweep.eta_values=[1e20]", "sweep.delta_values=[5]", 'sweep.policies=["rst"]']),
+], ids=["solve-restricted", "verify", "sweep"])
+def test_non_threshold_set_exits_two(tmp_path, capsys, command, overrides):
     # at this cost scale round-off splits a stopping set (absolute tolerances)
-    code = main([command, "--config", str(SHIPPED_DEFAULT), "--out", str(tmp_path / "o"),
-                 "--override", "eta=1e20", "--override", "delta=5"])
+    argv = [command, "--config", str(SHIPPED_DEFAULT), "--out", str(tmp_path / "o")]
+    for override in overrides:
+        argv += ["--override", override]
+    code = main(argv)
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: S_") and "is not an up-set" in err

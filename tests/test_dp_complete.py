@@ -285,7 +285,7 @@ class TestActComplete:
     def test_multiset_of_non_integers_is_a_value_error_naming_it(self, small_solved, mset):
         # a collection by its first member that is not an integer
         _, _, tables = small_solved
-        named = re.escape("multiset member 'a' is not an integer location type"
+        named = re.escape("multiset member must be an integer in 0 .. 2, got 'a'"
                           if isinstance(mset, tuple) else
                           f"multiset {mset!r} is not a collection of integer location types")
         with pytest.raises(ValueError, match=named):
@@ -294,8 +294,9 @@ class TestActComplete:
             tables.value(2, None, mset)
 
     @pytest.mark.parametrize("mset,named", [
-        ((10 ** 5000, "a"), "multiset member 'a' is not an integer location type"),
-        (("a", 10 ** 5000), "multiset member 'a' is not an integer location type"),
+        ((10 ** 5000, "a"), "multiset member must be an integer in 0 .. 2, got "
+                            "<an integer of 16610 bits>"),
+        (("a", 10 ** 5000), "multiset member must be an integer in 0 .. 2, got 'a'"),
         (10 ** 5000, "multiset <an integer of 16610 bits> is not a collection"),
     ], ids=["huge_then_str", "str_then_huge", "huge"])
     def test_an_integer_past_the_digit_limit_is_not_formatted(self, small_solved, mset, named):
@@ -482,6 +483,13 @@ class TestConjectures:
         assert report["osla_stage_n_mismatches"] == 0
         assert report["all_hold"] is True
 
+    def test_two_relays_have_no_stage_pair_to_compare(self):
+        # continuing is available at stage 1 alone, so no slice has a second stage
+        config, family = small_instance(3, 6, 2, eta=2.0, delta=0.05)
+        report = verify_complete_conjectures(solve_complete(family, config))
+        assert report["stopping_slices_checked"] == 0
+        assert report["all_hold"] is True
+
     @pytest.mark.parametrize("delta", [0.1, 0.01, 0.0])
     @pytest.mark.parametrize("shape,eta", [((3, 8, 3), 2.0), ((4, 12, 4), 0.5), ((4, 6, 4), 12.0)])
     def test_probe_largest_count_matches_oracle(self, shape, eta, delta):
@@ -588,15 +596,20 @@ class TestMultisetSpace:
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
     @pytest.mark.parametrize("mset,named", [
-        ((1, 0), "multiset (1, 0) is not a sorted multiset"),
+        ((1, 5), "multiset member must be an integer in 0 .. 2, got 5"),
         ((0, 3), "multiset member must be an integer in 0 .. 2, got 3"),
         ((-1,), "multiset member must be an integer in 0 .. 2, got -1"),
-        ((0, 0, 0, 0, 0), "multiset (0, 0, 0, 0, 0) is not a sorted multiset"),
+        ((0, 0, 0, 0, 0), "multiset (0, 0, 0, 0, 0) holds more than the 4 members"),
         ((0.5,), "multiset member must be an integer in 0 .. 2, got 0.5"),
     ], ids=[f"mset{i}" for i in range(5)])
     def test_unknown_multiset_is_a_value_error_naming_it(self, mset, named):
         with pytest.raises(ValueError, match=re.escape(named)):
             MultisetSpace(3, 4).row(mset)
+
+    def test_member_order_does_not_matter(self):
+        space = MultisetSpace(3, 4)
+        assert space.row((1, 0)) == space.row((0, 1))
+        assert space.row((2, 0, 1, 0)) == space.row((0, 0, 1, 2))
 
     def test_solve_builds_no_tuples(self):
         multiset_space.cache_clear()

@@ -23,6 +23,7 @@ from relaymdp.experiments import (
     config_hash,
     default_eta_grid,
     emit_plot_data,
+    policy_levels,
     restricted_components,
     run_sweep,
 )
@@ -236,6 +237,13 @@ class TestSweepFailsClosed:
             complete_components(levels)
 
 
+def test_an_unknown_policy_name_is_refused_naming_the_choices():
+    config, family = small_instance(3, 6, 2, eta=2.0, delta=0.05)
+    with pytest.raises(ValueError, match=r"^unknown policy 'nope'; choose from "
+                                         r"\('rst', 'glb', 'first'\)$"):
+        policy_levels("nope", family, config)
+
+
 class TestSweep:
     def test_every_cell_solved(self, small_sweep):
         assert len(small_sweep.cells) == 2 * 2 * 6
@@ -243,12 +251,9 @@ class TestSweep:
         assert all(c.dp_value is not None for c in small_sweep.cells)
         assert all(c.estimates is not None for c in small_sweep.cells)
 
-    def test_restricted_rows_carry_thresholds(self, small_sweep):
-        for cell in small_sweep.cells:
-            if cell.policy == "rst":
-                assert cell.thresholds is not None and "x" in cell.thresholds
-            else:
-                assert cell.thresholds is None
+    def test_a_cell_outside_the_grid_is_a_key_error(self, small_sweep):
+        with pytest.raises(KeyError, match=r"\('first', 0\.5, 0\.1\)"):
+            small_sweep.cell("first", 0.5, 0.1)
 
     def test_dp_cost_monotone_in_eta(self, small_sweep):
         for policy in ("rst", "glb"):

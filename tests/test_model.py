@@ -62,6 +62,7 @@ class TestConfig:
             {"tail_mass": 1.0},
             {"wakeup_law": "weibull"},
             {"n_reward_bins": 1},
+            {"gamma_n0": 0.0},
         ],
     )
     def test_invalid_configs_rejected(self, bad):
@@ -298,6 +299,23 @@ class TestForwardingRegion:
         v = np.hypot(x - default_config.v0, y)
         assert np.allclose(default_config.v0 - v, default_grid.progress)
 
+    def test_the_grid_is_charged_to_the_budget(self, monkeypatch):
+        # 49 locations lay a 10 x 10 grid, 8 * 100 entries; 50 an 11 x 11 one
+        monkeypatch.setattr(model, "DEFAULT_STATE_BUDGET", 800)
+        config = ModelConfig(n_locations=49, n_reward_bins=2, n_relays=1)
+        assert len(build_forwarding_region(config)) == 49
+        with pytest.raises(BudgetExceededError, match=r"^the region grid, 8 floats x its "
+                                                      r"11 x 11 cells = 968 memo entries"):
+            build_forwarding_region(replace(config, n_locations=50))
+
+    def test_too_few_points_fail_closed_naming_both_counts(self, monkeypatch):
+        # no config reaches this: m = isqrt(2n) + 1 gives 2n cells, over 61% of
+        # them in the region; a 2 x 2 grid forced here holds 4 of the 20
+        monkeypatch.setattr(model.math, "isqrt", lambda n: 0)
+        with pytest.raises(ConfigError, match=r"^forwarding region admits 4 of the 20 grid "
+                                              r"points wanted"):
+            build_forwarding_region(ModelConfig())
+
 
 class TestRewardScale:
     def test_unit_factors(self):
@@ -321,6 +339,14 @@ class TestRewardScale:
     def test_zero_distance_is_a_domain_error(self):
         with pytest.raises(ValueError):
             reward_scale((0.5, 0.0), ModelConfig())
+
+    def test_negative_progress_is_a_domain_error(self):
+        with pytest.raises(ValueError, match="progress must be nonnegative, got -0.5"):
+            reward_scale((-0.5, 0.7), ModelConfig())
+
+    def test_all_zero_scales_have_no_normalization(self):
+        with pytest.raises(ConfigError, match="all reward scales are zero"):
+            normalization_constant(np.zeros(3), ModelConfig())
 
 
 def family_at(points, config):
