@@ -34,8 +34,8 @@ from .experiments import (
     calibrate_eta,
     check_threads,
     complete_components,
-    config_hash,
     emit_plot_data,
+    manifest,
     policy_levels,
     restricted_components,
     run_sweep,
@@ -162,26 +162,6 @@ def _config_block(doc: dict, name: str) -> dict:
     return block
 
 
-def _write_json(out_dir: Path, name: str, payload: dict) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    write_json(path, payload)
-    return path
-
-
-def _manifest(out_dir: Path, command: str, config: ModelConfig, seed: int,
-              artifacts: list[str], status: str = "ok") -> None:
-    _write_json(out_dir, "manifest.json", {
-        "build": f"relaymdp-{__version__}",
-        "command": command,
-        "config": config.to_dict(),
-        "config_hash": config_hash(config),
-        "seed": seed,
-        "artifacts": sorted(artifacts),
-        "status": status,
-    })
-
-
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -202,15 +182,17 @@ def main(argv=None) -> int:
 
 def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
     command = args.command
-    grid_needed = command != "census"
-    if grid_needed:
+    if command != "census":
         grid = build_forwarding_region(config)
         family = build_ordered_family(grid, config)
 
     artifacts: list[str] = []
+    status, code = "ok", 0
 
     def write(name: str, payload: dict) -> None:
-        artifacts.append(_write_json(out_dir, name, payload).name)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        write_json(out_dir / name, payload)
+        artifacts.append(name)
 
     if command == "solve-restricted":
         tables = backward_induction(family, config)
@@ -246,26 +228,23 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
     elif command == "verify":
         report = verify_structure(backward_induction(family, config))
         write("report.json", report.to_json())
-        _manifest(out_dir, command, config, args.seed, artifacts,
-                  status="ok" if report.passed else "verification_failed")
-        if not report.passed:
+        if report.passed:
+            print("verification passed: checks (a)-(i) hold")
+        else:
+            status, code = "verification_failed", 2
             failed = [k for k, c in report.checks.items() if not c.passed]
             print(f"verification FAILED: {failed}", file=sys.stderr)
-            return 2
-        print("verification passed: checks (a)-(i) hold")
-        return 0
 
     elif command == "sweep":
         spec = SweepSpec(base=config, seed=args.seed, threads=args.threads,
                          **_config_block(doc, "sweep"))
         result = run_sweep(spec)
-        for path in emit_plot_data(result, out_dir):
-            artifacts.append(Path(path).name)
+        # emit_plot_data writes the sweep's manifest (per-cell status, trend
+        # observations); do not clobber it
+        emit_plot_data(result, out_dir)
         failed = sum(c.status != "ok" for c in result.cells)
         if failed:
             print(f"{failed} sweep cells failed (see manifest)", file=sys.stderr)
-        # emit_plot_data already wrote the authoritative manifest (config hash,
-        # seeds, per-cell status, trend observations); do not clobber it
         return 1 if failed == len(result.cells) else 0
 
     elif command == "calibrate":
@@ -276,8 +255,9 @@ def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
     elif command == "census":
         write("census.json", state_space_census(config).to_json())
 
-    _manifest(out_dir, command, config, args.seed, artifacts)
-    return 0
+    write("manifest.json", manifest(config, args.seed, command=command,
+                                    artifacts=sorted(artifacts), status=status))
+    return code
 
 
 if __name__ == "__main__":

@@ -391,12 +391,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         return SweepCell(policy=policy, eta=eta, delta=delta, status="ok",
                          dp_value=dp_value, components=comps, estimates=estimates)
 
-    jobs = list(enumerate(keys))
-    if spec.threads > 1:
-        with ThreadPoolExecutor(max_workers=spec.threads) as pool:
-            cells = tuple(pool.map(run_cell, jobs))
-    else:
-        cells = tuple(run_cell(job) for job in jobs)
+    with ThreadPoolExecutor(max_workers=spec.threads) as pool:
+        cells = tuple(pool.map(run_cell, enumerate(keys)))
     return SweepResult(spec=spec, cells=cells)
 
 
@@ -479,6 +475,13 @@ def config_hash(config: ModelConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def manifest(config: ModelConfig, seed: int, **fields) -> dict:
+    """A manifest: the provenance of every artifact (the build, the config,
+    its hash and the seed), then ``fields``."""
+    return {"build": f"relaymdp-{__version__}", "config": config.to_dict(),
+            "config_hash": config_hash(config), "seed": seed, **fields}
+
+
 _FLOAT_ROW = frozenset({float, type(None)})
 _NUMBER_ROW = frozenset({int, float, bool, type(None)})
 
@@ -492,10 +495,18 @@ def write_json(path, payload) -> None:
     distinct nonzero finite value once per file, and any other list of
     numbers, bools and None is one call to the C encoder, re-indented; the
     rest goes through ``json.dumps`` with the same arguments."""
-    with open(path, "w") as fh:
+    with _fresh(path) as fh:
         # None is no float's key, so it can wait in the cache as null
         fh.writelines(_json_chunks(payload, "\n", {None: "null"}))
         fh.write("\n")
+
+
+def _fresh(path, newline=None):
+    """``path`` opened for writing as a new file, any file there unlinked
+    first: on ext4, truncating a file soon after its last write waits for
+    that write's flush."""
+    Path(path).unlink(missing_ok=True)
+    return open(path, "w", newline=newline)
 
 
 def _json_chunks(value, pad: str, floats: dict):
@@ -559,33 +570,29 @@ def emit_plot_data(result: SweepResult, out_dir) -> list[Path]:
     rows = [c.row() for c in result.cells if c.status == "ok"]
     for name in _FIGURE_FILES:
         path = out / name
-        with open(path, "w", newline="") as fh:
+        # csv writes a float as its repr
+        with _fresh(path, newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS)
             writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _fmt(row[k]) for k in _CSV_COLUMNS})
+            writer.writerows(rows)
         written.append(path)
 
-    manifest = {
-        "build": f"relaymdp-{__version__}",
-        "config": result.spec.base.to_dict(),
-        "config_hash": config_hash(result.spec.base),
-        "seed": result.spec.seed,
-        "n_episodes": result.spec.n_episodes,
-        "eta_values": list(result.spec.eta_values),
-        "delta_values": list(result.spec.delta_values),
-        "policies": list(result.spec.policies),
-        "observations": _component_observations(result),
-        "cells": [
+    path = out / "manifest.json"
+    write_json(path, manifest(
+        result.spec.base, result.spec.seed,
+        n_episodes=result.spec.n_episodes,
+        eta_values=list(result.spec.eta_values),
+        delta_values=list(result.spec.delta_values),
+        policies=list(result.spec.policies),
+        observations=_component_observations(result),
+        cells=[
             {"policy": c.policy, "eta": c.eta, "delta": c.delta,
              "status": c.status, "message": c.message, "mc_z": c.mc_z,
              "stopped_mass": c.components.stopped_mass if c.components else None}
             for c in result.cells
         ],
-    }
-    manifest_path = out / "manifest.json"
-    write_json(manifest_path, manifest)
-    written.append(manifest_path)
+    ))
+    written.append(path)
     return written
 
 
@@ -595,11 +602,7 @@ def _component_observations(result: SweepResult) -> dict:
     observations = {}
     for policy in result.spec.policies:
         for delta in result.spec.delta_values:
-            comps = [
-                c.components
-                for c in result.series(policy, delta)
-                if c.status == "ok" and c.components is not None
-            ]
+            comps = [c.components for c in result.series(policy, delta) if c.status == "ok"]
             if len(comps) < 2:
                 continue
 
@@ -614,9 +617,3 @@ def _component_observations(result: SweepResult) -> dict:
                 ),
             }
     return observations
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return value

@@ -13,6 +13,7 @@ import relaymdp
 from relaymdp import cli, model
 from relaymdp.cli import main
 from relaymdp.dp_restricted import CheckResult, StructureReport
+from relaymdp.experiments import manifest
 from relaymdp.model import ModelConfig
 
 SHIPPED_DEFAULT = Path(__file__).resolve().parent.parent / "configs" / "default.json"
@@ -49,6 +50,81 @@ def test_verify_on_shipped_default_exits_zero(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] is True
     assert all(c["passed"] for c in report["checks"].values())
+
+
+def test_the_shipped_config_restates_only_the_defaults():
+    # the sweep's defaults live in SweepSpec alone
+    doc = json.loads(SHIPPED_DEFAULT.read_text())
+    defaults = ModelConfig().to_dict()
+    assert "sweep" not in doc
+    assert {key: defaults.get(key, "no such field") for key in doc} == doc
+
+
+def _provenance(config_path: Path, seed: int) -> dict:
+    """experiments.manifest's four values for a config file and a seed."""
+    doc = json.loads(config_path.read_text())
+    doc.pop("sweep", None)
+    return manifest(ModelConfig.from_dict(doc), seed)
+
+
+@pytest.mark.parametrize("command", [
+    ("solve-restricted",), ("solve-complete",), ("simulate", "--episodes", "50"), ("verify",),
+    ("calibrate", "--gamma", "0.5"), ("census",), ("sweep",),
+], ids=lambda command: command[0])
+def test_every_manifest_starts_with_the_provenance_of_its_config_and_seed(
+        small_config, tmp_path, command):
+    out = tmp_path / "out"
+    assert main([*command, "--config", str(small_config), "--out", str(out),
+                 "--seed", "3"]) == 0
+    written = json.loads((out / "manifest.json").read_text())
+    provenance = _provenance(small_config, 3)
+    assert list(provenance) == ["build", "config", "config_hash", "seed"]
+    assert {key: written[key] for key in provenance} == provenance
+
+
+def test_a_failing_verify_writes_its_report_and_manifest(small_config, tmp_path,
+                                                         monkeypatch, capsys):
+    failing = StructureReport(checks={
+        "a_monotone_in_b": CheckResult(passed=True, worst=0.0),
+        "b_monotone_in_f": CheckResult(passed=False, worst=1.0),
+    })
+    monkeypatch.setattr(cli, "verify_structure", lambda *a, **k: failing)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(small_config), "--out", str(out),
+                 "--seed", "4"]) == 2
+    assert "verification FAILED: ['b_monotone_in_f']" in capsys.readouterr().err
+    assert json.loads((out / "report.json").read_text()) == failing.to_json()
+    written = json.loads((out / "manifest.json").read_text())
+    provenance = _provenance(small_config, 4)
+    assert {key: written[key] for key in provenance} == provenance
+    assert written["status"] == "verification_failed"
+    assert written["artifacts"] == ["report.json"]
+
+
+@pytest.mark.parametrize("command,names", [
+    ("simulate", ["estimates.json", "manifest.json"]),
+    ("sweep", ["fig_delay.csv", "fig_probing_cost.csv", "fig_reward.csv",
+               "fig_total_cost.csv", "manifest.json"]),
+])
+def test_a_rerun_writes_every_artifact_to_a_fresh_file(small_config, tmp_path,
+                                                       command, names):
+    # a hard link to an artifact keeps the bytes of the run that wrote it;
+    # every artifact of these commands changes with the seed
+    out, links = tmp_path / "out", tmp_path / "links"
+    links.mkdir()
+    argv = [command, "--config", str(small_config), "--out", str(out)]
+    if command == "simulate":
+        argv += ["--episodes", "50"]
+    assert main([*argv, "--seed", "0"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == names
+    old = {}
+    for name in names:
+        os.link(out / name, links / name)
+        old[name] = (out / name).read_bytes()
+    assert main([*argv, "--seed", "1"]) == 0
+    for name in names:
+        assert (links / name).read_bytes() == old[name]
+        assert (out / name).read_bytes() != old[name], name
 
 
 def test_missing_config_names_the_path(tmp_path, capsys):

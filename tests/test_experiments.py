@@ -11,11 +11,13 @@ from oracles import reference_components
 from relaymdp import experiments
 from relaymdp._kernels import CONTINUE, NO_ACTION, PROBE, STOP, IllegalActionError
 from relaymdp.dp_complete import _induction, initial_value, solve_complete
-from relaymdp.dp_restricted import backward_induction
+from relaymdp.dp_restricted import NonThresholdSetError, backward_induction
 from relaymdp.experiments import (
     ETA_MAX,
     RESOLUTION,
     InfeasibleGammaError,
+    PolicyComponents,
+    SweepCell,
     SweepSpec,
     baseline_components,
     calibrate_eta,
@@ -28,7 +30,8 @@ from relaymdp.experiments import (
     run_sweep,
 )
 from relaymdp.model import ConfigError
-from relaymdp.simulate import block_rng, probe_first_levels, run_policy, sample_episode
+from relaymdp.simulate import (Estimates, block_rng, probe_first_levels, run_policy,
+                               sample_episode)
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +337,23 @@ class TestSweep:
         for c1, c2 in zip(serial.cells, threaded.cells):
             assert c1 == c2
 
+    def test_a_raising_cell_ends_a_one_worker_sweep(self, small_base, monkeypatch):
+        # one worker path for every thread count: the pool stops handing out
+        # cells once one raises, so at most the cell already picked up runs
+        config, _ = small_base
+        calls = []
+
+        def not_an_up_set(levels):
+            calls.append(levels.config.eta)
+            raise NonThresholdSetError(f"S_1 at eta {levels.config.eta} is not an up-set")
+
+        monkeypatch.setattr(experiments, "extract_thresholds", not_an_up_set)
+        spec = SweepSpec(base=config, eta_values=(0.5, 1.0, 2.0, 4.0), delta_values=(0.05,),
+                         policies=("rst",), n_episodes=20, threads=1)
+        with pytest.raises(NonThresholdSetError, match="^S_1 at eta 0.5 is not an up-set$"):
+            run_sweep(spec)
+        assert calls[0] == 0.5 and len(calls) <= 2
+
     def test_spec_validation(self, small_base):
         config, _ = small_base
         with pytest.raises(ValueError):
@@ -539,6 +559,26 @@ class TestEmit:
         other = config.with_overrides(eta=config.eta + 1.0)
         assert config_hash(config) == config_hash(same)
         assert config_hash(config) != config_hash(other)
+
+    def test_csv_writes_each_float_as_its_repr(self, small_base, tmp_path):
+        config, _ = small_base
+        a, b, c = 0.1 + 0.2, 1e-20, 1e16
+        spec = SweepSpec(base=config, eta_values=(a,), delta_values=(b,), policies=("rst",))
+        comps = PolicyComponents(waiting=a, mean_delay=b, reward=c, probes=a, cost=b,
+                                 effective_reward=c, probing_cost=a, stopped_mass=1.0)
+        estimates = Estimates(
+            n_episodes=2, seed=0, mean_delay=a, se_delay=b, mean_reward=c, se_reward=a,
+            mean_probes=b, se_probes=c, mean_cost=a, se_cost=b, mean_effective_reward=c,
+            se_effective_reward=a, zero_variance=False)
+        cell = SweepCell(policy="rst", eta=a, delta=b, status="ok", dp_value=c,
+                         components=comps, estimates=estimates)
+        emit_plot_data(experiments.SweepResult(spec=spec, cells=(cell,)), tmp_path)
+        row = [repr(v) if isinstance(v, float) else v for v in cell.row().values()]
+        assert row == ["rst", "0.30000000000000004", "1e-20", "1e+16", "0.30000000000000004",
+                       "1e-20", "1e-20", "1e+16", "0.30000000000000004", "1e+16"]
+        for name in ("fig_total_cost.csv", "fig_delay.csv"):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[1] == ",".join(row)
 
     def test_empty_result_rejected(self, small_base, tmp_path):
         config, _ = small_base

@@ -45,9 +45,6 @@ def path(tmp_path_factory):
 @settings(max_examples=300, deadline=None)
 @given(payloads)
 def test_writes_the_bytes_of_json_dump(path, payload):
-    # a fresh file each example: on ext4, rewriting a file just written waits
-    # for that write's flush, which took most of this test's time
-    path.unlink(missing_ok=True)
     write_json(path, payload)
     assert path.read_bytes() == expected(payload)
 
