@@ -132,16 +132,6 @@ def backward_induction(family: OrderedFamily, config: ModelConfig) -> Restricted
     return RestrictedTables(**vars(_induction(family, config, capacity=1)))
 
 
-def _upset_min_index(mask: np.ndarray, label: str) -> int:
-    members = np.flatnonzero(mask)
-    if members.size == 0:
-        return mask.shape[0]
-    first = int(members[0])
-    if not mask[first:].all():
-        raise NonThresholdSetError(f"{label} is not an up-set: members {members.tolist()}")
-    return first
-
-
 def extract_thresholds(levels: CompleteTables) -> ThresholdSummary:
     """Read the stopping/probing sets off the action tables of capacity-1
     levels, where the size-0 level holds the bare states and the size-1 level
@@ -155,7 +145,7 @@ def extract_thresholds(levels: CompleteTables) -> ThresholdSummary:
     if levels.capacity != 1:
         raise ValueError(f"thresholds are read off capacity-1 levels; these keep at most "
                          f"{levels.capacity} unprobed relays awake")
-    n_bins, n_loc = levels.n_bins, len(levels.family)
+    n_bins = levels.n_bins
     n_dec = max(levels.n_stages - 1, 0)
     s_flags = np.stack([lv[0][0] for lv in levels.actions])[:n_dec, :n_bins] == STOP
     act_bf = np.stack([lv[1].T for lv in levels.actions])[:n_dec, :n_bins]
@@ -163,18 +153,19 @@ def extract_thresholds(levels: CompleteTables) -> ThresholdSummary:
     q_flags = act_bf != CONTINUE
     p_flags = act_bf >= PROBE
 
-    x = np.empty(n_dec, dtype=int)
-    x_l = np.empty((n_dec, n_loc), dtype=int)
-    y_l = np.empty((n_dec, n_loc), dtype=int)
-    for i in range(n_dec):
-        x[i] = _upset_min_index(s_flags[i], f"S_{i + 1}")
-        for l in range(n_loc):
-            x_l[i, l] = _upset_min_index(s_l_flags[i, :, l], f"S_{i + 1}^{l}")
-            members = np.flatnonzero(p_flags[i, :, l])
-            y_l[i, l] = int(members[-1]) if members.size else -1
+    # S_k, then S_k^0 .. S_k^{L-1}, of each stage; a set's least member, or
+    # n_bins where it is empty, and an up-set holds every bin from there on
+    sets = np.concatenate([s_flags[:, None], s_l_flags.transpose(0, 2, 1)], axis=1)
+    least = np.where(sets.any(axis=2), sets.argmax(axis=2), n_bins)
+    broken = np.argwhere((sets != (np.arange(n_bins) >= least[..., None])).any(axis=2))
+    if len(broken):
+        i, j = broken[0]
+        raise NonThresholdSetError(f"S_{i + 1}{f'^{j - 1}' if j else ''} is not an up-set: "
+                                   f"members {np.flatnonzero(sets[i, j]).tolist()}")
+    y_l = np.where(p_flags.any(axis=1), n_bins - 1 - p_flags[:, ::-1].argmax(axis=1), -1)
 
     return ThresholdSummary(
-        x=x, x_l=x_l, y_l=y_l,
+        x=least[:, 0], x_l=least[:, 1:], y_l=y_l,
         q_flags=q_flags, s_flags=s_flags, s_l_flags=s_l_flags, p_flags=p_flags,
     )
 

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -350,7 +351,8 @@ class SweepResult:
         raise KeyError((policy, eta, delta))
 
     def series(self, policy: str, delta: float) -> list[SweepCell]:
-        return [c for c in self.cells if c.policy == policy and c.delta == delta]
+        cells = [c for c in self.cells if c.policy == policy and c.delta == delta]
+        return sorted(cells, key=lambda c: c.eta)  # a curve over eta, whatever the grid order
 
 
 def _cell_seed(master: int, index: int) -> int:
@@ -361,8 +363,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """Solve, evaluate exactly, and simulate every (policy, eta, delta) cell.
 
     A cell over the state budget, or whose solved values overflow float
-    arithmetic, is recorded with its status and the sweep continues.
-    Deterministic for a fixed spec."""
+    arithmetic, is recorded with its status; any other error in a cell ends
+    the sweep, and no cell starts after it.  Deterministic for a fixed spec."""
     spec.validate()
     grid = build_forwarding_region(spec.base)
     family = build_ordered_family(grid, spec.base)
@@ -374,7 +376,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         for eta in spec.eta_values
     ]
 
-    def run_cell(args) -> SweepCell:
+    raised = threading.Event()  # map submits every cell: those begun after a raise skip
+
+    def run_cell(args) -> Optional[SweepCell]:
+        if raised.is_set():
+            return None
         index, (policy, eta, delta) = args
         config = spec.base.with_overrides(eta=eta, delta=delta)
         seed = _cell_seed(spec.seed, index)
@@ -383,11 +389,14 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
             comps = complete_components(levels)
             dp_value = initial_value(levels)
             estimates = monte_carlo(levels, spec.n_episodes, seed)
+            if policy == "rst":
+                extract_thresholds(levels)  # NonThresholdSetError at a set that is not an up-set
         except (BudgetExceededError, NonFiniteValueError) as err:
             status = "budget_exceeded" if isinstance(err, BudgetExceededError) else "non_finite"
             return SweepCell(policy=policy, eta=eta, delta=delta, status=status, message=str(err))
-        if policy == "rst":
-            extract_thresholds(levels)  # NonThresholdSetError at a set that is not an up-set
+        except BaseException:
+            raised.set()
+            raise
         return SweepCell(policy=policy, eta=eta, delta=delta, status="ok",
                          dp_value=dp_value, components=comps, estimates=estimates)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, action_dtype, illegal_action,
                        legal_actions)
-from .dp_complete import CompleteTables, multiset_space
+from .dp_complete import CompleteTables, _ranked_members, multiset_space
 from .model import ModelConfig, OrderedFamily, check_budget, reward_grid, whole_number
 
 # Nothing here calls these two; perfbench/tracing.py wraps them by their names
@@ -181,7 +181,7 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
     awake, continue at the last stage, NO_ACTION) raise IllegalActionError
     naming the state of the first offending episode.
     """
-    space, capacity = levels.space, levels.capacity
+    space, capacity, rank = levels.space, levels.capacity, tuple(levels.family.rank)
     loc, bins = block.locations, block.reward_bins
     n, n_stages = loc.shape
 
@@ -224,9 +224,11 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
                 revealed = bins[e, pick]
                 best[e] = np.maximum(best[e], revealed)
                 probes[e] += 1
-                # the row of the set left, ranked from its s - 1 members
-                left = np.sort(loc[e][awake[e]].reshape(len(e), s - 1), axis=1)
-                row[e] = space.ranks(list(left.T))
+                # the row of the set left, the solve's rest at a slot of the
+                # probed type: equal members leave the same rest
+                types, rests = _ranked_members(space, s, rank)
+                g, t = g[probing], loc[e, pick]
+                row[e] = rests[g, (types[g] == t[:, None]).argmax(axis=1)]
                 size[e] = s - 1
 
         if k == n_stages:

@@ -18,7 +18,9 @@ grid order:
 
 Every array enters with its dtype and shape.  A ``costs`` line digests rst's
 stagewise ``j_b``, ``j_bf``, ``cc_b``, ``cc_bf`` and ``cp_bf`` over the same
-cells, the costs that ``verify_structure`` reads.  A ``reports`` line
+cells, the costs that ``verify_structure`` reads, and a ``thresholds`` line
+the seven arrays of rst's ``extract_thresholds`` (``x``, ``x_l``, ``y_l``
+and the four set masks) over them.  A ``reports`` line
 digests, over the same cells, the JSON of ``verify_structure`` on rst and of
 ``verify_complete_conjectures`` on rst, c2 and glb.  One more line,
 ``artifacts``, digests the bytes of every file that the CLI commands
@@ -43,7 +45,7 @@ import numpy as np
 
 from relaymdp.cli import main as cli_main
 from relaymdp.dp_complete import _induction, verify_complete_conjectures
-from relaymdp.dp_restricted import verify_structure
+from relaymdp.dp_restricted import ThresholdSummary, extract_thresholds, verify_structure
 from relaymdp.experiments import complete_components, default_eta_grid, policy_levels
 from relaymdp.model import ModelConfig, build_forwarding_region, build_ordered_family
 from relaymdp.simulate import episode_outcomes
@@ -123,7 +125,7 @@ def main() -> None:
     family = build_ordered_family(build_forwarding_region(base), base)
     digests = {(kind, policy): hashlib.sha256()
                for kind in ("tables", "components", "episodes") for policy in POLICIES}
-    costs, reports = hashlib.sha256(), hashlib.sha256()
+    costs, thresholds, reports = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for delta in DELTAS:
         for eta in default_eta_grid():
             config = base.with_overrides(eta=eta, delta=delta)
@@ -135,6 +137,9 @@ def main() -> None:
                 if policy == "rst":
                     for name in ("j_b", "j_bf", "cc_b", "cc_bf", "cp_bf"):
                         update(costs, getattr(levels, name))
+                    summary = extract_thresholds(levels)
+                    for field in dataclasses.fields(ThresholdSummary):
+                        update(thresholds, getattr(summary, field.name))
                     reports.update(json.dumps(verify_structure(levels).to_json(),
                                               sort_keys=True).encode())
                 if policy != "first":
@@ -146,6 +151,7 @@ def main() -> None:
     for (kind, policy), digest in digests.items():
         print(f"{kind:<10} {policy:<5} {digest.hexdigest()}")
     print(f"{'costs':<10} {'rst':<5} {costs.hexdigest()}")
+    print(f"{'thresholds':<10} {'rst':<5} {thresholds.hexdigest()}")
     print(f"{'reports':<10} {'all':<5} {reports.hexdigest()}")
     print(f"{'artifacts':<10} {'cli':<5} {artifacts_digest()}")
     for name, digest in narrow_digests().items():

@@ -826,3 +826,49 @@ def reference_ranked_members(space, s, rank):
     joined = space.plus[s - 1]  # [t, f]: row of f + t
     without[np.arange(space.n_types)[:, None], joined] = np.arange(joined.shape[1])
     return types, without[types, np.arange(len(members))[:, None]]
+
+
+# ---------------------------------------------------------------------------
+# threshold sets, one set at a time
+# ---------------------------------------------------------------------------
+
+def reference_thresholds(levels):
+    """The stopping and probing sets of capacity-1 levels, read one set at a
+    time: stage by stage, S_k and then S_k^0 .. S_k^{L-1}, each checked as an
+    up-set of the real bins.  Returns a dict of the ``ThresholdSummary``
+    arrays, or raises NonThresholdSetError at the first set that is not an
+    up-set, naming its members."""
+    import numpy as np
+
+    from relaymdp._kernels import CONTINUE, PROBE, STOP
+    from relaymdp.dp_restricted import NonThresholdSetError
+
+    def least_member(mask, label):
+        members = np.flatnonzero(mask)
+        if members.size == 0:
+            return len(mask)
+        if not mask[members[0]:].all():
+            raise NonThresholdSetError(f"{label} is not an up-set: members {members.tolist()}")
+        return int(members[0])
+
+    n_bins, n_loc = levels.n_bins, len(levels.family)
+    n_dec = max(levels.n_stages - 1, 0)
+    out = {"x": [], "x_l": [], "y_l": [], "s_flags": [], "s_l_flags": [], "q_flags": [],
+           "p_flags": []}
+    for i in range(n_dec):
+        bare = levels.actions[i][0][0, :n_bins]
+        held = levels.actions[i][1][:, :n_bins]  # (location, bin)
+        out["x"].append(least_member(bare == STOP, f"S_{i + 1}"))
+        out["x_l"].append([least_member(held[l] == STOP, f"S_{i + 1}^{l}")
+                           for l in range(n_loc)])
+        probing = [np.flatnonzero(held[l] >= PROBE) for l in range(n_loc)]
+        out["y_l"].append([int(p[-1]) if p.size else -1 for p in probing])
+        out["s_flags"].append(bare == STOP)
+        out["s_l_flags"].append((held == STOP).T)
+        out["q_flags"].append((held != CONTINUE).T)
+        out["p_flags"].append((held >= PROBE).T)
+    shapes = {"x": (n_dec,), "x_l": (n_dec, n_loc), "y_l": (n_dec, n_loc),
+              "s_flags": (n_dec, n_bins)}
+    return {key: np.array(value, dtype=int if key in ("x", "x_l", "y_l") else bool)
+            .reshape(shapes.get(key, (n_dec, n_bins, n_loc)))
+            for key, value in out.items()}

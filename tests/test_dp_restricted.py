@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from oracles import (
     enumerate_restricted_policies,
     pairwise_lipschitz_excess,
     reference_probe_costs,
+    reference_thresholds,
     restricted_tree_sets,
     restricted_tree_state_value,
     restricted_tree_value,
@@ -30,7 +32,6 @@ from relaymdp.dp_restricted import (
     NonThresholdSetError,
     RestrictedTables,
     _pair_excess,
-    _upset_min_index,
     act,
     backward_induction,
     extract_thresholds,
@@ -240,12 +241,86 @@ class TestThresholds:
             thresholds.q_flags, np.array(oracle["q_l"]).transpose(0, 2, 1)
         )
 
-    def test_upset_guard_catches_non_threshold_masks(self):
-        mask = np.array([False, True, False, True])
-        with pytest.raises(NonThresholdSetError):
-            _upset_min_index(mask, "S_test")
-        assert _upset_min_index(np.array([False, False, True, True]), "S") == 2
-        assert _upset_min_index(np.zeros(4, dtype=bool), "S") == 4
+    @pytest.mark.parametrize("row,x", [
+        ((CONTINUE, CONTINUE, STOP, STOP), 2), ((CONTINUE,) * 4, 4), ((STOP,) * 4, 0),
+    ])
+    def test_a_set_reads_as_its_least_member_or_n_bins_when_empty(self, row, x):
+        config, family = small_instance(2, 4, 3, eta=2.0, delta=0.05)
+        levels = corrupted(backward_induction(family, config))
+        levels.actions[0][0][0, :4] = row  # S_1, over the four real bins
+        assert extract_thresholds(levels).x[0] == x
+
+    def test_a_set_that_is_not_an_up_set_raises_naming_its_members(self):
+        config, family = small_instance(2, 4, 3, eta=2.0, delta=0.05)
+        levels = corrupted(backward_induction(family, config))
+        levels.actions[0][0][0, :4] = (CONTINUE, STOP, CONTINUE, STOP)
+        with pytest.raises(NonThresholdSetError,
+                           match=r"^S_1 is not an up-set: members \[1, 3\]$"):
+            extract_thresholds(levels)
+
+    @pytest.mark.parametrize("broken,first", [
+        # (stage index, size, row) of each set broken, and the set named
+        ([(1, 1, 0), (0, 0, 0)], "S_1"),
+        ([(1, 0, 0), (0, 1, 1)], "S_1^1"),
+        ([(0, 1, 2), (0, 1, 0)], "S_1^0"),
+        ([(1, 1, 2), (1, 0, 0), (2, 1, 1)], "S_2"),
+    ])
+    def test_the_first_broken_set_is_named_in_stage_then_set_order(self, broken, first):
+        # S_k before S_k^0 .. S_k^{L-1}, stage by stage: the per-set scan's order
+        config, family = small_instance(3, 4, 4, eta=2.0, delta=0.05)
+        levels = corrupted(backward_induction(family, config))
+        for i, size, row in broken:
+            levels.actions[i][size][row, :4] = (STOP, CONTINUE, CONTINUE, STOP)
+        with pytest.raises(NonThresholdSetError,
+                           match=rf"^{re.escape(first)} is not an up-set: members \[0, 3\]$"):
+            extract_thresholds(levels)
+        with pytest.raises(NonThresholdSetError, match=rf"^{re.escape(first)} is not"):
+            reference_thresholds(levels)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_loc=st.integers(1, 3),
+        n_bins=st.integers(2, 5),
+        n_relays=st.integers(2, 4),
+        eta=st.sampled_from([0.5, 3.0, 10.0]),
+        delta=st.sampled_from([0.0, 0.1]),
+        data=st.data(),
+    )
+    def test_the_one_pass_matches_the_per_set_scan(self, n_loc, n_bins, n_relays, eta,
+                                                    delta, data):
+        # rows of random codes, the none column among them, written over the
+        # solved ones break none, one or several sets (a row whose stops are
+        # moved to its end breaks none); the same arrays or the same first error
+        config, family = small_instance(n_loc, n_bins, n_relays, eta=eta, delta=delta)
+        levels = corrupted(backward_induction(family, config))
+        codes = st.sampled_from([NO_ACTION, STOP, CONTINUE] + [PROBE + t for t in range(n_loc)])
+        for _ in range(data.draw(st.integers(0, 8), label="edits")):
+            level = levels.actions[data.draw(st.integers(0, n_relays - 1))][
+                data.draw(st.integers(0, 1))]
+            row = data.draw(st.lists(codes, min_size=n_bins + 1, max_size=n_bins + 1))
+            if data.draw(st.booleans(), label="stops last"):
+                row[:n_bins] = sorted(row[:n_bins], key=lambda code: code == STOP)
+            level[data.draw(st.integers(0, len(level) - 1))] = row
+        try:
+            expected = reference_thresholds(levels)
+        except NonThresholdSetError as err:
+            with pytest.raises(NonThresholdSetError) as raised:
+                extract_thresholds(levels)
+            assert str(raised.value) == str(err)
+            return
+        summary = extract_thresholds(levels)
+        for key, want in expected.items():
+            got = getattr(summary, key)
+            assert got.dtype == want.dtype and np.array_equal(got, want), key
+
+    def test_one_relay_has_no_decision_stage(self):
+        config, family = small_instance(3, 5, 1, eta=2.0, delta=0.05)
+        summary = extract_thresholds(backward_induction(family, config))
+        assert summary.x.shape == (0,)
+        assert summary.x_l.shape == summary.y_l.shape == (0, 3)
+        assert summary.s_flags.shape == (0, 5)
+        for flags in (summary.q_flags, summary.s_l_flags, summary.p_flags):
+            assert flags.shape == (0, 5, 3)
 
 
 class TestAct:

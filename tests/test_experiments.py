@@ -338,8 +338,8 @@ class TestSweep:
             assert c1 == c2
 
     def test_a_raising_cell_ends_a_one_worker_sweep(self, small_base, monkeypatch):
-        # one worker path for every thread count: the pool stops handing out
-        # cells once one raises, so at most the cell already picked up runs
+        # one worker path for every thread count: a raising cell ends the
+        # sweep, and no cell starts after it
         config, _ = small_base
         calls = []
 
@@ -352,7 +352,22 @@ class TestSweep:
                          policies=("rst",), n_episodes=20, threads=1)
         with pytest.raises(NonThresholdSetError, match="^S_1 at eta 0.5 is not an up-set$"):
             run_sweep(spec)
-        assert calls[0] == 0.5 and len(calls) <= 2
+        assert calls == [0.5]
+
+    def test_observations_read_each_series_in_eta_order(self, small_base):
+        # the grid's order is the CSV row order, never the order of a curve
+        config, _ = small_base
+        kwargs = dict(base=config, delta_values=(0.05,), policies=("rst", "glb"),
+                      n_episodes=20)
+        ascending = run_sweep(SweepSpec(eta_values=(0.5, 1.0, 2.0, 4.0, 8.0), **kwargs))
+        descending = run_sweep(SweepSpec(eta_values=(8.0, 4.0, 2.0, 1.0, 0.5), **kwargs))
+        observed = experiments._component_observations(ascending)
+        assert observed == experiments._component_observations(descending)
+        assert all(all(trends.values()) for trends in observed.values())
+        for policy in ("rst", "glb"):
+            etas = [c.eta for c in descending.series(policy, 0.05)]
+            assert etas == [0.5, 1.0, 2.0, 4.0, 8.0]
+        assert [c.eta for c in descending.cells[:5]] == [8.0, 4.0, 2.0, 1.0, 0.5]
 
     def test_spec_validation(self, small_base):
         config, _ = small_base

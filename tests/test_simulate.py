@@ -5,11 +5,13 @@ import re
 import numpy as np
 import pytest
 
-from conftest import small_instance
+from conftest import corrupted, small_instance
 from oracles import reference_run_policy
 from relaymdp import model, simulate
-from relaymdp.dp_complete import (BudgetExceededError, _induction, _states_per_stage,
-                                  initial_value, solve_complete)
+from relaymdp._kernels import PROBE
+from relaymdp.dp_complete import (BudgetExceededError, MultisetSpace, _induction,
+                                  _ranked_members, _states_per_stage, initial_value,
+                                  solve_complete)
 from relaymdp.dp_restricted import backward_induction
 from relaymdp.experiments import baseline_components, complete_components, policy_levels
 from relaymdp.model import ConfigError, ModelConfig, reward_grid
@@ -175,6 +177,25 @@ class TestRunPolicy:
         assert np.array_equal(out.delay, block.wake_times[np.arange(len(block)),
                                                           out.stop_stage - 1])
 
+    @pytest.mark.parametrize("capacity", [1, 2, 5])
+    def test_a_probe_reads_the_row_it_leaves_off_the_solve(self, sim_instance, monkeypatch,
+                                                            capacity):
+        # the solve has ranked every set's members and the rows they leave;
+        # the replay ranks no set of its own
+        config, family = sim_instance
+        levels = _induction(family, config, capacity)
+        block = sample_episode(family, config, block_rng(13, 0))
+        before = run_policy(block, levels)
+
+        def no_ranking(space, columns):
+            raise AssertionError("the replay ranked a set")
+
+        monkeypatch.setattr(MultisetSpace, "ranks", no_ranking)
+        after = run_policy(block, levels)
+        assert after.probes.sum() > len(block)  # episodes probe more than once
+        for field in dataclasses.fields(after):
+            assert np.array_equal(getattr(after, field.name), getattr(before, field.name))
+
     def test_single_relay_horizon(self):
         # N = 1: probe the only relay, then stop, under both classes
         config, family = small_instance(3, 8, 1, eta=2.0, delta=0.05)
@@ -218,6 +239,28 @@ class TestEngineAgreement:
             assert "repeat" in seen
         if delta > 0 and name in ("rst", "c2"):
             assert "swap" in seen
+
+    @pytest.mark.parametrize("capacity", [2, 5])
+    def test_probes_of_the_smallest_member_match_the_reference(self, sim_instance, capacity):
+        # the solved codes probe a set's stochastically largest member, the
+        # first of its ranked slots; these probe the last, so the row a probe
+        # leaves is read at another slot
+        config, family = sim_instance
+        levels = corrupted(_induction(family, config, capacity))
+        rank, moved = tuple(family.rank), 0
+        for stage in levels.actions:
+            for s, codes in enumerate(stage[2:], start=2):
+                smallest = PROBE + _ranked_members(levels.space, s, rank)[0][:, -1]
+                probing = codes >= PROBE
+                moved += int((probing & (codes != smallest[:, None])).sum())
+                codes[probing] = np.broadcast_to(smallest[:, None], codes.shape)[probing]
+        assert moved > 0
+        block = sample_episode(family, config, block_rng(17, 0)).head(1500)
+        out = run_policy(block, levels)
+        got = zip(out.delay.tolist(), out.reward.tolist(), out.probes.tolist(),
+                  out.cost.tolist(), out.effective_reward.tolist(), out.stop_stage.tolist())
+        for i, outcome in enumerate(got):
+            assert outcome == reference_run_policy(block, i, levels)[0], i
 
 
 class TestMonteCarlo:
