@@ -557,13 +557,16 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
             types, rests = ranked[s]
             smaller = tables.values[k - 1][s - 1][:, :n_bins]
             probing = tables.actions[k - 1][s] >= PROBE
-            none_only = probing.shape[1] == 1
             report["probing_states_checked"] += int(probing.sum())
+            if probing.shape[1] == 1:
+                # the none row alone: max{none, R} = R, so E_t V(R) of every
+                # (smaller row, type) pair is one product
+                by_pair = smaller @ pmf.T
             for first in range(0, len(types), step):
                 rows = slice(first, first + step)
                 largest, rest = types[rows, 0], rests[rows, 0]
-                if none_only:  # the none row: max{none, R} = R
-                    expected = (pmf[largest] * smaller[rest]).sum(axis=1, keepdims=True)
+                if probing.shape[1] == 1:
+                    expected = by_pair[rest, largest, None]
                 else:
                     expected = expect_over_max(smaller[rest], pmf[largest], cdf[largest])
                 cost = eta * delta + expected

@@ -22,9 +22,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from ._kernels import CONTINUE, PROBE, STOP, STRUCTURE_TOL, illegal_action, legal_actions
+from ._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, STRUCTURE_TOL, illegal_action,
+                       legal_actions)
 from .dp_complete import (BATCH_ELEMENTS, OVERFLOW_ELEMENTS, CompleteTables,
-                          NonFiniteValueError, initial_value, solve_complete)
+                          NonFiniteValueError, _ranked_members, initial_value, solve_complete)
 from .dp_restricted import RestrictedTables, backward_induction, extract_thresholds
 from .model import (
     BudgetExceededError,
@@ -125,6 +126,16 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
     continue lands in the none column of the level it moves to.  Only the
     masses of the current and the next stage are alive at a time.
 
+    A move gathers what moves.  Above the sets of one relay, whose rows hold
+    one (type, smaller row) pair each, a probe gathers, per batch of types,
+    only the smaller rows that one of the batch's pairs moves probing mass
+    into, over the bins up to the last that holds probing mass
+    (``_reached``), and a continue to the set with the newcomer moves only
+    the rows and the span of columns that continue.  Each batch sums its
+    types in type order before it adds, as the dense gather of every pair
+    does, so every level's mass is the same to the bit either way; the probe
+    count sums the entries gathered, in an order that may differ.
+
     Every entry of nonzero mass must hold an action that ``legal_actions``
     allows, which each level checks once before its mass moves: one on
     NO_ACTION, a stop with nothing probed, a probe of a type not in its set
@@ -174,15 +185,35 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
             del held, legal  # not alive through the moves, which set the peak
             real, code = mass[:, :-1], act[:, :-1]  # the real bins, if the level holds them
 
-            if s >= 1 and mass[:, -1].any():
-                # w[t, f]: the mass at the none row probing t from the set of
-                # row plus[s-1][t][f], which leaves row f; bin j gains pmf[t, j] w
-                src = space.plus[s - 1]
-                w = mass[:, -1][src]
-                w *= act[:, -1][src] == PROBE + types[:, None]
-                if w.any():
-                    probes += float(w.sum())
-                    level(current, k, s - 1)[:, :-1] += np.einsum("tf,tj->fj", w, pmf)
+            if s >= 1:
+                # a probe of type t from the set of row plus[s-1][t][f] leaves
+                # row f of the smaller level.  A level of one relay per set
+                # holds one pair per row, all leaving the empty set, and its
+                # moves gather them all, over every bin; a larger one gathers
+                # only the rows f that a pair of the batch moves probing mass
+                # into, over the bins up to the last that probes (``_reached``)
+                n_smaller = len(space.members[s - 1])
+                per_call = max(1, BATCH_ELEMENTS // (n_smaller * n_bins))
+                slots = None if s == 1 else _ranked_members(space, s, tuple(family.rank))
+                shape = (n_loc, n_smaller)
+
+                if mass[:, -1].any():
+                    # w[t, f]: the mass at the none row probing t from the set
+                    # of row plus[s-1][t][f]; bin j gains pmf[t, j] w.  Every
+                    # type is in its one batch, so gathered rows go in chunks
+                    reached = _reached(mass[:, -1:], act[:, -1:], slots, shape)[0]
+                    chunks = [slice(None)]
+                    if reached is not None:
+                        rows = np.flatnonzero(reached.any(axis=0))
+                        step = max(1, BATCH_ELEMENTS // n_bins)
+                        chunks = [rows[i:i + step] for i in range(0, len(rows), step)]
+                    for rows in chunks:
+                        src = space.plus[s - 1][:, rows]
+                        w = mass[:, -1][src]
+                        w *= act[:, -1][src] == PROBE + types[:, None]
+                        if w.any():
+                            probes += float(w.sum())
+                            level(current, k, s - 1)[rows, :-1] += np.einsum("tf,tj->fj", w, pmf)
 
             if real.size:
                 stopping = np.where(code == STOP, real, 0.0)
@@ -191,19 +222,26 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                 del stopping
 
                 if s >= 1:
-                    per_call = max(1, BATCH_ELEMENTS // (len(space.members[s - 1]) * n_bins))
+                    reached, width = _reached(real, code, slots, shape)
                     for first in range(0, n_loc, per_call):
                         batch = types[first:first + per_call]
-                        src = space.plus[s - 1][batch]
-                        w = real[src]
-                        w *= code[src] == PROBE + batch[:, None, None]
+                        rows = slice(None) if reached is None else reached[batch].any(axis=0)
+                        src = space.plus[s - 1][batch][:, rows]
+                        w = real[src, :width]
+                        w *= code[src, :width] == (PROBE + batch).astype(code.dtype)[:, None, None]
                         if not w.any():
                             continue
                         probes += float(w.sum())
-                        # bin j gains w[j] cdf[j] plus pmf[j] times the mass below j
-                        gain = w * cdf[batch, None]
-                        gain[..., 1:] += pmf[batch, None, 1:] * np.cumsum(w[..., :-1], axis=-1)
-                        level(current, k, s - 1)[:, :-1] += gain.sum(axis=0)
+                        # bin j gains w[j] cdf[j] plus pmf[j] times the mass
+                        # below j, which past the last bin that probes is all of it
+                        below = np.cumsum(w, axis=-1)
+                        gain = w * cdf[batch, None, :width]
+                        gain[..., 1:] += pmf[batch, None, 1:width] * below[..., :-1]
+                        out = level(current, k, s - 1)
+                        out[rows, :width] += gain.sum(axis=0)
+                        if width < n_bins:
+                            out[rows, width:-1] += (pmf[batch, None, width:]
+                                                    * below[..., -1:]).sum(axis=0)
 
             if k < n_stages:
                 cw = np.where(act == CONTINUE, mass, 0.0)
@@ -212,24 +250,64 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                     # array, which fixes the order of the float sums
                     waits += float(cw[:, -1].sum())
                     waits += float(np.ascontiguousarray(cw[:, :-1]).sum())
-                    # from the first column that continues: those before it
-                    # would scatter zeros (all real bins of (1, 1) at c = 1)
-                    cw = cw[:, np.argmax(cw.any(axis=0)):]
-                    cw /= n_loc
+                    on = np.flatnonzero(cw.any(axis=0))
                     if s == capacity:
-                        # to the set the overflow rule keeps
+                        # to the set the overflow rule keeps, from the first
+                        # column that continues: those before it would
+                        # scatter zeros (all real bins of (1, 1) at c = 1)
+                        cw = cw[:, on[0]:]
+                        cw /= n_loc
                         _add_moved(level(following, k + 1, s),
                                    tables.kept[k][..., -cw.shape[1]:], cw)
                     else:
-                        # to the set with the newcomer: plus[s][t] is injective
-                        # in the row, so one += per type, in type order, adds
-                        # the sums np.add.at would, in the same order
-                        grown = level(following, k + 1, s + 1)[:, -cw.shape[1]:]
-                        for rows in space.plus[s]:
+                        # to the set with the newcomer, from the rows and the
+                        # span of columns that continue, into the same
+                        # columns of the next level, which holds the none row
+                        # alone exactly when this one does: plus[s][t] is
+                        # injective in the row, so one += per type, in type
+                        # order, adds the sums np.add.at would, in the same order
+                        cols = slice(on[0], on[-1] + 1)
+                        cw, targets = cw[:, cols], space.plus[s]
+                        if len(cw) > 1:  # the empty set's one row moves as it is
+                            going = np.flatnonzero(cw.any(axis=1))
+                            cw, targets = cw[going], targets[:, going]
+                        cw /= n_loc
+                        grown = level(following, k + 1, s + 1)[:, cols]
+                        for rows in targets:
                             grown[rows] += cw
         current = following
 
     return _components(waits, reward, probes, stopped, config)
+
+
+def _reached(mass: np.ndarray, code: np.ndarray, slots: Optional[tuple],
+             shape: tuple[int, int]) -> tuple[Optional[np.ndarray], int]:
+    """Which probes of a size-s level move mass, from its mass and codes over
+    some of its columns: (reached, width).  reached[t, f], of ``shape``, is
+    whether a row probes its member of type t with nonzero mass in one of
+    those columns, which leaves row f of the smaller level; no column from
+    ``width`` on holds probing mass.  ``slots`` is (types, rests) of the
+    level's rows (``_ranked_members``), or None where every pair and column
+    is gathered: then reached is None and width the number of columns.  A row
+    may probe several members, each at its own bins, and equal members give
+    one pair.  The rows are read in batches of at most BATCH_ELEMENTS
+    entries."""
+    if slots is None:
+        return None, mass.shape[1]
+    types, rests = slots
+    hits = np.zeros(types.shape, dtype=bool)
+    probing = np.zeros(mass.shape[1], dtype=bool)
+    step = max(1, BATCH_ELEMENTS // mass.shape[1])
+    for first in range(0, len(types), step):
+        rows = slice(first, first + step)
+        moving = np.where(mass[rows] != 0, code[rows], NO_ACTION)
+        probing |= (moving >= PROBE).any(axis=0)
+        slot_codes = (types[rows] + PROBE).astype(code.dtype)
+        for p in range(types.shape[1]):
+            np.any(moving == slot_codes[:, p, None], axis=1, out=hits[rows, p])
+    reached = np.zeros(shape, dtype=bool)
+    reached[types[hits], rests[hits]] = True
+    return reached, len(probing) - int(np.argmax(probing[::-1]))
 
 
 def _add_moved(out: np.ndarray, rows: np.ndarray, mass: np.ndarray) -> None:

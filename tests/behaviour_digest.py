@@ -13,7 +13,11 @@ each policy, rst (capacity 1), c2 (capacity 2), glb (capacity N) and first
 grid order:
 
 - tables: the value, action and overflow (``kept``) arrays of every level;
-- components: ``repr`` of the exact sweep's ``PolicyComponents``;
+- components: ``repr`` of the exact sweep's mass fields, ``waiting``,
+  ``mean_delay``, ``reward`` and ``stopped_mass``;
+- probe-count: ``repr`` of its fields read off the probe count, ``probes``,
+  ``probing_cost``, ``effective_reward`` and ``cost``, whose float sum may
+  change order while every level's mass stays the same;
 - episodes: the ``episode_outcomes`` arrays of 5000 episodes under seed 7.
 
 Every array enters with its dtype and shape.  A ``costs`` line digests rst's
@@ -51,6 +55,12 @@ from relaymdp.model import ModelConfig, build_forwarding_region, build_ordered_f
 from relaymdp.simulate import episode_outcomes
 
 POLICIES = ("rst", "c2", "glb", "first")
+KINDS = ("tables", "components", "probe-count", "episodes")
+# the PolicyComponents fields of each digest line
+COMPONENT_FIELDS = {
+    "components": ("waiting", "mean_delay", "reward", "stopped_mass"),
+    "probe-count": ("probes", "probing_cost", "effective_reward", "cost"),
+}
 DELTAS = (0.1, 0.01, 0.0)
 EPISODES, SEED = 5000, 7
 
@@ -123,8 +133,7 @@ def artifacts_digest() -> str:
 def main() -> None:
     base = ModelConfig().validate()
     family = build_ordered_family(build_forwarding_region(base), base)
-    digests = {(kind, policy): hashlib.sha256()
-               for kind in ("tables", "components", "episodes") for policy in POLICIES}
+    digests = {(kind, policy): hashlib.sha256() for kind in KINDS for policy in POLICIES}
     costs, thresholds, reports = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for delta in DELTAS:
         for eta in default_eta_grid():
@@ -132,8 +141,10 @@ def main() -> None:
             for policy in POLICIES:
                 levels = levels_of(policy, family, config)
                 update_tables(digests["tables", policy], levels)
-                digests["components", policy].update(
-                    repr(complete_components(levels)).encode())
+                comps = complete_components(levels)
+                for kind, names in COMPONENT_FIELDS.items():
+                    digests[kind, policy].update(
+                        repr(tuple(getattr(comps, name) for name in names)).encode())
                 if policy == "rst":
                     for name in ("j_b", "j_bf", "cc_b", "cc_bf", "cp_bf"):
                         update(costs, getattr(levels, name))

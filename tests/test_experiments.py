@@ -109,6 +109,30 @@ def assert_matches_reference(comps, levels):
             getattr(expected, field.name), rel=0, abs=1e-12), field.name
 
 
+# BATCH_ELEMENTS as the sweep reads it.  At the default every level of
+# small_instance(4, 15, 4) of two or more relays moves in one batch of every
+# type and the none row in one chunk; below it, at 130 entries, the levels
+# of two relays take batches of two types and larger ones one type at a
+# time, and at 40 every one of them takes one type at a time, the none row
+# in chunks of a few rows
+COMPACTING_BATCHES = [experiments.BATCH_ELEMENTS, 130, 40]
+
+
+def _probe_two_members_or_a_repeated_one(levels):
+    """Legal edits of every level of sets of two or more relays: a row of
+    different members probes its first member at the even columns and its
+    last at the odd ones (the none row among them), and a row that holds a
+    member twice probes that member everywhere."""
+    for stage in levels.actions:
+        for s, act in enumerate(stage[2:], start=2):
+            members = levels.space.members[s]
+            act[:, 0::2] = PROBE + members[:, :1]
+            act[:, 1::2] = PROBE + members[:, -1:]
+            twice = members[:, 1:] == members[:, :-1]
+            rows = twice.any(axis=1)
+            act[rows] = PROBE + members[rows, 1 + twice[rows].argmax(axis=1), None]
+
+
 @pytest.fixture(scope="module")
 def reference_glb(default_config, default_family):
     """The complete-class solve of the reference config at eta 10."""
@@ -132,6 +156,15 @@ class TestSweepAgainstDenseReference:
         assert comps.cost == pytest.approx(initial_value(levels), abs=1e-9)
         assert comps.stopped_mass == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("batch", COMPACTING_BATCHES[1:])
+    @pytest.mark.parametrize("delta", [0.1, 0.01, 0.0])
+    @pytest.mark.parametrize("eta", [0.3, 2.0, 8.0])
+    @pytest.mark.parametrize("policy", [1, 2, 3, "N", "first"])
+    def test_every_field_matches_in_smaller_batches(self, policy, eta, delta, batch,
+                                                    monkeypatch):
+        monkeypatch.setattr(experiments, "BATCH_ELEMENTS", batch)
+        self.test_every_field_matches(policy, eta, delta)
+
     @pytest.mark.parametrize("policy", [2, 4])
     def test_reference_config(self, policy, default_config, default_family):
         levels = capacity_levels(policy, default_family, default_config.with_overrides(eta=10.0))
@@ -141,6 +174,22 @@ class TestSweepAgainstDenseReference:
         comps = complete_components(reference_glb)
         assert comps.waiting > 0.0  # the largest levels are reached
         assert_matches_reference(comps, reference_glb)
+
+    @pytest.mark.parametrize("batch", COMPACTING_BATCHES)
+    @pytest.mark.parametrize("policy", [2, 3, "N"])
+    def test_rows_that_probe_two_members_or_a_repeated_one(self, policy, batch, monkeypatch):
+        # the solved codes probe each row's stochastically largest member at
+        # every bin; a move that assumed one probed type per row, or that
+        # moved a member held twice twice, would fail here
+        config, family = small_instance(4, 15, 4, eta=8.0, delta=0.05)
+        solved = capacity_levels(policy, family, config)
+        levels = corrupted(solved)
+        _probe_two_members_or_a_repeated_one(levels)
+        monkeypatch.setattr(experiments, "BATCH_ELEMENTS", batch)
+        comps = complete_components(levels)
+        assert comps.probes > complete_components(solved).probes
+        assert comps.stopped_mass == pytest.approx(1.0, abs=1e-9)
+        assert_matches_reference(comps, levels)
 
     def test_allocation_peak(self, reference_glb):
         # deterministic memory, not timing: at eta 10 mass reaches every
@@ -153,7 +202,7 @@ class TestSweepAgainstDenseReference:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 32e6
+        assert peak <= 24e6
 
 
 def _no_action_at_one_reached_entry(levels):
