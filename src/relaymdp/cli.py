@@ -182,7 +182,8 @@ def main(argv=None) -> int:
 
 def _dispatch(args, doc: dict, config: ModelConfig, out_dir: Path) -> int:
     command = args.command
-    if command != "census":
+    # sweep and calibrate build their own region and family; census needs none
+    if command not in ("sweep", "calibrate", "census"):
         grid = build_forwarding_region(config)
         family = build_ordered_family(grid, config)
 

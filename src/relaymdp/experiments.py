@@ -15,7 +15,7 @@ import json
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -96,13 +96,14 @@ class PolicyComponents:
 def _components(waits: float, reward: float, probes: float, stopped: float,
                 config: ModelConfig) -> PolicyComponents:
     waiting = config.tau * waits
+    cost, effective_reward = config.lagrangian(waiting, reward, probes)
     return PolicyComponents(
         waiting=waiting,
         mean_delay=config.tau + waiting,
         reward=reward,
         probes=probes,
-        cost=waiting - config.eta * reward + config.eta * config.delta * probes,
-        effective_reward=reward - config.delta * probes,
+        cost=cost,
+        effective_reward=effective_reward,
         probing_cost=config.delta * probes,
         stopped_mass=stopped,
     )
@@ -493,14 +494,7 @@ class CalibrationResult:
     evaluations: int
 
     def to_json(self) -> dict:
-        return {
-            "eta": self.eta,
-            "effective_reward": self.effective_reward,
-            "mean_delay": self.mean_delay,
-            "target_gamma": self.target_gamma,
-            "bracket": list(self.bracket),
-            "evaluations": self.evaluations,
-        }
+        return asdict(self)
 
 
 def calibrate_eta(target_gamma: float, delta: float, config: ModelConfig) -> CalibrationResult:

@@ -154,6 +154,13 @@ class ModelConfig:
     def with_overrides(self, **kwargs) -> "ModelConfig":
         return replace(self, **kwargs).validate()
 
+    def lagrangian(self, waiting, reward, probes):
+        """The Lagrangian cost W - eta R + eta delta M and the effective
+        reward R - delta M of a waiting time, reward and probe count (floats
+        or arrays)."""
+        return (waiting - self.eta * reward + self.eta * self.delta * probes,
+                reward - self.delta * probes)
+
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
         unknown = set(data) - {f.name for f in fields(cls)}

@@ -256,16 +256,10 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
 
     reward = reward_grid(levels.n_bins)[best]
     delay = block.wake_times[np.arange(n), stop_stage - 1]
-    waiting = delay - block.wake_times[:, 0]
-    eta, delta = levels.config.eta, levels.config.delta
-    return Outcomes(
-        delay=delay,
-        reward=reward,
-        probes=probes,
-        cost=waiting - eta * reward + eta * delta * probes,
-        effective_reward=reward - delta * probes,
-        stop_stage=stop_stage,
-    )
+    cost, effective_reward = levels.config.lagrangian(
+        delay - block.wake_times[:, 0], reward, probes)
+    return Outcomes(delay=delay, reward=reward, probes=probes, cost=cost,
+                    effective_reward=effective_reward, stop_stage=stop_stage)
 
 
 def check_episode_count(n_episodes) -> int:
@@ -290,12 +284,15 @@ def episode_outcomes(levels: CompleteTables, n_episodes: int, seed: int) -> Outc
     # a block draws several (EPISODES_PER_BLOCK, n_relays) arrays, each held to the budget
     check_budget(EPISODES_PER_BLOCK * levels.config.n_relays,
                  f"an episode block, {EPISODES_PER_BLOCK} episodes x n_relays")
-    parts = []
+    names = [f.name for f in fields(Outcomes)]
     for j, first in enumerate(range(0, count, EPISODES_PER_BLOCK)):
         block = sample_episode(levels.family, levels.config, block_rng(seed, j))
-        parts.append(run_policy(block.head(count - first), levels))
-    return Outcomes(*(np.concatenate([getattr(p, f.name) for p in parts])
-                      for f in fields(Outcomes)))
+        part = run_policy(block.head(count - first), levels)
+        if j == 0:  # one set of arrays, as check_episode_count charges
+            out = Outcomes(*(np.empty(count, getattr(part, name).dtype) for name in names))
+        for name in names:
+            getattr(out, name)[first:first + EPISODES_PER_BLOCK] = getattr(part, name)
+    return out
 
 
 def monte_carlo(levels: CompleteTables, n_episodes: int, seed: int) -> Estimates:

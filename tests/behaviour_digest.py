@@ -20,6 +20,10 @@ grid order:
   change order while every level's mass stays the same;
 - episodes: the ``episode_outcomes`` arrays of 5000 episodes under seed 7.
 
+One ``estimates`` line digests the JSON of ``monte_carlo`` over those
+episodes (the ``to_json`` that ``estimates.json`` holds) for every policy
+and cell.
+
 Every array enters with its dtype and shape.  A ``costs`` line digests rst's
 stagewise ``j_b``, ``j_bf``, ``cc_b``, ``cc_bf`` and ``cp_bf`` over the same
 cells, the costs that ``verify_structure`` reads, and a ``thresholds`` line
@@ -52,7 +56,7 @@ from relaymdp.dp_complete import _induction, verify_complete_conjectures
 from relaymdp.dp_restricted import ThresholdSummary, extract_thresholds, verify_structure
 from relaymdp.experiments import complete_components, default_eta_grid, policy_levels
 from relaymdp.model import ModelConfig, build_forwarding_region, build_ordered_family
-from relaymdp.simulate import episode_outcomes
+from relaymdp.simulate import episode_outcomes, monte_carlo
 
 POLICIES = ("rst", "c2", "glb", "first")
 KINDS = ("tables", "components", "probe-count", "episodes")
@@ -135,6 +139,7 @@ def main() -> None:
     family = build_ordered_family(build_forwarding_region(base), base)
     digests = {(kind, policy): hashlib.sha256() for kind in KINDS for policy in POLICIES}
     costs, thresholds, reports = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    estimates = hashlib.sha256()
     for delta in DELTAS:
         for eta in default_eta_grid():
             config = base.with_overrides(eta=eta, delta=delta)
@@ -159,11 +164,14 @@ def main() -> None:
                 outcomes = episode_outcomes(levels, EPISODES, SEED)
                 for field in dataclasses.fields(outcomes):
                     update(digests["episodes", policy], getattr(outcomes, field.name))
+                estimates.update(json.dumps(monte_carlo(levels, EPISODES, SEED).to_json(),
+                                            sort_keys=True).encode())
     for (kind, policy), digest in digests.items():
         print(f"{kind:<10} {policy:<5} {digest.hexdigest()}")
     print(f"{'costs':<10} {'rst':<5} {costs.hexdigest()}")
     print(f"{'thresholds':<10} {'rst':<5} {thresholds.hexdigest()}")
     print(f"{'reports':<10} {'all':<5} {reports.hexdigest()}")
+    print(f"{'estimates':<10} {'all':<5} {estimates.hexdigest()}")
     print(f"{'artifacts':<10} {'cli':<5} {artifacts_digest()}")
     for name, digest in narrow_digests().items():
         print(f"{'tables':<10} {name:<5} {digest.hexdigest()}")

@@ -2,17 +2,20 @@
 
 Two layers, deliberately separate from the production code paths:
 
-* ``*_tree_value``: plain recursive expectimax over the raw history tree in
-  pure Python floats, with no tables, no memoization and no vectorization.
-  Minimizing action-by-action over the finite tree enumerates the optimum
-  over every (history-dependent) policy.
+* one Bellman recursion per policy class, top-down over the states of the
+  history tree in pure Python floats, memoized on the state, with no tables
+  and no vectorization.  Minimizing action by action over the finite tree
+  gives the optimum over every (history-dependent) policy; its readers give
+  the optimal value, the values of chosen states and (for the restricted
+  class) the stopping and probing sets.
 * ``enumerate_*_policies``: literal enumeration of all deterministic policies
   on instances small enough, evaluating each policy's expected cost by
-  recursion.  Used to cross-validate the tree recursion itself.
+  recursion.  Used to cross-validate the recursions themselves.
 """
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import product
 
 
@@ -46,68 +49,97 @@ class Toy:
 # restricted class: keep at most the best probed relay plus one unprobed one
 # ---------------------------------------------------------------------------
 
-def restricted_tree_value(toy: Toy) -> float:
-    """Optimal expected cost from the first wake-up, by raw tree recursion."""
+def _restricted_bellman(toy: Toy):
+    """The restricted class's recursion, memoized on the state.  A holding
+    state (k, b, l) holds the best probed bin b (None before any probe) and
+    one unprobed relay at location l, and may stop, probe or continue; a bare
+    state (k, b) has just probed, its only awake relay the best probed one.
+    Returns (holding, probe_cost, cont_holding, cont_bare): the value of a
+    holding state and the costs of its probe and continue, and the cost of a
+    bare state's continue."""
 
+    @lru_cache(maxsize=None)
     def holding(k, b, l):
-        # state (b, F_l): stop / probe / continue
         costs = []
         if b is not None:
             costs.append(-toy.eta * toy.grid[b])
-        probe = toy.eta * toy.delta
-        for r, p in enumerate(toy.pmfs[l]):
-            if p:
-                probe += p * bare(k, r if b is None else max(b, r))
-        costs.append(probe)
+        costs.append(probe_cost(k, b, l))
         if k < toy.n_relays:
-            total = 0.0
-            for u in range(toy.n_loc):
-                total += min(holding(k + 1, b, l), holding(k + 1, b, u))
-            costs.append(toy.tau + total / toy.n_loc)
+            costs.append(cont_holding(k, b, l))
         return min(costs)
 
-    def bare(k, b):
-        # just probed: the only awake relay is the best probed one
-        stop = -toy.eta * toy.grid[b]
-        if k == toy.n_relays:
-            return stop
+    def probe_cost(k, b, l):
+        total = toy.eta * toy.delta
+        for r, p in enumerate(toy.pmfs[l]):
+            if p:
+                total += p * bare(k, r if b is None else max(b, r))
+        return total
+
+    def cont_holding(k, b, l):
+        # the incumbent at l or the newcomer at u is kept, whichever costs less
+        total = 0.0
+        for u in range(toy.n_loc):
+            total += min(holding(k + 1, b, l), holding(k + 1, b, u))
+        return toy.tau + total / toy.n_loc
+
+    def cont_bare(k, b):
         total = 0.0
         for u in range(toy.n_loc):
             total += holding(k + 1, b, u)
-        return min(stop, toy.tau + total / toy.n_loc)
+        return toy.tau + total / toy.n_loc
 
+    @lru_cache(maxsize=None)
+    def bare(k, b):
+        stop = -toy.eta * toy.grid[b]
+        if k == toy.n_relays:
+            return stop
+        return min(stop, cont_bare(k, b))
+
+    return holding, probe_cost, cont_holding, cont_bare
+
+
+def restricted_value(toy: Toy) -> float:
+    """Optimal restricted-class expected cost from the first wake-up."""
+    holding = _restricted_bellman(toy)[0]
     return sum(holding(1, None, l) for l in range(toy.n_loc)) / toy.n_loc
 
 
-def restricted_tree_state_value(toy: Toy, k, b, l) -> float:
-    """Tree value of one holding state (for table spot checks)."""
+def restricted_state_value(toy: Toy, k, b, l) -> float:
+    """Value of one holding state (for table spot checks)."""
+    return _restricted_bellman(toy)[0](k, b, l)
 
-    def holding(k_, b_, l_):
-        costs = []
-        if b_ is not None:
-            costs.append(-toy.eta * toy.grid[b_])
-        probe = toy.eta * toy.delta
-        for r, p in enumerate(toy.pmfs[l_]):
-            if p:
-                probe += p * bare(k_, r if b_ is None else max(b_, r))
-        costs.append(probe)
-        if k_ < toy.n_relays:
-            total = 0.0
-            for u in range(toy.n_loc):
-                total += min(holding(k_ + 1, b_, l_), holding(k_ + 1, b_, u))
-            costs.append(toy.tau + total / toy.n_loc)
-        return min(costs)
 
-    def bare(k_, b_):
-        stop = -toy.eta * toy.grid[b_]
-        if k_ == toy.n_relays:
-            return stop
-        total = 0.0
-        for u in range(toy.n_loc):
-            total += holding(k_ + 1, b_, u)
-        return min(stop, toy.tau + total / toy.n_loc)
+def restricted_sets(toy: Toy, tol: float = 1e-12):
+    """Stopping/probing sets derived from the recursion.
 
-    return holding(k, b, l)
+    Returns per-stage boolean masks over the real reward bins for S_k, S_k^l
+    and Q_k^l (stages 1..N-1), using the same tie convention as the solver
+    (ties within ``tol`` count as stopping / as probe-or-stop).
+    """
+    _, probe_cost, cont_holding, cont_bare = _restricted_bellman(toy)
+    n_bins = len(toy.grid)
+    sets = {"s": [], "s_l": [], "q_l": []}
+    for k in range(1, toy.n_relays):
+        s_mask = []
+        for b in range(n_bins):
+            s_mask.append(-toy.eta * toy.grid[b] <= cont_bare(k, b) + tol)
+        sets["s"].append(s_mask)
+        s_l_mask = []
+        q_l_mask = []
+        for l in range(toy.n_loc):
+            s_col, q_col = [], []
+            for b in range(n_bins):
+                stop = -toy.eta * toy.grid[b]
+                cp = probe_cost(k, b, l)
+                cc = cont_holding(k, b, l)
+                s_col.append(stop <= min(cp, cc) + tol)
+                q_col.append(min(stop, cp) <= cc + tol)
+            s_l_mask.append(s_col)
+            q_l_mask.append(q_col)
+        sets["s_l"].append(s_l_mask)
+        sets["q_l"].append(q_l_mask)
+    return sets
+
 
 
 def enumerate_restricted_policies(toy: Toy) -> float:
@@ -202,9 +234,14 @@ def enumerate_restricted_policies(toy: Toy) -> float:
 # complete class: every woken relay may stay awake
 # ---------------------------------------------------------------------------
 
-def complete_tree_value(toy: Toy) -> float:
-    """Optimal complete-class expected cost by raw tree recursion."""
+def _complete_bellman(toy: Toy):
+    """The complete-class recursion, memoized on the state: value(k, b, mset)
+    of stage k, best probed bin b (None before any probe) and the sorted
+    multiset of awake unprobed types, which builds its own multiset
+    transitions, independent of the production solver's bottom-up tables
+    and precomputed index maps."""
 
+    @lru_cache(maxsize=None)
     def value(k, b, mset):
         costs = []
         if b is not None:
@@ -223,11 +260,22 @@ def complete_tree_value(toy: Toy) -> float:
             for u in range(toy.n_loc):
                 total += value(k + 1, b, tuple(sorted(mset + (u,))))
             costs.append(toy.tau + total / toy.n_loc)
-        if not costs:
-            return math.inf
-        return min(costs)
+        return min(costs) if costs else math.inf
 
+    return value
+
+
+def complete_value(toy: Toy) -> float:
+    """Optimal complete-class expected cost from the first wake-up."""
+    value = _complete_bellman(toy)
     return sum(value(1, None, (l,)) for l in range(toy.n_loc)) / toy.n_loc
+
+
+def complete_state_values(toy: Toy, states):
+    """Values of chosen (stage, best, multiset) states."""
+    value = _complete_bellman(toy)
+    return [value(k, b, tuple(sorted(g))) for k, b, g in states]
+
 
 
 def enumerate_complete_policies(toy: Toy) -> float:
@@ -294,137 +342,6 @@ def enumerate_complete_policies(toy: Toy) -> float:
         best = min(best, value)
     return best
 
-
-def complete_memo_value(toy: Toy) -> float:
-    """Reference complete-class solver: top-down memoized recursion in pure
-    Python.  Independent of the production solver's bottom-up tables and
-    precomputed multiset index maps; feasible at mid scale, unlike the raw
-    tree recursion."""
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def value(k, b, mset):
-        costs = []
-        if b is not None:
-            costs.append(-toy.eta * toy.grid[b])
-        for t in sorted(set(mset)):
-            rest = list(mset)
-            rest.remove(t)
-            rest = tuple(rest)
-            probe = toy.eta * toy.delta
-            for r, p in enumerate(toy.pmfs[t]):
-                if p:
-                    probe += p * value(k, r if b is None else max(b, r), rest)
-            costs.append(probe)
-        if k < toy.n_relays:
-            acc = 0.0
-            for u in range(toy.n_loc):
-                acc += value(k + 1, b, tuple(sorted(mset + (u,))))
-            costs.append(toy.tau + acc / toy.n_loc)
-        return min(costs) if costs else math.inf
-
-    return sum(value(1, None, (l,)) for l in range(toy.n_loc)) / toy.n_loc
-
-
-def complete_memo_state_values(toy: Toy, states):
-    """Reference values for chosen (stage, best, multiset) states."""
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def value(k, b, mset):
-        costs = []
-        if b is not None:
-            costs.append(-toy.eta * toy.grid[b])
-        for t in sorted(set(mset)):
-            rest = list(mset)
-            rest.remove(t)
-            rest = tuple(rest)
-            probe = toy.eta * toy.delta
-            for r, p in enumerate(toy.pmfs[t]):
-                if p:
-                    probe += p * value(k, r if b is None else max(b, r), rest)
-            costs.append(probe)
-        if k < toy.n_relays:
-            acc = 0.0
-            for u in range(toy.n_loc):
-                acc += value(k + 1, b, tuple(sorted(mset + (u,))))
-            costs.append(toy.tau + acc / toy.n_loc)
-        return min(costs) if costs else math.inf
-
-    return [value(k, b, tuple(sorted(g))) for k, b, g in states]
-
-
-def restricted_tree_sets(toy: Toy, tol: float = 1e-12):
-    """Stopping/probing sets derived from the raw tree recursion.
-
-    Returns per-stage boolean masks over the real reward bins for S_k, S_k^l
-    and Q_k^l (stages 1..N-1), using the same tie convention as the solver
-    (ties within ``tol`` count as stopping / as probe-or-stop).
-    """
-
-    def holding(k, b, l):
-        return min(holding_costs(k, b, l))
-
-    def holding_costs(k, b, l):
-        costs = []
-        if b is not None:
-            costs.append(-toy.eta * toy.grid[b])
-        probe = toy.eta * toy.delta
-        for r, p in enumerate(toy.pmfs[l]):
-            if p:
-                probe += p * bare(k, r if b is None else max(b, r))
-        costs.append(probe)
-        if k < toy.n_relays:
-            costs.append(cont_holding(k, b, l))
-        return costs
-
-    def cont_holding(k, b, l):
-        total = 0.0
-        for u in range(toy.n_loc):
-            total += min(holding(k + 1, b, l), holding(k + 1, b, u))
-        return toy.tau + total / toy.n_loc
-
-    def cont_bare(k, b):
-        total = 0.0
-        for u in range(toy.n_loc):
-            total += holding(k + 1, b, u)
-        return toy.tau + total / toy.n_loc
-
-    def bare(k, b):
-        stop = -toy.eta * toy.grid[b]
-        if k == toy.n_relays:
-            return stop
-        return min(stop, cont_bare(k, b))
-
-    def probe_cost(k, b, l):
-        total = toy.eta * toy.delta
-        for r, p in enumerate(toy.pmfs[l]):
-            if p:
-                total += p * bare(k, r if b is None else max(b, r))
-        return total
-
-    n_bins = len(toy.grid)
-    sets = {"s": [], "s_l": [], "q_l": []}
-    for k in range(1, toy.n_relays):
-        s_mask = []
-        for b in range(n_bins):
-            s_mask.append(-toy.eta * toy.grid[b] <= cont_bare(k, b) + tol)
-        sets["s"].append(s_mask)
-        s_l_mask = []
-        q_l_mask = []
-        for l in range(toy.n_loc):
-            s_col, q_col = [], []
-            for b in range(n_bins):
-                stop = -toy.eta * toy.grid[b]
-                cp = probe_cost(k, b, l)
-                cc = cont_holding(k, b, l)
-                s_col.append(stop <= min(cp, cc) + tol)
-                q_col.append(min(stop, cp) <= cc + tol)
-            s_l_mask.append(s_col)
-            q_l_mask.append(q_col)
-        sets["s_l"].append(s_l_mask)
-        sets["q_l"].append(q_l_mask)
-    return sets
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ import pytest
 from conftest import small_instance
 from oracles import (
     Toy,
-    complete_tree_value,
+    complete_value,
     enumerate_complete_policies,
     enumerate_restricted_policies,
-    restricted_tree_value,
+    restricted_value,
 )
 from relaymdp.dp_complete import (
     initial_value,
@@ -164,8 +164,8 @@ def test_criterion_4_brute_force_oracle_equivalence():
                     glb = initial_value(solve_complete(family, config))
                     worst = max(
                         worst,
-                        abs(rst - restricted_tree_value(toy)),
-                        abs(glb - complete_tree_value(toy)),
+                        abs(rst - restricted_value(toy)),
+                        abs(glb - complete_value(toy)),
                     )
                     checked += 1
     # literal enumeration of every deterministic policy on the smallest toys

@@ -557,7 +557,29 @@ def test_calibrate_solves_at_the_configs_delta(small_config, tmp_path, capsys):
     config = ModelConfig.from_dict(json.loads((out / "manifest.json").read_text())["config"])
     assert config.delta == 0.02
     want = relaymdp.calibrate_eta(0.1, 0.02, config)
-    assert json.loads((out / "calibration.json").read_text()) == want.to_json()
+    # to_json holds the bracket as a tuple, which JSON writes as a list
+    assert (json.loads((out / "calibration.json").read_text())
+            == json.loads(json.dumps(want.to_json())))
+
+
+@pytest.mark.parametrize("command,builds", [
+    ("solve-restricted", 1), ("solve-complete", 1), ("simulate", 1), ("verify", 1),
+    ("calibrate", 0), ("sweep", 0), ("census", 0),
+])
+def test_only_the_commands_that_read_the_family_build_it(small_config, tmp_path, monkeypatch,
+                                                         command, builds):
+    # calibrate_eta and run_sweep build their own; census reads none
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return model.build_ordered_family(*args)
+
+    monkeypatch.setattr(cli, "build_ordered_family", counted)
+    gamma = ["--gamma", "0.1"] if command == "calibrate" else []
+    assert main([command, "--config", str(small_config), "--out", str(tmp_path / "out"),
+                 *gamma]) == 0
+    assert len(calls) == builds
 
 
 def test_census_command(small_config, tmp_path):

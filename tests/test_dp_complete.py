@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from conftest import corrupted, small_instance
 from oracles import (
     Toy,
-    complete_memo_state_values,
-    complete_memo_value,
-    complete_tree_value,
+    complete_state_values,
+    complete_value,
     enumerate_complete_policies,
     probe_largest_violations,
     reference_multiset_space,
@@ -110,7 +109,7 @@ class TestOracleEquivalence:
         tables = solve_complete(family, config)
         toy = Toy.from_family(family, config)
         assert initial_value(tables) == pytest.approx(
-            complete_tree_value(toy), abs=1e-12
+            complete_value(toy), abs=1e-12
         )
 
     @pytest.mark.parametrize(
@@ -119,12 +118,12 @@ class TestOracleEquivalence:
     )
     def test_mid_scale_matches_memoized_reference(self, shape, eta, delta):
         # a second, structurally different solver (top-down memoized recursion
-        # building its own multiset transitions) at sizes the raw tree cannot reach
+        # building its own multiset transitions) at mid scale
         config, family = small_instance(*shape, eta=eta, delta=delta)
         tables = solve_complete(family, config)
         toy = Toy.from_family(family, config)
         assert initial_value(tables) == pytest.approx(
-            complete_memo_value(toy), abs=1e-11
+            complete_value(toy), abs=1e-11
         )
 
     @pytest.mark.parametrize("stage,mset", [(1, (0,)), (2, (2, 2)), (3, (0, 1, 2))])
@@ -145,7 +144,7 @@ class TestOracleEquivalence:
             (1, None, (0,)), (2, None, (1, 4)), (3, 3, (1, 4)), (3, None, (2, 2, 0)),
             (2, 11, ()), (4, 0, (3, 3, 1)), (4, None, (0, 1, 2, 4)), (4, 7, (0, 1, 2)),
         ]
-        expected = complete_memo_state_values(toy, states)
+        expected = complete_state_values(toy, states)
         for (k, b, g), ref in zip(states, expected):
             assert tables.value(k, b, g) == pytest.approx(ref, abs=1e-11)
 
@@ -167,7 +166,7 @@ class TestOracleEquivalence:
         tables = solve_complete(family, config)
         toy = Toy.from_family(family, config)
         assert initial_value(tables) == pytest.approx(
-            complete_tree_value(toy), abs=1e-12
+            complete_value(toy), abs=1e-12
         )
 
 

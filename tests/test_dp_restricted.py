@@ -13,9 +13,9 @@ from oracles import (
     pairwise_lipschitz_excess,
     reference_probe_costs,
     reference_thresholds,
-    restricted_tree_sets,
-    restricted_tree_state_value,
-    restricted_tree_value,
+    restricted_sets,
+    restricted_state_value,
+    restricted_value,
 )
 from relaymdp import (
     IllegalActionError,
@@ -99,11 +99,11 @@ class TestOracleEquivalence:
     def test_toy_state_values_match_tree_oracle(self, toy222):
         config, family, tables = toy222
         toy = Toy.from_family(family, config)
-        assert restricted_tree_state_value(toy, 1, 0, 1) == pytest.approx(
+        assert restricted_state_value(toy, 1, 0, 1) == pytest.approx(
             TOY222_STATE_K1_B0_L1, abs=1e-15
         )
         assert tables.j_bf[0, 0, 1] == pytest.approx(TOY222_STATE_K1_B0_L1, abs=1e-12)
-        assert restricted_tree_state_value(toy, 2, None, 0) == pytest.approx(
+        assert restricted_state_value(toy, 2, None, 0) == pytest.approx(
             TOY222_STATE_K2_NONE_L0, abs=1e-15
         )
         assert tables.j_bf[1, tables.n_bins, 0] == pytest.approx(
@@ -117,7 +117,7 @@ class TestOracleEquivalence:
         tables = backward_induction(family, config)
         toy = Toy.from_family(family, config)
         assert initial_value(tables) == pytest.approx(
-            restricted_tree_value(toy), abs=1e-12
+            restricted_value(toy), abs=1e-12
         )
 
     @settings(max_examples=15, deadline=None)
@@ -138,7 +138,7 @@ class TestOracleEquivalence:
         tables = backward_induction(family, config)
         toy = Toy.from_family(family, config)
         assert initial_value(tables) == pytest.approx(
-            restricted_tree_value(toy), abs=1e-12
+            restricted_value(toy), abs=1e-12
         )
 
 
@@ -231,7 +231,7 @@ class TestThresholds:
         config, family = small_instance(*shape, eta=eta, delta=delta)
         tables = backward_induction(family, config)
         thresholds = extract_thresholds(tables)
-        oracle = restricted_tree_sets(Toy.from_family(family, config))
+        oracle = restricted_sets(Toy.from_family(family, config))
         assert np.array_equal(thresholds.s_flags, np.array(oracle["s"]))
         # oracle masks are (stage, location, bin); ours are (stage, bin, location)
         assert np.array_equal(

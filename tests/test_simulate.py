@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,6 +373,21 @@ class TestMonteCarlo:
         named = f"^an episode block, {EPISODES_PER_BLOCK} episodes x n_relays = {needed} memo"
         with pytest.raises(BudgetExceededError, match=named):
             monte_carlo(levels, 10, seed=0)
+
+    def test_the_outcome_arrays_are_held_once(self, default_config, default_family):
+        # the peak is the one set of outcome arrays check_episode_count
+        # charges, plus the work of a block
+        n = 200_000
+        levels = backward_induction(default_family, default_config.with_overrides(eta=10.0))
+        tracemalloc.start()
+        try:
+            out = episode_outcomes(levels, n, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        charged = len(dataclasses.fields(out)) * n * 8
+        assert all(getattr(out, f.name).itemsize == 8 for f in dataclasses.fields(out))
+        assert peak <= charged + 4 * 2 ** 20
 
     @pytest.mark.parametrize("seed", [True, 1.5, 1.0, "1", -1, 2 ** 128],
                              ids=["bool", "float", "integral_float", "str", "negative", "2**128"])
