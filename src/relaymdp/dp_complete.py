@@ -641,9 +641,8 @@ def policy_to_json(tables: CompleteTables) -> dict:
         "stages": [
             {
                 "stage": k,
-                "actions": [np.select([a >= PROBE, a == CONTINUE], [1, 2], a).tolist()
-                            for a in levels],
-                "probe_targets": [np.where(a >= PROBE, a - PROBE, -1).tolist() for a in levels],
+                "actions": [np.select([a >= PROBE, a == CONTINUE], [1, 2], a) for a in levels],
+                "probe_targets": [np.where(a >= PROBE, a - PROBE, -1) for a in levels],
             }
             for k, levels in enumerate(tables.actions, start=1)
         ],

@@ -115,10 +115,10 @@ class ThresholdSummary:
 
     def to_json(self) -> dict:
         return {
-            "x": self.x.tolist(),
-            "x_l": self.x_l.tolist(),
+            "x": self.x,
+            "x_l": self.x_l,
             "y_l": [[None if y < 0 else int(y) for y in row] for row in self.y_l],
-            "q_flags": self.q_flags.tolist(),
+            "q_flags": self.q_flags,
         }
 
 
@@ -336,19 +336,15 @@ def verify_structure(tables: RestrictedTables) -> StructureReport:
 
 
 def tables_to_json(tables: RestrictedTables) -> dict:
-    """Stage-major dump of all arrays: +inf sentinels serialize as null, and
-    any other entry stays a float, so a NaN reaches the writer as NaN."""
-
-    def clean(arr: np.ndarray):
-        return np.where(np.isposinf(arr), None, arr).tolist()
-
+    """Stage-major dump of all arrays, which ``write_json`` writes with the
+    +inf sentinels as null and any other entry as a float, so a NaN as NaN."""
     return {
         "n_stages": tables.n_stages,
         "n_bins": tables.n_bins,
-        "grid": tables.grid.tolist(),
-        "j_b": clean(tables.j_b),
-        "j_bf": clean(tables.j_bf),
-        "cc_b": clean(tables.cc_b),
-        "cc_bf": clean(tables.cc_bf),
-        "cp_bf": clean(tables.cp_bf),
+        "grid": tables.grid,
+        "j_b": tables.j_b,
+        "j_bf": tables.j_bf,
+        "cc_b": tables.cc_b,
+        "cc_bf": tables.cc_bf,
+        "cp_bf": tables.cp_bf,
     }

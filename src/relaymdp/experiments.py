@@ -563,22 +563,30 @@ def manifest(config: ModelConfig, seed: int, **fields) -> dict:
             "config_hash": config_hash(config), "seed": seed, **fields}
 
 
-_FLOAT_ROW = frozenset({float, type(None)})
 _NUMBER_ROW = frozenset({int, float, bool, type(None)})
+# the texts of array floats that repr does not give: +inf, the tables'
+# sentinel, is null; -0.0 is 0.0's key and gets its sign back afterwards
+_ARRAY_FLOATS = {math.inf: "null", -math.inf: "-Infinity", 0.0: "0.0"}
+# elements of an array formatted at a time: a block's text stays under
+# glibc's 128 KiB mmap threshold, which freeing a larger block would raise,
+# leaving later allocations below it to fragment the heap
+ARRAY_BLOCK = 1 << 11
 
 
 def write_json(path, payload) -> None:
     """Write ``payload`` to ``path`` as exactly the bytes of ``json.dump(payload,
-    fh, indent=2, sort_keys=True)`` and a newline, streamed in chunks.
+    fh, indent=2, sort_keys=True)`` and a newline, where each numpy array of
+    bools, ints or floats is first turned into ``tolist()`` with a float
+    array's +inf entries as None (so written null); an array of any other
+    dtype raises ``TypeError``.  Streamed in chunks.
 
     An indent keeps json on its pure-Python encoder, which formats every
-    float on its own.  Here a list of floats (and None) formats each
-    distinct nonzero finite value once per file, and any other list of
+    float on its own.  Here an array formats each distinct value once per
+    block and each distinct nonzero finite float once per file, and a list of
     numbers, bools and None is one call to the C encoder, re-indented; the
     rest goes through ``json.dumps`` with the same arguments."""
     with _fresh(path) as fh:
-        # None is no float's key, so it can wait in the cache as null
-        fh.writelines(_json_chunks(payload, "\n", {None: "null"}))
+        fh.writelines(_json_chunks(payload, "\n", dict(_ARRAY_FLOATS)))
         fh.write("\n")
 
 
@@ -593,9 +601,11 @@ def _fresh(path, newline=None):
 def _json_chunks(value, pad: str, floats: dict):
     """The JSON text of ``value`` in chunks, where ``pad`` (a newline and the
     indent of the value's level) starts every line after its first, and
-    ``floats`` holds the text of each nonzero finite float met so far."""
+    ``floats`` holds the text of each array float met so far."""
     inner = pad + "  "
-    if type(value) is dict and value and all(type(key) is str for key in value):
+    if type(value) is np.ndarray:
+        yield from _array_chunks(value, pad, floats)
+    elif type(value) is dict and value and all(type(key) is str for key in value):
         opener = "{"
         for key in sorted(value):
             yield f"{opener}{inner}{json.dumps(key)}: "
@@ -603,10 +613,7 @@ def _json_chunks(value, pad: str, floats: dict):
             opener = ","
         yield pad + "}"
     elif type(value) is list and value:
-        kinds = set(map(type, value))
-        if kinds <= _FLOAT_ROW:
-            yield f"[{inner}{(',' + inner).join(_float_texts(value, floats))}{pad}]"
-        elif kinds <= _NUMBER_ROW:
+        if set(map(type, value)) <= _NUMBER_ROW:
             # no text of a number, bool or null holds ", "
             yield f"[{inner}{json.dumps(value)[1:-1].replace(', ', ',' + inner)}{pad}]"
         else:
@@ -622,19 +629,55 @@ def _json_chunks(value, pad: str, floats: dict):
         yield json.dumps(value, indent=2, sort_keys=True).replace("\n", pad)
 
 
-def _float_texts(row: list, floats: dict) -> list[str]:
-    """The JSON texts of a list of floats and None, each distinct nonzero
-    finite value formatted once into ``floats``.  Zeros (0.0 and -0.0 are one
-    key), NaN and the infinities are formatted each time."""
-    texts = list(map(floats.get, row))
-    if None in texts:
-        for i, text in enumerate(texts):
-            if text is None:
-                x = row[i]
-                if x and math.isfinite(x):
-                    texts[i] = floats[x] = float.__repr__(x)
-                else:
-                    texts[i] = json.dumps(x)
+def _array_chunks(a: np.ndarray, pad: str, floats: dict):
+    """The JSON text of ``a.tolist()``, +inf floats as null, in chunks of at
+    most ``ARRAY_BLOCK`` elements.  Each element's separator closes the axes
+    that end at it, then opens as many again."""
+    if a.dtype.kind not in "biuf" or a.dtype.itemsize > 8:
+        raise TypeError(f"cannot write an array of dtype {a.dtype} as JSON")
+    if a.ndim == 0:
+        yield _element_texts(a.reshape(1), floats)[0]
+        return
+    if a.size == 0:
+        yield json.dumps(a.tolist(), indent=2).replace("\n", pad)
+        return
+    d = a.ndim
+    indent = [pad + "  " * m for m in range(d + 1)]
+    # the c innermost axes closed, and opened again up to the next element
+    closes = ["".join(indent[m] + "]" for m in reversed(range(d - c, d))) for c in range(d + 1)]
+    opens = ["".join(indent[m] + "[" for m in range(d - c, d)) + indent[d] for c in range(d)]
+    # seps[c]: the text after an element at which c axes end
+    seps = [closes[c] + "," + opens[c] for c in range(d)] + [closes[d]]
+    # spans[c - 1]: the number of elements in c innermost axes
+    spans = np.cumprod(a.shape[::-1]).tolist()
+    yield "[" + opens[d - 1]
+    flat = a.reshape(-1)
+    for start in range(0, flat.size, ARRAY_BLOCK):
+        block = flat[start:start + ARRAY_BLOCK]
+        parts = np.empty(2 * block.size, dtype=object)
+        parts[0::2] = _element_texts(block, floats)
+        parts[1::2] = seps[0]
+        for c, span in enumerate(spans, start=1):
+            # c axes end at flat index i where span divides i + 1
+            parts[2 * ((span - 1 - start) % span) + 1::2 * span] = seps[c]
+        yield "".join(parts.tolist())
+
+
+def _element_texts(block: np.ndarray, floats: dict) -> np.ndarray:
+    """The JSON texts of a flat array's elements, as an object array: each
+    distinct value is formatted once, and a float through ``floats``."""
+    values, inverse = np.unique(block, return_inverse=True)
+    keys = values.tolist()
+    if block.dtype.kind != "f":
+        # no text of a bool or int holds ", "
+        return np.array(json.dumps(keys)[1:-1].split(", "), dtype=object)[inverse]
+    texts = list(map(floats.get, keys))
+    for i, x in enumerate(keys):
+        if texts[i] is None:
+            # a NaN equals no key, so it is never cached
+            texts[i] = floats.setdefault(x, float.__repr__(x)) if x == x else "NaN"
+    texts = np.array(texts, dtype=object)[inverse]
+    texts[(block == 0) & np.signbit(block)] = "-0.0"
     return texts
 
 

@@ -386,9 +386,9 @@ def family_to_json(grid: LocationGrid, family: OrderedFamily) -> dict:
     """JSON-friendly dump of the grid and quantized family for inspection."""
     return {
         "points": [[z, d] for z, d in grid.points],
-        "scales": family.scales.tolist(),
+        "scales": family.scales,
         "r_max": family.r_max,
-        "order": family.order.tolist(),
+        "order": family.order,
         "minimal_index": family.minimal_index,
-        "pmf": family.pmf_matrix.tolist(),
+        "pmf": family.pmf_matrix,
     }
