@@ -3,7 +3,7 @@
 Subcommands bind a JSON config file to the solvers, the verifier, the
 simulator and the sweep harness.  Exit codes: 0 on success, 2 when a
 structural verification check fails, 1 for config/budget/IO errors and for a
-sweep in which no cell succeeds (its CSVs and manifest are still written).
+sweep in which no cell succeeds (its sweep.csv and manifest are still written).
 """
 from __future__ import annotations
 

@@ -16,6 +16,7 @@ import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -29,6 +30,7 @@ from .dp_complete import (BATCH_ELEMENTS, OVERFLOW_ELEMENTS, CompleteTables,
 from .dp_restricted import RestrictedTables, backward_induction, extract_thresholds
 from .model import (
     BudgetExceededError,
+    ConfigError,
     ModelConfig,
     OrderedFamily,
     build_forwarding_region,
@@ -127,15 +129,13 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
     continue lands in the none column of the level it moves to.  Only the
     masses of the current and the next stage are alive at a time.
 
-    A move gathers what moves.  Above the sets of one relay, whose rows hold
-    one (type, smaller row) pair each, a probe gathers, per batch of types,
-    only the smaller rows that one of the batch's pairs moves probing mass
-    into, over the bins up to the last that holds probing mass
-    (``_reached``), and a continue to the set with the newcomer moves only
-    the rows and the span of columns that continue.  Each batch sums its
-    types in type order before it adds, as the dense gather of every pair
-    does, so every level's mass is the same to the bit either way; the probe
-    count sums the entries gathered, in an order that may differ.
+    A move gathers what moves.  A probe, one move for every level of one or
+    more relays (``_move_probes``), gathers per batch of types only the
+    smaller rows that one of the batch's (type, smaller row) pairs moves
+    probing mass into, the none row first and then the bins up to the last
+    that holds probing mass, and moves them as one running sum.  A continue
+    to the set with the newcomer moves only the rows and the span of columns
+    that continue.
 
     Every entry of nonzero mass must hold an action that ``legal_actions``
     allows, which each level checks once before its mass moves: one on
@@ -152,7 +152,7 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
     capacity = tables.capacity
     grid = reward_grid(n_bins)
     pmf, cdf = family.pmf_matrix, family.cdf_matrix
-    types = np.arange(n_loc)
+    rank = tuple(family.rank)
     probed = np.arange(n_bins + 1) < n_bins  # a stop's column: any but the none row
 
     def level(masses: dict, stage: int, s: int) -> np.ndarray:
@@ -184,73 +184,21 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                 raise illegal_action(act[row, col], f"(stage {k}, multiset {g}, "
                                      f"best={col if stops[col] else None})")
             del held, legal  # not alive through the moves, which set the peak
-            real, code = mass[:, :-1], act[:, :-1]  # the real bins, if the level holds them
+            # the real bins, if the level holds them
+            stopping = np.where(act[:, :-1] == STOP, mass[:, :-1], 0.0)
+            reward += float(stopping.sum(axis=0) @ grid[:stopping.shape[1]])
+            stopped += float(stopping.sum())
+            del stopping
 
             if s >= 1:
-                # a probe of type t from the set of row plus[s-1][t][f] leaves
-                # row f of the smaller level.  A level of one relay per set
-                # holds one pair per row, all leaving the empty set, and its
-                # moves gather them all, over every bin; a larger one gathers
-                # only the rows f that a pair of the batch moves probing mass
-                # into, over the bins up to the last that probes (``_reached``)
-                n_smaller = len(space.members[s - 1])
-                per_call = max(1, BATCH_ELEMENTS // (n_smaller * n_bins))
-                slots = None if s == 1 else _ranked_members(space, s, tuple(family.rank))
-                shape = (n_loc, n_smaller)
-
-                if mass[:, -1].any():
-                    # w[t, f]: the mass at the none row probing t from the set
-                    # of row plus[s-1][t][f]; bin j gains pmf[t, j] w.  Every
-                    # type is in its one batch, so gathered rows go in chunks
-                    reached = _reached(mass[:, -1:], act[:, -1:], slots, shape)[0]
-                    chunks = [slice(None)]
-                    if reached is not None:
-                        rows = np.flatnonzero(reached.any(axis=0))
-                        step = max(1, BATCH_ELEMENTS // n_bins)
-                        chunks = [rows[i:i + step] for i in range(0, len(rows), step)]
-                    for rows in chunks:
-                        src = space.plus[s - 1][:, rows]
-                        w = mass[:, -1][src]
-                        w *= act[:, -1][src] == PROBE + types[:, None]
-                        if w.any():
-                            probes += float(w.sum())
-                            level(current, k, s - 1)[rows, :-1] += np.einsum("tf,tj->fj", w, pmf)
-
-            if real.size:
-                stopping = np.where(code == STOP, real, 0.0)
-                reward += float(stopping.sum(axis=0) @ grid)
-                stopped += float(stopping.sum())
-                del stopping
-
-                if s >= 1:
-                    reached, width = _reached(real, code, slots, shape)
-                    for first in range(0, n_loc, per_call):
-                        batch = types[first:first + per_call]
-                        rows = slice(None) if reached is None else reached[batch].any(axis=0)
-                        src = space.plus[s - 1][batch][:, rows]
-                        w = real[src, :width]
-                        w *= code[src, :width] == (PROBE + batch).astype(code.dtype)[:, None, None]
-                        if not w.any():
-                            continue
-                        probes += float(w.sum())
-                        # bin j gains w[j] cdf[j] plus pmf[j] times the mass
-                        # below j, which past the last bin that probes is all of it
-                        below = np.cumsum(w, axis=-1)
-                        gain = w * cdf[batch, None, :width]
-                        gain[..., 1:] += pmf[batch, None, 1:width] * below[..., :-1]
-                        out = level(current, k, s - 1)
-                        out[rows, :width] += gain.sum(axis=0)
-                        if width < n_bins:
-                            out[rows, width:-1] += (pmf[batch, None, width:]
-                                                    * below[..., -1:]).sum(axis=0)
+                probes += _move_probes(mass, act, _ranked_members(space, s, rank),
+                                       space.plus[s - 1], pmf, cdf,
+                                       partial(level, current, k, s - 1))
 
             if k < n_stages:
                 cw = np.where(act == CONTINUE, mass, 0.0)
                 if cw.any():
-                    # the none row, then the real bins as one contiguous
-                    # array, which fixes the order of the float sums
-                    waits += float(cw[:, -1].sum())
-                    waits += float(np.ascontiguousarray(cw[:, :-1]).sum())
+                    waits += float(cw.sum())
                     on = np.flatnonzero(cw.any(axis=0))
                     if s == capacity:
                         # to the set the overflow rule keeps, from the first
@@ -281,20 +229,57 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
     return _components(waits, reward, probes, stopped, config)
 
 
-def _reached(mass: np.ndarray, code: np.ndarray, slots: Optional[tuple],
-             shape: tuple[int, int]) -> tuple[Optional[np.ndarray], int]:
-    """Which probes of a size-s level move mass, from its mass and codes over
-    some of its columns: (reached, width).  reached[t, f], of ``shape``, is
-    whether a row probes its member of type t with nonzero mass in one of
-    those columns, which leaves row f of the smaller level; no column from
-    ``width`` on holds probing mass.  ``slots`` is (types, rests) of the
-    level's rows (``_ranked_members``), or None where every pair and column
-    is gathered: then reached is None and width the number of columns.  A row
-    may probe several members, each at its own bins, and equal members give
-    one pair.  The rows are read in batches of at most BATCH_ELEMENTS
-    entries."""
-    if slots is None:
-        return None, mass.shape[1]
+def _move_probes(mass: np.ndarray, act: np.ndarray, slots: tuple, smaller: np.ndarray,
+                 pmf: np.ndarray, cdf: np.ndarray, out) -> float:
+    """Move the probing mass of a size-s level, from its mass and codes, into
+    the smaller level ``out()`` and return the mass moved; its temporaries
+    end with the call.  A probe of type t from the set of row smaller[t][f]
+    leaves row f of the smaller level.  Per batch of types it gathers only
+    the rows f that a pair of the batch moves probing mass into, the none
+    row first and then the bins up to the last that probes (``_reached``):
+    as max{none, R} = R, the none row is a bin below every bin.  A batch of
+    every smaller row over the level's columns, and a chunk's w, gain and
+    tail, each fit within BATCH_ELEMENTS entries."""
+    n_types, n_bins = pmf.shape
+    types = np.arange(n_types)
+    reached, width = _reached(mass, act, slots, smaller.shape)
+    per_call = max(1, BATCH_ELEMENTS // (smaller.shape[1] * mass.shape[1]))
+    probes = 0.0
+    for first in range(0, n_types, per_call):
+        batch = slice(first, first + per_call)
+        rows = np.flatnonzero(reached[batch].any(axis=0))
+        codes = (PROBE + types[batch]).astype(act.dtype)[:, None, None]
+        step = max(1, BATCH_ELEMENTS // (n_bins + len(codes) * (width + 1)))
+        for i in range(0, len(rows), step):
+            chunk = rows[i:i + step]
+            src = smaller[batch, chunk]
+            w, code = (np.concatenate((a[src, -1:], a[src, :width]), axis=-1)
+                       for a in (mass, act))
+            w *= code == codes
+            if not w.any():
+                continue
+            probes += float(w.sum())
+            # bin j gains w[j] cdf[j] plus pmf[j] times the mass below j,
+            # which past the last bin that probes is all of it
+            below = np.cumsum(w, axis=-1)
+            gain = w[..., 1:] * cdf[batch, None, :width]
+            gain += pmf[batch, None, :width] * below[..., :-1]
+            level = out()
+            level[chunk, :width] += gain.sum(axis=0)
+            level[chunk, width:-1] += below[..., -1].T @ pmf[batch, width:]
+    return probes
+
+
+def _reached(mass: np.ndarray, code: np.ndarray, slots: tuple,
+             shape: tuple[int, int]) -> tuple[np.ndarray, int]:
+    """Which probes of a size-s level move mass, from its mass and codes, the
+    none row last: (reached, width).  reached[t, f], of ``shape``, is whether
+    a row probes its member of type t with nonzero mass, which leaves row f
+    of the smaller level; no real bin from ``width`` on holds probing mass,
+    so width is 0 where only the none row probes.  ``slots`` is (types,
+    rests) of the level's rows (``_ranked_members``).  A row may probe
+    several members, each at its own bins, and equal members give one pair.
+    The rows are read in batches of at most BATCH_ELEMENTS entries."""
     types, rests = slots
     hits = np.zeros(types.shape, dtype=bool)
     probing = np.zeros(mass.shape[1], dtype=bool)
@@ -308,7 +293,7 @@ def _reached(mass: np.ndarray, code: np.ndarray, slots: Optional[tuple],
             np.any(moving == slot_codes[:, p, None], axis=1, out=hits[rows, p])
     reached = np.zeros(shape, dtype=bool)
     reached[types[hits], rests[hits]] = True
-    return reached, len(probing) - int(np.argmax(probing[::-1]))
+    return reached, int(np.flatnonzero(probing[:-1]).max(initial=-1)) + 1
 
 
 def _add_moved(out: np.ndarray, rows: np.ndarray, mass: np.ndarray) -> None:
@@ -379,6 +364,11 @@ class SweepSpec:
         unknown = set(map(str, self.policies)) - set(POLICY_NAMES)
         if unknown:
             raise ValueError(f"unknown policies {sorted(unknown)}; choose from {POLICY_NAMES}")
+        for key in ("eta_values", "delta_values", "policies"):
+            values = getattr(self, key)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:  # each copy would run as a cell of its own, with its own seed
+                raise ConfigError(f"sweep.{key} holds {repeated[0]!r} more than once")
         check_episode_count(self.n_episodes)
         check_seed(self.seed)
         check_threads(self.threads)
@@ -542,15 +532,6 @@ def calibrate_eta(target_gamma: float, delta: float, config: ModelConfig) -> Cal
     )
 
 
-_CSV_COLUMNS = (
-    "policy", "eta", "delta", "dp_cost", "mc_cost", "mc_se",
-    "mean_delay", "mean_reward", "mean_probe_cost", "eff_reward",
-)
-_FIGURE_FILES = (
-    "fig_total_cost.csv", "fig_delay.csv", "fig_reward.csv", "fig_probing_cost.csv",
-)
-
-
 def config_hash(config: ModelConfig) -> str:
     blob = json.dumps(config.to_dict(), sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:16]
@@ -682,24 +663,21 @@ def _element_texts(block: np.ndarray, floats: dict) -> np.ndarray:
 
 
 def emit_plot_data(result: SweepResult, out_dir) -> list[Path]:
-    """Write one CSV per figure analog (total cost, delay, reward, probing
-    cost vs eta; one series per policy and delta) plus a manifest carrying the
+    """Write ``sweep.csv``, one ``SweepCell.row()`` per cell that solved (the
+    data of every figure analog: total cost, delay, reward and probing cost
+    vs eta, one series per policy and delta), plus a manifest carrying the
     config hash, seeds and per-cell status.  Re-runs are byte-identical."""
     if not result.cells:
         raise ValueError("empty sweep result")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
 
-    rows = [c.row() for c in result.cells if c.status == "ok"]
-    for name in _FIGURE_FILES:
-        path = out / name
-        # csv writes a float as its repr
-        with _fresh(path, newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=_CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
-        written.append(path)
+    table = out / "sweep.csv"
+    # csv writes a float as its repr
+    with _fresh(table, newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(result.cells[0].row()))
+        writer.writeheader()
+        writer.writerows(c.row() for c in result.cells if c.status == "ok")
 
     path = out / "manifest.json"
     write_json(path, manifest(
@@ -716,8 +694,7 @@ def emit_plot_data(result: SweepResult, out_dir) -> list[Path]:
             for c in result.cells
         ],
     ))
-    written.append(path)
-    return written
+    return [table, path]
 
 
 def _component_observations(result: SweepResult) -> dict:

@@ -14,10 +14,11 @@ grid order:
 
 - tables: the value, action and overflow (``kept``) arrays of every level;
 - components: ``repr`` of the exact sweep's mass fields, ``waiting``,
-  ``mean_delay``, ``reward`` and ``stopped_mass``;
+  ``mean_delay``, ``reward`` and ``stopped_mass``, which move when the
+  float sums that build a level's mass change order;
 - probe-count: ``repr`` of its fields read off the probe count, ``probes``,
-  ``probing_cost``, ``effective_reward`` and ``cost``, whose float sum may
-  change order while every level's mass stays the same;
+  ``probing_cost``, ``effective_reward`` and ``cost``, which move with those
+  sums too, and also when only the probe count's own sum changes order;
 - episodes: the ``episode_outcomes`` arrays of 5000 episodes under seed 7.
 
 One ``estimates`` line digests the JSON of ``monte_carlo`` over those

@@ -103,8 +103,7 @@ def test_a_failing_verify_writes_its_report_and_manifest(small_config, tmp_path,
 
 @pytest.mark.parametrize("command,names", [
     ("simulate", ["estimates.json", "manifest.json"]),
-    ("sweep", ["fig_delay.csv", "fig_probing_cost.csv", "fig_reward.csv",
-               "fig_total_cost.csv", "manifest.json"]),
+    ("sweep", ["manifest.json", "sweep.csv"]),
 ])
 def test_a_rerun_writes_every_artifact_to_a_fresh_file(small_config, tmp_path,
                                                        command, names):
@@ -266,12 +265,10 @@ def test_solve_complete_policy_export_flag(small_config, tmp_path):
             assert all(len(row) == width for row in acts + targets), (k, s)
 
 
-def test_sweep_writes_figure_csvs(small_config, tmp_path):
+def test_sweep_writes_its_csv_and_manifest(small_config, tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--config", str(small_config), "--out", str(out)]) == 0
-    for name in ("fig_total_cost.csv", "fig_delay.csv", "fig_reward.csv",
-                 "fig_probing_cost.csv", "manifest.json"):
-        assert (out / name).exists()
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "sweep.csv"]
     manifest = json.loads((out / "manifest.json").read_text())
     # the sweep manifest survives intact: per-cell status and trend observations
     assert all(c["status"] == "ok" for c in manifest["cells"])
@@ -637,10 +634,8 @@ def test_sweep_exits_one_only_when_no_cell_succeeds(tmp_path, capsys, policies, 
     assert main(["sweep", "--config", str(SHIPPED_DEFAULT), "--out", str(out),
                  *EIGHT_RELAY_SWEEP, "--override", f"sweep.policies={policies}"]) == code
     assert "1 sweep cells failed (see manifest)" in capsys.readouterr().err
-    # the CSVs and the manifest are written either way
-    for name in ("fig_total_cost.csv", "fig_delay.csv", "fig_reward.csv",
-                 "fig_probing_cost.csv"):
-        assert (out / name).exists()
+    # the CSV and the manifest are written either way
+    assert (out / "sweep.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert [c["status"] for c in manifest["cells"]] == statuses
 
@@ -660,7 +655,7 @@ def test_a_sweep_cell_whose_values_overflow_is_recorded(tmp_path, capsys):
     cells = json.loads((out / "manifest.json").read_text())["cells"]
     assert [c["status"] for c in cells] == ["ok", "non_finite"]
     assert "overflows float arithmetic" in cells[1]["message"]
-    rows = (out / "fig_total_cost.csv").read_text().splitlines()
+    rows = (out / "sweep.csv").read_text().splitlines()
     assert len(rows) == 2 and rows[1].startswith("rst,1.0,0.1,")
 
 

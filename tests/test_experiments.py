@@ -29,7 +29,7 @@ from relaymdp.experiments import (
     restricted_components,
     run_sweep,
 )
-from relaymdp.model import ConfigError
+from relaymdp.model import ConfigError, build_forwarding_region, build_ordered_family
 from relaymdp.simulate import (Estimates, block_rng, probe_first_levels, run_policy,
                                sample_episode)
 
@@ -110,11 +110,12 @@ def assert_matches_reference(comps, levels):
 
 
 # BATCH_ELEMENTS as the sweep reads it.  At the default every level of
-# small_instance(4, 15, 4) of two or more relays moves in one batch of every
-# type and the none row in one chunk; below it, at 130 entries, the levels
-# of two relays take batches of two types and larger ones one type at a
-# time, and at 40 every one of them takes one type at a time, the none row
-# in chunks of a few rows
+# small_instance(4, 15, 4) moves in one batch of every type and one chunk of
+# rows.  At 130 entries the levels of two and three relays that hold real
+# bins take batches of two and one types; at 40 every level that holds real
+# bins, and the none-only level of four relays, takes one or two types at a
+# time, and every level its reached rows in chunks of one or two, the last
+# of three reached rows a chunk of its own
 COMPACTING_BATCHES = [experiments.BATCH_ELEMENTS, 130, 40]
 
 
@@ -165,9 +166,17 @@ class TestSweepAgainstDenseReference:
         monkeypatch.setattr(experiments, "BATCH_ELEMENTS", batch)
         self.test_every_field_matches(policy, eta, delta)
 
-    @pytest.mark.parametrize("policy", [2, 4])
+    @pytest.mark.parametrize("policy", [1, 2, 4, "first"])
     def test_reference_config(self, policy, default_config, default_family):
         levels = capacity_levels(policy, default_family, default_config.with_overrides(eta=10.0))
+        assert_matches_reference(complete_components(levels), levels)
+
+    @pytest.mark.parametrize("eta", [2.0, 40.0])
+    def test_reference_config_at_400_bins_and_one_relay_awake(self, eta, default_config):
+        # the shape of every sweep that calibrate_eta runs
+        config = default_config.with_overrides(n_reward_bins=400, eta=eta)
+        family = build_ordered_family(build_forwarding_region(config), config)
+        levels = capacity_levels(1, family, config)
         assert_matches_reference(complete_components(levels), levels)
 
     def test_reference_config_complete_class(self, reference_glb):
@@ -437,6 +446,22 @@ class TestSweep:
         with pytest.raises(ValueError, match=f"sweep.{key} must be a finite number"):
             SweepSpec(base=config, **{key: (1.0, bad)}).validate()
 
+    @pytest.mark.parametrize("key,values,repeated", [
+        ("eta_values", (1.0, 2.0, 1), "1"),
+        ("delta_values", (0.1, 0.1), "0.1"),
+        ("policies", ("rst", "glb", "rst"), "'rst'"),
+    ])
+    def test_spec_rejects_a_repeated_grid_entry(self, small_base, key, values, repeated):
+        # each copy would run as a cell of its own under its own seed, and
+        # SweepResult.cell would find only the first
+        config, _ = small_base
+        spec = SweepSpec(base=config, **{key: values})
+        named = f"^sweep.{key} holds {repeated} more than once$"
+        with pytest.raises(ConfigError, match=named):
+            spec.validate()
+        with pytest.raises(ConfigError, match=named):
+            run_sweep(spec)
+
     def test_spec_defaults_are_the_sweep_block_defaults(self, small_base):
         config, _ = small_base
         spec = SweepSpec(base=config)
@@ -513,7 +538,7 @@ class TestCalibration:
 
 
 class TestEmit:
-    def test_four_figure_csvs_and_manifest(self, small_base, tmp_path):
+    def test_one_sweep_csv_and_manifest(self, small_base, tmp_path):
         config, _ = small_base
         spec = SweepSpec(
             base=config,
@@ -526,19 +551,14 @@ class TestEmit:
         result = run_sweep(spec)
         files = emit_plot_data(result, tmp_path)
         names = sorted(p.name for p in files)
-        assert names == [
-            "fig_delay.csv", "fig_probing_cost.csv", "fig_reward.csv",
-            "fig_total_cost.csv", "manifest.json",
+        assert names == ["manifest.json", "sweep.csv"]
+        with open(tmp_path / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 2 * 10
+        assert list(rows[0]) == [
+            "policy", "eta", "delta", "dp_cost", "mc_cost", "mc_se",
+            "mean_delay", "mean_reward", "mean_probe_cost", "eff_reward",
         ]
-        for name in names:
-            if name.endswith(".csv"):
-                with open(tmp_path / name) as fh:
-                    rows = list(csv.DictReader(fh))
-                assert len(rows) == 2 * 2 * 10
-                assert set(rows[0]) == {
-                    "policy", "eta", "delta", "dp_cost", "mc_cost", "mc_se",
-                    "mean_delay", "mean_reward", "mean_probe_cost", "eff_reward",
-                }
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config_hash"] == config_hash(config)
         assert len(manifest["cells"]) == 40
@@ -612,7 +632,7 @@ class TestEmit:
         )
         emit_plot_data(run_sweep(spec), tmp_path / "a")
         emit_plot_data(run_sweep(spec), tmp_path / "b")
-        for name in ("fig_total_cost.csv", "manifest.json"):
+        for name in ("sweep.csv", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
@@ -640,9 +660,8 @@ class TestEmit:
         row = [repr(v) if isinstance(v, float) else v for v in cell.row().values()]
         assert row == ["rst", "0.30000000000000004", "1e-20", "1e+16", "0.30000000000000004",
                        "1e-20", "1e-20", "1e+16", "0.30000000000000004", "1e+16"]
-        for name in ("fig_total_cost.csv", "fig_delay.csv"):
-            lines = (tmp_path / name).read_text().splitlines()
-            assert lines[1] == ",".join(row)
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        assert lines[1] == ",".join(row)
 
     def test_empty_result_rejected(self, small_base, tmp_path):
         config, _ = small_base
