@@ -29,8 +29,9 @@ from .model import (BudgetExceededError, ModelConfig, OrderedFamily, _shown,  # 
 
 # Float entries of one batch: a chunk of bins of the probe kernel's (type,
 # smaller row) expectations, where small levels take all bins at once and the
-# largest (which set the peak memory) one bin at a time, and a batch of probe
-# targets in the forward sweep.
+# largest (which set the peak memory) one bin at a time, a batch of probe
+# targets or of a level's rows in the forward sweep, and the temporaries of a
+# batch of rows in the conjecture report.
 BATCH_ELEMENTS = 1 << 18
 # Entries of one batch of newcomer types in the overflow rule and in the
 # forward sweep's continue move (64 KB): below glibc's smallest mmap
@@ -255,7 +256,9 @@ def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharg
 
     The expectations of every (type, smaller row) pair, a plane, run from the
     top bin down in chunks of bins holding at most BATCH_ELEMENTS entries,
-    carrying the reverse cumulative sum of ``expect_over_max`` across chunks.
+    carrying the reverse cumulative sum of ``expect_over_max`` across chunks;
+    the values enter transposed, bins leading, a block of bins at a time, so
+    that the kernel holds no transposed copy of the whole smaller level.
     Every running sum adds one bin's term to the sum over the bins above it,
     in that kernel's sequential order, so the costs are bitwise its own.  How
     a chunk adds them follows its shape: a chunk of no more bins than its
@@ -291,14 +294,21 @@ def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharg
     # bins lead, so that the running sums add whole (type, row) planes; all
     # three row-major, so that the products are too and each plane is one
     # contiguous block
-    vals_by_bin = np.ascontiguousarray(smaller.T)[:, None, :]
     pmf_by_bin, cdf_by_bin = (np.ascontiguousarray(m.T)[:, :, None] for m in (pmf, cdf))
     # the sum of pmf * V over the bins above the chunk; -0.0 adds exactly
     carry = np.full((n_types, len(smaller)), -0.0)
     width = max(1, BATCH_ELEMENTS // carry.size)
+    # the values of a block of bins, bins leading: at least a chunk, and at
+    # least the 8 floats of a 64-byte cache line, so that one-bin chunks do
+    # not read each row's line once per bin
+    span = min(max(width, 8), n_bins)
+    vals_by_bin, base = np.empty((span, 1, len(smaller))), n_bins
     for hi in range(n_bins, 0, -width):
         lo = max(0, hi - width)
-        vals = vals_by_bin[lo:hi]
+        if lo < base:  # the chunk's bins lie below the block
+            base = max(0, hi - span)
+            vals_by_bin[:hi - base, 0] = smaller[:, base:hi].T
+        vals = vals_by_bin[lo - base:hi - base]
         # sums[j]: the sum over bins >= lo + j, added from the top bin down
         sums = pmf_by_bin[lo:hi] * vals
         sums[-1] += carry
@@ -532,7 +542,9 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
     enlargement, and agreement of the stage-N stopping rule with the
     one-step-look-ahead rule.  Inequalities are checked at STRUCTURE_TOL,
     over the reachable states the tables hold, at any capacity c: the sets
-    at stage k hold at most min(k, c) members.
+    at stage k hold at most min(k, c) members.  Each check reads its levels
+    in row batches whose temporaries fit BATCH_ELEMENTS entries, so the
+    report holds the tables and one batch.
     """
     family = tables.family
     config = tables.config
@@ -542,9 +554,14 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
     eta, delta = config.eta, config.delta
     pmf, cdf = family.pmf_matrix, family.cdf_matrix
     grid = reward_grid(n_bins)
-    rank = tuple(family.rank)
-    ranked = [None] + [_ranked_members(space, s, rank) for s in range(1, capacity + 1)]
-    step = max(1, BATCH_ELEMENTS // n_bins)  # rows per batch of the checks below
+    rank = family.rank
+    ranked = [None] + [_ranked_members(space, s, tuple(rank)) for s in range(1, capacity + 1)]
+
+    def batches(n_rows: int, width: int):
+        """Row slices of the checks below, each of which holds at most eight
+        (rows, width) temporaries at a time."""
+        step = max(1, BATCH_ELEMENTS // (8 * width))
+        return (slice(first, first + step) for first in range(0, n_rows, step))
 
     failures = ("probe_largest_violations", "stage_independence_mismatches",
                 "value_monotone_violations", "enlargement_violations", "osla_stage_n_mismatches")
@@ -554,65 +571,76 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
     # largest member costs no more than the solved value
     for k in range(1, n_stages + 1):
         for s in range(1, min(k, capacity) + 1):
-            types, rests = ranked[s]
             smaller = tables.values[k - 1][s - 1][:, :n_bins]
-            probing = tables.actions[k - 1][s] >= PROBE
-            report["probing_states_checked"] += int(probing.sum())
-            if probing.shape[1] == 1:
-                # the none row alone: max{none, R} = R, so E_t V(R) of every
-                # (smaller row, type) pair is one product
-                by_pair = smaller @ pmf.T
-            for first in range(0, len(types), step):
-                rows = slice(first, first + step)
+            act, val = tables.actions[k - 1][s], tables.values[k - 1][s]
+            if act.shape[1] == 1:
+                # the none row alone: max{none, R} = R, so E_t V(R) of a batch
+                # of smaller rows and every type is one product.  Type t and
+                # smaller row f are the largest member and the rest of row
+                # plus[s-1][t, f] iff no member of f ranks before t, so the
+                # batches reach every row of the level once.
+                for chunk in batches(len(smaller), len(family)):
+                    by_pair = (smaller[chunk] @ pmf.T).T
+                    lead = rank[ranked[s - 1][0][chunk, 0]] if s > 1 else len(family)
+                    largest = rank[:, None] <= lead
+                    rows = space.plus[s - 1][:, chunk][largest]
+                    probing = act[rows, 0] >= PROBE
+                    cost = eta * delta + by_pair[largest]
+                    report["probing_states_checked"] += int(probing.sum())
+                    report["probe_largest_violations"] += int(
+                        (probing & (cost > val[rows, 0] + STRUCTURE_TOL)).sum())
+                continue
+            types, rests = ranked[s]
+            for rows in batches(len(act), n_bins + 1):
+                probing = act[rows] >= PROBE
                 largest, rest = types[rows, 0], rests[rows, 0]
-                if probing.shape[1] == 1:
-                    expected = by_pair[rest, largest, None]
-                else:
-                    expected = expect_over_max(smaller[rest], pmf[largest], cdf[largest])
-                cost = eta * delta + expected
+                cost = eta * delta + expect_over_max(smaller[rest], pmf[largest], cdf[largest])
+                report["probing_states_checked"] += int(probing.sum())
                 report["probe_largest_violations"] += int(
-                    (probing[rows] & (cost > tables.values[k - 1][s][rows] + STRUCTURE_TOL)).sum()
-                )
+                    (probing & (cost > val[rows] + STRUCTURE_TOL)).sum())
 
     # stage independence of stopping decisions over (best, multiset) slices,
     # on stages where continuing is available: each stage against the last,
     # whose level holds every column, on the columns it holds
     for s in range(min(n_stages - 1, capacity + 1)):
-        stages = [k for k in range(max(s, 1), n_stages)]
+        stages = range(max(s, 1), n_stages)
         if len(stages) < 2:
             continue
-        masks = [tables.actions[k - 1][s] == STOP for k in stages]
-        reference = masks.pop()
-        report["stopping_slices_checked"] += reference.size
-        for m in masks:
-            report["stage_independence_mismatches"] += int(
-                (reference[:, -m.shape[1]:] != m).sum())
+        *others, last = (tables.actions[k - 1][s] for k in stages)
+        report["stopping_slices_checked"] += last.size
+        for rows in batches(len(last), last.shape[1]):
+            reference = last[rows] == STOP
+            for act in others:
+                report["stage_independence_mismatches"] += int(
+                    (reference[:, -act.shape[1]:] != (act[rows] == STOP)).sum())
 
     # value monotone in best reward; enlargement cannot increase the value,
     # checked on the columns the larger set's level holds
     for k in range(1, n_stages + 1):
         for s in range(min(k, capacity) + 1):
             val = tables.values[k - 1][s]
-            report["value_monotone_violations"] += int(
-                (np.diff(val[:, :-1], axis=1) > STRUCTURE_TOL).sum() + np.isnan(val).sum()
-            )
-            if s < min(k, capacity):
-                larger = tables.values[k - 1][s + 1]
-                bound = val[:, -larger.shape[1]:] + STRUCTURE_TOL
-                for t in range(len(family)):
-                    bigger = larger[space.plus[s][t]]
-                    report["enlargement_violations"] += int((bigger > bound).sum())
+            larger = tables.values[k - 1][s + 1] if s < min(k, capacity) else None
+            for rows in batches(len(val), val.shape[1]):
+                block = val[rows]
+                report["value_monotone_violations"] += int(
+                    (np.diff(block[:, :-1], axis=1) > STRUCTURE_TOL).sum() + np.isnan(block).sum()
+                )
+                if larger is not None:
+                    bound = block[:, -larger.shape[1]:] + STRUCTURE_TOL
+                    for t in range(len(family)):
+                        bigger = larger[space.plus[s][t, rows]]
+                        report["enlargement_violations"] += int((bigger > bound).sum())
 
     # stage-N stopping matches the one-step-look-ahead rule
     stop_real = -eta * grid
     one_step = eta * delta - eta * expect_over_max(grid, pmf, cdf)  # (L, n_bins+1)
     for s in range(1, capacity + 1):
         types = ranked[s][0]
-        dp_stop = tables.actions[n_stages - 1][s][:, :-1] == STOP
-        if dp_stop.shape[1] == 0:  # a level of the none row alone: no reward to stop on
+        act = tables.actions[n_stages - 1][s]
+        if act.shape[1] == 1:  # a level of the none row alone: no reward to stop on
             continue
-        for first in range(0, len(types), step):
-            rows = slice(first, first + step)
+        for rows in batches(len(types), n_bins + 1):
+            dp_stop = act[rows, :-1] == STOP
             osla_min = one_step[types[rows, 0], :n_bins]
             for p in range(1, s):
                 np.minimum(osla_min, one_step[types[rows, p], :n_bins], out=osla_min)
@@ -623,7 +651,7 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
             osla_stop = stop_real <= boundary
             margin = np.abs(np.subtract(boundary, stop_real, out=boundary), out=boundary)
             report["osla_stage_n_mismatches"] += int(
-                ((dp_stop[rows] != osla_stop) & (margin > TIE_TOL)).sum()
+                ((dp_stop != osla_stop) & (margin > TIE_TOL)).sum()
             )
 
     report["all_hold"] = not any(report[key] for key in failures)

@@ -135,13 +135,16 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
     probing mass into, the none row first and then the bins up to the last
     that holds probing mass, and moves them as one running sum.  A continue
     to the set with the newcomer moves only the rows and the span of columns
-    that continue.
+    that continue (``_move_continues``).
 
-    Every entry of nonzero mass must hold an action that ``legal_actions``
-    allows, which each level checks once before its mass moves: one on
-    NO_ACTION, a stop with nothing probed, a probe of a type not in its set
-    or a continue at the last stage raises IllegalActionError naming the
-    stage, the multiset and the bin.
+    A level's legality, stops and continues are read in row batches of at
+    most BATCH_ELEMENTS entries, so that beside the two stages' masses the
+    sweep holds one batch.  Every entry of nonzero mass must hold an action
+    that ``legal_actions`` allows, which each batch checks before its mass
+    moves, and each level before its probes move: one on NO_ACTION, a stop
+    with nothing probed, a probe of a type not in its set or a continue at
+    the last stage raises IllegalActionError naming the stage, the multiset
+    and the bin of the level's first such entry.
     """
     config = tables.config
     family = tables.family
@@ -171,59 +174,38 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
             if mass is None:
                 continue
             act = tables.actions[k - 1][s]
-            # the whole level at once, before its mass moves: a probe needs a
-            # member of the row's set of the type code - PROBE
-            held = np.zeros(act.shape, dtype=bool)
-            for member in (space.members[s].T + PROBE).astype(act.dtype):
-                held |= member[:, None] == act
             stops = probed[-act.shape[1]:]
-            legal = legal_actions(act, held, stops, k == n_stages)
-            if not legal.all() and mass[~legal].any():
-                row, col = np.argwhere(~legal & (mass != 0))[0]
-                g = tuple(space.members[s][row].tolist())  # msets would build every set's tuple
-                raise illegal_action(act[row, col], f"(stage {k}, multiset {g}, "
-                                     f"best={col if stops[col] else None})")
-            del held, legal  # not alive through the moves, which set the peak
-            # the real bins, if the level holds them
-            stopping = np.where(act[:, :-1] == STOP, mass[:, :-1], 0.0)
-            reward += float(stopping.sum(axis=0) @ grid[:stopping.shape[1]])
-            stopped += float(stopping.sum())
-            del stopping
+            # in row batches: every row's legality before any probe moves,
+            # then its stops and its continue
+            step = max(1, BATCH_ELEMENTS // act.shape[1])
+            for first in range(0, len(act), step):
+                rows = slice(first, first + step)
+                a, m = act[rows], mass[rows]
+                # a probe needs a member of the row's set of the type code - PROBE
+                held = np.zeros(a.shape, dtype=bool)
+                for member in (space.members[s][rows].T + PROBE).astype(act.dtype):
+                    held |= member[:, None] == a
+                illegal = ~legal_actions(a, held, stops, k == n_stages)
+                if illegal.any() and m[illegal].any():
+                    row, col = np.argwhere(illegal & (m != 0))[0]
+                    row += first
+                    g = tuple(space.members[s][row].tolist())  # msets would build every set's tuple
+                    raise illegal_action(act[row, col], f"(stage {k}, multiset {g}, "
+                                         f"best={col if stops[col] else None})")
+                del held, illegal  # not alive through the probe move, which sets the peak
+                # the real bins, if the level holds them
+                stopping = np.where(a[:, :-1] == STOP, m[:, :-1], 0.0)
+                reward += float(stopping.sum(axis=0) @ grid[:stopping.shape[1]])
+                stopped += float(stopping.sum())
+                del stopping
+                if k < n_stages:
+                    waits += _move_continues(np.where(a == CONTINUE, m, 0.0), tables, k, s,
+                                             rows, partial(level, following, k + 1))
 
             if s >= 1:
                 probes += _move_probes(mass, act, _ranked_members(space, s, rank),
                                        space.plus[s - 1], pmf, cdf,
                                        partial(level, current, k, s - 1))
-
-            if k < n_stages:
-                cw = np.where(act == CONTINUE, mass, 0.0)
-                if cw.any():
-                    waits += float(cw.sum())
-                    on = np.flatnonzero(cw.any(axis=0))
-                    if s == capacity:
-                        # to the set the overflow rule keeps, from the first
-                        # column that continues: those before it would
-                        # scatter zeros (all real bins of (1, 1) at c = 1)
-                        cw = cw[:, on[0]:]
-                        cw /= n_loc
-                        _add_moved(level(following, k + 1, s),
-                                   tables.kept[k][..., -cw.shape[1]:], cw)
-                    else:
-                        # to the set with the newcomer, from the rows and the
-                        # span of columns that continue, into the same
-                        # columns of the next level, which holds the none row
-                        # alone exactly when this one does: plus[s][t] is
-                        # injective in the row, so one += per type, in type
-                        # order, adds the sums np.add.at would, in the same order
-                        cols = slice(on[0], on[-1] + 1)
-                        cw, targets = cw[:, cols], space.plus[s]
-                        if len(cw) > 1:  # the empty set's one row moves as it is
-                            going = np.flatnonzero(cw.any(axis=1))
-                            cw, targets = cw[going], targets[:, going]
-                        cw /= n_loc
-                        grown = level(following, k + 1, s + 1)[:, cols]
-                        for rows in targets:
-                            grown[rows] += cw
         current = following
 
     return _components(waits, reward, probes, stopped, config)
@@ -294,6 +276,40 @@ def _reached(mass: np.ndarray, code: np.ndarray, slots: tuple,
     reached = np.zeros(shape, dtype=bool)
     reached[types[hits], rests[hits]] = True
     return reached, int(np.flatnonzero(probing[:-1]).max(initial=-1)) + 1
+
+
+def _move_continues(cw: np.ndarray, tables: CompleteTables, k: int, s: int, rows: slice,
+                    out) -> float:
+    """Move ``cw``, the continuing mass of the rows ``rows`` of the size-s
+    level at stage k, into stage k + 1, whose level of size s' is
+    ``out(s')``, and return the mass moved."""
+    if not cw.any():
+        return 0.0
+    moved = float(cw.sum())
+    on = np.flatnonzero(cw.any(axis=0))
+    if s == tables.capacity:
+        # to the set the overflow rule keeps, from the first column that
+        # continues: those before it would scatter zeros (all real bins of
+        # (1, 1) at c = 1)
+        cw = cw[:, on[0]:]
+        cw /= len(tables.family)
+        _add_moved(out(s), tables.kept[k][:, rows, -cw.shape[1]:], cw)
+    else:
+        # to the set with the newcomer, from the rows and the span of
+        # columns that continue, into the same columns of the next level,
+        # which holds the none row alone exactly when this one does:
+        # plus[s][t] is injective in the row, so one += per type, in type
+        # order, adds the sums np.add.at would, in the same order
+        cols = slice(on[0], on[-1] + 1)
+        cw, targets = cw[:, cols], tables.space.plus[s][:, rows]
+        if len(cw) > 1:  # the empty set's one row moves as it is
+            going = np.flatnonzero(cw.any(axis=1))
+            cw, targets = cw[going], targets[:, going]
+        cw /= len(tables.family)
+        grown = out(s + 1)[:, cols]
+        for dest in targets:
+            grown[dest] += cw
+    return moved
 
 
 def _add_moved(out: np.ndarray, rows: np.ndarray, mass: np.ndarray) -> None:

@@ -54,3 +54,12 @@ def corrupted(levels):
     """A copy of solved levels whose action tables may be edited."""
     return dataclasses.replace(
         levels, actions=[[a.copy() for a in stage] for stage in levels.actions])
+
+
+# tracemalloc peaks of the complete-class path on the reference config at
+# eta 10 (``memory_peaks.py``), plus 20%: the solve's, its tables included
+# (19.71 MB), and the exact sweep's and the conjecture report's above the
+# tables they read (13.95 and 2.07 MB).  At six relays the same constants
+# bound each peak less the tables, the sweep's less its two largest
+# consecutive stages' masses too.
+SOLVE_PEAK, SWEEP_PEAK, REPORT_PEAK = 23.7e6, 16.8e6, 2.48e6

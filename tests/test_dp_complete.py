@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corrupted, small_instance
+from conftest import REPORT_PEAK, SOLVE_PEAK, SWEEP_PEAK, corrupted, small_instance
+from memory_peaks import table_bytes, traced_peak
 from oracles import (
     Toy,
     complete_state_values,
@@ -431,23 +432,31 @@ class TestReachableScale:
         stored = sum(level.size for stage in tables.values for level in stage)
         assert stored == projected_state_count(20, 100, 6) == 6_874_009
         value = initial_value(tables)
-        assert complete_components(tables).cost == pytest.approx(value, abs=1e-9)
-        assert verify_complete_conjectures(tables)["all_hold"] is True
+        sweep, comps = traced_peak(lambda: complete_components(tables))
+        assert comps.cost == pytest.approx(value, abs=1e-9)
+        report, conjectures = traced_peak(lambda: verify_complete_conjectures(tables))
+        assert conjectures["all_hold"] is True
         assert value <= initial_value(backward_induction(default_family, config)) + 1e-12
+        # the peaks beside the tables stay within the reference config's
+        # constants: 22.5 (solve), 2.9 (sweep) and 2.1 MB (report), against
+        # 53.8, 28.2 and 60.1 MB while each read whole levels at a time; the
+        # sweep holds the float masses of two stages at a time
+        held = table_bytes(tables)
+        masses = [8 * sum(a.size for a in stage) for stage in tables.actions]
+        del tables
+        solve = traced_peak(lambda: solve_complete(default_family, config))[0]
+        assert solve - held <= SOLVE_PEAK
+        assert sweep - max(map(sum, zip(masses, masses[1:]))) <= SWEEP_PEAK
+        assert report <= REPORT_PEAK
 
     def test_allocation_peak(self, default_config, default_family):
         # deterministic memory, not timing: the reference solve at eta 10
-        # peaks at 26.6 MB with the multiset space built (85 MB when every
-        # level stored its unreachable real bins); the cap leaves 20% headroom
+        # peaks at 19.7 MB with the multiset space built (23.7 MB while the
+        # probe kernel held a transposed copy of the smaller level, 85 MB
+        # when every level stored its unreachable real bins)
         config = default_config.with_overrides(eta=10.0)
         solve_complete(default_family, config)  # builds the cached space and slot tables
-        tracemalloc.start()
-        try:
-            solve_complete(default_family, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 32e6
+        assert traced_peak(lambda: solve_complete(default_family, config))[0] <= SOLVE_PEAK
 
     def test_table_bytes(self, default_config, default_family):
         # the arrays the reference solve keeps: 11,977,011 bytes, of which
@@ -455,10 +464,8 @@ class TestReachableScale:
         # while a parallel int16 probe-target table rode along); the cap
         # leaves 5% headroom
         tables = solve_complete(default_family, default_config.with_overrides(eta=10.0))
-        arrays = [a for stage in tables.values + tables.actions for a in stage]
-        arrays += [kept for kept in tables.kept if kept is not None]
         assert all(a.dtype == np.int8 for stage in tables.actions for a in stage)
-        assert sum(a.nbytes for a in arrays) <= 12.6e6
+        assert table_bytes(tables) <= 12.6e6
 
 
 class TestClassDominance:
@@ -565,6 +572,36 @@ class TestConjectures:
         report = verify_complete_conjectures(_induction(family, config, capacity))
         assert report["probing_states_checked"] > 0
         assert report["all_hold"] is True
+
+    def test_allocation_peak(self, default_config, default_family):
+        # deterministic memory, not timing: above the tables it reads, the
+        # report of the reference solve at eta 10 peaks at 2.07 MB (16.1 MB
+        # while each check read its levels whole)
+        tables = solve_complete(default_family, default_config.with_overrides(eta=10.0))
+        verify_complete_conjectures(tables)  # builds the cached slot tables
+        assert traced_peak(lambda: verify_complete_conjectures(tables))[0] <= REPORT_PEAK
+
+    @pytest.mark.parametrize("batch", [1, 40, 1000])
+    def test_the_report_is_the_same_in_small_batches(self, monkeypatch, batch):
+        # noisy values and codes fail every check many times over; a batch
+        # of 1 float reads one row at a time, of 40 or 1000 a few rows (or,
+        # at a level of the none row alone, a few sets' pairs)
+        config, family = small_instance(4, 12, 4, eta=2.0, delta=0.05)
+        tables = solve_complete(family, config)
+        rng = np.random.default_rng(5)
+        values = [[v + rng.normal(0.0, 0.3, v.shape) for v in stage] for stage in tables.values]
+        levels = replace(corrupted(tables), values=values)
+        for stage in levels.actions:
+            for act in stage:
+                act[rng.random(act.shape) < 0.2] = STOP
+                act[rng.random(act.shape) < 0.2] = PROBE
+        whole = verify_complete_conjectures(levels)
+        assert all(whole[key] > 0 for key in whole if key != "all_hold")
+        # every probing state of every level of one or more relays, once
+        assert whole["probing_states_checked"] == sum(
+            int((act >= PROBE).sum()) for stage in levels.actions for act in stage[1:])
+        monkeypatch.setattr(dp_complete, "BATCH_ELEMENTS", batch)
+        assert verify_complete_conjectures(levels) == whole
 
     def test_nan_value_fails_the_report(self):
         config, family = small_instance(6, 20, 4, eta=2.0, delta=0.05)

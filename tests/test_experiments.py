@@ -1,12 +1,12 @@
 import csv
 import dataclasses
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import corrupted, small_instance
+from conftest import SWEEP_PEAK, corrupted, small_instance
+from memory_peaks import traced_peak
 from oracles import reference_components
 from relaymdp import experiments
 from relaymdp._kernels import CONTINUE, NO_ACTION, PROBE, STOP, IllegalActionError
@@ -115,7 +115,9 @@ def assert_matches_reference(comps, levels):
 # bins take batches of two and one types; at 40 every level that holds real
 # bins, and the none-only level of four relays, takes one or two types at a
 # time, and every level its reached rows in chunks of one or two, the last
-# of three reached rows a chunk of its own
+# of three reached rows a chunk of its own.  Below the default every level
+# of more than one row also reads its legality, stops and continues in
+# several row batches: 8 or 2 rows of 16 columns, or 130 or 40 rows of one
 COMPACTING_BATCHES = [experiments.BATCH_ELEMENTS, 130, 40]
 
 
@@ -204,14 +206,9 @@ class TestSweepAgainstDenseReference:
         # deterministic memory, not timing: at eta 10 mass reaches every
         # level, and the largest (42,504 sets of size 5) holds its none
         # column alone; as one dense (sets, bins + 1) array it would take
-        # 34 MB by itself
-        tracemalloc.start()
-        try:
-            complete_components(reference_glb)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 24e6
+        # 34 MB by itself.  The sweep peaks at 13.95 MB (16.66 MB while a
+        # level's legality and stops were read whole)
+        assert traced_peak(lambda: complete_components(reference_glb))[0] <= SWEEP_PEAK
 
 
 def _no_action_at_one_reached_entry(levels):
@@ -273,6 +270,21 @@ class TestSweepFailsClosed:
                        rf"awake types \({block.locations[e, 0]},\)\)")
         with pytest.raises(IllegalActionError, match=rf"^{action} {episode}$"):
             run_policy(block, levels)
+
+    @pytest.mark.parametrize("batch", [16, 40])
+    def test_the_first_illegal_entry_past_the_first_batch_is_named(self, solved, batch,
+                                                                     monkeypatch):
+        # the (stage 3, size 2) level holds 10 rows of 16 columns, read here
+        # one or two rows per batch; the first entry of nonzero mass from row
+        # 5 and bin 3 on, row 5 itself, lies in the third batch or later and
+        # is named by its row in the level, as when the level is one batch
+        levels = corrupted(solved)
+        assert levels.actions[2][2].shape == (10, 16)
+        levels.actions[2][2][5:, 3:] = NO_ACTION
+        monkeypatch.setattr(experiments, "BATCH_ELEMENTS", batch)
+        with pytest.raises(IllegalActionError, match=(
+                r"^no legal action \(code -1\) \(stage 3, multiset \(1, 2\), best=3\)$")):
+            complete_components(levels)
 
     def test_negative_mass_is_named_where_it_lies(self, solved):
         # a negated pmf column sends negative mass to bin 3 of the empty set
