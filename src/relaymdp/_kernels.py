@@ -94,6 +94,13 @@ def resolve_actions(stop, probe, probe_code, cont) -> np.ndarray:
     return act
 
 
+def row_batches(n_rows: int, row_entries: int, budget: int):
+    """Slices of ``n_rows`` rows of ``row_entries`` entries each, in order:
+    each holds as many rows as fit ``budget`` entries, and at least one."""
+    step = max(1, budget // row_entries)
+    return (slice(first, first + step) for first in range(0, n_rows, step))
+
+
 def expect_over_max(values: np.ndarray, pmf: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """E_R[ V(max{b, R}) ] for every best-reward state b, including "none".
 

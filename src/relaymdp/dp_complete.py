@@ -23,15 +23,17 @@ import numpy as np
 
 from ._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, STRUCTURE_TOL, TIE_TOL, Decision,
                        IllegalActionError, action_dtype, decision_of, expect_over_max,
-                       resolve_actions)
+                       resolve_actions, row_batches)
 from .model import (BudgetExceededError, ModelConfig, OrderedFamily, _shown,  # noqa: F401
                     check_budget, reward_grid, whole_number)
 
 # Float entries of one batch: a chunk of bins of the probe kernel's (type,
 # smaller row) expectations, where small levels take all bins at once and the
-# largest (which set the peak memory) one bin at a time, a batch of probe
-# targets or of a level's rows in the forward sweep, and the temporaries of a
-# batch of rows in the conjecture report.
+# largest (which set the peak memory) one bin at a time; and, cut by
+# ``row_batches``, a batch of a level's rows in the tie rule, in the forward
+# sweep's one pass per level, of probe targets or reached rows in its probe
+# move, and of rows in the conjecture report, sized there for eight
+# temporaries.
 BATCH_ELEMENTS = 1 << 18
 # Entries of one batch of newcomer types in the overflow rule and in the
 # forward sweep's continue move (64 KB): below glibc's smallest mmap
@@ -348,17 +350,16 @@ def _overflow_rule(space: MultisetSpace, level: np.ndarray, capacity: int,
     kept = np.empty(swaps.shape[:2] + level.shape[1:], dtype=dtype)
     total = np.zeros(level.shape)
     # a batch of newcomer types at a time, to keep temporaries small
-    step = max(1, OVERFLOW_ELEMENTS // level.size)
-    for first in range(0, len(kept), step):
+    for newcomers in row_batches(len(kept), level.size, OVERFLOW_ELEMENTS):
         # the best swap and its row, a later member winning only if strictly smaller
-        batch = swaps[first:first + step]
+        batch = swaps[newcomers]
         best, rows = np.take(level, batch[..., 0], axis=0), batch[..., :1]
         for p in range(1, capacity):
             swapped = np.take(level, batch[..., p], axis=0)
             better = np.less(swapped, best)
             np.copyto(best, swapped, where=better)
             rows = np.where(better, batch[..., p:p + 1], rows)
-        kept[first:first + step] = np.where(best < level, rows, own)
+        kept[newcomers] = np.where(best < level, rows, own)
         # the kept set's value, but for the sign of a zero, which a sum
         # started from +0.0 never shows
         for value in np.minimum(best, level, out=best):
@@ -437,9 +438,7 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int) -> Com
 
             # in row batches, so that the tie rule's float temporaries stay small
             act = np.empty(probe.shape, dtype=code.dtype)
-            step = max(1, BATCH_ELEMENTS // probe.shape[1])
-            for first in range(0, n_s, step):
-                rows = slice(first, first + step)
+            for rows in row_batches(n_s, probe.shape[1], BATCH_ELEMENTS):
                 act[rows] = resolve_actions(stop[cols], probe[rows], code[rows],
                                             cont[rows] if k < n_stages else cont)
             # Computed in place of the probe costs.  On equal values
@@ -543,8 +542,9 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
     one-step-look-ahead rule.  Inequalities are checked at STRUCTURE_TOL,
     over the reachable states the tables hold, at any capacity c: the sets
     at stage k hold at most min(k, c) members.  Each check reads its levels
-    in row batches whose temporaries fit BATCH_ELEMENTS entries, so the
-    report holds the tables and one batch.
+    in row batches that hold at most eight (rows, width) temporaries at a
+    time, BATCH_ELEMENTS entries in all, so the report holds the tables and
+    one batch.
     """
     family = tables.family
     config = tables.config
@@ -556,12 +556,6 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
     grid = reward_grid(n_bins)
     rank = family.rank
     ranked = [None] + [_ranked_members(space, s, tuple(rank)) for s in range(1, capacity + 1)]
-
-    def batches(n_rows: int, width: int):
-        """Row slices of the checks below, each of which holds at most eight
-        (rows, width) temporaries at a time."""
-        step = max(1, BATCH_ELEMENTS // (8 * width))
-        return (slice(first, first + step) for first in range(0, n_rows, step))
 
     failures = ("probe_largest_violations", "stage_independence_mismatches",
                 "value_monotone_violations", "enlargement_violations", "osla_stage_n_mismatches")
@@ -579,7 +573,7 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
                 # smaller row f are the largest member and the rest of row
                 # plus[s-1][t, f] iff no member of f ranks before t, so the
                 # batches reach every row of the level once.
-                for chunk in batches(len(smaller), len(family)):
+                for chunk in row_batches(len(smaller), 8 * len(family), BATCH_ELEMENTS):
                     by_pair = (smaller[chunk] @ pmf.T).T
                     lead = rank[ranked[s - 1][0][chunk, 0]] if s > 1 else len(family)
                     largest = rank[:, None] <= lead
@@ -591,7 +585,7 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
                         (probing & (cost > val[rows, 0] + STRUCTURE_TOL)).sum())
                 continue
             types, rests = ranked[s]
-            for rows in batches(len(act), n_bins + 1):
+            for rows in row_batches(len(act), 8 * (n_bins + 1), BATCH_ELEMENTS):
                 probing = act[rows] >= PROBE
                 largest, rest = types[rows, 0], rests[rows, 0]
                 cost = eta * delta + expect_over_max(smaller[rest], pmf[largest], cdf[largest])
@@ -608,7 +602,7 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
             continue
         *others, last = (tables.actions[k - 1][s] for k in stages)
         report["stopping_slices_checked"] += last.size
-        for rows in batches(len(last), last.shape[1]):
+        for rows in row_batches(len(last), 8 * last.shape[1], BATCH_ELEMENTS):
             reference = last[rows] == STOP
             for act in others:
                 report["stage_independence_mismatches"] += int(
@@ -620,7 +614,7 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
         for s in range(min(k, capacity) + 1):
             val = tables.values[k - 1][s]
             larger = tables.values[k - 1][s + 1] if s < min(k, capacity) else None
-            for rows in batches(len(val), val.shape[1]):
+            for rows in row_batches(len(val), 8 * val.shape[1], BATCH_ELEMENTS):
                 block = val[rows]
                 report["value_monotone_violations"] += int(
                     (np.diff(block[:, :-1], axis=1) > STRUCTURE_TOL).sum() + np.isnan(block).sum()
@@ -639,7 +633,7 @@ def verify_complete_conjectures(tables: CompleteTables) -> dict:
         act = tables.actions[n_stages - 1][s]
         if act.shape[1] == 1:  # a level of the none row alone: no reward to stop on
             continue
-        for rows in batches(len(types), n_bins + 1):
+        for rows in row_batches(len(types), 8 * (n_bins + 1), BATCH_ELEMENTS):
             dp_stop = act[rows, :-1] == STOP
             osla_min = one_step[types[rows, 0], :n_bins]
             for p in range(1, s):

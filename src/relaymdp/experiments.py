@@ -23,8 +23,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from ._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, STRUCTURE_TOL, illegal_action,
-                       legal_actions)
+from ._kernels import (CONTINUE, PROBE, STOP, STRUCTURE_TOL, illegal_action, legal_actions,
+                       row_batches)
 from .dp_complete import (BATCH_ELEMENTS, OVERFLOW_ELEMENTS, CompleteTables,
                           NonFiniteValueError, _ranked_members, initial_value, solve_complete)
 from .dp_restricted import RestrictedTables, backward_induction, extract_thresholds
@@ -137,14 +137,17 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
     to the set with the newcomer moves only the rows and the span of columns
     that continue (``_move_continues``).
 
-    A level's legality, stops and continues are read in row batches of at
-    most BATCH_ELEMENTS entries, so that beside the two stages' masses the
-    sweep holds one batch.  Every entry of nonzero mass must hold an action
-    that ``legal_actions`` allows, which each batch checks before its mass
-    moves, and each level before its probes move: one on NO_ACTION, a stop
-    with nothing probed, a probe of a type not in its set or a continue at
-    the last stage raises IllegalActionError naming the stage, the multiset
-    and the bin of the level's first such entry.
+    Each level is read once, in row batches of at most BATCH_ELEMENTS
+    entries, so that beside the two stages' masses the sweep holds one
+    batch.  One comparison of the codes with each ranked member slot tells
+    both whether a probe's type is held and whether the row probes that
+    member with nonzero mass, the pairs that the probe move reaches.  Every
+    entry of nonzero mass must hold an action that ``legal_actions`` allows,
+    which each batch checks before its mass moves, and each level before its
+    probes move: one on NO_ACTION, a stop with nothing probed, a probe of a
+    type not in its set or a continue at the last stage raises
+    IllegalActionError naming the stage, the multiset and the bin of the
+    level's first such entry.
     """
     config = tables.config
     family = tables.family
@@ -175,24 +178,30 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                 continue
             act = tables.actions[k - 1][s]
             stops = probed[-act.shape[1]:]
-            # in row batches: every row's legality before any probe moves,
-            # then its stops and its continue
-            step = max(1, BATCH_ELEMENTS // act.shape[1])
-            for first in range(0, len(act), step):
-                rows = slice(first, first + step)
+            # the empty set has no slot
+            types, rests = _ranked_members(space, s, rank) if s else (space.members[0],) * 2
+            hits = np.zeros(types.shape, dtype=bool)
+            probing = np.zeros(act.shape[1], dtype=bool)
+            # in row batches: every row's legality and probes before any
+            # probe moves, then its stops and its continue
+            for rows in row_batches(len(act), act.shape[1], BATCH_ELEMENTS):
                 a, m = act[rows], mass[rows]
+                moving, eq = m != 0, np.empty(a.shape, dtype=bool)
                 # a probe needs a member of the row's set of the type code - PROBE
                 held = np.zeros(a.shape, dtype=bool)
-                for member in (space.members[s][rows].T + PROBE).astype(act.dtype):
-                    held |= member[:, None] == a
-                illegal = ~legal_actions(a, held, stops, k == n_stages)
-                if illegal.any() and m[illegal].any():
-                    row, col = np.argwhere(illegal & (m != 0))[0]
-                    row += first
+                for p, slot in enumerate((types[rows].T + PROBE).astype(act.dtype)):
+                    held |= np.equal(slot[:, None], a, out=eq)
+                    np.logical_and(eq, moving, out=eq).any(axis=1, out=hits[rows, p])
+                illegal = moving & ~legal_actions(a, held, stops, k == n_stages)
+                if illegal.any():
+                    row, col = np.argwhere(illegal)[0]
+                    row += rows.start
                     g = tuple(space.members[s][row].tolist())  # msets would build every set's tuple
                     raise illegal_action(act[row, col], f"(stage {k}, multiset {g}, "
                                          f"best={col if stops[col] else None})")
-                del held, illegal  # not alive through the probe move, which sets the peak
+                probing |= np.logical_and(held, moving, out=held).any(axis=0)
+                # none alive through the probe move, which sets the peak
+                del moving, eq, held, illegal
                 # the real bins, if the level holds them
                 stopping = np.where(a[:, :-1] == STOP, m[:, :-1], 0.0)
                 reward += float(stopping.sum(axis=0) @ grid[:stopping.shape[1]])
@@ -203,7 +212,13 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
                                              rows, partial(level, following, k + 1))
 
             if s >= 1:
-                probes += _move_probes(mass, act, _ranked_members(space, s, rank),
+                # hits[g, p] leaves row rests[g, p] of the smaller level; a row
+                # may probe several members, and equal members give one pair
+                reached = np.zeros(space.plus[s - 1].shape, dtype=bool)
+                reached[types[hits], rests[hits]] = True
+                del hits
+                probes += _move_probes(mass, act, reached,
+                                       int(np.flatnonzero(probing[:-1]).max(initial=-1)) + 1,
                                        space.plus[s - 1], pmf, cdf,
                                        partial(level, current, k, s - 1))
         current = following
@@ -211,29 +226,27 @@ def complete_components(tables: CompleteTables) -> PolicyComponents:
     return _components(waits, reward, probes, stopped, config)
 
 
-def _move_probes(mass: np.ndarray, act: np.ndarray, slots: tuple, smaller: np.ndarray,
-                 pmf: np.ndarray, cdf: np.ndarray, out) -> float:
+def _move_probes(mass: np.ndarray, act: np.ndarray, reached: np.ndarray, width: int,
+                 smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, out) -> float:
     """Move the probing mass of a size-s level, from its mass and codes, into
     the smaller level ``out()`` and return the mass moved; its temporaries
     end with the call.  A probe of type t from the set of row smaller[t][f]
-    leaves row f of the smaller level.  Per batch of types it gathers only
-    the rows f that a pair of the batch moves probing mass into, the none
-    row first and then the bins up to the last that probes (``_reached``):
-    as max{none, R} = R, the none row is a bin below every bin.  A batch of
-    every smaller row over the level's columns, and a chunk's w, gain and
-    tail, each fit within BATCH_ELEMENTS entries."""
+    leaves row f of the smaller level.  ``reached`` and ``width`` come from
+    the level's one pass: reached[t, f], of smaller's shape, is whether a
+    row probes its member of type t with nonzero mass, which leaves row f,
+    and no real bin from ``width`` on holds probing mass (0 where only the
+    none row probes).  Per batch of types it gathers only the rows f that a
+    pair of the batch reaches, the none row first and then the bins below
+    ``width``: as max{none, R} = R, the none row is a bin below every bin.
+    A batch of every smaller row over the level's columns, and a chunk's w,
+    gain and tail, each fit within BATCH_ELEMENTS entries."""
     n_types, n_bins = pmf.shape
-    types = np.arange(n_types)
-    reached, width = _reached(mass, act, slots, smaller.shape)
-    per_call = max(1, BATCH_ELEMENTS // (smaller.shape[1] * mass.shape[1]))
     probes = 0.0
-    for first in range(0, n_types, per_call):
-        batch = slice(first, first + per_call)
+    for batch in row_batches(n_types, smaller.shape[1] * mass.shape[1], BATCH_ELEMENTS):
         rows = np.flatnonzero(reached[batch].any(axis=0))
-        codes = (PROBE + types[batch]).astype(act.dtype)[:, None, None]
-        step = max(1, BATCH_ELEMENTS // (n_bins + len(codes) * (width + 1)))
-        for i in range(0, len(rows), step):
-            chunk = rows[i:i + step]
+        codes = (PROBE + np.arange(n_types)[batch]).astype(act.dtype)[:, None, None]
+        for chunk in row_batches(len(rows), n_bins + len(codes) * (width + 1), BATCH_ELEMENTS):
+            chunk = rows[chunk]
             src = smaller[batch, chunk]
             w, code = (np.concatenate((a[src, -1:], a[src, :width]), axis=-1)
                        for a in (mass, act))
@@ -250,32 +263,6 @@ def _move_probes(mass: np.ndarray, act: np.ndarray, slots: tuple, smaller: np.nd
             level[chunk, :width] += gain.sum(axis=0)
             level[chunk, width:-1] += below[..., -1].T @ pmf[batch, width:]
     return probes
-
-
-def _reached(mass: np.ndarray, code: np.ndarray, slots: tuple,
-             shape: tuple[int, int]) -> tuple[np.ndarray, int]:
-    """Which probes of a size-s level move mass, from its mass and codes, the
-    none row last: (reached, width).  reached[t, f], of ``shape``, is whether
-    a row probes its member of type t with nonzero mass, which leaves row f
-    of the smaller level; no real bin from ``width`` on holds probing mass,
-    so width is 0 where only the none row probes.  ``slots`` is (types,
-    rests) of the level's rows (``_ranked_members``).  A row may probe
-    several members, each at its own bins, and equal members give one pair.
-    The rows are read in batches of at most BATCH_ELEMENTS entries."""
-    types, rests = slots
-    hits = np.zeros(types.shape, dtype=bool)
-    probing = np.zeros(mass.shape[1], dtype=bool)
-    step = max(1, BATCH_ELEMENTS // mass.shape[1])
-    for first in range(0, len(types), step):
-        rows = slice(first, first + step)
-        moving = np.where(mass[rows] != 0, code[rows], NO_ACTION)
-        probing |= (moving >= PROBE).any(axis=0)
-        slot_codes = (types[rows] + PROBE).astype(code.dtype)
-        for p in range(types.shape[1]):
-            np.any(moving == slot_codes[:, p, None], axis=1, out=hits[rows, p])
-    reached = np.zeros(shape, dtype=bool)
-    reached[types[hits], rests[hits]] = True
-    return reached, int(np.flatnonzero(probing[:-1]).max(initial=-1)) + 1
 
 
 def _move_continues(cw: np.ndarray, tables: CompleteTables, k: int, s: int, rows: slice,
@@ -323,9 +310,8 @@ def _add_moved(out: np.ndarray, rows: np.ndarray, mass: np.ndarray) -> None:
     time."""
     width = out.shape[1]
     flat, cols = out.reshape(-1), np.arange(width - mass.shape[1], width)
-    step = max(1, OVERFLOW_ELEMENTS // mass.size)
-    for first in range(0, len(rows), step):
-        index = rows[first:first + step] * np.intp(width) + cols
+    for batch in row_batches(len(rows), mass.size, OVERFLOW_ELEMENTS):
+        index = rows[batch] * np.intp(width) + cols
         # values of the index's own shape: numpy 2.4's np.add.at adds wrong
         # sums, or crashes, when the values broadcast against the indices
         np.add.at(flat, index.ravel(), np.broadcast_to(mass, index.shape).ravel())

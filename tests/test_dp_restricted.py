@@ -445,6 +445,21 @@ class TestWideFamilies:
         assert max(probed) > 126
 
 
+# check: the (stage, row, bin) of the J_k(b, F_l) edited, of the entry its
+# new value is taken from, and the change, at the default config
+VALUE_EDITS = {
+    # J_3(b=41, F_7) above J_3(b=40, F_7): rising in the best reward
+    "a_monotone_in_b": ((3, 7, 41), (3, 7, 40), 1e-3),
+    # J_2(b=40, F_7) above J_3(b=40, F_7): a stage more to go costs more
+    "b_stage_monotone": ((2, 7, 40), (3, 7, 40), 1e-3),
+    # J_3(b=40) of the stochastically smallest type, 0, below that of the
+    # largest, 17
+    "c_dominance_order": ((3, 0, 40), (3, 17, 40), -1e-3),
+    # J_2(b=40, F_7) below its stage-N value inside S_2, which holds every bin
+    "g_equal_costs_on_s": ((2, 7, 40), (2, 7, 40), -1e-3),
+}
+
+
 class TestVerifyStructure:
     def test_default_config_passes_all_checks(self, default_tables):
         report = verify_structure(default_tables)
@@ -507,6 +522,18 @@ class TestVerifyStructure:
         if edit == (2, 1, 0, 0, 1e-7):  # which passes every other check
             assert [key for key, c in report.checks.items() if not c.passed] == [
                 "i_bellman_residual"]
+
+    @pytest.mark.parametrize("check", VALUE_EDITS)
+    def test_a_finite_edit_to_a_value_fails_its_check(self, default_tables, default_family,
+                                                      default_thresholds, check):
+        assert default_family.order[[0, -1]].tolist() == [17, 0]
+        assert default_thresholds.x[1] == 0
+        (stage, row, b), (from_stage, from_row, from_b), change = VALUE_EDITS[check]
+        values = [[v.copy() for v in stage] for stage in default_tables.values]
+        values[stage - 1][1][row, b] = values[from_stage - 1][1][from_row, from_b] + change
+        report = verify_structure(replace(default_tables, values=values))
+        assert not report.checks[check].passed
+        assert not report.passed
 
     def test_an_edited_code_or_kept_row_fails_the_bellman_residual(self, default_tables):
         # the state J_3(b=5, F_7) probes its relay: continuing instead; and

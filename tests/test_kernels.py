@@ -1,9 +1,11 @@
-"""The action codes: their dtype, their decoding and the one legality rule."""
+"""The action codes: their dtype, their decoding, the one legality rule, the
+one tie rule at exact ties, and the one batch rule."""
 import numpy as np
 import pytest
 
-from relaymdp._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, Action, Decision, action_dtype,
-                               decision_of, illegal_action, legal_actions)
+from relaymdp._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, TIE_TOL, Action, Decision,
+                               action_dtype, decision_of, illegal_action, legal_actions,
+                               resolve_actions, row_batches)
 
 
 @pytest.mark.parametrize("n_types,dtype", [
@@ -47,3 +49,31 @@ def test_legality_rule():
 ])
 def test_illegal_action_names_the_action(code, message):
     assert str(illegal_action(code, "(here)")) == message
+
+
+@pytest.mark.parametrize("costs,code", [
+    # (stop, probe, continue): stop > probe > continue at exact ties
+    ((0.25, 0.25, 0.25), STOP),
+    ((0.5, 0.25, 0.25), PROBE + 3),
+    ((0.5, 0.25 + TIE_TOL / 2, 0.25), PROBE + 3),
+    ((0.5, 0.25 + 2 * TIE_TOL, 0.25), CONTINUE),
+    ((np.inf, np.inf, np.inf), NO_ACTION),
+], ids=["all-equal", "probe-equals-continue", "probe-within-tol", "probe-past-tol", "none"])
+def test_tie_rule(costs, code):
+    stop, probe, cont = (np.array([c]) for c in costs)
+    act = resolve_actions(stop, probe, np.array([PROBE + 3], dtype=np.int8), cont)
+    assert act.tolist() == [code]
+
+
+@pytest.mark.parametrize("n_rows,row_entries,budget", [
+    # the last: nothing for no rows
+    (10, 3, 9), (10, 3, 10), (10, 3, 2), (1, 5, 100), (7, 1, 7), (7, 1, 6), (0, 4, 100),
+])
+def test_row_batches_cover_every_row_once_within_the_budget(n_rows, row_entries, budget):
+    batches = [range(n_rows)[rows] for rows in row_batches(n_rows, row_entries, budget)]
+    assert [row for batch in batches for row in batch] == list(range(n_rows))
+    for batch in batches:
+        assert len(batch) >= 1
+        assert len(batch) * row_entries <= budget or len(batch) == 1
+    for batch in batches[:-1]:  # as many rows as fit
+        assert (len(batch) + 1) * row_entries > budget

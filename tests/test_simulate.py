@@ -61,6 +61,11 @@ class TestSampling:
         inter = np.concatenate(inter)[:n]
         se = config.tau / math.sqrt(len(inter))  # exponential: sd == mean
         assert abs(inter.mean() - config.tau) <= 3 * se
+        # and the law itself: gaps of the right mean but another shape, such
+        # as tau * sqrt(E) / Gamma(3/2) with E ~ Exp(1), pass the mean check
+        from scipy import stats
+
+        assert stats.kstest(inter, "expon", args=(0.0, config.tau)).pvalue > 1e-3
 
     def test_replay_is_bit_identical(self, sim_instance):
         config, family = sim_instance
