@@ -101,6 +101,49 @@ def row_batches(n_rows: int, row_entries: int, budget: int):
     return (slice(first, first + step) for first in range(0, n_rows, step))
 
 
+def excess_bound(pmf: np.ndarray, grid: np.ndarray) -> np.ndarray:
+    """An upper bound, round-off included, on E[(X_t - r_b)^+] of every type
+    t at every real bin b: (n_bins, n_types), bins leading.
+
+    The expectation is S1[b+1] - r_b S0[b+1], where S0[b] and S1[b] are the
+    sums of the pmf and of pmf * r over the bins from b up, each added from
+    the top bin down by ``np.cumsum``.  Each sum of k nonnegative terms is off
+    by at most about k u of itself (u the unit round-off), so adding (n_bins
+    + 4) eps times S1[b+1] + r_b S0[b+1] bounds the exact value from above.
+    """
+    n_bins = pmf.shape[1]
+    above = np.zeros((2, n_bins) + pmf.shape[:1])  # the sums over the bins above b
+    terms = np.stack([pmf.T, pmf.T * grid[:, None]])
+    np.cumsum(terms[:, :0:-1], axis=1, out=above[:, -2::-1])
+    first, mass = above[1], above[0] * grid[:, None]
+    return (first - mass) + (n_bins + 4) * np.finfo(float).eps * (first + mass)
+
+
+def dead_bins(bound: np.ndarray, eta: float, delta: float, scale: float) -> np.ndarray:
+    """The first real bin from which each type is dead, n_bins where none is,
+    in the smallest unsigned dtype that holds n_bins; ``bound`` is
+    ``excess_bound``.
+
+    A probe costs eta * delta, so by Weitzman's rule an awake relay of type t
+    is never worth probing at best reward r_b once E[(X_t - r_b)^+] <= delta.
+    Type t is dead at bin b when eta * (delta - E[(X_t - r_b)^+]) exceeds the
+    margin STRUCTURE_TOL * ``scale`` (the magnitude of the values, max(1,
+    eta, N tau)), and dead from bin b when it is dead at every bin from b up.
+    The test is bound < delta (1 - c) - (margin / eta) (1 + c), c the bound's
+    relative slack, which holds only where the exact inequality does: no
+    type is called dead where the exact margin fails.  Nothing is dead at
+    eta 0, where probing is free.
+    """
+    n_bins, n_types = bound.shape
+    dtype = np.min_scalar_type(n_bins)
+    if not eta > 0:
+        return np.full(n_types, n_bins, dtype=dtype)
+    slack = (n_bins + 4) * np.finfo(float).eps
+    threshold = delta * (1 - slack) - STRUCTURE_TOL * scale / eta * (1 + slack)
+    # one past the last live bin of each type
+    return ((bound >= threshold) * np.arange(1, n_bins + 1)[:, None]).max(axis=0).astype(dtype)
+
+
 def expect_over_max(values: np.ndarray, pmf: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     """E_R[ V(max{b, R}) ] for every best-reward state b, including "none".
 

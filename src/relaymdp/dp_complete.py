@@ -17,12 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from ._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, STRUCTURE_TOL, TIE_TOL, Decision,
-                       IllegalActionError, action_dtype, decision_of, expect_over_max,
+                       IllegalActionError, action_dtype, dead_bins, decision_of, expect_over_max,
                        resolve_actions, row_batches)
 from .model import (BudgetExceededError, ModelConfig, OrderedFamily, _shown,  # noqa: F401
                     check_budget, reward_grid, whole_number)
@@ -245,92 +245,229 @@ def projected_state_count(n_types: int, n_bins: int, n_stages: int) -> int:
     return _projected_states(n_types, n_bins, n_stages, n_stages)
 
 
-def _probe_costs(smaller: np.ndarray, pmf: np.ndarray, cdf: np.ndarray, surcharge: float,
-                 types: np.ndarray, rests: np.ndarray,
-                 none_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+class _ProbePlan(NamedTuple):
+    """What the probe kernel reads of the sets of one size s, the same at
+    every stage: the laws, bins leading, and the sets' rows in order of their
+    dead bins, the first real bin from which every member is dead, the
+    latest first, so that the rows live at a bin are a prefix.  The plane of
+    (type, column) pairs that the kernel sums holds the stage's bare row, the
+    size-0 set, in column 0 and the smaller rows ever live (at bin 0) in
+    columns 1..stride - 1, in that order too; a smaller row dead at every
+    bin reads column 0."""
+
+    pmf_by_bin: np.ndarray  # (n_bins, n_types, 1), and so the cdf
+    cdf_by_bin: np.ndarray
+    rows: Optional[np.ndarray]  # the rows in that order; None where it is theirs
+    row_dead: np.ndarray  # the dead bin of each row, in the rows' own order
+    dead: np.ndarray  # their dead bins, in that order
+    live: np.ndarray  # live[b]: how many rows are live at bin b
+    codes: np.ndarray  # (s, rows), in that order: PROBE + the type of each slot
+    columns: np.ndarray  # (s, rows): the plane column of the set without that slot
+    stride: int  # the plane's columns
+    rests: Optional[np.ndarray]  # the smaller rows of columns 1..; None where they are the first
+    rests_live: np.ndarray  # rests_live[b]: how many of those are live at bin b
+    bins: np.ndarray  # (n_bins, 1): the real bins, in the dtype of the dead bins
+
+
+def _probe_plan(family: OrderedFamily, space: MultisetSpace, rank: tuple[int, ...],
+                dead_from: np.ndarray, smaller: Optional[_ProbePlan]) -> _ProbePlan:
+    """The probe kernel's plan for the sets one member larger than those of
+    ``smaller``, the plan of the next smaller size (None before size 1),
+    from ``dead_from``, the first real bin from which each type is dead
+    (``dead_bins``).  The size-0 set is dead at every bin: its bare row has
+    no member to probe."""
+    n_types, n_bins = family.pmf_matrix.shape
+    if smaller is None:
+        s, bins, order = 1, np.arange(n_bins, dtype=dead_from.dtype)[:, None], np.zeros(1, np.intp)
+        dead, live = np.zeros(1, dtype=dead_from.dtype), np.zeros(n_bins, dtype=np.intp)
+    else:
+        s, bins, order = len(smaller.codes) + 1, smaller.bins, smaller.rows
+        dead, live = smaller.row_dead, smaller.live
+        if order is None:
+            order = np.arange(len(dead))
+    types, rests = _ranked_members(space, s, rank)
+    ever = int(live[0])  # the smaller rows live at bin 0, the plane's columns 1..
+    column = np.zeros(len(dead), dtype=np.min_scalar_type(ever))
+    if ever:
+        column[order[:ever]] = np.arange(1, ever + 1)
+    row_dead = np.maximum(dead_from[types[:, 0]], dead[rests[:, 0]])
+    order = np.argsort(n_bins - row_dead, kind="stable")
+    ranked_dead = row_dead[order]
+    codes = np.add(types.T, PROBE, dtype=action_dtype(n_types), order="C")
+    columns = np.take(column, rests.T)
+    # equal dead bins leave the stable sort's rows in place
+    rows = None if ranked_dead[0] == ranked_dead[-1] else order
+    if rows is not None:
+        codes, columns = (np.take(a, rows, axis=1) for a in (codes, columns))
+    return _ProbePlan(*family.laws_by_bin, rows, row_dead, ranked_dead,
+                      len(order) - np.searchsorted(ranked_dead[::-1], bins[:, 0], side="right"),
+                      codes, columns, ever + 1, None if smaller is None else smaller.rows, live,
+                      bins)
+
+
+def _probe_costs(smaller: np.ndarray, bare: np.ndarray, surcharge: float, plan: _ProbePlan,
+                 none_only: bool) -> tuple[np.ndarray, np.ndarray]:
     """Best probe cost and its action code, PROBE + t, of every size-s state.
 
-    Probing slot p of the set of row g costs surcharge + E_t[V_f(max{b, R})]
-    with t = types[g, p] and f = rests[g, p], a row of the ``smaller`` level
-    (values over the real bins).  A running minimum over the slots with
-    strict ``<`` keeps the first of equal costs, the stochastically largest
-    member, and never takes a NaN; where no slot wins the code is NO_ACTION.
+    Probing slot p of a set costs surcharge + E_t[V_f(max{b, R})], t its
+    type and f the set without it, a row of the ``smaller`` level (values
+    over the real bins); a set's slots run from the lowest rank up.  A
+    running minimum over the slots with strict ``<`` keeps the first of
+    equal costs, the stochastically largest member, and never takes a NaN;
+    where no slot wins the code is NO_ACTION.
 
-    The expectations of every (type, smaller row) pair, a plane, run from the
-    top bin down in chunks of bins holding at most BATCH_ELEMENTS entries,
-    carrying the reverse cumulative sum of ``expect_over_max`` across chunks;
-    the values enter transposed, bins leading, a block of bins at a time, so
-    that the kernel holds no transposed copy of the whole smaller level.
-    Every running sum adds one bin's term to the sum over the bins above it,
-    in that kernel's sequential order, so the costs are bitwise its own.  How
-    a chunk adds them follows its shape: a chunk of no more bins than its
-    plane has pairs (the wide planes of the larger levels, a few bins each)
-    adds one whole plane per bin, and a chunk of more bins than pairs (the
-    narrow planes of the small levels, all bins at once) runs ``np.cumsum``
-    along its bins, whose per-pair loop is then long.  Each chunk writes its
-    settled bins straight into the tables.  With ``none_only`` the chunks
-    run the same sums but settle no real bin: the none row alone is settled,
-    from the carried sum, and returned as one column.
+    A state whose members are all dead (``_ProbePlan``) costs +inf with
+    NO_ACTION, unscanned: none of its probes can win (``dead_bins``).  The
+    none row is never pruned.  From its dead bin up a smaller row holds the
+    values of ``bare``, the stage's size-0 row, bitwise.
+
+    The expectations of every (type, column) pair of the plan's plane run
+    from the top bin down in chunks of bins holding at most BATCH_ELEMENTS
+    entries, carrying the reverse cumulative sum of ``expect_over_max``
+    across chunks.  A chunk sums the bare row and the smaller rows live at
+    its lowest bin, a prefix of the plane's columns, and the slots of the
+    rest read the bare row's column; a smaller row that becomes live takes
+    its carry from the bare row's.  The values enter transposed, bins
+    leading, a block of bins at a time, so that the kernel holds no
+    transposed copy of the whole smaller level.  Every running sum adds one
+    bin's term to the sum over the bins above it, in that kernel's
+    sequential order, so the costs are bitwise its own.  How a chunk adds
+    them follows its shape: a chunk of no more bins than its plane has pairs
+    (the wide planes of the larger levels, a few bins each) adds one whole
+    plane per bin, and a chunk of more bins than pairs (the narrow planes of
+    the small levels, all bins at once) runs ``np.cumsum`` along its bins,
+    whose per-pair loop is then long.  Each chunk settles the rows live at
+    its lowest bin and writes them straight into the tables.  With
+    ``none_only`` the chunks run the same sums but settle no real bin: the
+    none row alone is settled, from the carried sum, and returned as one
+    column.
     """
-    n_types, n_bins = pmf.shape
-    n_rows, n_slots = types.shape
+    pmf_by_bin, cdf_by_bin = plan.pmf_by_bin, plan.cdf_by_bin
+    n_bins, n_types = pmf_by_bin.shape[:2]
+    n_slots, n_rows = plan.codes.shape
     probe = np.empty((n_rows, 1 if none_only else n_bins + 1))
-    code = np.empty(probe.shape, dtype=action_dtype(n_types))
-    # pairs[p, g]: the (type, smaller row) pair of slot p of row g
-    pairs = np.ascontiguousarray((types * len(smaller) + rests).T)
-    slot_codes = np.ascontiguousarray(types.T + PROBE, dtype=code.dtype)
-
-    def settle(costs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The best cost and its code at every (bin of the chunk, row), from
-        costs[j, pair]."""
-        costs = costs.reshape(len(costs), -1)
-        best = np.full((len(costs), n_rows), np.inf)
-        pick = np.full(best.shape, NO_ACTION, dtype=code.dtype)
-        for p in range(n_slots):
-            cost = np.take(costs, pairs[p], axis=1)
-            better = np.less(cost, best)
-            np.copyto(best, cost, where=better)
-            np.copyto(pick, slot_codes[p], where=better)
-        return best, pick
-
-    # bins lead, so that the running sums add whole (type, row) planes; all
-    # three row-major, so that the products are too and each plane is one
-    # contiguous block
-    pmf_by_bin, cdf_by_bin = (np.ascontiguousarray(m.T)[:, :, None] for m in (pmf, cdf))
-    # the sum of pmf * V over the bins above the chunk; -0.0 adds exactly
-    carry = np.full((n_types, len(smaller)), -0.0)
+    code = np.empty(probe.shape, dtype=plan.codes.dtype)
+    if not none_only and plan.dead[-1] < n_bins:  # what the states whose members are all dead keep
+        probe.fill(np.inf)
+        code.fill(NO_ACTION)
+    # the sum of pmf * V over the bins above the chunk, of its own, so that
+    # no chunk's sums outlive it; -0.0 adds exactly
+    carry = np.full((n_types, plan.stride), -0.0)
     width = max(1, BATCH_ELEMENTS // carry.size)
+    # one chunk's sums and costs, each chunk's plane contiguous in them
+    sums_at = np.empty(min(width, n_bins) * carry.size)
+    costs_at = None if none_only else np.empty(sums_at.shape)
     # the values of a block of bins, bins leading: at least a chunk, and at
     # least the 8 floats of a 64-byte cache line, so that one-bin chunks do
     # not read each row's line once per bin
     span = min(max(width, 8), n_bins)
-    vals_by_bin, base = np.empty((span, 1, len(smaller))), n_bins
+    vals_by_bin, base = np.empty((span, 1, plan.stride)), n_bins
+    carried, cached, costs = 0, None, None  # smaller rows carried; the slots' key
+    top = int(plan.dead[0])  # no row is live from this bin up
     for hi in range(n_bins, 0, -width):
         lo = max(0, hi - width)
+        live = int(plan.rests_live[lo])
         if lo < base:  # the chunk's bins lie below the block
             base = max(0, hi - span)
-            vals_by_bin[:hi - base, 0] = smaller[:, base:hi].T
-        vals = vals_by_bin[lo - base:hi - base]
-        # sums[j]: the sum over bins >= lo + j, added from the top bin down
-        sums = pmf_by_bin[lo:hi] * vals
-        sums[-1] += carry
-        if carry.size >= hi - lo:  # no more bins than pairs: plane by plane
-            for j in range(hi - lo - 2, -1, -1):
+            staged = int(plan.rests_live[base])
+            vals_by_bin[:hi - base, 0, 0] = bare[base:hi]
+            if staged:
+                rests = slice(staged) if plan.rests is None else plan.rests[:staged]
+                vals_by_bin[:hi - base, 0, 1:staged + 1] = smaller[rests, base:hi].T
+        if live > carried:  # rows that become live carry the bare row's sum
+            carry[:, carried + 1:live + 1] = carry[:, :1]
+            carried = live
+        w, cols = hi - lo, live + 1
+        vals, above = vals_by_bin[lo - base:hi - base, :, :cols], carry[:, :cols]
+        # sums[j] for j >= 1: the sum over bins >= lo + j, added from the top
+        # bin down; sums[0] the term of bin lo, whose sum goes to the carry
+        sums = np.multiply(pmf_by_bin[lo:hi], vals,
+                           out=sums_at[:w * n_types * cols].reshape(w, n_types, cols))
+        by_plane = n_types * cols >= w
+        if by_plane:  # no more bins than pairs: plane by plane
+            if w > 1:
+                sums[-1] += above
+            for j in range(w - 2, 0, -1):
                 np.add(sums[j + 1], sums[j], out=sums[j])
         else:  # more bins than pairs: one long loop per pair
-            sums = np.cumsum(sums[::-1], axis=0)[::-1]
-        if not none_only:
-            costs = cdf_by_bin[lo:hi] * vals
-            costs[:-1] += sums[1:]
-            costs[-1] += carry
+            sums[-1] += above
+            np.cumsum(sums[::-1], axis=0, out=sums[::-1])
+        n_live = 0 if none_only else int(plan.live[lo])  # rows live at lo
+        if n_live:
+            end = min(hi, top)  # the bins settled
+            n = end - lo
+            costs = np.multiply(cdf_by_bin[lo:end], vals[:n],
+                                out=costs_at[:n * n_types * cols].reshape(n, n_types, cols))
+            # plus the sum over the bins above each: the next bin's sum, or
+            # above the chunk the carry
+            costs[:w - 1] += sums[1:n + 1]
+            if n == w:
+                costs[-1] += above
             costs += surcharge
-            best, pick = settle(costs)
-            probe[:, lo:hi], code[:, lo:hi] = best.T, pick.T
-        carry = sums[0]
+            if cached != (n_live, live):  # the slots' plane entries, of every row
+                cached = n_live, live       # once the plane is whole, for the none row too
+                pairs = np.empty((n_slots, n_rows if cols == plan.stride else n_live),
+                                 dtype=np.intp)
+                for p, out in enumerate(pairs):
+                    _slot_pairs(plan, p, len(out), live, out)
+                rows = slice(n_live) if plan.rows is None else plan.rows[:n_live]
+            best, pick = _settle(costs, pairs[:, :n_live], plan.codes[:, :n_live])
+            if plan.live[end - 1] < n_live:  # rows that die inside the chunk
+                dying = plan.dead[:n_live] <= plan.bins[lo:end]
+                np.putmask(best, dying, np.inf)
+                np.putmask(pick, dying, NO_ACTION)
+            probe[rows, lo:end], code[rows, lo:end] = best.T, pick.T
+        if by_plane:
+            np.add(sums[1] if w > 1 else above, sums[0], out=above)
+        else:
+            above[...] = sums[0]
+    del sums_at, costs_at, vals_by_bin, sums, vals, costs  # the chunk buffers and their views
+    # the none row: max{none, R} = R, every smaller row ever live is live,
+    # and no row is pruned; the largest levels' pairs, the largest arrays
+    # here, are built a slot at a time
     carry += surcharge  # in place: nothing reads the sums after this
-    best, pick = settle(carry[None])  # the none row: max{none, R} = R
-    probe[:, -1], code[:, -1] = best[0], pick[0]
+    if not cached or cached[1] + 1 < plan.stride:
+        out = np.empty(n_rows, dtype=np.intp)
+        pairs = (_slot_pairs(plan, p, n_rows, plan.stride - 1, out) for p in range(n_slots))
+    best, pick = _settle(carry[None], pairs, plan.codes)
+    rows = slice(None) if plan.rows is None else plan.rows
+    probe[rows, -1], code[rows, -1] = best[0], pick[0]
     return probe, code
+
+
+def _slot_pairs(plan: _ProbePlan, p: int, n_live: int, live: int, out: np.ndarray) -> np.ndarray:
+    """The plane entries, into ``out``, of slot p of the plan's first
+    ``n_live`` rows, in a plane of the bare row and the first ``live``
+    smaller rows: the rest of a slot whose set without it is not among them
+    reads the bare row's column."""
+    if not live:  # the bare row alone: the entry is the type
+        return np.subtract(plan.codes[p, :n_live], PROBE, out=out, dtype=np.intp)
+    cols = plan.columns[p, :n_live]
+    np.multiply(plan.codes[p, :n_live], live + 1, out=out, dtype=np.intp)
+    out -= PROBE * (live + 1)
+    out += cols if live + 1 == plan.stride else np.where(cols <= live, cols, 0)
+    return out
+
+
+def _settle(costs: np.ndarray, pairs: Iterable[np.ndarray],
+            codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The best probe cost and its code at every (bin, row), from costs[j,
+    pair] over the bins j: slot p of the rows reads the entries pairs[p] and
+    has the codes codes[p].  A running minimum over the slots with strict
+    ``<`` keeps the first of equal costs and never takes a NaN; where no slot
+    wins the code is NO_ACTION."""
+    costs = costs.reshape(len(costs), -1)
+    slots = zip(pairs, codes)
+    index, slot_codes = next(slots)
+    # the first slot's cost where it is below +inf, which a NaN is not
+    best = np.fmin(np.take(costs, index, axis=1), np.inf)
+    pick = np.where(best < np.inf, slot_codes, NO_ACTION)
+    for index, slot_codes in slots:
+        cost = np.take(costs, index, axis=1)
+        better = np.less(cost, best)
+        np.copyto(best, cost, where=better)
+        np.copyto(pick, slot_codes, where=better)
+    return best, pick
 
 
 def _overflow_rule(space: MultisetSpace, level: np.ndarray, capacity: int,
@@ -382,7 +519,9 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int) -> Com
     ``_none_column_only`` names is solved at its none row alone: its probe
     cost is the kernel's carried none-row sum, and its continue term gathers
     the next stage's level of that kind, or the overflow sum, which is
-    built on that column alone.
+    built on that column alone.  The probe kernel reads one plan per set
+    size, built once from the first real bin from which each type is dead
+    (``dead_bins``), and prices no state whose members are all dead.
     """
     config.validate()
     n_bins = family.n_bins
@@ -399,9 +538,11 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int) -> Com
     check_budget(entries, f"the capacity-{capacity} tables over {n_types} types, {n_bins} "
                           f"bins and {n_stages} stages")
     space = multiset_space(n_types, capacity)
-    pmf, cdf = family.pmf_matrix, family.cdf_matrix
     stop = np.append(-eta * reward_grid(n_bins), np.inf)
     rank = tuple(family.rank)
+    # the probe kernel's plan of each size, built as the sizes first come
+    plans: list[Optional[_ProbePlan]] = [None]
+    dead_from = dead_bins(family.excess_bound, eta, delta, max(1.0, eta, n_stages * tau))
 
     values: list[list[np.ndarray]] = [[] for _ in range(n_stages)]
     actions: list[list[np.ndarray]] = [[] for _ in range(n_stages)]
@@ -415,8 +556,10 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int) -> Com
             none_only = _none_column_only(k, s, capacity)
             cols = slice(n_bins, None) if none_only else slice(None)  # the columns solved
             if s >= 1:
-                probe, code = _probe_costs(values[i][s - 1][:, :n_bins], pmf, cdf, eta * delta,
-                                           *_ranked_members(space, s, rank), none_only)
+                if s == len(plans):
+                    plans.append(_probe_plan(family, space, rank, dead_from, plans[-1]))
+                probe, code = _probe_costs(values[i][s - 1][:, :n_bins], values[i][0][0, :n_bins],
+                                           eta * delta, plans[s], none_only)
             else:
                 probe = np.full((n_s, n_bins + 1), np.inf)
                 code = np.broadcast_to(np.array(NO_ACTION, dtype=action_dtype(n_types)),
@@ -427,9 +570,9 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int) -> Com
                 if s < capacity:
                     # the next level holds the same columns: the none row
                     # alone exactly when this one does
-                    cont = np.zeros(probe.shape)
-                    for t in range(n_types):
-                        cont += values[i + 1][s + 1][space.plus[s][t]]
+                    cont, following = np.zeros(probe.shape), values[i + 1][s + 1]
+                    for t in range(n_types):  # the row of {t} is t: no gather
+                        cont += following[t] if s == 0 else following[space.plus[s][t]]
                 else:
                     # built on the columns this level holds
                     cont = overflow
@@ -447,14 +590,16 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int) -> Com
             val = np.minimum(probe, stop[cols], out=probe)
             np.minimum(cont, val, out=val)
 
-            # checked as soon as solved, before any later level reads it
-            bad = np.isnan(val) | (np.isinf(val) & (act != NO_ACTION))
-            if bad.any():
-                row, b = np.argwhere(bad)[0]
-                raise NonFiniteValueError(
-                    f"value {val[row, b]} at stage {k}, multiset size {s}, row {row} "
-                    f"{tuple(space.members[s][row].tolist())}, "
-                    f"bin {range(n_bins + 1)[cols][b]}: the config overflows float arithmetic")
+            # checked as soon as solved, before any later level reads it: a
+            # NaN, or an infinity where some action is legal
+            if not np.isfinite(val).all():
+                bad = np.isnan(val) | (np.isinf(val) & (act != NO_ACTION))
+                if bad.any():
+                    row, b = np.argwhere(bad)[0]
+                    raise NonFiniteValueError(
+                        f"value {val[row, b]} at stage {k}, multiset size {s}, row {row} "
+                        f"{tuple(space.members[s][row].tolist())}, bin "
+                        f"{range(n_bins + 1)[cols][b]}: the config overflows float arithmetic")
             values[i].append(val)
             actions[i].append(act)
             if s == capacity < k:
@@ -462,6 +607,7 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int) -> Com
                 # stage earlier, which at k = c + 1 holds its none row alone
                 held = val[:, -1:] if _none_column_only(k - 1, capacity, capacity) else val
                 kept[i], overflow = _overflow_rule(space, held, capacity, rank)
+        del plans[min(k - 1, capacity) + 1:]  # sizes that no later stage reads
 
     return CompleteTables(config=config, family=family, space=space, values=values,
                           actions=actions, kept=kept)

@@ -273,20 +273,19 @@ def _move_continues(cw: np.ndarray, tables: CompleteTables, k: int, s: int, rows
     if not cw.any():
         return 0.0
     moved = float(cw.sum())
-    on = np.flatnonzero(cw.any(axis=0))
     if s == tables.capacity:
-        # to the set the overflow rule keeps, from the first column that
-        # continues: those before it would scatter zeros (all real bins of
-        # (1, 1) at c = 1)
-        cw = cw[:, on[0]:]
-        cw /= len(tables.family)
-        _add_moved(out(s), tables.kept[k][:, rows, -cw.shape[1]:], cw)
+        # to the set the overflow rule keeps, the entries that continue
+        # alone: the rest would add +0.0 to sums of masses, never -0.0
+        g, j = np.nonzero(cw)
+        _add_moved(out(s), tables.kept[k], g + rows.start, j - cw.shape[1],
+                   cw[g, j] / len(tables.family))
     else:
         # to the set with the newcomer, from the rows and the span of
         # columns that continue, into the same columns of the next level,
         # which holds the none row alone exactly when this one does:
         # plus[s][t] is injective in the row, so one += per type, in type
         # order, adds the sums np.add.at would, in the same order
+        on = np.flatnonzero(cw.any(axis=0))
         cols = slice(on[0], on[-1] + 1)
         cw, targets = cw[:, cols], tables.space.plus[s][:, rows]
         if len(cw) > 1:  # the empty set's one row moves as it is
@@ -299,19 +298,20 @@ def _move_continues(cw: np.ndarray, tables: CompleteTables, k: int, s: int, rows
     return moved
 
 
-def _add_moved(out: np.ndarray, rows: np.ndarray, mass: np.ndarray) -> None:
-    """out[rows[t, g, j], o + j] += mass[g, j] for every newcomer type t, row
-    g and column j, ``rows`` broadcasting along the columns; the offset o
-    makes the columns of ``mass`` the last ones of ``out``, so a none column
-    alone lands in the none column.  The overflow rule's rows are not
-    injective per type (every row that drops its member lands on the
-    newcomer's row), so np.add.at adds them, in the order of one pass over
-    (t, g, j), a batch of types of at most OVERFLOW_ELEMENTS entries at a
-    time."""
-    width = out.shape[1]
-    flat, cols = out.reshape(-1), np.arange(width - mass.shape[1], width)
-    for batch in row_batches(len(rows), mass.size, OVERFLOW_ELEMENTS):
-        index = rows[batch] * np.intp(width) + cols
+def _add_moved(out: np.ndarray, kept: np.ndarray, g: np.ndarray, j: np.ndarray,
+               mass: np.ndarray) -> None:
+    """out[kept[t, g[i], j[i]], j[i]] += mass[i] for every newcomer type t
+    and entry i, the columns j counted from the last (negative), so that the
+    none column lands in the none column whatever columns ``kept`` holds.
+    The overflow rule's rows are not injective per type (every row that
+    drops its member lands on the newcomer's row), so np.add.at adds them,
+    in the order of one pass over (t, i), a batch of types of at most
+    OVERFLOW_ELEMENTS entries at a time; each batch takes its kept rows from
+    the flattened (row, column) plane of its types."""
+    width, plane = out.shape[1], kept.reshape(len(kept), -1)
+    flat, at, cols = out.reshape(-1), g * kept.shape[2] + (kept.shape[2] + j), width + j
+    for batch in row_batches(len(kept), len(mass), OVERFLOW_ELEMENTS):
+        index = np.take(plane[batch], at, axis=1) * np.intp(width) + cols
         # values of the index's own shape: numpy 2.4's np.add.at adds wrong
         # sums, or crashes, when the values broadcast against the indices
         np.add.at(flat, index.ravel(), np.broadcast_to(mass, index.shape).ravel())

@@ -20,8 +20,11 @@ import logging
 import math
 import numbers
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
+
+from ._kernels import excess_bound
 
 log = logging.getLogger(__name__)
 
@@ -227,6 +230,26 @@ class OrderedFamily:
         r = np.empty(len(self.order), dtype=int)
         r[self.order] = np.arange(len(self.order))
         return r
+
+    @cached_property
+    def excess_bound(self) -> np.ndarray:
+        """An upper bound on E[(X_l - r_b)^+] at every real bin b, bins
+        leading (``_kernels.excess_bound``), built on first use: every solve
+        on the family reads it for its dead bins."""
+        bound = excess_bound(self.pmf_matrix, reward_grid(self.n_bins))
+        bound.flags.writeable = False  # shared by every caller
+        return bound
+
+    @cached_property
+    def laws_by_bin(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pmf and cdf matrices transposed, (n_bins, n_locations, 1) and
+        row-major, built on first use: the probe kernel's running sums add
+        whole (type, set) planes bin by bin."""
+        laws = tuple(np.ascontiguousarray(law.T)[:, :, None]
+                     for law in (self.pmf_matrix, self.cdf_matrix))
+        for law in laws:
+            law.flags.writeable = False  # shared by every caller
+        return laws
 
     @property
     def minimal_index(self) -> int:

@@ -24,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KERNELS = "src/relaymdp/_kernels.py"
+COMPLETE = "src/relaymdp/dp_complete.py"
 RESTRICTED = "src/relaymdp/dp_restricted.py"
 EXPERIMENTS = "src/relaymdp/experiments.py"
 SIMULATE = "src/relaymdp/simulate.py"
@@ -59,6 +60,18 @@ MUTANTS = [
      "it reaches rows that probe only at entries of zero mass, whose gathered mass is "
      "+0.0, so every moved entry keeps its value; the probe count's sum then holds more "
      "zeros, which moves it by round-off alone"),
+    ("dead bins: the margin dropped", KERNELS,
+     " - STRUCTURE_TOL * scale / eta * (1 + slack)", "", None),
+    ("dead bins: a set dead once its first member is", COMPLETE,
+     "dead = np.maximum(dead_from[types[:, 0]], dead[rests[:, 0]])",
+     "dead = np.minimum(dead_from[types[:, 0]], dead[rests[:, 0]])", None),
+    ("probe kernel: a newly live row's carry seeded with zeros", COMPLETE,
+     "carry[:, carried + 1:live + 1] = carry[:, :1]", "carry[:, carried + 1:live + 1] = 0.0",
+     None),
+    ("probe kernel: the none row pruned", COMPLETE,
+     "probe[rows, -1], code[rows, -1] = best[0], pick[0]",
+     "best[:, plan.dead == 0], pick[:, plan.dead == 0] = np.inf, NO_ACTION; "
+     "probe[rows, -1], code[rows, -1] = best[0], pick[0]", None),
     ("standard error with ddof=0", SIMULATE,
      "c.std(ddof=1)", "c.std(ddof=0)",
      "at the suite's 10,000 episodes and more the two differ by a factor below 1 + 5e-5, "

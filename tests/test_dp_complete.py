@@ -24,7 +24,8 @@ from oracles import (
     reference_states_per_stage,
 )
 from relaymdp import dp_complete, model
-from relaymdp._kernels import CONTINUE, PROBE, STOP, IllegalActionError, action_dtype
+from relaymdp._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, IllegalActionError,
+                               action_dtype, dead_bins)
 from relaymdp.dp_complete import (
     BudgetExceededError,
     MultisetSpace,
@@ -32,6 +33,7 @@ from relaymdp.dp_complete import (
     _induction,
     _overflow_rule,
     _probe_costs,
+    _probe_plan,
     _ranked_members,
     _states_per_stage,
     act_complete,
@@ -45,7 +47,7 @@ from relaymdp.dp_complete import (
 from relaymdp.dp_restricted import Action, backward_induction
 from relaymdp.experiments import complete_components
 from relaymdp.model import (ConfigError, ModelConfig, build_forwarding_region,
-                            build_ordered_family, reward_grid)
+                            build_ordered_family, order_family, reward_grid)
 
 # frozen from the policy-enumeration oracle on the 2-location / 2-bin / N=2
 # instance with eta=0.8, delta=0.05, tau=0.3
@@ -438,9 +440,10 @@ class TestReachableScale:
         assert conjectures["all_hold"] is True
         assert value <= initial_value(backward_induction(default_family, config)) + 1e-12
         # the peaks beside the tables stay within the reference config's
-        # constants: 22.5 (solve), 2.9 (sweep) and 2.1 MB (report), against
-        # 53.8, 28.2 and 60.1 MB while each read whole levels at a time; the
-        # sweep holds the float masses of two stages at a time
+        # constants: 17.6 (solve; 22.5 while the probe kernel kept a chunk's
+        # sums alive beside the next), 2.9 (sweep) and 2.1 MB (report),
+        # against 53.8, 28.2 and 60.1 MB while each read whole levels at a
+        # time; the sweep holds the float masses of two stages at a time
         held = table_bytes(tables)
         masses = [8 * sum(a.size for a in stage) for stage in tables.actions]
         del tables
@@ -451,9 +454,10 @@ class TestReachableScale:
 
     def test_allocation_peak(self, default_config, default_family):
         # deterministic memory, not timing: the reference solve at eta 10
-        # peaks at 19.7 MB with the multiset space built (23.7 MB while the
-        # probe kernel held a transposed copy of the smaller level, 85 MB
-        # when every level stored its unreachable real bins)
+        # peaks at 18.1 MB with the multiset space built (19.7 MB while the
+        # probe kernel kept a chunk's sums alive beside the next, 23.7 MB
+        # while it held a transposed copy of the smaller level, 85 MB when
+        # every level stored its unreachable real bins)
         config = default_config.with_overrides(eta=10.0)
         solve_complete(default_family, config)  # builds the cached space and slot tables
         assert traced_peak(lambda: solve_complete(default_family, config))[0] <= SOLVE_PEAK
@@ -733,6 +737,21 @@ class TestProbeKernel:
         reference's int16 targets."""
         return np.where(codes >= PROBE, codes.astype(np.intp) - PROBE, -1).astype(np.int16)
 
+    @staticmethod
+    def plans(family, space, dead_from, max_size):
+        """The kernel's plans for the sets of each size 1..max_size, None at
+        size 0, from the dead bin of each type."""
+        plans = [None]
+        for _ in range(max_size):
+            plans.append(_probe_plan(family, space, tuple(family.rank), dead_from, plans[-1]))
+        return plans
+
+    @classmethod
+    def nothing_dead(cls, tables, s):
+        """The kernel's plan for the size-s sets when no type is ever dead."""
+        return cls.plans(tables.family, tables.space, np.full(len(tables.family), tables.n_bins),
+                         s)[s]
+
     @classmethod
     def assert_levels_match(cls, family, config, capacity):
         # above capacity 1 a level of k unprobed relays at stage k is solved
@@ -744,8 +763,8 @@ class TestProbeKernel:
             for s in range(1, min(k, capacity) + 1):
                 none_only = s == k and capacity >= 2
                 smaller = tables.values[k - 1][s - 1][:, :tables.n_bins]
-                got = _probe_costs(smaller, family.pmf_matrix, family.cdf_matrix, surcharge,
-                                   *_ranked_members(space, s, rank), none_only)
+                got = _probe_costs(smaller, tables.values[k - 1][0][0, :tables.n_bins],
+                                   surcharge, cls.nothing_dead(tables, s), none_only)
                 want = reference_probe_costs(smaller, family, surcharge, space, s)
                 if none_only:
                     want = tuple(w[:, tables.n_bins:] for w in want)
@@ -790,8 +809,8 @@ class TestProbeKernel:
 
         with monkeypatch.context() as patch:
             patch.setattr(dp_complete.np, "cumsum", counted)
-            got = _probe_costs(smaller, family.pmf_matrix, family.cdf_matrix, surcharge,
-                               *_ranked_members(tables.space, s, tuple(family.rank)), none_only)
+            got = _probe_costs(smaller, tables.values[k - 1][0][0, :n_bins], surcharge,
+                               cls.nothing_dead(tables, s), none_only)
         assert len(calls) == cumsums
         want = reference_probe_costs(smaller, family, surcharge, tables.space, s)
         want = tuple(w[:, -tables.values[k - 1][s].shape[1]:] for w in want)
@@ -837,6 +856,89 @@ class TestProbeKernel:
         assert tables.values[1][2].shape[1] == 1 and 3 * 3 < 40
         self.assert_regime(monkeypatch, tables, 2, 2, True, cumsums=1)
 
+    @staticmethod
+    def dead_rows(tables):
+        """The first real bin from which every member of a set is dead, of
+        the sets of each size, worked out from the members: 0 for the empty
+        set."""
+        config, family = tables.config, tables.family
+        first = dead_bins(family.excess_bound, config.eta, config.delta,
+                          max(1.0, config.eta, config.n_relays * config.tau))
+        return [np.zeros(1, dtype=int)] + [first[m].max(axis=1).astype(int)
+                                           for m in tables.space.members[1:]]
+
+    @classmethod
+    def assert_dead_states_hold_the_bare_row(cls, tables):
+        """Every real-bin state whose members are all dead holds the value
+        and the code of the stage's size-0 row, bitwise; returns how many."""
+        dead, n_bins, checked = cls.dead_rows(tables), tables.n_bins, 0
+        for k, (values, actions) in enumerate(zip(tables.values, tables.actions), start=1):
+            for s in range(1, len(values)):
+                val, act = values[s][:, :n_bins], actions[s][:, :n_bins]
+                if values[s].shape[1] == 1:  # the none row alone
+                    continue
+                pruned = np.arange(n_bins) >= dead[s][:, None]
+                bare_val = np.broadcast_to(values[0][0, :n_bins], val.shape)[pruned]
+                bare_act = np.broadcast_to(actions[0][0, :n_bins], act.shape)[pruned]
+                assert val[pruned].tobytes() == bare_val.tobytes(), (k, s)
+                assert act[pruned].tobytes() == bare_act.tobytes(), (k, s)
+                checked += int(pruned.sum())
+        return checked
+
+    @pytest.mark.parametrize("delta", [0.1, 0.01])
+    @pytest.mark.parametrize("capacity", [1, 5])
+    def test_states_whose_members_are_all_dead_hold_the_bare_row(
+            self, default_config, default_family, capacity, delta):
+        # the reference config at eta 10: the kernel leaves these states
+        # unscanned, and carries the bare row's sums into them
+        tables = _induction(default_family, default_config.with_overrides(eta=10.0, delta=delta),
+                            capacity)
+        assert self.assert_dead_states_hold_the_bare_row(tables) > 0
+
+    def test_states_whose_members_are_all_dead_hold_the_bare_row_on_a_toy(self):
+        # three laws on 8 bins, each dominating the one before, at capacity 2
+        pmf = [[.4, .3, .2, .1, 0, 0, 0, 0], [.1, .2, .2, .2, .1, .1, .1, 0],
+               [0, .05, .1, .15, .2, .2, .15, .15]]
+        family = order_family(np.array(pmf), np.array([1.0, 2.0, 3.0]))
+        config = ModelConfig(n_locations=3, n_reward_bins=8, n_relays=4, eta=4.0,
+                             delta=0.08, tau=0.1).validate()
+        tables = _induction(family, config, 2)
+        assert self.assert_dead_states_hold_the_bare_row(tables) > 0
+
+    @pytest.mark.parametrize("capacity", [1, 2, 4])
+    @pytest.mark.parametrize("batch", [dp_complete.BATCH_ELEMENTS, 40])
+    def test_pruned_costs_equal_the_reference_wherever_a_member_lives(
+            self, monkeypatch, capacity, batch):
+        # a batch of 40 floats cuts the levels from size 2 up into one-bin
+        # chunks, so smaller rows become live chunk by chunk
+        monkeypatch.setattr(dp_complete, "BATCH_ELEMENTS", batch)
+        config, family = small_instance(6, 12, 4, eta=10.0, delta=0.1)
+        tables = _induction(family, config, capacity)
+        space, n_bins = tables.space, tables.n_bins
+        dead = self.dead_rows(tables)
+        first = dead_bins(family.excess_bound, config.eta, config.delta,
+                          max(1.0, config.eta, config.n_relays * config.tau))
+        plans = self.plans(family, space, first, capacity)
+        surcharge, pruned = config.eta * config.delta, 0
+        for k in range(1, config.n_relays + 1):
+            for s in range(1, min(k, capacity) + 1):
+                none_only = s == k and capacity >= 2
+                smaller = tables.values[k - 1][s - 1][:, :n_bins]
+                got = _probe_costs(smaller, tables.values[k - 1][0][0, :n_bins], surcharge,
+                                   plans[s], none_only)
+                want = reference_probe_costs(smaller, family, surcharge, space, s)
+                # a member lives at a real bin below its set's dead bin, and
+                # at the none row, which is never pruned
+                lives = np.arange(n_bins + 1) < dead[s][:, None]
+                lives[:, -1] = True
+                if none_only:
+                    want, lives = tuple(w[:, n_bins:] for w in want), lives[:, n_bins:]
+                assert got[0][lives].tobytes() == want[0][lives].tobytes(), (k, s)
+                assert self.decoded(got[1])[lives].tobytes() == want[1][lives].tobytes(), (k, s)
+                assert np.isposinf(got[0][~lives]).all() and (got[1][~lives] == NO_ACTION).all()
+                pruned += int((~lives).sum())
+        assert pruned > 0
+
     def test_non_finite_inputs_behave_as_the_reference(self):
         config, family = small_instance(4, 12, 3, eta=2.0, delta=0.05)
         tables = solve_complete(family, config)
@@ -847,8 +949,8 @@ class TestProbeKernel:
         with np.errstate(invalid="ignore"):
             want = reference_probe_costs(smaller, family, 0.1, space, 2)
             for none_only in (False, True):
-                got = _probe_costs(smaller, family.pmf_matrix, family.cdf_matrix, 0.1,
-                                   *_ranked_members(space, 2, rank), none_only)
+                got = _probe_costs(smaller, tables.values[1][0][0, :tables.n_bins], 0.1,
+                                   self.nothing_dead(tables, 2), none_only)
                 cols = slice(tables.n_bins if none_only else 0, None)
                 assert got[0].tobytes() == want[0][:, cols].tobytes()
                 assert self.decoded(got[1]).tobytes() == want[1][:, cols].tobytes()

@@ -25,7 +25,7 @@ from relaymdp import (
 )
 from relaymdp._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, Decision, decision_of,
                                resolve_actions)
-from relaymdp.dp_complete import (_induction, _probe_costs, _ranked_members, act_complete,
+from relaymdp.dp_complete import (_induction, _probe_costs, _probe_plan, act_complete,
                                   initial_value, solve_complete)
 from relaymdp.dp_restricted import (
     Action,
@@ -429,13 +429,13 @@ class TestWideFamilies:
         config, family = small_instance(200, 12, 3, eta=4.0, delta=0.02)
         tables = backward_induction(family, config)
         surcharge = config.eta * config.delta
-        ranked = _ranked_members(tables.space, 1, tuple(family.rank))
+        nothing_dead = _probe_plan(family, tables.space, tuple(family.rank),
+                                   np.full(len(family), tables.n_bins), None)
         probed = set()
         for k in range(config.n_relays):
             assert [a.dtype for a in tables.actions[k]] == [np.int16, np.int16]
             smaller = tables.values[k][0][:, :tables.n_bins]
-            chosen = _probe_costs(smaller, family.pmf_matrix, family.cdf_matrix, surcharge,
-                                  *ranked)[1]
+            chosen = _probe_costs(smaller, smaller[0], surcharge, nothing_dead, False)[1]
             want = reference_probe_costs(smaller, family, surcharge, tables.space, 1)[1]
             codes = tables.actions[k][1]
             probing = codes >= PROBE
