@@ -83,14 +83,17 @@ def resolve_actions(stop, probe, probe_code, cont) -> np.ndarray:
     of the stopping and probing sets: stop iff ``stop <= min(probe, cont) +
     TIE_TOL``; otherwise probe iff ``probe <= cont + TIE_TOL``; otherwise
     continue.  An action that is unavailable costs +inf, and a state where all
-    three are +inf gets NO_ACTION.  Arguments broadcast against each other;
-    the table takes the dtype of ``probe_code``.
+    three are +inf, so that their minimum is, gets NO_ACTION; a NaN cost
+    makes that minimum NaN, so it never reads as NO_ACTION.  Arguments
+    broadcast against each other; the table takes the dtype of
+    ``probe_code``.
     """
     shape = np.broadcast_shapes(*map(np.shape, (stop, probe, probe_code, cont)))
     act = np.full(shape, CONTINUE, dtype=probe_code.dtype)
     np.copyto(act, probe_code, where=probe <= cont + TIE_TOL)
-    np.copyto(act, STOP, where=stop <= np.minimum(probe, cont) + TIE_TOL)
-    np.copyto(act, NO_ACTION, where=np.isposinf(stop) & np.isposinf(probe) & np.isposinf(cont))
+    low = np.minimum(probe, cont)
+    np.copyto(act, STOP, where=stop <= low + TIE_TOL)
+    np.copyto(act, NO_ACTION, where=np.minimum(stop, low) == np.inf)
     return act
 
 

@@ -30,16 +30,12 @@ from .model import (BudgetExceededError, ModelConfig, OrderedFamily, _shown,  # 
 # Float entries of one batch: a chunk of bins of the probe kernel's (type,
 # smaller row) expectations, where small levels take all bins at once and the
 # largest (which set the peak memory) one bin at a time; and, cut by
-# ``row_batches``, a batch of a level's rows in the tie rule, in the forward
-# sweep's one pass per level, of probe targets or reached rows in its probe
-# move, and of rows in the conjecture report, sized there for eight
-# temporaries.
+# ``row_batches``, a batch of a level's rows in the tie rule, of newcomer
+# types in the overflow rule (at capacity 1, 20 types take one batch up to
+# 654 bins), in the forward sweep's one pass per level, of probe targets or
+# reached rows in its probe move, and of rows in the conjecture report, sized
+# there for eight temporaries.
 BATCH_ELEMENTS = 1 << 18
-# Entries of one batch of newcomer types in the overflow rule and in the
-# forward sweep's continue move (64 KB): below glibc's smallest mmap
-# threshold, so that the many small builds and sweeps of a calibration reuse
-# heap pages instead of faulting in fresh mapped ones.
-OVERFLOW_ELEMENTS = 1 << 13
 
 
 class NonFiniteValueError(ValueError):
@@ -470,33 +466,43 @@ def _settle(costs: np.ndarray, pairs: Iterable[np.ndarray],
     return best, pick
 
 
-def _overflow_rule(space: MultisetSpace, level: np.ndarray, capacity: int,
-                   rank: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The overflow rule on the columns of a solved full level (size c =
-    ``capacity``) that wake-ups enter: when a relay of type t wakes beside
-    the awake set of row g at best reward b, the newcomer is dropped unless
-    dropping a member leaves a strictly smaller value, and of members that
-    tie, the one of lowest ``rank`` is.  Returns kept[t, g, b], the row of the
-    set kept, and the sum over t of its value in type order."""
-    dtype = np.min_scalar_type(len(level))
-    # swaps[t, g, p]: the row of g with its p-th member, taken from the lowest
-    # rank up, replaced by t
+def _overflow_swaps(space: MultisetSpace, capacity: int,
+                    rank: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(swaps, own) of the full sets, size c = ``capacity``, which every
+    stage's ``_overflow_rule`` reads, built once per solve: swaps[t, g, p] is
+    the row of g with its p-th member, taken from the lowest ``rank`` up,
+    replaced by t, and own[g, 0] is g, in the smallest dtype that holds a
+    row."""
     rests = _ranked_members(space, capacity, rank)[1]
+    dtype = np.min_scalar_type(len(rests))
     swaps = space.plus[capacity - 1][:, rests].astype(dtype)
-    own = np.arange(len(level), dtype=dtype)[:, None]
-    kept = np.empty(swaps.shape[:2] + level.shape[1:], dtype=dtype)
+    return swaps, np.arange(len(rests), dtype=dtype)[:, None]
+
+
+def _overflow_rule(level: np.ndarray, swaps: np.ndarray,
+                   own: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The overflow rule on the columns of a solved full level that wake-ups
+    enter, with the full sets' ``_overflow_swaps``: when a relay of type t
+    wakes beside the awake set of row g at best reward b, the newcomer is
+    dropped unless dropping a member leaves a strictly smaller value, and of
+    members that tie, the one of lowest rank is.  Returns kept[t, g, b], the
+    row of the set kept, and the sum over t of its value in type order."""
+    kept = np.empty(swaps.shape[:2] + level.shape[1:], dtype=swaps.dtype)
     total = np.zeros(level.shape)
-    # a batch of newcomer types at a time, to keep temporaries small
-    for newcomers in row_batches(len(kept), level.size, OVERFLOW_ELEMENTS):
+    # a batch of newcomer types at a time, to keep temporaries small: at
+    # capacity 1 all T types fit one batch while T * T * (n_bins + 1) does
+    for newcomers in row_batches(len(kept), level.size, BATCH_ELEMENTS):
         # the best swap and its row, a later member winning only if strictly smaller
         batch = swaps[newcomers]
         best, rows = np.take(level, batch[..., 0], axis=0), batch[..., :1]
-        for p in range(1, capacity):
+        for p in range(1, swaps.shape[2]):
             swapped = np.take(level, batch[..., p], axis=0)
             better = np.less(swapped, best)
             np.copyto(best, swapped, where=better)
             rows = np.where(better, batch[..., p:p + 1], rows)
-        kept[newcomers] = np.where(best < level, rows, own)
+        # np.where(best < level, rows, own), written in place
+        np.copyto(kept[newcomers], own)
+        np.copyto(kept[newcomers], rows, where=best < level)
         # the kept set's value, but for the sign of a zero, which a sum
         # started from +0.0 never shows
         for value in np.minimum(best, level, out=best):
@@ -548,6 +554,7 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int) -> Com
     actions: list[list[np.ndarray]] = [[] for _ in range(n_stages)]
     kept: list[Optional[np.ndarray]] = [None] * n_stages
     overflow = None  # the summed kept values of the full level solved last
+    swaps = _overflow_swaps(space, capacity, rank) if capacity < n_stages else None
 
     for k in range(n_stages, 0, -1):
         i = k - 1
@@ -606,7 +613,7 @@ def _induction(family: OrderedFamily, config: ModelConfig, capacity: int) -> Com
                 # a wake-up overflows into stage k from the full level a
                 # stage earlier, which at k = c + 1 holds its none row alone
                 held = val[:, -1:] if _none_column_only(k - 1, capacity, capacity) else val
-                kept[i], overflow = _overflow_rule(space, held, capacity, rank)
+                kept[i], overflow = _overflow_rule(held, *swaps)
         del plans[min(k - 1, capacity) + 1:]  # sizes that no later stage reads
 
     return CompleteTables(config=config, family=family, space=space, values=values,

@@ -31,7 +31,8 @@ import numpy as np
 
 from ._kernels import (CONTINUE, NO_ACTION, PROBE, STOP, STRUCTURE_TOL, Action, expect_over_max,
                        resolve_actions)
-from .dp_complete import CompleteTables, _induction, _overflow_rule, act_complete
+from .dp_complete import (CompleteTables, _induction, _overflow_rule, _overflow_swaps,
+                          act_complete)
 from .model import ModelConfig, OrderedFamily, reward_grid
 
 
@@ -79,9 +80,9 @@ class RestrictedTables(CompleteTables):
         stages 2..N, rebuilt from the values for check (i)."""
         n, tau, rank = len(self.family), self.config.tau, tuple(self.family.rank)
         cc_b, cc_bf = np.full(self.j_b.shape, np.inf), np.full(self.j_bf.shape, np.inf)
-        kept = []
+        kept, swaps = [], _overflow_swaps(self.space, 1, rank)
         for i, level in enumerate(lv[1] for lv in self.values[1:]):
-            rows, total = _overflow_rule(self.space, level, 1, rank)
+            rows, total = _overflow_rule(level, *swaps)
             kept.append(rows)
             cc_b[i] = sum(level, 0.0) / n + tau
             cc_bf[i] = (total / n + tau).T

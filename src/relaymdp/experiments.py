@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from ._kernels import (CONTINUE, PROBE, STOP, STRUCTURE_TOL, illegal_action, legal_actions,
                        row_batches)
-from .dp_complete import (BATCH_ELEMENTS, OVERFLOW_ELEMENTS, CompleteTables,
-                          NonFiniteValueError, _ranked_members, initial_value, solve_complete)
+from .dp_complete import (BATCH_ELEMENTS, CompleteTables, NonFiniteValueError, _ranked_members,
+                          initial_value, solve_complete)
 from .dp_restricted import RestrictedTables, backward_induction, extract_thresholds
 from .model import (
     BudgetExceededError,
@@ -42,6 +42,16 @@ from .model import (
 from .simulate import Estimates, check_episode_count, check_seed, monte_carlo, probe_first_levels
 
 POLICY_NAMES = ("rst", "glb", "first")
+# Entries of one batch of newcomer types in the forward sweep's overflow
+# continue move, ``_add_moved`` (64 KB), so that the sweeps of a calibration
+# reuse heap pages more than with BATCH_ELEMENTS, which at 400 bins holds all
+# 20 types of a 4,688-entry move (0.75 MB of indices) in one batch.  Measured
+# by ru_minflt per CLI ``calibrate`` op at 400 bins: in a process that runs
+# verify, solve-restricted and calibrate in turn, about 525 fresh pages with
+# this size and 1,200 with BATCH_ELEMENTS; in a process that runs calibrate
+# alone, about 10 with either, once the capacity-1 overflow rule's 1.3 MB
+# temporaries have raised glibc's mmap threshold in its first solve.
+OVERFLOW_ELEMENTS = 1 << 13
 
 
 def policy_levels(name: str, family: OrderedFamily, config: ModelConfig) -> CompleteTables:

@@ -2,12 +2,13 @@
 estimation.
 
 An episode pre-draws all randomness (renewal wake-up times, i.i.d. uniform
-locations, one latent reward bin per relay under the quasi-static channel).
-``sample_episode`` draws a block of episodes and ``run_policy`` replays every
-episode of a block at once against a policy's action tables, the stage-by-size
-levels of the capacity-c induction of ``dp_complete``; a relay's bin is
-revealed only when it is probed, and a wake-up past the policy's capacity (one
-unprobed relay for the restricted class) drops a relay by the overflow rule.
+locations, one uniform per relay that fixes its latent reward bin under the
+quasi-static channel).  ``sample_episode`` draws a block of episodes and
+``run_policy`` replays every episode of a block at once against a policy's
+action tables, the stage-by-size levels of the capacity-c induction of
+``dp_complete``; a relay's bin is found from its uniform only when it is
+probed, and a wake-up past the policy's capacity (one unprobed relay for the
+restricted class) drops a relay by the overflow rule.
 Rewards are sampled as bins of the quantized pmf, so the simulator and the
 solvers share one probability space and agreement with the
 dynamic-programming values is an exact check up to sampling error.
@@ -40,15 +41,43 @@ from .dp_restricted import act
 EPISODES_PER_BLOCK = 4096
 
 
+def bins_of(cdf_matrix: np.ndarray, locations: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The reward bin of each uniform ``u`` at its location: how many of the
+    first n_bins - 1 entries of the location's row of ``cdf_matrix`` lie at or
+    below u (the top bin takes the rest), for arrays of any one shape.
+
+    A cdf is nondecreasing, so a binary search over that row of the flattened
+    matrix counts them exactly, the count lying in [at, at + span] - start."""
+    n_bins = cdf_matrix.shape[1]
+    start = np.multiply(locations, n_bins, dtype=np.intp)
+    at = start.copy()
+    span = n_bins - 1
+    cdf = cdf_matrix.ravel()
+    while span > 1:
+        half = span // 2
+        at += half * (cdf[at + (half - 1)] <= u)
+        span -= half
+    at += cdf[at] <= u
+    return at - start
+
+
 @dataclass(frozen=True)
 class EpisodeBlock:
     """Realizations of the forwarding situation, one row per episode: wake-up
-    times W_1..W_N, location indices, and the latent reward bin of each relay
-    (revealed at most once, on probing)."""
+    times W_1..W_N, location indices, and the uniform of each relay that fixes
+    its latent reward bin under the locations' ``cdf_matrix`` (revealed at
+    most once, on probing)."""
 
     wake_times: np.ndarray
     locations: np.ndarray
-    reward_bins: np.ndarray
+    uniforms: np.ndarray
+    cdf_matrix: np.ndarray
+
+    @property
+    def reward_bins(self) -> np.ndarray:
+        """The latent bin of every relay, computed on each read by ``bins_of``,
+        the function that reveals one on probing."""
+        return bins_of(self.cdf_matrix, self.locations, self.uniforms)
 
     def __len__(self) -> int:
         return len(self.wake_times)
@@ -56,7 +85,7 @@ class EpisodeBlock:
     def head(self, count: int) -> "EpisodeBlock":
         """The first ``count`` episodes (views)."""
         return EpisodeBlock(self.wake_times[:count], self.locations[:count],
-                            self.reward_bins[:count])
+                            self.uniforms[:count], self.cdf_matrix)
 
 
 @dataclass(frozen=True)
@@ -119,7 +148,8 @@ def sample_episode(
     family: OrderedFamily, config: ModelConfig, rng: np.random.Generator
 ) -> EpisodeBlock:
     """Draw one block of EPISODES_PER_BLOCK episodes: all renewal wake-ups,
-    then all uniform locations, then all uniforms that fix the latent bins."""
+    then all uniform locations, then all uniforms that fix the latent bins,
+    which the block keeps as drawn."""
     shape = (EPISODES_PER_BLOCK, config.n_relays)
     if config.wakeup_law == "deterministic":
         inter = np.full(shape, config.tau)
@@ -127,22 +157,8 @@ def sample_episode(
         inter = rng.exponential(config.tau, size=shape)
     locations = rng.integers(len(family), size=shape)
     u = rng.random(shape)
-    # the bin of each draw: how many of the first n_bins - 1 entries of its
-    # location's cdf lie at or below u (the top bin takes the rest); a cdf is
-    # nondecreasing, so a binary search over that row of the flattened
-    # matrix counts them exactly, the count lying in [at, at + span] - start
-    start = locations * family.n_bins
-    at = start.copy()
-    span = family.n_bins - 1
-    cdf = family.cdf_matrix.ravel()
-    while span > 1:
-        half = span // 2
-        at += half * (cdf[at + (half - 1)] <= u)
-        span -= half
-    at += cdf[at] <= u
-    bins = at - start
     return EpisodeBlock(wake_times=np.cumsum(inter, axis=1), locations=locations,
-                        reward_bins=bins)
+                        uniforms=u, cdf_matrix=family.cdf_matrix)
 
 
 def probe_first_levels(family: OrderedFamily, config: ModelConfig) -> CompleteTables:
@@ -173,20 +189,25 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
     Stage by stage, each live episode reads its action at (stage, best,
     awake multiset), largest multisets first, so an episode that probes is
     asked again at the next smaller size in the same pass.  A probe costs one
-    probe count and reveals the pre-drawn bin of the first-woken awake relay
-    of the target type; a stop at stage k yields delay W_k; a continue wakes
-    the next relay once the pass is over, and past the capacity the overflow
-    rule drops the newcomer or the first-woken relay of the dropped type.
+    probe count and fixes, by ``bins_of`` on its uniform, the bin of the
+    first-woken awake relay of the target type, the only relays whose bins
+    are found; a stop at stage k yields delay W_k; a continue wakes the next
+    relay once the pass is over, and past the capacity the overflow rule
+    drops the newcomer or the first-woken relay of the dropped type.  Only
+    the episodes that probe look for an awake relay of the probed type.
     Illegal actions (stop with nothing probed, a probe target that is not
     awake, continue at the last stage, NO_ACTION) raise IllegalActionError
     naming the state of the first offending episode.
     """
     space, capacity, rank = levels.space, levels.capacity, tuple(levels.family.rank)
-    loc, bins = block.locations, block.reward_bins
+    loc, uniforms, cdf = block.locations, block.uniforms, block.cdf_matrix
     n, n_stages = loc.shape
+    # the member sums of the full sets, which name the type an overflow drops
+    sums = space.members[capacity].sum(axis=1) if capacity < n_stages else None
 
-    awake = np.zeros((n, n_stages), dtype=bool)  # woken, unprobed relays
-    awake[:, 0] = True
+    # the type of each woken, unprobed relay, -1 for the others
+    awake = np.full((n, n_stages), -1, dtype=np.intp)
+    awake[:, 0] = loc[:, 0]
     size = np.ones(n, dtype=np.intp)
     row = loc[:, 0].astype(np.intp)  # multisets of size 1 are ordered by type
     best = np.full(n, -1, dtype=np.intp)  # nothing probed: the none column, -1, of a level
@@ -202,32 +223,34 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
                 continue
             g, b = row[at], best[at]
             code = levels.actions[k - 1][s][g, b]
-            # the awake relays of the probed type (none for other codes)
-            match = awake[at] & (loc[at] == (code.astype(np.intp) - PROBE)[:, None])
-            legal = legal_actions(code, match.any(axis=1), b >= 0, k == n_stages)
+            # probe evidence, read for the episodes that probe alone: the
+            # first-woken awake relay of the probed type, if one is awake
+            probing = np.flatnonzero(code >= PROBE)
+            e, t = at[probing], code[probing].astype(np.intp) - PROBE
+            pick = (awake[e] == t[:, None]).argmax(axis=1)
+            held = np.zeros(at.size, dtype=bool)
+            held[probing] = awake[e, pick] == t
+            legal = legal_actions(code, held, b >= 0, k == n_stages)
             if not legal.all():
                 i = int(np.argmin(legal))
                 raise illegal_action(
                     code[i], f"(stage {k}, episode {at[i]}, best={None if b[i] < 0 else b[i]}, "
-                    f"awake types {tuple(loc[at[i]][awake[at[i]]].tolist())})")
+                    f"awake types {tuple(awake[at[i]][awake[at[i]] >= 0].tolist())})")
 
             stops = at[code == STOP]
             live[stops] = False
             stop_stage[stops] = k
             going[at[code == CONTINUE]] = True
 
-            probing = code >= PROBE
-            if probing.any():
-                e = at[probing]
-                pick = match[probing].argmax(axis=1)  # the first-woken relay of that type
-                awake[e, pick] = False
-                revealed = bins[e, pick]
-                best[e] = np.maximum(best[e], revealed)
+            if e.size:
+                awake[e, pick] = -1
+                # its bin, fixed now that it is probed
+                best[e] = np.maximum(best[e], bins_of(cdf, t, uniforms[e, pick]))
                 probes[e] += 1
                 # the row of the set left, the solve's rest at a slot of the
                 # probed type: equal members leave the same rest
                 types, rests = _ranked_members(space, s, rank)
-                g, t = g[probing], loc[e, pick]
+                g = g[probing]
                 row[e] = rests[g, (types[g] == t[:, None]).argmax(axis=1)]
                 size[e] = s - 1
 
@@ -238,21 +261,22 @@ def run_policy(block: EpisodeBlock, levels: CompleteTables) -> Outcomes:
         t, g, sizes = loc[e, k], row[e], size[e]
         for s in range(min(k + 1, capacity)):
             grow = sizes == s
-            row[e[grow]] = space.plus[s][t[grow], g[grow]]
-            size[e[grow]] = s + 1
-            awake[e[grow], k] = True
-        full = sizes == capacity
-        if full.any():
+            eg = e[grow]
+            row[eg] = space.plus[s][t[grow], g[grow]]
+            size[eg] = s + 1
+            awake[eg, k] = t[grow]
+        full = np.flatnonzero(sizes == capacity)
+        if full.size:
             e, t, g = e[full], t[full], g[full]
             kept = levels.kept[k][t, g, best[e]]
-            swap = kept != g  # else the newcomer is dropped
-            e, t, g, kept = e[swap], t[swap], g[swap], kept[swap]
-            # the type dropped: the members of g and t, less those kept
-            sums = space.members[capacity].sum(axis=1)
+            # the type dropped: the members of g and t, less those kept; the
+            # newcomer exactly where the kept set is g
             dropped = sums[g] + t - sums[kept]
-            awake[e, (awake[e] & (loc[e] == dropped[:, None])).argmax(axis=1)] = False
-            awake[e, k] = True
-            row[e] = kept
+            swap = np.flatnonzero(dropped != t)
+            e, dropped = e[swap], dropped[swap]
+            awake[e, (awake[e] == dropped[:, None]).argmax(axis=1)] = -1
+            awake[e, k] = t[swap]
+            row[e] = kept[swap]
 
     reward = reward_grid(levels.n_bins)[best]
     delay = block.wake_times[np.arange(n), stop_stage - 1]

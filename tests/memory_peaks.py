@@ -16,8 +16,10 @@ with 5, 6 and 7 relays, one line per relay count gives, in bytes:
 - op: the largest of solve, tables + sweep and tables + report, the three
   phases that CLI ``solve-complete`` runs.
 
-Seven relays hold about 280 MB of tables and peak near 0.5 GB.  The
-allocation tests read their peaks through ``traced_peak`` and
+Seven relays hold about 280 MB of tables and peak near 0.5 GB.  One last
+line gives, at 5 relays, the peak of ``monte_carlo`` over 10,000 episodes
+under seed 1 for the rst, glb and first levels, above the levels it reads.
+The allocation tests read their peaks through ``traced_peak`` and
 ``table_bytes``.
 """
 import gc
@@ -25,9 +27,12 @@ import tracemalloc
 
 from relaymdp import ModelConfig, build_forwarding_region, build_ordered_family
 from relaymdp.dp_complete import solve_complete, verify_complete_conjectures
-from relaymdp.experiments import complete_components
+from relaymdp.experiments import complete_components, policy_levels
+from relaymdp.simulate import monte_carlo
 
 RELAYS = (5, 6, 7)
+POLICIES = ("rst", "glb", "first")
+EPISODES, SEED = 10_000, 1
 
 
 def traced_peak(call) -> tuple[int, object]:
@@ -59,10 +64,22 @@ def peaks(n_relays: int) -> dict:
             "op": max(solve, held + sweep, held + report)}
 
 
+def monte_carlo_peaks() -> dict:
+    config = ModelConfig(eta=10.0, delta=0.1).validate()
+    family = build_ordered_family(build_forwarding_region(config), config)
+    peaks = {}
+    for policy in POLICIES:
+        levels = policy_levels(policy, family, config)
+        peaks[policy] = traced_peak(lambda: monte_carlo(levels, EPISODES, SEED))[0]
+    return peaks
+
+
 def main() -> None:
     for n_relays in RELAYS:
         line = " ".join(f"{key} {value:,}" for key, value in peaks(n_relays).items())
         print(f"relays {n_relays}: {line}", flush=True)
+    line = " ".join(f"{key} {value:,}" for key, value in monte_carlo_peaks().items())
+    print(f"monte-carlo {EPISODES:,}: {line}", flush=True)
 
 
 if __name__ == "__main__":

@@ -72,6 +72,15 @@ MUTANTS = [
      "probe[rows, -1], code[rows, -1] = best[0], pick[0]",
      "best[:, plan.dead == 0], pick[:, plan.dead == 0] = np.inf, NO_ACTION; "
      "probe[rows, -1], code[rows, -1] = best[0], pick[0]", None),
+    ("replay: the revealed bin read from the episode's first relay", SIMULATE,
+     "bins_of(cdf, t, uniforms[e, pick])", "bins_of(cdf, loc[e, 0], uniforms[e, 0])", None),
+    ("lazy inversion: the last step dropped", SIMULATE,
+     "    at += cdf[at] <= u\n", "", None),
+    ("replay: probe legality ignores the awake set", SIMULATE,
+     "held[probing] = awake[e, pick] == t", "held[probing] = True", None),
+    ("overflow rule: the newcomer kept on a tie", COMPLETE,
+     "np.copyto(kept[newcomers], rows, where=best < level)",
+     "np.copyto(kept[newcomers], rows, where=best <= level)", None),
     ("standard error with ddof=0", SIMULATE,
      "c.std(ddof=1)", "c.std(ddof=0)",
      "at the suite's 10,000 episodes and more the two differ by a factor below 1 + 5e-5, "

@@ -425,11 +425,17 @@ def reference_run_policy(block, index, levels):
     "repeat" when the awake relays ever held two of one type and "swap" when
     an overflow dropped an awake relay in place of the newcomer.
     """
+    import numpy as np
+
     from relaymdp import Action, IllegalActionError, act_complete
     from relaymdp.model import reward_grid
 
     locations = block.locations[index].tolist()
-    bins = block.reward_bins[index].tolist()
+    # each relay's latent bin, counted apart from the engine's ``bins_of``:
+    # the entries of its location's cdf at or below its uniform, the top bin
+    # taking the rest
+    cdf, u = block.cdf_matrix[block.locations[index]], block.uniforms[index]
+    bins = np.minimum((cdf <= u[:, None]).sum(axis=1), levels.n_bins - 1).tolist()
     wake_times = block.wake_times[index].tolist()
     n_relays = len(locations)
     events = set()

@@ -32,6 +32,7 @@ from relaymdp.dp_complete import (
     UnreachableStateError,
     _induction,
     _overflow_rule,
+    _overflow_swaps,
     _probe_costs,
     _probe_plan,
     _ranked_members,
@@ -688,11 +689,11 @@ class TestRankedMembers:
 
 class TestOverflowRule:
     @pytest.mark.parametrize("capacity", [1, 2, 3])
-    @pytest.mark.parametrize("batch", [dp_complete.OVERFLOW_ELEMENTS, 60])
+    @pytest.mark.parametrize("batch", [dp_complete.BATCH_ELEMENTS, 60])
     def test_kept_table_follows_the_rule_state_by_state(self, monkeypatch, capacity, batch):
         # a batch of 60 entries splits the 4 newcomer types into batches of
         # at most two
-        monkeypatch.setattr(dp_complete, "OVERFLOW_ELEMENTS", batch)
+        monkeypatch.setattr(dp_complete, "BATCH_ELEMENTS", batch)
         config, family = small_instance(4, 6, 4, eta=6.0, delta=0.05)
         tables = _induction(family, config, capacity)
         swapped = 0
@@ -722,8 +723,8 @@ class TestOverflowRule:
             total = np.zeros((len(level), len(held)))
             for t in range(len(family)):
                 total += level[tables.kept[k][t], held]
-            kept, got = _overflow_rule(tables.space, level[:, held], capacity,
-                                       tuple(family.rank))
+            kept, got = _overflow_rule(level[:, held], *_overflow_swaps(
+                tables.space, capacity, tuple(family.rank)))
             assert np.array_equal(kept, tables.kept[k]), k
             assert got.tobytes() == total.tobytes(), k
 

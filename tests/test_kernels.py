@@ -62,7 +62,17 @@ def test_illegal_action_names_the_action(code, message):
     ((0.5, 0.25 + TIE_TOL / 2, 0.25), PROBE + 3),
     ((0.5, 0.25 + 2 * TIE_TOL, 0.25), CONTINUE),
     ((np.inf, np.inf, np.inf), NO_ACTION),
-], ids=["all-equal", "probe-equals-continue", "probe-within-tol", "probe-past-tol", "none"])
+    # a NaN beside +infs is never NO_ACTION: it fails every comparison
+    ((np.nan, np.inf, np.inf), PROBE + 3),
+    ((np.inf, np.nan, np.inf), CONTINUE),
+    ((np.inf, np.inf, np.nan), CONTINUE),
+    # nor is a -inf: the action it costs wins
+    ((-np.inf, np.inf, np.inf), STOP),
+    ((np.inf, -np.inf, np.inf), PROBE + 3),
+    ((np.inf, np.inf, -np.inf), CONTINUE),
+], ids=["all-equal", "probe-equals-continue", "probe-within-tol", "probe-past-tol", "none",
+        "nan-stop", "nan-probe", "nan-continue", "neg-inf-stop", "neg-inf-probe",
+        "neg-inf-continue"])
 def test_tie_rule(costs, code):
     stop, probe, cont = (np.array([c]) for c in costs)
     act = resolve_actions(stop, probe, np.array([PROBE + 3], dtype=np.int8), cont)

@@ -42,6 +42,7 @@ class TestSampling:
         assert len(block) == EPISODES_PER_BLOCK
         assert block.wake_times.shape == (EPISODES_PER_BLOCK, config.n_relays)
         assert block.locations.shape == block.reward_bins.shape == block.wake_times.shape
+        assert block.uniforms.shape == block.wake_times.shape
 
     def test_deterministic_wakeup_law(self, sim_instance):
         _, family = sim_instance
@@ -112,6 +113,7 @@ class TestSampling:
         counted = np.minimum((family.cdf_matrix[locations] <= u[..., None]).sum(-1), top)
         block = sample_episode(family, config, block_rng(5, 0))
         assert np.array_equal(block.locations, locations)
+        assert np.array_equal(block.uniforms, u)  # kept as drawn, binned on demand
         assert np.array_equal(block.reward_bins, counted)
         for i in range(500):
             expected = [min(int(np.searchsorted(family.cdf_matrix[l], x, side="right")), top)
