@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -33,8 +33,8 @@ from .model import (BudgetExceededError, ModelConfig, OrderedFamily, _shown,  # 
 # ``row_batches``, a batch of a level's rows in the tie rule, of newcomer
 # types in the overflow rule (at capacity 1, 20 types take one batch up to
 # 654 bins), in the forward sweep's one pass per level, of probe targets or
-# reached rows in its probe move, and of rows in the conjecture report, sized
-# there for eight temporaries.
+# reached rows in its probe move, of newcomer types in its overflow continue,
+# and of rows in the conjecture report, sized there for eight temporaries.
 BATCH_ELEMENTS = 1 << 18
 
 
@@ -323,24 +323,24 @@ def _probe_costs(smaller: np.ndarray, bare: np.ndarray, surcharge: float, plan: 
     across chunks.  A chunk sums the bare row and the smaller rows live at
     its lowest bin, a prefix of the plane's columns, and the slots of the
     rest read the bare row's column; a smaller row that becomes live takes
-    its carry from the bare row's.  The values enter transposed, bins
-    leading, a block of bins at a time, so that the kernel holds no
-    transposed copy of the whole smaller level.  Every running sum adds one
-    bin's term to the sum over the bins above it, in that kernel's
-    sequential order, so the costs are bitwise its own.  How a chunk adds
-    them follows its shape: a chunk of no more bins than its plane has pairs
-    (the wide planes of the larger levels, a few bins each) adds one whole
-    plane per bin, and a chunk of more bins than pairs (the narrow planes of
-    the small levels, all bins at once) runs ``np.cumsum`` along its bins,
-    whose per-pair loop is then long.  Each chunk settles the rows live at
-    its lowest bin and writes them straight into the tables.  With
-    ``none_only`` the chunks run the same sums but settle no real bin: the
-    none row alone is settled, from the carried sum, and returned as one
-    column.
+    its carry from the bare row's.  A chunk gathers its own bins of those
+    rows, transposed, bins leading, so that the kernel holds no transposed
+    copy of the whole smaller level.  Every running sum adds one bin's term
+    to the sum over the bins above it, in that kernel's sequential order, so
+    the costs are bitwise its own.  How a chunk adds them follows its shape:
+    a chunk of no more bins than its plane has pairs (the wide planes of the
+    larger levels, a few bins each) adds one whole plane per bin, and a
+    chunk of more bins than pairs (the narrow planes of the small levels,
+    all bins at once) runs ``np.cumsum`` along its bins, whose per-pair loop
+    is then long.  Each chunk settles the rows live at its lowest bin, puts
+    back +inf and NO_ACTION from each row's dead bin up, and writes them
+    straight into the tables.  With ``none_only`` the chunks run the same
+    sums but settle no real bin: the none row alone is settled, from the
+    carried sum, and returned as one column.
     """
     pmf_by_bin, cdf_by_bin = plan.pmf_by_bin, plan.cdf_by_bin
     n_bins, n_types = pmf_by_bin.shape[:2]
-    n_slots, n_rows = plan.codes.shape
+    n_rows = plan.codes.shape[1]
     probe = np.empty((n_rows, 1 if none_only else n_bins + 1))
     code = np.empty(probe.shape, dtype=plan.codes.dtype)
     if not none_only and plan.dead[-1] < n_bins:  # what the states whose members are all dead keep
@@ -350,31 +350,22 @@ def _probe_costs(smaller: np.ndarray, bare: np.ndarray, surcharge: float, plan: 
     # no chunk's sums outlive it; -0.0 adds exactly
     carry = np.full((n_types, plan.stride), -0.0)
     width = max(1, BATCH_ELEMENTS // carry.size)
-    # one chunk's sums and costs, each chunk's plane contiguous in them
+    # one chunk's values, sums and costs, each chunk's plane contiguous in them
+    vals_at = np.empty(min(width, n_bins) * plan.stride)
     sums_at = np.empty(min(width, n_bins) * carry.size)
     costs_at = None if none_only else np.empty(sums_at.shape)
-    # the values of a block of bins, bins leading: at least a chunk, and at
-    # least the 8 floats of a 64-byte cache line, so that one-bin chunks do
-    # not read each row's line once per bin
-    span = min(max(width, 8), n_bins)
-    vals_by_bin, base = np.empty((span, 1, plan.stride)), n_bins
-    carried, cached, costs = 0, None, None  # smaller rows carried; the slots' key
-    top = int(plan.dead[0])  # no row is live from this bin up
+    carried, costs = 0, None  # smaller rows carried
     for hi in range(n_bins, 0, -width):
         lo = max(0, hi - width)
         live = int(plan.rests_live[lo])
-        if lo < base:  # the chunk's bins lie below the block
-            base = max(0, hi - span)
-            staged = int(plan.rests_live[base])
-            vals_by_bin[:hi - base, 0, 0] = bare[base:hi]
-            if staged:
-                rests = slice(staged) if plan.rests is None else plan.rests[:staged]
-                vals_by_bin[:hi - base, 0, 1:staged + 1] = smaller[rests, base:hi].T
         if live > carried:  # rows that become live carry the bare row's sum
             carry[:, carried + 1:live + 1] = carry[:, :1]
             carried = live
         w, cols = hi - lo, live + 1
-        vals, above = vals_by_bin[lo - base:hi - base, :, :cols], carry[:, :cols]
+        vals, above = vals_at[:w * cols].reshape(w, 1, cols), carry[:, :cols]
+        rests = slice(live) if plan.rests is None else plan.rests[:live]
+        vals[:, 0, 0] = bare[lo:hi]
+        vals[:, 0, 1:] = smaller[rests, lo:hi].T
         # sums[j] for j >= 1: the sum over bins >= lo + j, added from the top
         # bin down; sums[0] the term of bin lo, whose sum goes to the carry
         sums = np.multiply(pmf_by_bin[lo:hi], vals,
@@ -390,68 +381,55 @@ def _probe_costs(smaller: np.ndarray, bare: np.ndarray, surcharge: float, plan: 
             np.cumsum(sums[::-1], axis=0, out=sums[::-1])
         n_live = 0 if none_only else int(plan.live[lo])  # rows live at lo
         if n_live:
-            end = min(hi, top)  # the bins settled
-            n = end - lo
-            costs = np.multiply(cdf_by_bin[lo:end], vals[:n],
-                                out=costs_at[:n * n_types * cols].reshape(n, n_types, cols))
+            costs = np.multiply(cdf_by_bin[lo:hi], vals,
+                                out=costs_at[:sums.size].reshape(sums.shape))
             # plus the sum over the bins above each: the next bin's sum, or
             # above the chunk the carry
-            costs[:w - 1] += sums[1:n + 1]
-            if n == w:
-                costs[-1] += above
+            costs[:-1] += sums[1:]
+            costs[-1] += above
             costs += surcharge
-            if cached != (n_live, live):  # the slots' plane entries, of every row
-                cached = n_live, live       # once the plane is whole, for the none row too
-                pairs = np.empty((n_slots, n_rows if cols == plan.stride else n_live),
-                                 dtype=np.intp)
-                for p, out in enumerate(pairs):
-                    _slot_pairs(plan, p, len(out), live, out)
-                rows = slice(n_live) if plan.rows is None else plan.rows[:n_live]
-            best, pick = _settle(costs, pairs[:, :n_live], plan.codes[:, :n_live])
-            if plan.live[end - 1] < n_live:  # rows that die inside the chunk
-                dying = plan.dead[:n_live] <= plan.bins[lo:end]
+            best, pick = _settle(costs, _slot_pairs(plan, n_live, live), plan.codes[:, :n_live])
+            if plan.live[hi - 1] < n_live:  # rows that die inside the chunk
+                dying = plan.dead[:n_live] <= plan.bins[lo:hi]
                 np.putmask(best, dying, np.inf)
                 np.putmask(pick, dying, NO_ACTION)
-            probe[rows, lo:end], code[rows, lo:end] = best.T, pick.T
+            rows = slice(n_live) if plan.rows is None else plan.rows[:n_live]
+            probe[rows, lo:hi], code[rows, lo:hi] = best.T, pick.T
         if by_plane:
             np.add(sums[1] if w > 1 else above, sums[0], out=above)
         else:
             above[...] = sums[0]
-    del sums_at, costs_at, vals_by_bin, sums, vals, costs  # the chunk buffers and their views
+    del vals_at, sums_at, costs_at, vals, sums, costs  # the chunk buffers and their views
     # the none row: max{none, R} = R, every smaller row ever live is live,
-    # and no row is pruned; the largest levels' pairs, the largest arrays
-    # here, are built a slot at a time
+    # and no row is pruned
     carry += surcharge  # in place: nothing reads the sums after this
-    if not cached or cached[1] + 1 < plan.stride:
-        out = np.empty(n_rows, dtype=np.intp)
-        pairs = (_slot_pairs(plan, p, n_rows, plan.stride - 1, out) for p in range(n_slots))
-    best, pick = _settle(carry[None], pairs, plan.codes)
+    best, pick = _settle(carry[None], _slot_pairs(plan, n_rows, plan.stride - 1), plan.codes)
     rows = slice(None) if plan.rows is None else plan.rows
     probe[rows, -1], code[rows, -1] = best[0], pick[0]
     return probe, code
 
 
-def _slot_pairs(plan: _ProbePlan, p: int, n_live: int, live: int, out: np.ndarray) -> np.ndarray:
-    """The plane entries, into ``out``, of slot p of the plan's first
-    ``n_live`` rows, in a plane of the bare row and the first ``live``
+def _slot_pairs(plan: _ProbePlan, n_live: int, live: int) -> Iterator[np.ndarray]:
+    """The plane entries of the plan's first ``n_live`` rows, slot by slot
+    into one buffer, in a plane of the bare row and the first ``live``
     smaller rows: the rest of a slot whose set without it is not among them
     reads the bare row's column."""
-    if not live:  # the bare row alone: the entry is the type
-        return np.subtract(plan.codes[p, :n_live], PROBE, out=out, dtype=np.intp)
-    cols = plan.columns[p, :n_live]
-    np.multiply(plan.codes[p, :n_live], live + 1, out=out, dtype=np.intp)
-    out -= PROBE * (live + 1)
-    out += cols if live + 1 == plan.stride else np.where(cols <= live, cols, 0)
-    return out
+    out = np.empty(n_live, dtype=np.intp)
+    for codes, cols in zip(plan.codes[:, :n_live], plan.columns[:, :n_live]):
+        np.multiply(codes, live + 1, out=out, dtype=np.intp)
+        out -= PROBE * (live + 1)
+        out += cols if live + 1 == plan.stride else np.where(cols <= live, cols, 0)
+        yield out
 
 
 def _settle(costs: np.ndarray, pairs: Iterable[np.ndarray],
             codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The best probe cost and its code at every (bin, row), from costs[j,
     pair] over the bins j: slot p of the rows reads the entries pairs[p] and
-    has the codes codes[p].  A running minimum over the slots with strict
-    ``<`` keeps the first of equal costs and never takes a NaN; where no slot
-    wins the code is NO_ACTION."""
+    has the codes codes[p].  Each slot's entries are read before the next
+    slot's are drawn, so ``pairs`` may yield one buffer each time.  A running
+    minimum over the slots with strict ``<`` keeps the first of equal costs
+    and never takes a NaN; where no slot wins the code is NO_ACTION."""
     costs = costs.reshape(len(costs), -1)
     slots = zip(pairs, codes)
     index, slot_codes = next(slots)

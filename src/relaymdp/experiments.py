@@ -42,16 +42,6 @@ from .model import (
 from .simulate import Estimates, check_episode_count, check_seed, monte_carlo, probe_first_levels
 
 POLICY_NAMES = ("rst", "glb", "first")
-# Entries of one batch of newcomer types in the forward sweep's overflow
-# continue move, ``_add_moved`` (64 KB), so that the sweeps of a calibration
-# reuse heap pages more than with BATCH_ELEMENTS, which at 400 bins holds all
-# 20 types of a 4,688-entry move (0.75 MB of indices) in one batch.  Measured
-# by ru_minflt per CLI ``calibrate`` op at 400 bins: in a process that runs
-# verify, solve-restricted and calibrate in turn, about 525 fresh pages with
-# this size and 1,200 with BATCH_ELEMENTS; in a process that runs calibrate
-# alone, about 10 with either, once the capacity-1 overflow rule's 1.3 MB
-# temporaries have raised glibc's mmap threshold in its first solve.
-OVERFLOW_ELEMENTS = 1 << 13
 
 
 def policy_levels(name: str, family: OrderedFamily, config: ModelConfig) -> CompleteTables:
@@ -261,8 +251,6 @@ def _move_probes(mass: np.ndarray, act: np.ndarray, reached: np.ndarray, width: 
             w, code = (np.concatenate((a[src, -1:], a[src, :width]), axis=-1)
                        for a in (mass, act))
             w *= code == codes
-            if not w.any():
-                continue
             probes += float(w.sum())
             # bin j gains w[j] cdf[j] plus pmf[j] times the mass below j,
             # which past the last bin that probes is all of it
@@ -316,11 +304,11 @@ def _add_moved(out: np.ndarray, kept: np.ndarray, g: np.ndarray, j: np.ndarray,
     The overflow rule's rows are not injective per type (every row that
     drops its member lands on the newcomer's row), so np.add.at adds them,
     in the order of one pass over (t, i), a batch of types of at most
-    OVERFLOW_ELEMENTS entries at a time; each batch takes its kept rows from
+    BATCH_ELEMENTS entries at a time; each batch takes its kept rows from
     the flattened (row, column) plane of its types."""
     width, plane = out.shape[1], kept.reshape(len(kept), -1)
     flat, at, cols = out.reshape(-1), g * kept.shape[2] + (kept.shape[2] + j), width + j
-    for batch in row_batches(len(kept), len(mass), OVERFLOW_ELEMENTS):
+    for batch in row_batches(len(kept), len(mass), BATCH_ELEMENTS):
         index = np.take(plane[batch], at, axis=1) * np.intp(width) + cols
         # values of the index's own shape: numpy 2.4's np.add.at adds wrong
         # sums, or crashes, when the values broadcast against the indices

@@ -68,10 +68,20 @@ MUTANTS = [
     ("probe kernel: a newly live row's carry seeded with zeros", COMPLETE,
      "carry[:, carried + 1:live + 1] = carry[:, :1]", "carry[:, carried + 1:live + 1] = 0.0",
      None),
+    ("probe kernel: the chunk gathers the smaller rows in their own order", COMPLETE,
+     "vals[:, 0, 1:] = smaller[rests, lo:hi].T", "vals[:, 0, 1:] = smaller[:live, lo:hi].T",
+     None),
+    ("probe kernel: a rest not yet live reads its own column", COMPLETE,
+     "np.where(cols <= live, cols, 0)", "cols", None),
+    ("probe kernel: the dying mask never applied", COMPLETE,
+     "if plan.live[hi - 1] < n_live:", "if False:", None),
     ("probe kernel: the none row pruned", COMPLETE,
      "probe[rows, -1], code[rows, -1] = best[0], pick[0]",
      "best[:, plan.dead == 0], pick[:, plan.dead == 0] = np.inf, NO_ACTION; "
      "probe[rows, -1], code[rows, -1] = best[0], pick[0]", None),
+    ("overflow continue: every batch reads the first batch's kept plane", EXPERIMENTS,
+     "np.take(plane[batch], at, axis=1)", "np.take(plane[:len(plane[batch])], at, axis=1)",
+     None),
     ("replay: the revealed bin read from the episode's first relay", SIMULATE,
      "bins_of(cdf, t, uniforms[e, pick])", "bins_of(cdf, loc[e, 0], uniforms[e, 0])", None),
     ("lazy inversion: the last step dropped", SIMULATE,

@@ -907,11 +907,14 @@ class TestProbeKernel:
         assert self.assert_dead_states_hold_the_bare_row(tables) > 0
 
     @pytest.mark.parametrize("capacity", [1, 2, 4])
-    @pytest.mark.parametrize("batch", [dp_complete.BATCH_ELEMENTS, 40])
+    @pytest.mark.parametrize("batch", [dp_complete.BATCH_ELEMENTS, 120, 40])
     def test_pruned_costs_equal_the_reference_wherever_a_member_lives(
             self, monkeypatch, capacity, batch):
         # a batch of 40 floats cuts the levels from size 2 up into one-bin
-        # chunks, so smaller rows become live chunk by chunk
+        # chunks, so smaller rows become live chunk by chunk; one of 120 cuts
+        # the size-2 levels into two-bin chunks, of which those across the
+        # dead bins hold both live bins and bins at or above their rows' dead
+        # bins, which the chunk settles and the dying mask puts back
         monkeypatch.setattr(dp_complete, "BATCH_ELEMENTS", batch)
         config, family = small_instance(6, 12, 4, eta=10.0, delta=0.1)
         tables = _induction(family, config, capacity)

@@ -117,7 +117,11 @@ def assert_matches_reference(comps, levels):
 # time, and every level its reached rows in chunks of one or two, the last
 # of three reached rows a chunk of its own.  Below the default every level
 # of more than one row also reads its legality, stops and continues in
-# several row batches: 8 or 2 rows of 16 columns, or 130 or 40 rows of one
+# several row batches: 8 or 2 rows of 16 columns, or 130 or 40 rows of one.
+# The overflow continue batches its newcomer types under the same budget:
+# at 130 entries one capacity-2 sweep takes them two at a time, and at 40
+# some capacity-1 and capacity-2 sweeps take them two or three at a time
+# (one at a time would take a row batch of more than 20 continuing entries).
 COMPACTING_BATCHES = [experiments.BATCH_ELEMENTS, 130, 40]
 
 
